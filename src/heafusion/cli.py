@@ -79,7 +79,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
     sub.add_argument("--seed", type=int, default=None, help="seed for all randomness")
     sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker-pool cap for parallel scans (default: all cores)")
+                     help="worker-pool cap for batch prediction (default: all cores)")
     sub.add_argument("--out-dir", default=".", help="directory for outputs and run metadata")
 
 
@@ -328,7 +328,7 @@ def _write_reports(args: argparse.Namespace, reports) -> list[str]:
 
 def _cmd_extract(args: argparse.Namespace) -> None:
     dataset = parse_dataset(args.dataset, universe=args.universe)
-    store = extract_all(dataset, ExtractionConfig(args.alpha, args.max_subst_size), jobs=args.jobs)
+    store = extract_all(dataset, ExtractionConfig(args.alpha, args.max_subst_size))
     out = _out_path(args, args.out)
     write_store(store, out)
     _write_metadata(args, [out.name], {"n_pairs": len(store), "store_hash": store.content_hash()})

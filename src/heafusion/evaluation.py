@@ -31,8 +31,8 @@ from .inference import _fold_chunk
 from .md_evidence import (
     ExtractionConfig,
     SimilarityStore,
-    _scan_partition,
     extract_all,
+    pair_counts,
     similarity_from_counts,
 )
 
@@ -297,7 +297,7 @@ def grid_search_alpha(
             train_labels = [labels[i] for i in train_idx]
             test_masks = [masks[i] for i in test_idx]
             test_labels = [labels[i] for i in test_idx]
-            counts = _scan_partition(train_masks, train_labels, max_subst_size, 1, 0)
+            counts = pair_counts(train_masks, train_labels, max_subst_size)
             n_runs += 1
             for alpha in grid:
                 view = {
@@ -389,7 +389,7 @@ def _evaluate_split(
     stores: list[tuple[str, SimilarityStore]] = []
     if sources.use_md:
         config = ExtractionConfig(sources.md_alpha, sources.max_subst_size)
-        stores.append(("md", extract_all(training, config, jobs=jobs)))
+        stores.append(("md", extract_all(training, config)))
     for source_id, store in sources.llm_stores.items():
         stores.append((source_id, store))
     if not stores:

@@ -137,6 +137,36 @@ def pair_evidence_oracle(
     return out
 
 
+def scan_partition(
+    masks: Sequence[int],
+    labels: Sequence[bool],
+    max_size: int,
+    n_partitions: int = 1,
+    partition: int = 0,
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Reference pair scan over integer bitmasks: (agree, disagree) counts
+    per (smaller, larger) difference-mask pair, for outer indices
+    i = partition (mod n_partitions). Partial scans merge by addition."""
+    counts: dict[tuple[int, int], list[int]] = {}
+    n = len(masks)
+    for i in range(partition, n, n_partitions):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            mj = masks[j]
+            if not mi & mj:
+                continue
+            ct = mi & ~mj
+            cv = mj & ~mi
+            if not ct or not cv:
+                continue
+            if ct.bit_count() > max_size or cv.bit_count() > max_size:
+                continue
+            key = (ct, cv) if ct < cv else (cv, ct)
+            slot = counts.setdefault(key, [0, 0])
+            slot[0 if labels[j] == labels[i] else 1] += 1
+    return {key: (agree, disagree) for key, (agree, disagree) in counts.items()}
+
+
 def complete_linkage_oracle(
     distances: Sequence[Sequence[float]],
 ) -> list[tuple[int, int, float, int]]:

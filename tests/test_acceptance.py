@@ -42,7 +42,6 @@ from heafusion.md_evidence import (
     combine_stores,
     counts_to_store,
     extract_all,
-    _scan_partition,
 )
 from heafusion.alloys import alloy_masks, serialize_dataset
 
@@ -56,6 +55,7 @@ from oracles import (
     combine_exact,
     complete_linkage_oracle,
     mann_whitney_auc,
+    scan_partition,
 )
 
 # Exact oracle value for three agreeing + one disagreeing piece at 0.1:
@@ -236,12 +236,9 @@ def _suite_partition_independence():
         whole = extract_all(ds, ExtractionConfig(alpha=0.1))
         for parts in (2, 3, 5, 8):
             partials = [
-                _scan_partition(masks, labels, 3, parts, p) for p in range(parts)
+                scan_partition(masks, labels, 3, parts, p) for p in range(parts)
             ]
-            stores = [
-                counts_to_store({k: tuple(v) for k, v in c.items()}, 0.1, ds.universe)
-                for c in partials
-            ]
+            stores = [counts_to_store(c, 0.1, ds.universe) for c in partials]
             merged = combine_stores(stores)
             assert set(merged.entries) == set(whole.entries)
             for pair, mass in whole.items():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, BinaryMass, LabeledAlloy
+from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy
+from heafusion.alloys import ELEMENT_SYMBOLS, alloy_masks
 from heafusion.errors import AlphaOutOfRange
 from heafusion.md_evidence import (
     CombinationPair,
@@ -22,7 +23,7 @@ from heafusion.md_evidence import (
 )
 
 from conftest import EXAMPLE_MASS, as_dataset, random_dataset
-from oracles import combine_exact, pair_evidence_oracle
+from oracles import combine_exact, pair_evidence_oracle, scan_partition
 
 
 def la(elements, label=True):
@@ -161,36 +162,62 @@ class TestExtraction:
 
 
 class TestPartitioning:
-    def test_jobs_do_not_change_the_store(self):
-        # large enough to engage the process pool
-        ds = random_dataset(600, universe_size=14, seed=11)
-        base = extract_all(ds, ExtractionConfig(alpha=0.1), jobs=1)
-        for jobs in (2, 3):
-            alt = extract_all(ds, ExtractionConfig(alpha=0.1), jobs=jobs)
-            assert alt.content_hash() == base.content_hash()
-
     def test_dempster_merge_of_partial_stores(self):
         # partial stores built from disjoint row slices, merged pairwise
         ds = random_dataset(80, universe_size=9, seed=13)
         whole = extract_all(ds, ExtractionConfig(alpha=0.1))
         rows = list(ds.alloys)
         # partition the *pair* space: slice i keeps pairs whose first index mod 2 == i
-        from heafusion.md_evidence import _scan_partition
-        from heafusion.alloys import alloy_masks
-
         masks = alloy_masks((r.alloy for r in rows), ds.element_index())
         labels = [r.label for r in rows]
-        partials = []
-        for part in range(2):
-            counts = _scan_partition(masks, labels, 3, 2, part)
-            partials.append(
-                counts_to_store({k: tuple(v) for k, v in counts.items()}, 0.1, ds.universe)
-            )
+        partials = [
+            counts_to_store(scan_partition(masks, labels, 3, 2, part), 0.1, ds.universe)
+            for part in range(2)
+        ]
         merged = combine_stores(partials)
         assert set(merged.entries) == set(whole.entries)
         for pair, mass in whole.items():
             for g, w in zip(merged.get(pair).as_tuple(), mass.as_tuple()):
                 assert g == pytest.approx(w, abs=1e-12)
+
+
+def _random_scan_case(rng: random.Random, case: int) -> tuple[Dataset, int | None]:
+    """A dataset of 2- to 5-element alloys over a universe drawn from the
+    whole element table in random bit order, plus a max_subst_size."""
+    n_universe = (3, 5, 9, 16, 26, 31, 32, 33, 47, 63, 64, 65, 80, 103)[case % 14]
+    universe = tuple(rng.sample(ELEMENT_SYMBOLS, n_universe))
+    n_rows = (0, 1, 2)[case % 3] if case % 7 == 0 else rng.randint(3, 30)
+    seen: set[tuple[str, ...]] = set()
+    for _ in range(4 * n_rows):
+        if len(seen) == n_rows:
+            break
+        seen.add(tuple(sorted(rng.sample(universe, rng.randint(2, min(5, n_universe))))))
+    single_class = (True, False)[case % 2] if case % 5 == 0 else None
+    alloys = tuple(
+        LabeledAlloy(Alloy(elements), rng.random() < 0.5 if single_class is None else single_class)
+        for elements in sorted(seen)
+    )
+    return Dataset("case", alloys, universe), rng.choice([1, 2, 3, 4, None])
+
+
+class TestPairKernel:
+    def test_matches_reference_scan(self):
+        rng = random.Random(2024)
+        widest = 0
+        for case in range(1200):
+            ds, max_size = _random_scan_case(rng, case)
+            masks = alloy_masks((la.alloy for la in ds.alloys), ds.element_index())
+            limit = max_size
+            if limit is None:
+                limit = max((len(la.alloy.elements) for la in ds.alloys), default=2) - 1
+            got = extract_counts(ds, max_subst_size=max_size)
+            assert got == scan_partition(masks, ds.labels(), limit), (case, len(ds.universe))
+            for (lo, hi), (agree, disagree) in got.items():
+                assert type(lo) is type(hi) is type(agree) is type(disagree) is int
+                assert lo < hi
+            if got:
+                widest = max(widest, max(hi for _, hi in got).bit_length())
+        assert widest > 64  # keys above one 64-bit word were exercised
 
 
 class TestCountsClosedForm:
