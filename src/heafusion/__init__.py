@@ -21,12 +21,20 @@ from .alloys import (
 from .analysis import (
     Dendrogram,
     element_distance_matrix,
-    element_frequency_table,
     hac_complete,
     hybrid_distance_matrix,
     write_matrix_csv,
 )
-from .belief import BinaryMass, combine, combine_all, conflict, discount, pignistic, vacuous
+from .belief import (
+    BinaryMass,
+    combine,
+    combine_all,
+    conflict,
+    discount,
+    from_weights,
+    pignistic,
+    vacuous,
+)
 from .errors import HeafusionError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
@@ -45,15 +53,7 @@ from .evaluation import (
     summarize_reports,
 )
 from .fusion import SourceReliability, estimate_reliability, fuse, read_gammas, write_gammas
-from .inference import (
-    Analogy,
-    Prediction,
-    classify,
-    enumerate_analogies,
-    evidence_from_analogy,
-    predict,
-    predict_batch,
-)
+from .inference import Prediction, classify, predict, predict_batch
 from .llm_evidence import (
     DEFAULT_DOMAINS,
     LlmConfig,
@@ -69,8 +69,6 @@ from .md_evidence import (
     CombinationPair,
     ExtractionConfig,
     SimilarityStore,
-    combine_stores,
-    evidence_from_pair,
     extract_all,
     extract_counts,
     mass_from_counts,

@@ -158,6 +158,22 @@ def parse_label(text: str, row: int | None = None) -> bool:
     raise ParseError(f"unrecognized label {text!r}", row)
 
 
+def parse_composition(text: str, row: int | None = None, delimiter: str = "-") -> Alloy:
+    """Alloy from delimiter-joined element symbols. Duplicate symbols,
+    symbols outside the element table and single elements raise
+    ParseError carrying the row number."""
+    symbols = [s.strip() for s in text.split(delimiter)]
+    if len(set(symbols)) != len(symbols):
+        raise ParseError(f"duplicate element in composition {text!r}", row)
+    for s in symbols:
+        if s not in _ELEMENT_SET:
+            raise ParseError(f"unknown element {s!r}", row)
+    try:
+        return Alloy(symbols)
+    except ValueError as exc:
+        raise ParseError(str(exc), row) from None
+
+
 def parse_dataset(
     path: str | Path,
     universe: Sequence[str] | str | None = None,
@@ -191,20 +207,11 @@ def parse_dataset(
                 continue
             if len(row) <= max(comp_col, label_col):
                 raise ParseError(f"expected at least {max(comp_col, label_col) + 1} columns, got {len(row)}", lineno)
-            symbols = [s.strip() for s in row[comp_col].split(delimiter)]
-            if len(set(symbols)) != len(symbols):
-                raise ParseError(f"duplicate element in composition {row[comp_col]!r}", lineno)
-            for s in symbols:
-                if s not in _ELEMENT_SET:
-                    raise ParseError(f"unknown element {s!r}", lineno)
-            try:
-                alloy = Alloy(symbols)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+            alloy = parse_composition(row[comp_col], lineno, delimiter)
             if alloy.elements in seen:
                 raise ParseError(f"duplicate alloy {alloy} (first at row {seen[alloy.elements]})", lineno)
             seen[alloy.elements] = lineno
-            elements_seen.update(symbols)
+            elements_seen.update(alloy.elements)
             rows.append(LabeledAlloy(alloy, parse_label(row[label_col], lineno)))
     if not rows:
         raise EmptyDataset(f"{path} contains no alloy rows")

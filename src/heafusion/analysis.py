@@ -24,7 +24,6 @@ from .md_evidence import CombinationPair, SimilarityStore
 __all__ = [
     "Dendrogram",
     "element_distance_matrix",
-    "element_frequency_table",
     "hybrid_distance_matrix",
     "hac_complete",
     "write_matrix_csv",
@@ -203,15 +202,3 @@ def write_matrix_csv(matrix: np.ndarray, labels: Sequence[str], path: str | Path
         for label, row in zip(labels, matrix):
             writer.writerow([label] + [f"{v:.17g}" for v in row])
 
-
-def element_frequency_table(groups: Sequence[Sequence[Alloy]]) -> list[dict[str, float]]:
-    """Per-group element occurrence rates (fraction of the group's alloys
-    containing each element); feeds group-profile summaries."""
-    out = []
-    for group in groups:
-        counts: dict[str, int] = {}
-        for alloy in group:
-            for e in alloy.elements:
-                counts[e] = counts.get(e, 0) + 1
-        out.append({e: c / len(group) for e, c in sorted(counts.items())} if group else {})
-    return out

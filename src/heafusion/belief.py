@@ -7,6 +7,12 @@ used in this package: {similar, dissimilar} for substitutability evidence and
 {positive, negative} for phase predictions; the frame semantics live at the
 call site.
 
+Simple support on one outcome with strength s carries the weight of
+evidence w = -ln(1 - s), and Dempster's rule adds the weights of evidence
+for the same outcome, so evidence on a two-outcome frame pools by summing
+one weight per outcome and reading the sums out once with `from_weights`
+(Smets 1995; Denoeux 2019).
+
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.
 """
@@ -16,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
+
+import numpy as np
 
 from .errors import GammaOutOfRange, TotalConflict
 
@@ -90,6 +98,47 @@ def discount(m: BinaryMass, gamma: float) -> BinaryMass:
         gamma * m.m_second,
         1.0 - gamma + gamma * m.m_both,
     )
+
+
+def from_weights(w_first, w_second):
+    """(m_first, m_second, m_both) of the Dempster combination of simple
+    support with weight w_first on the first outcome and w_second on the
+    second.
+
+    With P = exp(-w_first) and Q = exp(-w_second) the mass is
+    ((1-P)Q, P(1-Q), PQ) / (P + Q - PQ); dividing through by PQ gives
+    (e^w_first - 1, e^w_second - 1, 1) / (e^w_first + e^w_second - 1),
+    which is evaluated here shifted by the larger weight, as in a
+    log-sum-exp, so no weight overflows or underflows and an infinite
+    weight on one side reads out as certainty. Swapping the arguments
+    swaps the first and second masses exactly. Weights are non-negative
+    floats or arrays; arrays give arrays. Raises TotalConflict only where
+    both weights are infinite.
+    """
+    w1 = np.asarray(w_first, dtype=float)
+    w2 = np.asarray(w_second, dtype=float)
+    if np.any(np.isinf(w1) & np.isinf(w2)):
+        raise TotalConflict("infinite weight of evidence on both outcomes")
+    both = np.exp(-np.maximum(w1, w2))
+    first = np.exp(np.minimum(w1 - w2, 0.0)) - both
+    second = np.exp(np.minimum(w2 - w1, 0.0)) - both
+    total = first + second + both
+    m = (first / total, second / total, both / total)
+    return tuple(float(x) for x in m) if total.ndim == 0 else m
+
+
+def support_weight(m_rest):
+    """Weight of evidence -ln(1 - s) of the support s = m_first of a mass,
+    given m_rest = m_second + m_both.
+
+    Taking the logarithm of the mass left over, rather than of 1 - s,
+    keeps the weight finite for supports that round to 1. Floats or
+    arrays; clipped at 0 for masses whose components sum slightly above 1,
+    and infinite where m_rest is 0.
+    """
+    with np.errstate(divide="ignore"):
+        w = np.maximum(-np.log(m_rest), 0.0)
+    return float(w) if np.ndim(w) == 0 else w
 
 
 def pignistic(m: BinaryMass) -> float:

@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alloys import UNIVERSES, Alloy, enumerate_combinations, parse_dataset
+from .alloys import UNIVERSES, Alloy, enumerate_combinations, parse_composition, parse_dataset
 from .analysis import (
     element_distance_matrix,
     hac_complete,
     hybrid_distance_matrix,
     write_matrix_csv,
 )
-from .errors import ConfigError, DataError, EmptySourceList, HeafusionError, NumericError
+from .errors import ConfigError, DataError, EmptySourceList, HeafusionError, NumericError, ParseError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_FRACTIONS,
@@ -259,7 +259,14 @@ def _read_candidates(path: str) -> list[Alloy]:
             col = [h.strip().lower() for h in header].index("composition")
         except ValueError:
             raise DataError(f"{path} needs a composition column") from None
-        return [Alloy(row[col].split("-")) for row in reader if row and row[col].strip()]
+        candidates = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= col:
+                raise ParseError(f"expected at least {col + 1} columns, got {len(row)}", lineno)
+            candidates.append(parse_composition(row[col], lineno))
+        return candidates
 
 
 def _sources_from_args(args: argparse.Namespace) -> SourcesConfig:

@@ -19,7 +19,9 @@ from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
+from . import inference
 from .alloys import Dataset, alloy_masks
+from .belief import from_weights, support_weight
 from .errors import (
     ElementAbsent,
     EmptySourceList,
@@ -27,13 +29,12 @@ from .errors import (
     LengthMismatch,
     SingleClass,
 )
-from .inference import _fold_chunk
 from .md_evidence import (
     ExtractionConfig,
     SimilarityStore,
+    evidence_weight,
     extract_all,
     pair_counts,
-    similarity_from_counts,
 )
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -277,13 +278,15 @@ def grid_search_alpha(
     dataset-evidence-only predictor; ties break toward the smallest alpha.
 
     The fold pair scan is alpha-independent (it only counts agreeing and
-    disagreeing evidence), so each fold is scanned once and every grid
-    point reuses the counts.
+    disagreeing evidence), so each fold is scanned once; every grid point
+    reads the counts out as `extract_all` and `predict_batch` would, with
+    array arithmetic instead of store objects.
     """
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
     if not grid:
         raise ValueError("alpha grid must be non-empty")
+    weights = {alpha: evidence_weight(alpha) for alpha in grid}
     labels = dataset.labels()
     index = dataset.element_index()
     masks = alloy_masks((la.alloy for la in dataset.alloys), index)
@@ -298,15 +301,17 @@ def grid_search_alpha(
             test_masks = [masks[i] for i in test_idx]
             test_labels = [labels[i] for i in test_idx]
             counts = pair_counts(train_masks, train_labels, max_subst_size)
+            keys = list(counts)
+            agree, disagree = np.array(list(counts.values()), dtype=float).reshape(-1, 2).T
             n_runs += 1
             for alpha in grid:
-                view = {
-                    key: similarity_from_counts(agree, disagree, alpha)
-                    for key, (agree, disagree) in counts.items()
-                }
-                folded = _fold_chunk(test_masks, train_masks, train_labels, view, max_subst_size)
-                preds = [a + u / 2.0 > 0.5 for a, _, u, _ in folded]
-                totals[alpha] += macro_f1(test_labels, preds)
+                _, m_second, m_both = from_weights(weights[alpha] * agree, weights[alpha] * disagree)
+                view = dict(zip(keys, support_weight(m_second + m_both).tolist()))
+                w_pos, w_neg, _ = inference.analogy_weights(
+                    test_masks, train_masks, train_labels, view, max_subst_size
+                )
+                m_pos, _, m_unc = from_weights(w_pos, w_neg)
+                totals[alpha] += macro_f1(test_labels, (m_pos + m_unc / 2.0 > 0.5).tolist())
     best_alpha = grid[0]
     best_score = -1.0
     for alpha in grid:
@@ -407,10 +412,7 @@ def _evaluate_split(
             )
         gammas.append(SourceReliability(source_id, gamma))
     fused = fuse(stores, gammas)
-
-    from .inference import predict_batch
-
-    predictions = predict_batch(
+    predictions = inference.predict_batch(
         [la.alloy for la in test.alloys], training, fused,
         max_subst_size=sources.max_subst_size, jobs=jobs,
     )

@@ -3,11 +3,20 @@
 A candidate is compared against every labeled alloy it shares elements
 with. Each such host defines a substitution: replace the host elements
 missing from the candidate with the candidate elements missing from the
-host. The store's belief that those two combinations are substitutable
-becomes evidence that the candidate inherits (host positive) or mirrors
-(host negative) the host's class. All analogy evidence is pooled with
-Dempster's rule and scored by the pignistic probability of the positive
-class.
+host. The store's belief s that those two combinations are substitutable
+is simple support for the host's class (host positive) or the other class
+(host negative), with weight of evidence -ln(1 - s). Dempster's rule adds
+weights, so the analogy pool is one sum of weights per class, read out
+once by `belief.from_weights` and scored by the pignistic probability of
+the positive class.
+
+The weights come from `SimilarityStore.mask_view` as -ln(m_second +
+m_both), which stays finite for similarities that round to 1.
+TotalConflict means infinite weight on both classes: a candidate with
+hosts of both classes whose stored masses have m_second + m_both exactly
+0. The md source at small alpha cannot produce such masses (at alpha =
+0.1 a pair would need over 7,000 more agreeing than disagreeing pieces);
+large alpha can, until stores hold weights instead of masses.
 """
 
 from __future__ import annotations
@@ -16,41 +25,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .alloys import Alloy, Dataset, LabeledAlloy, alloy_masks
-from .belief import BinaryMass, pignistic
-from .errors import CandidateInTraining, TotalConflict
-from .md_evidence import CombinationPair, SimilarityStore
+import numpy as np
+
+from .alloys import Alloy, Dataset, alloy_masks
+from .belief import BinaryMass, from_weights, pignistic
+from .errors import CandidateInTraining
+from .md_evidence import SimilarityStore
 
 __all__ = [
-    "Analogy",
     "Prediction",
-    "enumerate_analogies",
-    "evidence_from_analogy",
+    "analogy_weights",
     "predict",
     "predict_batch",
     "classify",
 ]
-
-
-@dataclass(frozen=True)
-class Analogy:
-    """Host alloy plus the substitution (replaced <- replacement) that
-    turns it into the candidate."""
-
-    host: LabeledAlloy
-    replaced: tuple[str, ...]
-    replacement: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.replaced or not self.replacement:
-            raise ValueError("substitution sides must be non-empty")
-        if set(self.replaced) & set(self.replacement):
-            raise ValueError("substitution sides must be disjoint")
-        if not set(self.replaced) <= self.host.alloy.element_set:
-            raise ValueError("replaced combination must be part of the host")
-
-    def candidate_elements(self) -> frozenset[str]:
-        return (self.host.alloy.element_set - set(self.replaced)) | set(self.replacement)
 
 
 @dataclass(frozen=True)
@@ -75,51 +63,16 @@ def _default_max_size(training: Dataset, candidates: Sequence[Alloy]) -> int:
     return max(sizes, default=2) - 1
 
 
-def enumerate_analogies(
-    candidate: Alloy, training: Dataset, max_subst_size: int | None = None
-) -> list[Analogy]:
-    """All substitutions from training hosts onto the candidate, in training
-    order. Hosts disjoint from the candidate or nested with it (one set
-    containing the other) cannot express a substitution and yield nothing."""
-    if max_subst_size is None:
-        max_subst_size = _default_max_size(training, [candidate])
-    cand = candidate.element_set
-    out: list[Analogy] = []
-    for la in training.alloys:
-        host = la.alloy.element_set
-        if host == cand:
-            raise CandidateInTraining(f"candidate {candidate} is in the training set")
-        if not host & cand:
-            continue
-        replaced = host - cand
-        replacement = cand - host
-        if not replaced or not replacement:
-            continue
-        if max(len(replaced), len(replacement)) > max_subst_size:
-            continue
-        out.append(Analogy(la, tuple(sorted(replaced)), tuple(sorted(replacement))))
-    return out
-
-
-def evidence_from_analogy(analogy: Analogy, store: SimilarityStore) -> BinaryMass:
-    """Class evidence from one substitution: similarity s backs the host's
-    class, the rest stays on the frame. Absent pairs are vacuous."""
-    s = store.similarity(CombinationPair(analogy.replaced, analogy.replacement))
-    if analogy.host.label:
-        return BinaryMass(s, 0.0, 1.0 - s)
-    return BinaryMass(0.0, s, 1.0 - s)
-
-
 def _fold_masked(
     cand_mask: int,
     train_masks: Sequence[int],
     train_labels: Sequence[bool],
-    sim_view: dict[tuple[int, int], float],
+    weights: dict[tuple[int, int], float],
     max_size: int,
-) -> tuple[float, float, float, int]:
-    """Dempster fold over all analogy evidence for one candidate bitmask."""
-    a = b = 0.0
-    u = 1.0
+) -> tuple[float, float, int]:
+    """Summed analogy weights (positive, negative) and the number of
+    analogies for one candidate bitmask."""
+    w_pos = w_neg = 0.0
     n = 0
     for host_mask, label in zip(train_masks, train_labels):
         inter = host_mask & cand_mask
@@ -133,35 +86,33 @@ def _fold_masked(
             continue
         n += 1
         key = (replaced, replacement) if replaced < replacement else (replacement, replaced)
-        s = sim_view.get(key, 0.0)
-        if s == 0.0:
-            continue
         if label:
-            raw_a = a + u * s
-            raw_b = b * (1.0 - s)
+            w_pos += weights.get(key, 0.0)
         else:
-            raw_a = a * (1.0 - s)
-            raw_b = b + u * s
-        raw_u = u * (1.0 - s)
-        # renormalizing by the computed sum (not the algebraic 1 - conflict)
-        # keeps the state on the simplex; dividing by the analytic
-        # denominator lets rounding drift compound geometrically over long
-        # conflicting folds
-        total = raw_a + raw_b + raw_u
-        if total < 1e-12:
-            raise TotalConflict("contradictory certain analogy evidence")
-        a, b, u = raw_a / total, raw_b / total, raw_u / total
-    return a, b, u, n
+            w_neg += weights.get(key, 0.0)
+    return w_pos, w_neg, n
 
 
-def _fold_chunk(
+def analogy_weights(
     cand_masks: Sequence[int],
     train_masks: Sequence[int],
     train_labels: Sequence[bool],
-    sim_view: dict[tuple[int, int], float],
+    weights: dict[tuple[int, int], float],
     max_size: int,
-) -> list[tuple[float, float, float, int]]:
-    return [_fold_masked(c, train_masks, train_labels, sim_view, max_size) for c in cand_masks]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per candidate bitmask: summed positive weight, summed negative
+    weight and number of analogies.
+
+    A candidate's analogies are the training hosts that share an element
+    with it, are not nested with it, and differ on each side by at most
+    max_size elements; each adds its pair's weight from `weights` (a
+    `SimilarityStore.mask_view`, absent pairs weigh 0) to its host's class.
+    """
+    table = np.array(
+        [_fold_masked(c, train_masks, train_labels, weights, max_size) for c in cand_masks],
+        dtype=float,
+    ).reshape(-1, 3)
+    return table[:, 0], table[:, 1], table[:, 2].astype(np.int64)
 
 
 def predict_batch(
@@ -185,7 +136,7 @@ def predict_batch(
         index[e] = len(training.universe) + offset
     train_masks = alloy_masks((la.alloy for la in training.alloys), index)
     train_labels = [la.label for la in training.alloys]
-    sim_view = store.mask_view(index)
+    weights = store.mask_view(index)
     cand_masks = []
     for c in candidates:
         if c.elements in training_sets:
@@ -194,28 +145,29 @@ def predict_batch(
 
     jobs = max(1, jobs)
     if jobs == 1 or len(candidates) < 256:  # pool overhead beats small batches
-        folded = _fold_chunk(cand_masks, train_masks, train_labels, sim_view, max_subst_size)
+        w_pos, w_neg, n = analogy_weights(cand_masks, train_masks, train_labels, weights, max_subst_size)
     else:
         chunks = [cand_masks[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(
                 pool.map(
-                    _fold_chunk,
+                    analogy_weights,
                     chunks,
                     [train_masks] * jobs,
                     [train_labels] * jobs,
-                    [sim_view] * jobs,
+                    [weights] * jobs,
                     [max_subst_size] * jobs,
                 )
             )
-        folded = [None] * len(candidates)  # type: ignore[list-item]
-        for lane, part in enumerate(parts):
-            for slot, value in zip(range(lane, len(candidates), jobs), part):
-                folded[slot] = value
+        w_pos, w_neg = np.empty(len(candidates)), np.empty(len(candidates))
+        n = np.empty(len(candidates), dtype=np.int64)
+        for lane, (lane_pos, lane_neg, lane_n) in enumerate(parts):
+            w_pos[lane::jobs], w_neg[lane::jobs], n[lane::jobs] = lane_pos, lane_neg, lane_n
+    m_first, m_second, m_both = (m.tolist() for m in from_weights(w_pos, w_neg))
     out = []
-    for candidate, (a, b, u, n) in zip(candidates, folded):
+    for candidate, a, b, u, k in zip(candidates, m_first, m_second, m_both, n.tolist()):
         mass = BinaryMass(a, b, u)
-        out.append(Prediction(candidate, mass, pignistic(mass), n))
+        out.append(Prediction(candidate, mass, pignistic(mass), k))
     return out
 
 

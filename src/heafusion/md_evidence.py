@@ -4,44 +4,42 @@ Every pair of alloys that shares elements and differs on both sides is
 one piece of evidence about its pair of difference combinations, judged
 under the shared elements as context: mass alpha lands on {similar} when
 the labels agree and on {dissimilar} when they differ, the rest on the
-full frame. Per-pair evidence is pooled with Dempster's rule into a
-sparse similarity store.
+full frame. Each piece is simple support with weight of evidence
+-ln(1 - alpha), and Dempster's rule adds weights, so a pair's pooled
+evidence is its (agree, disagree) counts times that weight, read out once
+by `belief.from_weights` into the similarity store.
 
 The pair scan is the hot loop; alloys are folded to bitmasks and each
 block of alloys is compared with all later ones in numpy array operations,
-so a 14,950-alloy dataset stays tractable in one process. Because every
-evidence mass for one pair takes only two possible values, the scan
-accumulates (agree, disagree) counts and the combined mass is materialized
-in closed form, which is exactly the associative Dempster fold of the
-individual pieces.
+so a 14,950-alloy dataset stays tractable in one process. The counts are
+alpha-independent, so one scan serves every alpha.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .alloys import Dataset, LabeledAlloy, alloy_masks, mask_to_elements
-from .belief import BinaryMass, combine, vacuous
-from .errors import AlphaOutOfRange, TotalConflict
+from .alloys import Dataset, alloy_masks, mask_to_elements
+from .belief import BinaryMass, from_weights, support_weight, vacuous
+from .errors import AlphaOutOfRange, ParseError
 
 __all__ = [
     "CombinationPair",
     "ExtractionConfig",
     "SimilarityStore",
-    "evidence_from_pair",
     "extract_all",
     "extract_counts",
     "pair_counts",
     "counts_to_store",
+    "evidence_weight",
     "mass_from_counts",
-    "similarity_from_counts",
-    "combine_stores",
     "read_store",
     "write_store",
 ]
@@ -118,20 +116,24 @@ class SimilarityStore:
         return iter(self.entries.items())
 
     def mask_view(self, index: Mapping[str, int]) -> dict[tuple[int, int], float]:
-        """Similarity (m_first) keyed by bitmask pair for hot-loop lookups.
+        """Analogy weight of evidence -ln(m_second + m_both), the
+        `belief.support_weight` of each entry's similarity, keyed by
+        bitmask pair for hot-loop lookups.
 
         Entries naming elements outside the index cannot be reached by any
         substitution within that universe and are skipped.
         """
-        view: dict[tuple[int, int], float] = {}
+        keys: list[tuple[int, int]] = []
+        rest: list[float] = []
         for pair, mass in self.entries.items():
             try:
                 a = sum(1 << index[e] for e in pair.first)
                 b = sum(1 << index[e] for e in pair.second)
             except KeyError:
                 continue
-            view[(a, b) if a < b else (b, a)] = mass.m_first
-        return view
+            keys.append((a, b) if a < b else (b, a))
+            rest.append(mass.m_second + mass.m_both)
+        return dict(zip(keys, support_weight(np.array(rest, dtype=float)).tolist()))
 
     def rows(self) -> list[tuple[str, str, float, float, float]]:
         """Canonical row form used by serialization and hashing."""
@@ -146,29 +148,6 @@ class SimilarityStore:
         for row in self.rows():
             digest.update(f"{row[0]},{row[1]},{row[2]:.17g},{row[3]:.17g},{row[4]:.17g}\n".encode())
         return digest.hexdigest()
-
-
-def evidence_from_pair(
-    a: LabeledAlloy, b: LabeledAlloy, alpha: float
-) -> tuple[CombinationPair, BinaryMass] | None:
-    """Single-pair evidence, or None when the pair carries no information.
-
-    None cases: the alloys share no element (no context), are the same set,
-    or one contains the other (an empty substitution side).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    sa, sb = a.alloy.element_set, b.alloy.element_set
-    if not sa & sb:
-        return None
-    ct = sa - sb
-    cv = sb - sa
-    if not ct or not cv:
-        return None
-    pair = CombinationPair(ct, cv)
-    if a.label == b.label:
-        return pair, BinaryMass(alpha, 0.0, 1.0 - alpha)
-    return pair, BinaryMass(0.0, alpha, 1.0 - alpha)
 
 
 # A pair key packs one 32-bit word of each side into a uint64, so masks are
@@ -312,38 +291,22 @@ def extract_counts(
     return pair_counts(masks, dataset.labels(), max_subst_size)
 
 
+def evidence_weight(alpha: float) -> float:
+    """Weight of evidence -ln(1 - alpha) of one piece of pair evidence."""
+    if not 0.0 < alpha < 1.0:
+        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
+    return -math.log1p(-alpha)
+
+
 def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
     """Dempster fold of n_agree agreeing and n_disagree disagreeing pieces.
 
     Equals combining n_agree copies of (alpha, 0, 1-alpha) with n_disagree
-    copies of (0, alpha, 1-alpha) in any order. p and q are the residual
-    ignorance of each side; the denominator p + q - p*q is the total
-    non-conflicting mass, written this way to stay stable when both sides
-    are large.
+    copies of (0, alpha, 1-alpha) in any order: the weights of evidence add
+    up to n * -ln(1 - alpha) per side.
     """
-    if not 0.0 < alpha < 1.0:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    p = (1.0 - alpha) ** n_agree
-    q = (1.0 - alpha) ** n_disagree
-    denom = p + q - p * q
-    if denom <= 0.0:
-        raise TotalConflict(
-            f"evidence counts ({n_agree}, {n_disagree}) at alpha={alpha} leave no mass"
-        )
-    return BinaryMass((1.0 - p) * q / denom, p * (1.0 - q) / denom, p * q / denom)
-
-
-def similarity_from_counts(n_agree: int, n_disagree: int, alpha: float) -> float:
-    """m({similar}) of `mass_from_counts` without building the mass object;
-    grid-search hot path."""
-    p = (1.0 - alpha) ** n_agree
-    q = (1.0 - alpha) ** n_disagree
-    denom = p + q - p * q
-    if denom <= 0.0:
-        raise TotalConflict(
-            f"evidence counts ({n_agree}, {n_disagree}) at alpha={alpha} leave no mass"
-        )
-    return (1.0 - p) * q / denom
+    weight = evidence_weight(alpha)
+    return BinaryMass(*from_weights(n_agree * weight, n_disagree * weight))
 
 
 def counts_to_store(
@@ -351,10 +314,15 @@ def counts_to_store(
     alpha: float,
     universe: Sequence[str],
 ) -> SimilarityStore:
+    """`mass_from_counts` of every key, read out in one array call, keyed
+    by the combination pair of its two difference masks."""
+    weight = evidence_weight(alpha)
+    agree, disagree = np.array(list(counts.values()), dtype=float).reshape(-1, 2).T
+    masses = from_weights(weight * agree, weight * disagree)
     entries: dict[CombinationPair, BinaryMass] = {}
-    for (mask_a, mask_b), (agree, disagree) in counts.items():
+    for (mask_a, mask_b), m_first, m_second, m_both in zip(counts, *(m.tolist() for m in masses)):
         pair = CombinationPair(mask_to_elements(mask_a, universe), mask_to_elements(mask_b, universe))
-        entries[pair] = mass_from_counts(agree, disagree, alpha)
+        entries[pair] = BinaryMass(m_first, m_second, m_both)
     return SimilarityStore(entries)
 
 
@@ -364,18 +332,7 @@ def extract_all(dataset: Dataset, config: ExtractionConfig) -> SimilarityStore:
     return counts_to_store(counts, config.alpha, dataset.universe)
 
 
-def combine_stores(stores: Iterable[SimilarityStore]) -> SimilarityStore:
-    """Dempster-combine stores entry-wise over the union of their keys.
-
-    Absent entries are vacuous and contribute nothing, so stores built from
-    disjoint slices of the pair space merge into the whole-dataset store.
-    """
-    entries: dict[CombinationPair, BinaryMass] = {}
-    for store in stores:
-        for pair, mass in store.items():
-            held = entries.get(pair)
-            entries[pair] = mass if held is None else combine(held, mass)
-    return SimilarityStore(entries)
+_HEADER = ["combo_a", "combo_b", "m_similar", "m_dissimilar", "m_uncertain"]
 
 
 def write_store(store: SimilarityStore, path: str | Path) -> None:
@@ -384,20 +341,29 @@ def write_store(store: SimilarityStore, path: str | Path) -> None:
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["combo_a", "combo_b", "m_similar", "m_dissimilar", "m_uncertain"])
+        writer.writerow(_HEADER)
         for combo_a, combo_b, m_sim, m_dis, m_unc in store.rows():
             writer.writerow([combo_a, combo_b, f"{m_sim:.17g}", f"{m_dis:.17g}", f"{m_unc:.17g}"])
 
 
 def read_store(path: str | Path) -> SimilarityStore:
+    """Load a store written by `write_store`; any malformed row raises
+    ParseError with its row number."""
     path = Path(path)
     entries: dict[CombinationPair, BinaryMass] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
+        header = next(reader, None)
+        if header is None or [h.strip().lower() for h in header] != _HEADER:
+            raise ParseError(f"header must be {','.join(_HEADER)}, got {header}", 1)
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            pair = CombinationPair(row[0].split("-"), row[1].split("-"))
-            entries[pair] = BinaryMass(float(row[2]), float(row[3]), float(row[4]))
+            if len(row) != len(_HEADER):
+                raise ParseError(f"expected {len(_HEADER)} columns, got {len(row)}", lineno)
+            try:
+                pair = CombinationPair(row[0].split("-"), row[1].split("-"))
+                entries[pair] = BinaryMass(float(row[2]), float(row[3]), float(row[4]))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     return SimilarityStore(entries)

@@ -115,6 +115,22 @@ def planted_group_dataset(
     return Dataset(name, alloys, universe)
 
 
+def dense_noisy_dataset() -> Dataset:
+    """All 495 quaternary alloys over the first 12 E1 symbols, labelled by
+    the planted groups (first six, last six) with 10% of labels flipped:
+    dense enough that store similarities saturate toward 1."""
+    from heafusion.alloys import UNIVERSES
+
+    universe = UNIVERSES["E1"][:12]
+    group_a, group_b = set(universe[:6]), set(universe[6:])
+    rng = random.Random(0)
+    alloys = []
+    for elems in combinations(universe, 4):
+        label = set(elems) <= group_a or set(elems) <= group_b
+        alloys.append(LabeledAlloy(Alloy(elems), label != (rng.random() < 0.1)))
+    return Dataset("dense", tuple(alloys), universe)
+
+
 def planted_group_store(
     group_a: tuple[str, ...], group_b: tuple[str, ...], strength: float = 0.95
 ) -> SimilarityStore:

@@ -1,15 +1,25 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent brute-force oracles used to freeze expected test values,
+and reference implementations of per-item steps the package computes in
+bulk.
 
-Everything here deliberately avoids the package's computational paths:
-exact rational arithmetic over explicit power-set expansions, quadratic
-pair counting, and from-scratch linkage recomputation.
+The oracles deliberately avoid the package's computational paths: exact
+rational arithmetic over explicit power-set expansions, quadratic pair
+counting, and from-scratch linkage recomputation. The reference
+implementations spell out one pair, one analogy or one store merge at a
+time with the package's value types.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
+
+from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
+from heafusion.belief import combine
+from heafusion.errors import AlphaOutOfRange, CandidateInTraining
+from heafusion.md_evidence import CombinationPair
 
 FIRST = frozenset({"first"})
 SECOND = frozenset({"second"})
@@ -190,3 +200,95 @@ def complete_linkage_oracle(
         members[next_id] = members.pop(a) + members.pop(b)
         next_id += 1
     return merges
+
+
+def evidence_from_pair(
+    a: LabeledAlloy, b: LabeledAlloy, alpha: float
+) -> tuple[CombinationPair, BinaryMass] | None:
+    """Single-pair evidence, or None when the pair carries no information.
+
+    None cases: the alloys share no element (no context), are the same set,
+    or one contains the other (an empty substitution side).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
+    sa, sb = a.alloy.element_set, b.alloy.element_set
+    if not sa & sb:
+        return None
+    ct = sa - sb
+    cv = sb - sa
+    if not ct or not cv:
+        return None
+    pair = CombinationPair(ct, cv)
+    if a.label == b.label:
+        return pair, BinaryMass(alpha, 0.0, 1.0 - alpha)
+    return pair, BinaryMass(0.0, alpha, 1.0 - alpha)
+
+
+def combine_stores(stores: Iterable[SimilarityStore]) -> SimilarityStore:
+    """Dempster-combine stores entry-wise over the union of their keys.
+
+    Absent entries are vacuous and contribute nothing, so stores built from
+    disjoint slices of the pair space merge into the whole-dataset store.
+    """
+    entries: dict[CombinationPair, BinaryMass] = {}
+    for store in stores:
+        for pair, mass in store.items():
+            held = entries.get(pair)
+            entries[pair] = mass if held is None else combine(held, mass)
+    return SimilarityStore(entries)
+
+
+@dataclass(frozen=True)
+class Analogy:
+    """Host alloy plus the substitution (replaced <- replacement) that
+    turns it into the candidate."""
+
+    host: LabeledAlloy
+    replaced: tuple[str, ...]
+    replacement: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.replaced or not self.replacement:
+            raise ValueError("substitution sides must be non-empty")
+        if set(self.replaced) & set(self.replacement):
+            raise ValueError("substitution sides must be disjoint")
+        if not set(self.replaced) <= self.host.alloy.element_set:
+            raise ValueError("replaced combination must be part of the host")
+
+
+def enumerate_analogies(
+    candidate: Alloy, training: Dataset, max_subst_size: int | None = None
+) -> list[Analogy]:
+    """All substitutions from training hosts onto the candidate, in training
+    order. Hosts disjoint from the candidate or nested with it (one set
+    containing the other) cannot express a substitution and yield nothing.
+    max_subst_size defaults to the largest alloy size minus one."""
+    if max_subst_size is None:
+        sizes = [len(la.alloy.elements) for la in training.alloys] + [len(candidate.elements)]
+        max_subst_size = max(sizes) - 1
+    cand = candidate.element_set
+    out: list[Analogy] = []
+    for la in training.alloys:
+        host = la.alloy.element_set
+        if host == cand:
+            raise CandidateInTraining(f"candidate {candidate} is in the training set")
+        if not host & cand:
+            continue
+        replaced = host - cand
+        replacement = cand - host
+        if not replaced or not replacement:
+            continue
+        if max(len(replaced), len(replacement)) > max_subst_size:
+            continue
+        out.append(Analogy(la, tuple(sorted(replaced)), tuple(sorted(replacement))))
+    return out
+
+
+def evidence_from_analogy(analogy: Analogy, store: SimilarityStore) -> BinaryMass:
+    """Class evidence from one substitution: similarity s backs the host's
+    class, the rest stays on the frame. Absent pairs are vacuous."""
+    s = store.similarity(CombinationPair(analogy.replaced, analogy.replacement))
+    if analogy.host.label:
+        return BinaryMass(s, 0.0, 1.0 - s)
+    return BinaryMass(0.0, s, 1.0 - s)

@@ -39,7 +39,6 @@ from heafusion.llm_evidence import LlmResponse, build_store, mass_from_response
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
-    combine_stores,
     counts_to_store,
     extract_all,
 )
@@ -53,6 +52,7 @@ from conftest import (
 )
 from oracles import (
     combine_exact,
+    combine_stores,
     complete_linkage_oracle,
     mann_whitney_auc,
     scan_partition,

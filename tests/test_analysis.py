@@ -189,20 +189,6 @@ class TestDendrogramExports:
             dendrogram.cut(4)
 
 
-class TestElementFrequencies:
-    def test_group_profiles(self):
-        from heafusion.analysis import element_frequency_table
-
-        groups = [
-            [Alloy("Fe Co Ni Cr".split()), Alloy("Fe Co Ni Mn".split())],
-            [Alloy("Cu Ag Au Zn".split())],
-        ]
-        tables = element_frequency_table(groups)
-        assert tables[0]["Fe"] == 1.0
-        assert tables[0]["Cr"] == 0.5
-        assert tables[1] == {"Ag": 1.0, "Au": 1.0, "Cu": 1.0, "Zn": 1.0}
-
-
 class TestMatrixCsv:
     def test_labeled_round_trip(self, tmp_path):
         matrix = np.array([[0.0, 0.25], [0.25, 0.0]])

@@ -1,7 +1,9 @@
 """Belief algebra: worked examples and algebraic invariants."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -12,7 +14,9 @@ from heafusion.belief import (
     combine_all,
     conflict,
     discount,
+    from_weights,
     pignistic,
+    support_weight,
     vacuous,
 )
 from heafusion.errors import GammaOutOfRange, TotalConflict
@@ -171,3 +175,78 @@ class TestProperties:
     def test_matches_exact_oracle(self, x, y):
         expected = combine_exact([x.as_tuple(), y.as_tuple()])
         approx_mass(combine(x, y), expected, tol=1e-12)
+
+
+weights = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
+
+
+class TestFromWeights:
+    def test_zero_weights_are_vacuous(self):
+        assert from_weights(0.0, 0.0) == (0.0, 0.0, 1.0)
+
+    def test_one_sided_weight_is_simple_support(self):
+        assert from_weights(-math.log(0.75), 0.0) == (0.25, 0.0, 0.75)
+
+    def test_infinite_weight_is_certainty(self):
+        assert from_weights(math.inf, 3.0) == (1.0, 0.0, 0.0)
+        assert from_weights(3.0, math.inf) == (0.0, 1.0, 0.0)
+
+    def test_both_infinite_is_total_conflict(self):
+        with pytest.raises(TotalConflict):
+            from_weights(math.inf, math.inf)
+        with pytest.raises(TotalConflict):
+            from_weights(np.array([1.0, math.inf]), np.array([2.0, math.inf]))
+
+    def test_huge_equal_weights_split_evenly(self):
+        m = from_weights(1e4, 1e4)
+        assert m[0] == m[1] == pytest.approx(0.5, abs=1e-15)
+        assert m[2] == pytest.approx(0.0, abs=1e-300)
+
+    def test_arrays_match_scalars(self):
+        w1 = np.array([0.0, 0.3, 5.0, 800.0])
+        w2 = np.array([0.0, 1.2, 5.0, 2.0])
+        got = from_weights(w1, w2)
+        for i in range(len(w1)):
+            for g, w in zip(got, from_weights(float(w1[i]), float(w2[i]))):
+                assert g[i] == pytest.approx(w, abs=1e-15)
+
+    @given(weights, weights)
+    def test_swap_is_exact(self, w1, w2):
+        a = from_weights(w1, w2)
+        b = from_weights(w2, w1)
+        assert (b[1], b[0], b[2]) == a
+
+    @given(weights, weights)
+    def test_on_simplex(self, w1, w2):
+        BinaryMass(*from_weights(w1, w2))
+
+    @given(st.lists(masses(min_both=0.01), min_size=1, max_size=6))
+    def test_matches_dempster_fold_of_simple_supports(self, ms):
+        # each mass contributes its first-outcome support as simple support
+        pieces = [(m.m_first, 0.0, 1.0 - m.m_first) for m in ms]
+        w = sum(support_weight(1.0 - s) for s, _, _ in pieces)
+        expected = combine_exact(pieces)
+        for g, e in zip(from_weights(w, 0.0), expected):
+            assert g == pytest.approx(float(e), abs=1e-12)
+
+    def test_matches_exact_closed_form(self):
+        for w1, w2 in [(0.1, 0.2), (2.5, 0.7), (0.0, 4.0), (30.0, 31.0)]:
+            p, q = Fraction(math.exp(-w1)), Fraction(math.exp(-w2))
+            d = p + q - p * q
+            expected = ((1 - p) * q / d, p * (1 - q) / d, p * q / d)
+            for g, e in zip(from_weights(w1, w2), expected):
+                assert g == pytest.approx(float(e), abs=1e-12)
+
+
+class TestSupportWeight:
+    def test_values(self):
+        assert support_weight(1.0) == 0.0
+        assert support_weight(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert support_weight(0.0) == math.inf
+
+    def test_clipped_at_zero(self):
+        assert support_weight(1.0 + 1e-12) == 0.0
+
+    def test_saturated_support_keeps_finite_weight(self):
+        # a similarity that rounds to 1 still leaves mass off the first outcome
+        assert support_weight(1e-17 + 5e-18) == pytest.approx(-math.log(1.5e-17), rel=1e-12)

@@ -212,6 +212,39 @@ class TestPredict:
         assert fused_cli.content_hash() == hashes["fused"]
 
 
+    def test_malformed_store_row_is_data_error(self, tmp_path, dataset_csv, capsys):
+        store = tmp_path / "store.csv"
+        store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Co,0.5\n")
+        cands = tmp_path / "candidates.csv"
+        cands.write_text("composition\nH-He-Li-Be\n")
+        code = run(
+            ["predict", "--store", store, "--training", dataset_csv,
+             "--candidates", cands, "--out-dir", tmp_path]
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ParseError"
+        assert err["exit_code"] == 3
+        assert "row 2" in err["message"]
+
+    def test_unknown_candidate_element_is_data_error(self, tmp_path, dataset_csv, capsys):
+        out = tmp_path / "run"
+        run(["extract", "--dataset", dataset_csv, "--out-dir", out])
+        cands = tmp_path / "candidates.csv"
+        cands.write_text("composition\nFe-Co-Xx-Cr\n")
+        code = run(
+            ["predict", "--store", out / "md_store.csv", "--training", dataset_csv,
+             "--candidates", cands, "--out-dir", out]
+        )
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "row 2" in err["message"]
+        assert "Xx" in err["message"]
+
+
 class TestEvaluationCommands:
     def test_eval_extrapolate_md_only_vacuous(self, tmp_path, dataset_csv):
         out = tmp_path / "run"

@@ -33,6 +33,7 @@ from heafusion.md_evidence import ExtractionConfig, extract_all
 
 from conftest import (
     as_dataset,
+    dense_noisy_dataset,
     planted_group_dataset,
     planted_group_store,
     random_dataset,
@@ -262,6 +263,11 @@ class TestGridSearchAlpha:
         assert len(DEFAULT_ALPHA_GRID) == 50
         assert DEFAULT_ALPHA_GRID[0] == 0.01
         assert DEFAULT_ALPHA_GRID[-1] == 0.5
+
+    def test_saturated_dense_dataset(self):
+        # at alpha 0.3 and 0.5 the fold stores hold similarities that round
+        # to 1 on hosts of both classes; every grid point still scores
+        assert grid_search_alpha(dense_noisy_dataset(), grid=[0.1, 0.3, 0.5], seed=0) == 0.1
 
     def test_planted_signal_prefers_informative_alpha(self):
         ds = planted_group_dataset(

@@ -15,9 +15,10 @@ from heafusion.fusion import (
     read_gammas,
     write_gammas,
 )
-from heafusion.md_evidence import CombinationPair
+from heafusion.md_evidence import CombinationPair, ExtractionConfig, extract_all
 
 from conftest import (
+    dense_noisy_dataset,
     planted_group_dataset,
     planted_group_store,
     random_dataset,
@@ -64,6 +65,17 @@ class TestEstimateReliability:
         dataset = random_dataset(20, universe_size=8, seed=1, positive_rate=1.1)
         with pytest.raises(DegenerateDataset):
             estimate_reliability(SimilarityStore(), dataset, folds=5, seed=0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_saturated_dataset_store(self, alpha):
+        # the md store of a dense noisy enumeration holds similarities
+        # within 1e-12 of 1, met by hosts of both classes; strong but finite
+        # conflict still has a readout
+        dataset = dense_noisy_dataset()
+        store = extract_all(dataset, ExtractionConfig(alpha))
+        assert min(mass.m_second + mass.m_both for _, mass in store.items()) < 1e-12
+        gamma = estimate_reliability(store, dataset, folds=10, seed=0)
+        assert 0.4 < gamma < 0.5
 
     def test_deterministic(self):
         dataset = random_dataset(60, universe_size=10, seed=2)

@@ -6,19 +6,12 @@ from fractions import Fraction
 import pytest
 
 from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore
-from heafusion.errors import CandidateInTraining
-from heafusion.inference import (
-    Analogy,
-    classify,
-    enumerate_analogies,
-    evidence_from_analogy,
-    predict,
-    predict_batch,
-)
-from heafusion.md_evidence import CombinationPair
+from heafusion.errors import CandidateInTraining, TotalConflict
+from heafusion.inference import classify, predict, predict_batch
+from heafusion.md_evidence import CombinationPair, mass_from_counts
 
 from conftest import as_dataset, planted_group_store, random_dataset
-from oracles import expand_dempster
+from oracles import Analogy, enumerate_analogies, evidence_from_analogy, expand_dempster
 
 
 def la(elements, label=True):
@@ -103,6 +96,33 @@ class TestPredict:
         assert p.mass.m_second == pytest.approx(0.2, abs=1e-12)
         assert p.mass.m_both == pytest.approx(0.6, abs=1e-12)
         assert p.score == pytest.approx(0.5, abs=1e-12)
+
+    def test_saturated_opposite_hosts_cancel(self):
+        # 400 agreeing pieces at alpha 0.1 give a similarity that rounds to
+        # 1.0 but leave m_second + m_both > 0, so each analogy keeps a
+        # finite weight and the two hosts cancel
+        saturated = mass_from_counts(400, 3, 0.1)
+        assert saturated.m_first == 1.0
+        assert saturated.m_second + saturated.m_both > 0.0
+        training = as_dataset(
+            [la("Ag Cd In Cu".split(), True), la("Ag Cd In Sn".split(), False)]
+        )
+        store = SimilarityStore({
+            CombinationPair(("Cu",), ("Zn",)): saturated,
+            CombinationPair(("Sn",), ("Zn",)): saturated,
+        })
+        p = predict(Alloy("Ag Cd In Zn".split()), training, store)
+        assert p.score == pytest.approx(0.5, abs=1e-12)
+        assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
+        assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
+
+    def test_certain_opposite_hosts_are_total_conflict(self):
+        training = as_dataset(
+            [la("Ag Cd In Cu".split(), True), la("Ag Cd In Sn".split(), False)]
+        )
+        store = store_of({(("Cu",), ("Zn",)): (1.0, 0.0, 0.0), (("Sn",), ("Zn",)): (1.0, 0.0, 0.0)})
+        with pytest.raises(TotalConflict):
+            predict(Alloy("Ag Cd In Zn".split()), training, store)
 
     def test_candidate_in_training(self):
         training = as_dataset([la("Ag Cd In Cu".split())])

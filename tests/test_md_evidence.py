@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy
 from heafusion.alloys import ELEMENT_SYMBOLS, alloy_masks
-from heafusion.errors import AlphaOutOfRange
+from heafusion.errors import AlphaOutOfRange, ParseError
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
-    combine_stores,
     counts_to_store,
-    evidence_from_pair,
     extract_all,
     extract_counts,
     mass_from_counts,
@@ -23,7 +21,13 @@ from heafusion.md_evidence import (
 )
 
 from conftest import EXAMPLE_MASS, as_dataset, random_dataset
-from oracles import combine_exact, pair_evidence_oracle, scan_partition
+from oracles import (
+    combine_exact,
+    combine_stores,
+    evidence_from_pair,
+    pair_evidence_oracle,
+    scan_partition,
+)
 
 
 def la(elements, label=True):
@@ -239,6 +243,28 @@ class TestCountsClosedForm:
             assert g == pytest.approx(float(w), abs=1e-12)
 
 
+    @pytest.mark.parametrize("n, alpha", [(400, 0.9), (1100, 0.5)])
+    def test_many_even_counts_split_evenly(self, n, alpha):
+        # (1 - alpha)^n underflows here; the weights n * -ln(1 - alpha) do not
+        got = mass_from_counts(n, n, alpha)
+        for g, w in zip(got.as_tuple(), (0.5, 0.5, 0.0)):
+            assert g == pytest.approx(w, abs=1e-12)
+
+    def test_store_matches_per_key_readout(self):
+        ds = random_dataset(60, universe_size=9, seed=4)
+        counts = extract_counts(ds)
+        store = counts_to_store(counts, 0.3, ds.universe)
+        assert len(store) == len(counts)
+        index = ds.element_index()
+        for pair, mass in store.items():
+            masks = sorted(sum(1 << index[e] for e in side) for side in (pair.first, pair.second))
+            assert mass == mass_from_counts(*counts[tuple(masks)], 0.3)
+
+    def test_alpha_range(self):
+        with pytest.raises(AlphaOutOfRange):
+            counts_to_store({}, 1.0, ())
+
+
 class TestSerialization:
     def test_bit_exact_round_trip(self, tmp_path):
         ds = random_dataset(60, universe_size=10, seed=21)
@@ -257,3 +283,23 @@ class TestSerialization:
         write_store(store, path)
         header = path.read_text().splitlines()[0]
         assert header == "combo_a,combo_b,m_similar,m_dissimilar,m_uncertain"
+
+    @pytest.mark.parametrize(
+        "text, row",
+        [
+            ("", 1),
+            ("a,b,c\nCu,Zn,0.1,0,0.9\n", 1),
+            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Co,0.5\n", 2),
+            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.1,0,0.9,7\n", 2),
+            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.1,0,0.9\nCu,Ag,x,0,1\n", 3),
+            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.5,0.5,0.5\n", 2),
+            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Cu,0.1,0,0.9\n", 2),
+        ],
+        ids=["empty", "header", "short-row", "long-row", "float", "sum", "overlap"],
+    )
+    def test_malformed_rows_name_their_row(self, tmp_path, text, row):
+        path = tmp_path / "store.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            read_store(path)
+        assert info.value.row == row
