@@ -253,7 +253,3 @@ def alloy_masks(alloys: Iterable[Alloy], index: dict[str, int]) -> list[int]:
             m |= 1 << index[e]
         masks.append(m)
     return masks
-
-
-def mask_to_elements(mask: int, universe: Sequence[str]) -> tuple[str, ...]:
-    return tuple(universe[i] for i in range(mask.bit_length()) if mask >> i & 1)

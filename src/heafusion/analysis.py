@@ -32,9 +32,9 @@ __all__ = [
 _VACUOUS_DISTANCE = 0.5  # pignistic dissimilarity of an unobserved pair
 
 
-def _pignistic_dissimilarity(store: SimilarityStore, first, second) -> float:
-    mass = store.get(CombinationPair(first, second))
-    return mass.m_second + mass.m_both / 2.0
+def _pignistic_dissimilarity(store: SimilarityStore, pairs: Sequence[CombinationPair]) -> np.ndarray:
+    masses = store.masses(pairs)
+    return masses[:, 1] + masses[:, 2] / 2.0
 
 
 def element_distance_matrix(store: SimilarityStore, universe: Sequence[str]) -> np.ndarray:
@@ -43,11 +43,12 @@ def element_distance_matrix(store: SimilarityStore, universe: Sequence[str]) -> 
     if len(universe) < 2:
         raise ValueError("universe needs at least 2 elements")
     n = len(universe)
+    i, j = np.triu_indices(n, 1)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _pignistic_dissimilarity(store, (universe[i],), (universe[j],))
-            out[i, j] = out[j, i] = d
+    out[i, j] = _pignistic_dissimilarity(
+        store, [CombinationPair((universe[a],), (universe[b],)) for a, b in zip(i.tolist(), j.tolist())]
+    )
+    out[j, i] = out[i, j]
     return out
 
 
@@ -67,17 +68,22 @@ def hybrid_distance_matrix(alloys: Sequence[Alloy], store: SimilarityStore) -> n
         raise ValueError("need at least 2 alloys")
     n = len(alloys)
     sets = [a.element_set for a in alloys]
+    cells, pairs = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ct = sets[i] - sets[j]
+            cv = sets[j] - sets[i]
+            if ct and cv:
+                cells.append((i, j))
+                pairs.append(CombinationPair(ct, cv))
+    factors = np.full((n, n), _VACUOUS_DISTANCE)
+    if cells:
+        rows, cols = np.array(cells).T
+        factors[rows, cols] = _pignistic_dissimilarity(store, pairs)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = sets[i], sets[j]
-            ct = a - b
-            cv = b - a
-            if not ct or not cv:
-                factor = _VACUOUS_DISTANCE
-            else:
-                factor = _pignistic_dissimilarity(store, ct, cv)
-            d = factor * (1.0 - jaccard(a, b))
+            d = factors[i, j] * (1.0 - jaccard(sets[i], sets[j]))
             out[i, j] = out[j, i] = d
     return out
 

@@ -65,23 +65,34 @@ def conflict(x: BinaryMass, y: BinaryMass) -> float:
     return x.m_first * y.m_second + x.m_second * y.m_first
 
 
-def combine(x: BinaryMass, y: BinaryMass) -> BinaryMass:
-    """Normalized Dempster combination of two mass functions.
+def combine_masses(x, y):
+    """Normalized Dempster combination of (first, second, both) triples of
+    floats or of equal-length arrays; `combine` and the array fusion share
+    this arithmetic.
 
     Raises TotalConflict when the inputs are (numerically) fully
     contradictory, which cannot happen while either keeps m_both > 0.
     """
-    k = conflict(x, y)
-    if k >= CONFLICT_LIMIT:
-        raise TotalConflict(f"conflict {k!r} leaves no mass to renormalize")
+    x_first, x_second, x_both = x
+    y_first, y_second, y_both = y
+    k = x_first * y_second + x_second * y_first
+    if np.any(k >= CONFLICT_LIMIT):
+        worst = k if np.ndim(k) == 0 else k[np.flatnonzero(k >= CONFLICT_LIMIT)[0]]
+        raise TotalConflict(f"conflict {float(worst)!r} leaves no mass to renormalize")
     # cross terms grouped so argument order cannot change the rounding;
     # normalizing by the computed sum (exactly 1 - k in real arithmetic)
     # keeps results on the simplex even under repeated combination
-    first = x.m_first * y.m_first + (x.m_first * y.m_both + x.m_both * y.m_first)
-    second = x.m_second * y.m_second + (x.m_second * y.m_both + x.m_both * y.m_second)
-    both = x.m_both * y.m_both
+    first = x_first * y_first + (x_first * y_both + x_both * y_first)
+    second = x_second * y_second + (x_second * y_both + x_both * y_second)
+    both = x_both * y_both
     total = first + second + both
-    return BinaryMass(first / total, second / total, both / total)
+    return first / total, second / total, both / total
+
+
+def combine(x: BinaryMass, y: BinaryMass) -> BinaryMass:
+    """Normalized Dempster combination of two mass functions (see
+    `combine_masses`)."""
+    return BinaryMass(*combine_masses(x.as_tuple(), y.as_tuple()))
 
 
 def combine_all(ms: Iterable[BinaryMass]) -> BinaryMass:
@@ -89,15 +100,17 @@ def combine_all(ms: Iterable[BinaryMass]) -> BinaryMass:
     return reduce(combine, ms, vacuous())
 
 
-def discount(m: BinaryMass, gamma: float) -> BinaryMass:
-    """Scale committed mass by reliability gamma, moving the rest to the frame."""
+def discount_masses(m, gamma: float):
+    """`discount` of a (first, second, both) triple of floats or arrays."""
     if not 0.0 <= gamma <= 1.0:
         raise GammaOutOfRange(f"gamma must lie in [0, 1], got {gamma!r}")
-    return BinaryMass(
-        gamma * m.m_first,
-        gamma * m.m_second,
-        1.0 - gamma + gamma * m.m_both,
-    )
+    m_first, m_second, m_both = m
+    return gamma * m_first, gamma * m_second, 1.0 - gamma + gamma * m_both
+
+
+def discount(m: BinaryMass, gamma: float) -> BinaryMass:
+    """Scale committed mass by reliability gamma, moving the rest to the frame."""
+    return BinaryMass(*discount_masses(m.as_tuple(), gamma))
 
 
 def from_weights(w_first, w_second):

@@ -75,11 +75,18 @@ _REQUIRED = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
     sub.add_argument("--seed", type=int, default=None, help="seed for all randomness")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="worker-pool cap for batch prediction (default: all cores)")
+    sub.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                     help="worker-pool cap for batch prediction, at least 1 (default: all cores)")
     sub.add_argument("--out-dir", default=".", help="directory for outputs and run metadata")
 
 
@@ -176,8 +183,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Overlay config-file values for options not set on the command line."""
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The options of one subcommand, by destination."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return {a.dest: a for a in action.choices[command]._actions}
+    raise ConfigError(f"unknown command {command!r}")
+
+
+def _config_value(action: argparse.Action, key: str, value):
+    """A config-file value as the command line would have given it: a
+    JSON boolean for a flag, each item of a list for a repeatable option,
+    and anything else through the option's own type, from its text."""
+    if value is None:
+        return None
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ConfigError(f"config key {key!r} is a flag and needs true or false, got {value!r}")
+        return value
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = value if repeatable and isinstance(value, list) else [value]
+    converted = []
+    for item in items:
+        if isinstance(item, (bool, list, dict)):
+            raise ConfigError(f"config key {key!r}: invalid value {item!r}")
+        try:
+            converted.append(action.type(str(item)) if action.type else str(item))
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config key {key!r}: invalid value {item!r} ({exc})") from None
+    return converted if repeatable else converted[0]
+
+
+def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
+    """Overlay config-file values for options not set on the command line,
+    passed through the parser's own types."""
     if not args.config:
         return
     try:
@@ -187,6 +226,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     known = vars(args)
+    actions = _subcommand_actions(parser, args.command)
     explicit = {token.split("=")[0].lstrip("-").replace("-", "_")
                 for token in argv if token.startswith("--")}
     for key, value in config.items():
@@ -196,7 +236,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
         if attr not in known:
             raise ConfigError(f"config key {key!r} unknown for command {args.command!r}")
         if attr not in explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(actions[attr], key, value))
 
 
 def _universe_symbols(args: argparse.Namespace) -> tuple[str, ...]:
@@ -522,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         missing = [opt for opt in _REQUIRED[args.command] if getattr(args, opt) is None]
         if missing:
             raise ConfigError(

@@ -31,9 +31,12 @@ from .errors import (
 )
 from .md_evidence import (
     ExtractionConfig,
+    KeyTable,
     SimilarityStore,
     evidence_weight,
     extract_all,
+    key_width,
+    mask_words,
     pair_counts,
 )
 
@@ -279,38 +282,40 @@ def grid_search_alpha(
 
     The fold pair scan is alpha-independent (it only counts agreeing and
     disagreeing evidence), so each fold is scanned once; every grid point
-    reads the counts out as `extract_all` and `predict_batch` would, with
-    array arithmetic instead of store objects.
+    reads the counts out as `extract_all` and `predict_batch` would, one
+    weight column per alpha, and one `analogy_weights` call sums all
+    columns.
     """
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
     if not grid:
         raise ValueError("alpha grid must be non-empty")
-    weights = {alpha: evidence_weight(alpha) for alpha in grid}
+    weights = [evidence_weight(alpha) for alpha in grid]
     labels = dataset.labels()
     index = dataset.element_index()
     masks = alloy_masks((la.alloy for la in dataset.alloys), index)
+    words = mask_words(masks, key_width(len(index)))
     if max_subst_size is None:
         max_subst_size = max((len(la.alloy.elements) for la in dataset.alloys), default=2) - 1
     totals = {alpha: 0.0 for alpha in grid}
     n_runs = 0
     for rep in range(repeats):
         for train_idx, test_idx in _kfold_indices(labels, folds, seed + rep):
-            train_masks = [masks[i] for i in train_idx]
             train_labels = [labels[i] for i in train_idx]
-            test_masks = [masks[i] for i in test_idx]
             test_labels = [labels[i] for i in test_idx]
-            counts = pair_counts(train_masks, train_labels, max_subst_size)
-            keys = list(counts)
-            agree, disagree = np.array(list(counts.values()), dtype=float).reshape(-1, 2).T
+            counts = pair_counts([masks[i] for i in train_idx], train_labels, max_subst_size)
+            agree, disagree = counts.agree.astype(float), counts.disagree.astype(float)
             n_runs += 1
-            for alpha in grid:
-                _, m_second, m_both = from_weights(weights[alpha] * agree, weights[alpha] * disagree)
-                view = dict(zip(keys, support_weight(m_second + m_both).tolist()))
-                w_pos, w_neg, _ = inference.analogy_weights(
-                    test_masks, train_masks, train_labels, view, max_subst_size
-                )
-                m_pos, _, m_unc = from_weights(w_pos, w_neg)
+            columns = []
+            for weight in weights:
+                _, m_second, m_both = from_weights(weight * agree, weight * disagree)
+                columns.append(support_weight(m_second + m_both))
+            table = KeyTable(counts.keys, np.stack(columns, axis=1))
+            w_pos, w_neg, _ = inference.analogy_weights(
+                words[test_idx], words[train_idx], train_labels, table, max_subst_size
+            )
+            for j, alpha in enumerate(grid):
+                m_pos, _, m_unc = from_weights(w_pos[:, j], w_neg[:, j])
                 totals[alpha] += macro_f1(test_labels, (m_pos + m_unc / 2.0 > 0.5).tolist())
     best_alpha = grid[0]
     best_score = -1.0

@@ -7,21 +7,31 @@ discounted by its gamma (committed mass shrinks toward ignorance), then
 the discounted stores are Dempster-combined pair by pair, so unreliable
 sources pull the result toward the vacuous mass instead of injecting
 conflict.
+
+Fusion works on the stores' columns: `md_evidence.union_rows` aligns the
+stores on the sorted union of their keys, and the mass columns are folded
+source by source with `belief.discount_masses` and
+`belief.combine_masses`, the arithmetic `discount` and `combine` use. Every
+key starts vacuous and meets its present sources in source order, so each
+fused mass is the one a per-pair fold gives, to the bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .alloys import Dataset
-from .belief import BinaryMass, combine_all, discount
-from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange
+from .belief import combine_masses, discount_masses
+from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
 from .evaluation import kfold_splits, macro_f1
 from .inference import predict_batch
-from .md_evidence import CombinationPair, SimilarityStore
+from .md_evidence import SimilarityStore, union_rows
 
 __all__ = ["SourceReliability", "estimate_reliability", "fuse", "write_gammas", "read_gammas"]
 
@@ -86,19 +96,14 @@ def fuse(
     if missing:
         raise ValueError(f"no reliability given for sources {missing}")
 
-    keys: dict[CombinationPair, None] = {}
-    for _, store in stores:
-        for pair, _ in store.items():
-            keys.setdefault(pair)
-    entries: dict[CombinationPair, BinaryMass] = {}
-    for pair in keys:
-        contributions = [
-            discount(store.get(pair), gamma_by_id[sid])
-            for sid, store in stores
-            if pair in store
-        ]
-        entries[pair] = combine_all(contributions)
-    return SimilarityStore(entries)
+    elements, keys, positions = union_rows([store for _, store in stores])
+    fused = (np.zeros(len(keys)), np.zeros(len(keys)), np.ones(len(keys)))
+    for (sid, store), rows in zip(stores, positions):
+        held = tuple(column[rows] for column in fused)
+        contribution = discount_masses((store.m_first, store.m_second, store.m_both), gamma_by_id[sid])
+        for column, values in zip(fused, combine_masses(held, contribution)):
+            column[rows] = values
+    return SimilarityStore(elements, keys, *fused)
 
 
 def write_gammas(gammas: Sequence[SourceReliability], path: str | Path) -> None:
@@ -110,5 +115,18 @@ def write_gammas(gammas: Sequence[SourceReliability], path: str | Path) -> None:
 
 
 def read_gammas(path: str | Path) -> list[SourceReliability]:
-    data: Mapping[str, float] = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a sidecar written by `write_gammas`: a JSON object mapping
+    source ids to finite numbers in [0, 1]; anything else raises
+    ParseError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"gamma file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"gamma file {path} must hold a JSON object, got {type(data).__name__}")
+    for sid, gamma in data.items():
+        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+            raise ParseError(f"gamma for {sid!r} must be a number, got {gamma!r}")
+        if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
+            raise ParseError(f"gamma for {sid!r} must lie in [0, 1], got {gamma!r}")
     return [SourceReliability(sid, float(g)) for sid, g in sorted(data.items())]

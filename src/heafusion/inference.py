@@ -17,6 +17,14 @@ hosts of both classes whose stored masses have m_second + m_both exactly
 0. The md source at small alpha cannot produce such masses (at alpha =
 0.1 a pair would need over 7,000 more agreeing than disagreeing pieces);
 large alpha can, until stores hold weights instead of masses.
+
+`analogy_weights` is one array kernel. Candidates and hosts are rows of
+32-bit mask words; a block of whole candidates is compared with every host
+at once, the replaced and replacement masks are packed into store keys and
+looked up with `np.searchsorted` in the `mask_view` key table, and each
+candidate's class weights are summed with `np.bincount` over its analogies
+in host order. bincount adds in input order, so every weight sum is the
+one a sequential loop over the hosts gives, to the bit.
 """
 
 from __future__ import annotations
@@ -27,10 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloys import Alloy, Dataset, alloy_masks
+from .alloys import Alloy, Dataset
 from .belief import BinaryMass, from_weights, pignistic
 from .errors import CandidateInTraining
-from .md_evidence import SimilarityStore
+from .md_evidence import KeyTable, SimilarityStore, element_words, key_width, pack_keys
 
 __all__ = [
     "Prediction",
@@ -63,56 +71,55 @@ def _default_max_size(training: Dataset, candidates: Sequence[Alloy]) -> int:
     return max(sizes, default=2) - 1
 
 
-def _fold_masked(
-    cand_mask: int,
-    train_masks: Sequence[int],
-    train_labels: Sequence[bool],
-    weights: dict[tuple[int, int], float],
-    max_size: int,
-) -> tuple[float, float, int]:
-    """Summed analogy weights (positive, negative) and the number of
-    analogies for one candidate bitmask."""
-    w_pos = w_neg = 0.0
-    n = 0
-    for host_mask, label in zip(train_masks, train_labels):
-        inter = host_mask & cand_mask
-        if not inter:
-            continue
-        replaced = host_mask & ~cand_mask
-        replacement = cand_mask & ~host_mask
-        if not replaced or not replacement:
-            continue
-        if replaced.bit_count() > max_size or replacement.bit_count() > max_size:
-            continue
-        n += 1
-        key = (replaced, replacement) if replaced < replacement else (replacement, replaced)
-        if label:
-            w_pos += weights.get(key, 0.0)
-        else:
-            w_neg += weights.get(key, 0.0)
-    return w_pos, w_neg, n
+_BLOCK_PAIRS = 1 << 15  # candidate-host pairs compared per block of candidates
 
 
 def analogy_weights(
-    cand_masks: Sequence[int],
-    train_masks: Sequence[int],
-    train_labels: Sequence[bool],
-    weights: dict[tuple[int, int], float],
+    cand_words: np.ndarray,
+    host_words: np.ndarray,
+    host_labels: Sequence[bool],
+    table: KeyTable,
     max_size: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per candidate bitmask: summed positive weight, summed negative
-    weight and number of analogies.
+    """Per candidate: summed positive weight, summed negative weight and
+    number of analogies.
 
-    A candidate's analogies are the training hosts that share an element
-    with it, are not nested with it, and differ on each side by at most
-    max_size elements; each adds its pair's weight from `weights` (a
-    `SimilarityStore.mask_view`, absent pairs weigh 0) to its host's class.
+    Candidates and hosts are (n, W) arrays of 32-bit mask words
+    (`md_evidence.element_words`). A candidate's analogies are the hosts that
+    share an element with it, are not nested with it, and differ on each
+    side by at most max_size elements; each adds its pair's weight from
+    `table` (a `SimilarityStore.mask_view`; absent pairs weigh 0) to its
+    host's class. With a (keys, k) weight table the sums are (candidates,
+    k) arrays, one column per weight column.
     """
-    table = np.array(
-        [_fold_masked(c, train_masks, train_labels, weights, max_size) for c in cand_masks],
-        dtype=float,
-    ).reshape(-1, 3)
-    return table[:, 0], table[:, 1], table[:, 2].astype(np.int64)
+    labels = np.asarray(host_labels, dtype=bool)
+    n_cand = len(cand_words)
+    weights = table.weights if table.weights.ndim == 2 else table.weights[:, None]
+    w_pos = np.zeros((n_cand, weights.shape[1]))
+    w_neg = np.zeros((n_cand, weights.shape[1]))
+    n = np.zeros(n_cand, dtype=np.int64)
+    block = max(1, _BLOCK_PAIRS // max(1, len(host_words)))
+    for start in range(0, n_cand, block):
+        cand = cand_words[start:start + block, None]  # (b, 1, W) against all hosts (h, W)
+        shared = cand & host_words
+        replaced = shared ^ host_words  # in the host only
+        replacement = shared ^ cand  # in the candidate only
+        n_replaced = np.bitwise_count(replaced).sum(axis=2)
+        n_replacement = np.bitwise_count(replacement).sum(axis=2)
+        rows, cols = np.nonzero(
+            shared.any(axis=2) & (n_replaced > 0) & (n_replacement > 0)
+            & (n_replaced <= max_size) & (n_replacement <= max_size)
+        )  # row-major: each candidate's hosts in host order
+        pos, found = table.find(pack_keys(replaced[rows, cols], replacement[rows, cols]))
+        found_weights = np.zeros((len(pos), weights.shape[1]))
+        found_weights[found] = weights[pos[found]]
+        size = len(cand)
+        n[start:start + size] = np.bincount(rows, minlength=size)
+        for out, side in ((w_pos, labels[cols]), (w_neg, ~labels[cols])):
+            for j in range(weights.shape[1]):
+                out[start:start + size, j] = np.bincount(rows[side], weights=found_weights[side, j], minlength=size)
+    shape = (n_cand,) + table.weights.shape[1:]
+    return w_pos.reshape(shape), w_neg.reshape(shape), n
 
 
 def predict_batch(
@@ -134,28 +141,28 @@ def predict_batch(
     extra = sorted({e for c in candidates for e in c.elements} - set(training.universe))
     for offset, e in enumerate(extra):
         index[e] = len(training.universe) + offset
-    train_masks = alloy_masks((la.alloy for la in training.alloys), index)
-    train_labels = [la.label for la in training.alloys]
-    weights = store.mask_view(index)
-    cand_masks = []
+    width = key_width(len(index))
+    host_words = element_words((la.alloy.elements for la in training.alloys), index, width)
+    host_labels = [la.label for la in training.alloys]
+    table = store.mask_view(index)
     for c in candidates:
         if c.elements in training_sets:
             raise CandidateInTraining(f"candidate {c} is in the training set")
-        cand_masks.append(sum(1 << index[e] for e in c.elements))
+    cand_words = element_words((c.elements for c in candidates), index, width)
 
     jobs = max(1, jobs)
     if jobs == 1 or len(candidates) < 256:  # pool overhead beats small batches
-        w_pos, w_neg, n = analogy_weights(cand_masks, train_masks, train_labels, weights, max_subst_size)
+        w_pos, w_neg, n = analogy_weights(cand_words, host_words, host_labels, table, max_subst_size)
     else:
-        chunks = [cand_masks[i::jobs] for i in range(jobs)]
+        lanes = [cand_words[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(
                 pool.map(
                     analogy_weights,
-                    chunks,
-                    [train_masks] * jobs,
-                    [train_labels] * jobs,
-                    [weights] * jobs,
+                    lanes,
+                    [host_words] * jobs,
+                    [host_labels] * jobs,
+                    [table] * jobs,
                     [max_subst_size] * jobs,
                 )
             )

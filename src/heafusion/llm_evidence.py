@@ -183,4 +183,4 @@ def build_store(
         mass = mass_from_response(resp, beta)
         held = entries.get(resp.pair)
         entries[resp.pair] = mass if held is None else combine(held, mass)
-    return {domain: SimilarityStore(entries) for domain, entries in by_domain.items()}
+    return {domain: SimilarityStore.from_entries(entries) for domain, entries in by_domain.items()}

@@ -13,6 +13,21 @@ The pair scan is the hot loop; alloys are folded to bitmasks and each
 block of alloys is compared with all later ones in numpy array operations,
 so a 14,950-alloy dataset stays tractable in one process. The counts are
 alpha-independent, so one scan serves every alpha.
+
+Stores are columnar. A `SimilarityStore` holds its element tuple (bit i of
+a side mask is element i), one row of packed key words per entry and three
+float64 mass columns. A side mask is split into 32-bit words, and key word
+w packs word w of the smaller side mask (compared as integers) in its high
+half and word w of the larger side's in its low half, so one layout covers
+every table up to the 103-symbol element table. Rows are distinct and
+sorted lexicographically, word 0 first, which is the order `pair_counts`
+produces, so the scan's arrays become a store without per-entry objects.
+Lookups use `np.searchsorted` (`KeyTable`); combination pairs and element
+strings appear only at the edges: `get`, `masses`, `items`, `read_store`,
+`write_store` and `from_entries`. `content_hash` digests one canonical
+byte buffer: the used element names sorted, the keys re-packed in that bit
+order and sorted, then the mass columns, so it does not depend on bit or
+insertion order. The store CSV format is unchanged.
 """
 
 from __future__ import annotations
@@ -21,26 +36,34 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .alloys import Dataset, alloy_masks, mask_to_elements
-from .belief import BinaryMass, from_weights, support_weight, vacuous
+from .alloys import Dataset, alloy_masks
+from .belief import BinaryMass, from_weights, support_weight
 from .errors import AlphaOutOfRange, ParseError
 
 __all__ = [
     "CombinationPair",
     "ExtractionConfig",
+    "KeyTable",
+    "PairCounts",
     "SimilarityStore",
     "extract_all",
     "extract_counts",
     "pair_counts",
     "counts_to_store",
     "evidence_weight",
+    "element_words",
+    "key_width",
+    "mask_words",
     "mass_from_counts",
+    "pack_keys",
     "read_store",
+    "union_rows",
     "write_store",
 ]
 
@@ -89,70 +112,9 @@ class ExtractionConfig:
             raise ValueError(f"max_subst_size must be >= 1, got {self.max_subst_size}")
 
 
-@dataclass(frozen=True)
-class SimilarityStore:
-    """Sparse map from CombinationPair to combined substitutability mass.
-
-    Lookup of an absent pair is vacuous (total uncertainty). Symmetry in
-    the two sides is guaranteed by the canonical pair key. Treat as
-    immutable once built.
-    """
-
-    entries: dict[CombinationPair, BinaryMass] = field(default_factory=dict)
-
-    def get(self, pair: CombinationPair) -> BinaryMass:
-        return self.entries.get(pair, vacuous())
-
-    def similarity(self, pair: CombinationPair) -> float:
-        return self.entries[pair].m_first if pair in self.entries else 0.0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, pair: CombinationPair) -> bool:
-        return pair in self.entries
-
-    def items(self) -> Iterator[tuple[CombinationPair, BinaryMass]]:
-        return iter(self.entries.items())
-
-    def mask_view(self, index: Mapping[str, int]) -> dict[tuple[int, int], float]:
-        """Analogy weight of evidence -ln(m_second + m_both), the
-        `belief.support_weight` of each entry's similarity, keyed by
-        bitmask pair for hot-loop lookups.
-
-        Entries naming elements outside the index cannot be reached by any
-        substitution within that universe and are skipped.
-        """
-        keys: list[tuple[int, int]] = []
-        rest: list[float] = []
-        for pair, mass in self.entries.items():
-            try:
-                a = sum(1 << index[e] for e in pair.first)
-                b = sum(1 << index[e] for e in pair.second)
-            except KeyError:
-                continue
-            keys.append((a, b) if a < b else (b, a))
-            rest.append(mass.m_second + mass.m_both)
-        return dict(zip(keys, support_weight(np.array(rest, dtype=float)).tolist()))
-
-    def rows(self) -> list[tuple[str, str, float, float, float]]:
-        """Canonical row form used by serialization and hashing."""
-        out = []
-        for pair in sorted(self.entries):
-            m = self.entries[pair]
-            out.append(("-".join(pair.first), "-".join(pair.second), m.m_first, m.m_second, m.m_both))
-        return out
-
-    def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        for row in self.rows():
-            digest.update(f"{row[0]},{row[1]},{row[2]:.17g},{row[3]:.17g},{row[4]:.17g}\n".encode())
-        return digest.hexdigest()
-
-
 # A pair key packs one 32-bit word of each side into a uint64, so masks are
-# split into W 32-bit words, enough for the highest bit in use: one word for
-# E1 and E2, at most four for the 103-symbol element table.
+# split into W 32-bit words: one word for E1 and E2, at most four for the
+# 103-symbol element table.
 _WORD_BITS = 32
 _WORD = np.uint64(_WORD_BITS)
 _LOW = np.uint64((1 << _WORD_BITS) - 1)
@@ -161,16 +123,35 @@ _MERGE_ROWS = 1 << 22  # pending pair rows before they are merged into the runni
 _DICT_ROWS = 1 << 16  # keys converted to Python ints at a time
 
 
-def _mask_words(masks: Sequence[int]) -> np.ndarray:
-    """(n, W) uint64 array of each mask's 32-bit words, least significant first."""
-    width = max(1, -(-max(masks, default=0).bit_length() // _WORD_BITS))
-    low = (1 << _WORD_BITS) - 1
-    rows = [[m >> (_WORD_BITS * w) & low for w in range(width)] for m in masks]
-    return np.array(rows, dtype=np.uint64).reshape(len(masks), width)
+def key_width(n_bits: int) -> int:
+    """Words per side mask for bit positions below n_bits (at least one)."""
+    return max(1, -(-n_bits // _WORD_BITS))
+
+
+def mask_words(masks: Sequence[int], width: int | None = None) -> np.ndarray:
+    """(n, W) uint64 array of each mask's 32-bit words, least significant
+    first; W defaults to the words the highest set bit needs."""
+    if width is None:
+        width = key_width(max(masks, default=0).bit_length())
+    raw = b"".join(m.to_bytes(4 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(len(masks), width)
+
+
+def element_words(combinations: Iterable[Sequence[str]], index: Mapping[str, int], width: int) -> np.ndarray:
+    """`mask_words` of each element combination's bitmask under index
+    (element -> bit), built without per-combination integers."""
+    combinations = list(combinations)
+    sizes = [len(c) for c in combinations]
+    bits = np.fromiter((index[e] for c in combinations for e in c), dtype=np.int64, count=sum(sizes))
+    words = np.zeros((len(combinations), width), dtype=np.uint64)
+    # a combination's elements are distinct, so adding their bits is OR-ing them
+    np.add.at(words, (np.repeat(np.arange(len(combinations)), sizes), bits // _WORD_BITS),
+              np.uint64(1) << (bits % _WORD_BITS).astype(np.uint64))
+    return words
 
 
 def _words_to_ints(words: np.ndarray) -> list[int]:
-    """Inverse of `_mask_words`: one Python int per row."""
+    """Inverse of `mask_words`: one Python int per row."""
     ints = words[:, -1].tolist()
     for w in range(words.shape[1] - 2, -1, -1):
         ints = [hi << _WORD_BITS | lo for hi, lo in zip(ints, words[:, w].tolist())]
@@ -187,6 +168,13 @@ def _less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return less
 
 
+def pack_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Key rows of the unordered side-mask pairs (a, b), given as (n, W)
+    word arrays: the smaller mask's words high, the larger's low."""
+    swap = _less(b, a)[:, None]
+    return np.where(swap, b, a) << _WORD | np.where(swap, a, b)
+
+
 def _row_code(keys: np.ndarray) -> np.ndarray:
     """One integer per key row, ordered and equal as the rows are
     (lexicographically, first word first): the first word itself, with
@@ -198,6 +186,286 @@ def _row_code(keys: np.ndarray) -> np.ndarray:
         values, rank = np.unique(keys[:, w], return_inverse=True)
         code = code * len(values) + rank
     return code
+
+
+def _row_order(keys: np.ndarray) -> np.ndarray:
+    """Permutation sorting key rows lexicographically, first word first."""
+    return np.argsort(_row_code(keys), kind="stable")
+
+
+def _fit_width(keys: np.ndarray, width: int) -> np.ndarray:
+    """Key rows cut or zero-padded to `width` words; cut words must be 0."""
+    if keys.shape[1] >= width:
+        return keys[:, :width]
+    return np.pad(keys, ((0, 0), (0, width - keys.shape[1])))
+
+
+class KeyTable:
+    """Distinct key rows, sorted lexicographically (first word first), with
+    one weight (or one row of weights) per key.
+
+    `find` locates query rows with one `np.searchsorted` per word: the
+    first word's distinct values give each row a rank, and every further
+    word refines that rank into the distinct (prefix rank, word rank)
+    codes, so a row's final rank is its position. Rows compare as
+    integers: a word beyond a row's width is 0.
+    """
+
+    def __init__(self, keys: np.ndarray, weights: np.ndarray | None = None):
+        self.keys = keys
+        self.weights = weights
+        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
+        if len(keys):
+            first = keys[:, 0]  # sorted, as the rows are
+            values = first[np.r_[True, first[1:] != first[:-1]]]
+            self._levels.append((values, values))
+            prefix = np.searchsorted(values, first)
+            for column in keys.T[1:]:
+                values, rank = np.unique(column, return_inverse=True)
+                code = prefix * len(values) + rank
+                codes = code[np.r_[True, code[1:] != code[:-1]]]  # sorted, as the rows are
+                prefix = np.searchsorted(codes, code)
+                self._levels.append((values, codes))
+
+    def find(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row position, found) of each (q, W') query row; positions of
+        rows not found are arbitrary valid indices."""
+        width = self.keys.shape[1]
+        found = np.ones(len(queries), dtype=bool)
+        if not len(self.keys):
+            return np.zeros(len(queries), dtype=np.intp), ~found
+        if queries.shape[1] > width:
+            found &= ~queries[:, width:].any(axis=1)
+        # searched in order of their first word, which keeps searchsorted's
+        # successive probes close together
+        order = np.argsort(queries[:, 0])
+        queries = _fit_width(queries, width)[order]
+        found = found[order]
+        for level, ((values, codes), column) in enumerate(zip(self._levels, queries.T)):
+            rank = np.minimum(np.searchsorted(values, column), len(values) - 1)
+            found &= values[rank] == column
+            if level == 0:
+                prefix = rank
+            else:
+                code = prefix * len(values) + rank
+                prefix = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+                found &= codes[prefix] == code
+        position = np.empty_like(prefix)
+        position[order] = prefix
+        hit = np.empty_like(found)
+        hit[order] = found
+        return position, hit
+
+
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint64)  # (byte value, bit)
+
+
+def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Key rows with bit i of both sides moved to bit bits[i], at `width`
+    words per side, re-packed and sorted, with the source row of each.
+
+    Rows using an element with bits[i] < 0 are dropped. Each byte of a
+    side word is mapped through a 256-entry table of target words, so the
+    cost is a few gathers per row, not one pass per bit.
+    """
+    n_src = len(bits)
+    if np.array_equal(bits, np.arange(n_src)) and key_width(n_src) <= width:
+        return _fit_width(keys, width), np.arange(len(keys))
+    n_bytes = -(-n_src // 8)
+    target = np.zeros((8 * n_bytes, width), dtype=np.uint64)  # the target bit of each source bit
+    moved = np.flatnonzero(bits >= 0)
+    target[moved, bits[moved] // _WORD_BITS] = np.uint64(1) << (bits[moved] % _WORD_BITS).astype(np.uint64)
+    dropped = np.zeros(8 * n_bytes, dtype=np.uint64)
+    dropped[:n_src] = bits < 0
+    # distinct target bits, so a sum over a byte's set bits is their OR
+    tables = np.einsum("vt,ptw->pvw", _BYTE_BITS, target.reshape(n_bytes, 8, width))  # (byte position, value, word)
+    drops = (_BYTE_BITS @ dropped.reshape(n_bytes, 8).T).T > 0  # (byte position, value)
+
+    keep = np.ones(len(keys), dtype=bool)
+    sides = []
+    for side in (keys >> _WORD, keys & _LOW):
+        as_bytes = side.astype("<u4").view(np.uint8).reshape(len(keys), 4 * side.shape[1])
+        out = np.zeros((len(keys), width), dtype=np.uint64)
+        for p in range(min(n_bytes, as_bytes.shape[1])):  # higher bytes of the words are 0
+            out |= tables[p][as_bytes[:, p]]
+            keep &= ~drops[p][as_bytes[:, p]]
+        sides.append(out)
+    remapped = pack_keys(*(side[keep] for side in sides))
+    order = _row_order(remapped)
+    return remapped[order], np.flatnonzero(keep)[order]
+
+
+def _no_keys() -> np.ndarray:
+    return np.zeros((0, 1), dtype=np.uint64)
+
+
+def _no_mass() -> np.ndarray:
+    return np.zeros(0)
+
+
+@dataclass(frozen=True, eq=False)
+class SimilarityStore:
+    """Map from combination pair to combined substitutability mass, held
+    as columns.
+
+    `elements` names the mask bits; `keys` holds one row of packed words
+    per entry (see the module docstring), distinct and sorted; `m_first`,
+    `m_second` and `m_both` are the masses of the rows. Lookup of an
+    absent pair is vacuous (total uncertainty). The constructor trusts its
+    arrays; build stores with `from_entries`, `counts_to_store` or the
+    library's combinators. Treat as immutable once built.
+    """
+
+    elements: tuple[str, ...] = ()
+    keys: np.ndarray = field(default_factory=_no_keys)
+    m_first: np.ndarray = field(default_factory=_no_mass)
+    m_second: np.ndarray = field(default_factory=_no_mass)
+    m_both: np.ndarray = field(default_factory=_no_mass)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.elements, tuple):
+            raise TypeError(f"elements must be a tuple of symbols, got {type(self.elements).__name__}")
+        if self.keys.ndim != 2 or self.keys.dtype != np.uint64:
+            raise TypeError("keys must be a 2-D uint64 array")
+        if not len(self.keys) == len(self.m_first) == len(self.m_second) == len(self.m_both):
+            raise ValueError("keys and mass columns differ in length")
+
+    @classmethod
+    def from_entries(cls, entries: Mapping[CombinationPair, BinaryMass]) -> "SimilarityStore":
+        """Store of the given entries, over their elements in sorted order."""
+        elements = tuple(sorted({e for pair in entries for e in pair.first + pair.second}))
+        bit = {e: i for i, e in enumerate(elements)}
+        width = key_width(len(elements))
+        keys = pack_keys(*(element_words([getattr(pair, side) for pair in entries], bit, width)
+                           for side in ("first", "second")))
+        masses = np.array([m.as_tuple() for m in entries.values()], dtype=float).reshape(-1, 3)
+        order = _row_order(keys)
+        return cls(elements, keys[order], *(np.ascontiguousarray(masses[order, j]) for j in range(3)))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @cached_property
+    def _table(self) -> KeyTable:
+        return KeyTable(self.keys)
+
+    @cached_property
+    def _bit(self) -> dict[str, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    def _rows(self, pairs: Sequence[CombinationPair]) -> np.ndarray:
+        """Row of each pair, -1 where the store does not hold it."""
+        bit = self._bit
+        known = [i for i, pair in enumerate(pairs) if all(e in bit for e in pair.first + pair.second)]
+        width = key_width(len(self.elements))
+        pos, found = self._table.find(pack_keys(*(
+            element_words([getattr(pairs[i], side) for i in known], bit, width) for side in ("first", "second")
+        )))
+        rows = np.full(len(pairs), -1, dtype=np.intp)
+        rows[np.array(known, dtype=np.intp)[found]] = pos[found]
+        return rows
+
+    def masses(self, pairs: Sequence[CombinationPair]) -> np.ndarray:
+        """(m_first, m_second, m_both) row of each pair, vacuous where absent."""
+        rows = self._rows(pairs)
+        out = np.tile([0.0, 0.0, 1.0], (len(pairs), 1))
+        held = rows >= 0
+        out[held] = np.stack([column[rows[held]] for column in (self.m_first, self.m_second, self.m_both)], axis=1)
+        return out
+
+    def get(self, pair: CombinationPair) -> BinaryMass:
+        return BinaryMass(*self.masses([pair])[0].tolist())
+
+    def similarity(self, pair: CombinationPair) -> float:
+        return float(self.masses([pair])[0, 0])
+
+    def __contains__(self, pair: CombinationPair) -> bool:
+        return bool(self._rows([pair])[0] >= 0)
+
+    def _sides(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """(first, second) sorted element tuples of every row, smaller first."""
+        names: dict[int, tuple[str, ...]] = {}
+
+        def side(mask: int) -> tuple[str, ...]:
+            if mask not in names:
+                names[mask] = tuple(sorted(self.elements[i] for i in range(mask.bit_length()) if mask >> i & 1))
+            return names[mask]
+
+        out = []
+        for lo, hi in zip(_words_to_ints(self.keys >> _WORD), _words_to_ints(self.keys & _LOW)):
+            a, b = side(lo), side(hi)
+            out.append((a, b) if a <= b else (b, a))
+        return out
+
+    def items(self) -> Iterator[tuple[CombinationPair, BinaryMass]]:
+        """(pair, mass) of every entry, in key row order."""
+        columns = zip(self.m_first.tolist(), self.m_second.tolist(), self.m_both.tolist())
+        for (first, second), mass in zip(self._sides(), columns):
+            yield CombinationPair(first, second), BinaryMass(*mass)
+
+    def reindexed(self, elements: Sequence[str]) -> "SimilarityStore":
+        """The entries over the given elements, keyed in their bit order;
+        entries naming other elements are dropped."""
+        elements = tuple(elements)
+        target = {e: i for i, e in enumerate(elements)}
+        bits = np.array([target.get(e, -1) for e in self.elements], dtype=np.int64)
+        keys, rows = _remap(self.keys, bits, key_width(len(elements)))
+        return SimilarityStore(elements, keys, self.m_first[rows], self.m_second[rows], self.m_both[rows])
+
+    def mask_view(self, index: Mapping[str, int]) -> KeyTable:
+        """Analogy weight of evidence -ln(m_second + m_both), the
+        `belief.support_weight` of each entry's similarity, in a key table
+        whose bits follow `index` (element -> bit), for hot-loop lookups.
+
+        Entries naming elements outside the index cannot be reached by any
+        substitution within that universe and are skipped.
+        """
+        bits = np.array([index.get(e, -1) for e in self.elements], dtype=np.int64)
+        keys, rows = _remap(self.keys, bits, key_width(max(index.values(), default=-1) + 1))
+        return KeyTable(keys, support_weight(self.m_second[rows] + self.m_both[rows]))
+
+    def content_hash(self) -> str:
+        """SHA-256 of the canonical form: the used element names sorted,
+        then the key rows packed in that bit order and sorted, then the
+        m_first, m_second and m_both columns in that row order."""
+        used = np.bitwise_or.reduce(self.keys, axis=0) if len(self) else np.zeros(1, dtype=np.uint64)
+        side_bits = np.unpackbits(((used >> _WORD) | (used & _LOW)).astype("<u4").view(np.uint8), bitorder="little")
+        names = sorted(self.elements[i] for i in np.flatnonzero(side_bits))
+        canonical = self.reindexed(names)
+        digest = hashlib.sha256()
+        digest.update(f"heafusion-store-2\n{','.join(names)}\n{canonical.keys.shape}\n".encode())
+        digest.update(canonical.keys.astype("<u8").tobytes())
+        for column in (canonical.m_first, canonical.m_second, canonical.m_both):
+            digest.update(column.astype("<f8").tobytes())
+        return digest.hexdigest()
+
+
+def union_rows(stores: Sequence[SimilarityStore]) -> tuple[tuple[str, ...], np.ndarray, list[np.ndarray]]:
+    """Alignment of several stores: their element tuples merged in order
+    (first appearance), the distinct key rows of all of them in that bit
+    order, sorted, and for each store the position of each of its rows
+    among them."""
+    elements = tuple(dict.fromkeys(e for store in stores for e in store.elements))
+    width = key_width(len(elements))
+    target = {e: i for i, e in enumerate(elements)}
+    parts, sources = [], []
+    for store in stores:
+        keys, rows = _remap(store.keys, np.array([target[e] for e in store.elements], dtype=np.int64), width)
+        parts.append(keys)
+        sources.append(rows)
+    keys = np.concatenate(parts) if parts else np.zeros((0, width), dtype=np.uint64)
+    order = _row_order(keys)
+    ordered = keys[order]
+    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)] if len(keys) else np.zeros(0, dtype=bool)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    positions, offset = [], 0
+    for rows in sources:
+        at = np.empty(len(rows), dtype=np.intp)
+        at[rows] = inverse[offset:offset + len(rows)]
+        positions.append(at)
+        offset += len(rows)
+    return elements, ordered[starts], positions
 
 
 def _merge(
@@ -220,11 +488,18 @@ def _merge(
     return keys[order[starts]], np.add.reduceat(agree[order], starts), np.add.reduceat(disagree[order], starts)
 
 
-def pair_counts(
-    masks: Sequence[int], labels: Sequence[bool], max_size: int
-) -> dict[tuple[int, int], tuple[int, int]]:
+class PairCounts(NamedTuple):
+    """(agree, disagree) evidence counts per pair: distinct key rows in
+    store layout, sorted, with int64 count columns."""
+
+    keys: np.ndarray
+    agree: np.ndarray
+    disagree: np.ndarray
+
+
+def pair_counts(masks: Sequence[int], labels: Sequence[bool], max_size: int) -> PairCounts:
     """(agree, disagree) counts of every informative alloy pair, keyed by
-    the pair's two difference masks as (smaller, larger).
+    the pair's two difference masks.
 
     A pair is informative when the alloys share an element, neither
     contains the other, and each difference side has at most max_size
@@ -233,7 +508,7 @@ def pair_counts(
     once they outnumber both it and a fixed batch, so memory follows the
     number of distinct keys rather than the number of pairs.
     """
-    words = _mask_words(masks)
+    words = mask_words(masks)
     flags = np.asarray(labels, dtype=bool)
     n = len(words)
     empty = np.zeros(0, dtype=np.int64)
@@ -254,30 +529,28 @@ def pair_counts(
         rows, cols = np.nonzero(
             after & shared.any(axis=2) & (n_left > 0) & (n_right > 0) & (n_left <= max_size) & (n_right <= max_size)
         )
-        left, right = left[rows, cols], right[rows, cols]
-        swap = _less(right, left)[:, None]
-        lo, hi = np.where(swap, right, left), np.where(swap, left, right)
-        new_keys.append(lo << _WORD | hi)
+        new_keys.append(pack_keys(left[rows, cols], right[rows, cols]))
         new_same.append(flags[start + rows] == flags[start + 1 + cols])
         n_new += len(rows)
         if n_new >= max(_MERGE_ROWS, len(table[0])):
             table = _merge(table, new_keys, new_same)
             new_keys, new_same, n_new = [], [], 0
-    keys, agree, disagree = _merge(table, new_keys, new_same)
+    return PairCounts(*_merge(table, new_keys, new_same))
 
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for start in range(0, len(keys), _DICT_ROWS):
-        part = slice(start, start + _DICT_ROWS)
-        lo, hi = _words_to_ints(keys[part] >> _WORD), _words_to_ints(keys[part] & _LOW)
-        out.update(zip(zip(lo, hi), zip(agree[part].tolist(), disagree[part].tolist())))
-    return out
+
+def _dataset_counts(dataset: Dataset, max_subst_size: int | None) -> PairCounts:
+    masks = alloy_masks((la.alloy for la in dataset.alloys), dataset.element_index())
+    if max_subst_size is None:
+        max_subst_size = max((len(la.alloy.elements) for la in dataset.alloys), default=2) - 1
+    return pair_counts(masks, dataset.labels(), max_subst_size)
 
 
 def extract_counts(
     dataset: Dataset,
     max_subst_size: int | None = None,
 ) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per-pair (agree, disagree) evidence counts, keyed by bitmask pair.
+    """Per-pair (agree, disagree) evidence counts, keyed by bitmask pair
+    (smaller, larger) as Python ints.
 
     The counts are a sufficient statistic for the combined mass at any
     alpha, which is what makes the alpha grid search affordable. Bits
@@ -285,10 +558,13 @@ def extract_counts(
     defaults to the largest alloy size minus one, which keeps every
     informative pair.
     """
-    masks = alloy_masks((la.alloy for la in dataset.alloys), dataset.element_index())
-    if max_subst_size is None:
-        max_subst_size = max((len(la.alloy.elements) for la in dataset.alloys), default=2) - 1
-    return pair_counts(masks, dataset.labels(), max_subst_size)
+    keys, agree, disagree = _dataset_counts(dataset, max_subst_size)
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for start in range(0, len(keys), _DICT_ROWS):
+        part = slice(start, start + _DICT_ROWS)
+        lo, hi = _words_to_ints(keys[part] >> _WORD), _words_to_ints(keys[part] & _LOW)
+        out.update(zip(zip(lo, hi), zip(agree[part].tolist(), disagree[part].tolist())))
+    return out
 
 
 def evidence_weight(alpha: float) -> float:
@@ -309,41 +585,34 @@ def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
     return BinaryMass(*from_weights(n_agree * weight, n_disagree * weight))
 
 
-def counts_to_store(
-    counts: Mapping[tuple[int, int], tuple[int, int]],
-    alpha: float,
-    universe: Sequence[str],
-) -> SimilarityStore:
-    """`mass_from_counts` of every key, read out in one array call, keyed
-    by the combination pair of its two difference masks."""
+def counts_to_store(counts: PairCounts, alpha: float, universe: Sequence[str]) -> SimilarityStore:
+    """`mass_from_counts` of every key, read out in one array call; the
+    keys' bits name the universe's elements."""
     weight = evidence_weight(alpha)
-    agree, disagree = np.array(list(counts.values()), dtype=float).reshape(-1, 2).T
-    masses = from_weights(weight * agree, weight * disagree)
-    entries: dict[CombinationPair, BinaryMass] = {}
-    for (mask_a, mask_b), m_first, m_second, m_both in zip(counts, *(m.tolist() for m in masses)):
-        pair = CombinationPair(mask_to_elements(mask_a, universe), mask_to_elements(mask_b, universe))
-        entries[pair] = BinaryMass(m_first, m_second, m_both)
-    return SimilarityStore(entries)
+    masses = from_weights(weight * counts.agree.astype(float), weight * counts.disagree.astype(float))
+    return SimilarityStore(tuple(universe), counts.keys, *masses)
 
 
 def extract_all(dataset: Dataset, config: ExtractionConfig) -> SimilarityStore:
     """Scan all alloy pairs and pool their evidence into a similarity store."""
-    counts = extract_counts(dataset, config.max_subst_size)
-    return counts_to_store(counts, config.alpha, dataset.universe)
+    return counts_to_store(_dataset_counts(dataset, config.max_subst_size), config.alpha, dataset.universe)
 
 
 _HEADER = ["combo_a", "combo_b", "m_similar", "m_dissimilar", "m_uncertain"]
 
 
 def write_store(store: SimilarityStore, path: str | Path) -> None:
-    """Serialize a store as CSV; floats carry 17 significant digits so the
-    round-trip is bit-exact."""
+    """Serialize a store as CSV, rows sorted by combination pair; floats
+    carry 17 significant digits so the round-trip is bit-exact."""
     path = Path(path)
+    sides = store._sides()
+    columns = list(zip(store.m_first.tolist(), store.m_second.tolist(), store.m_both.tolist()))
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
-        for combo_a, combo_b, m_sim, m_dis, m_unc in store.rows():
-            writer.writerow([combo_a, combo_b, f"{m_sim:.17g}", f"{m_dis:.17g}", f"{m_unc:.17g}"])
+        for row in sorted(range(len(sides)), key=sides.__getitem__):
+            first, second = sides[row]
+            writer.writerow(["-".join(first), "-".join(second), *(f"{m:.17g}" for m in columns[row])])
 
 
 def read_store(path: str | Path) -> SimilarityStore:
@@ -366,4 +635,4 @@ def read_store(path: str | Path) -> SimilarityStore:
                 entries[pair] = BinaryMass(float(row[2]), float(row[3]), float(row[4]))
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-    return SimilarityStore(entries)
+    return SimilarityStore.from_entries(entries)

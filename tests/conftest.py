@@ -146,4 +146,4 @@ def planted_group_store(
             entries[pair] = BinaryMass(strength, 0.0, 1.0 - strength)
         else:
             entries[pair] = BinaryMass(0.0, strength, 1.0 - strength)
-    return SimilarityStore(entries)
+    return SimilarityStore.from_entries(entries)

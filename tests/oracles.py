@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.belief import combine
+from heafusion.alloys import alloy_masks
+from heafusion.belief import combine, combine_all, discount, from_weights, pignistic, support_weight
 from heafusion.errors import AlphaOutOfRange, CandidateInTraining
-from heafusion.md_evidence import CombinationPair
+from heafusion.md_evidence import CombinationPair, PairCounts, key_width, mask_words, pack_keys
 
 FIRST = frozenset({"first"})
 SECOND = frozenset({"second"})
@@ -236,7 +239,7 @@ def combine_stores(stores: Iterable[SimilarityStore]) -> SimilarityStore:
         for pair, mass in store.items():
             held = entries.get(pair)
             entries[pair] = mass if held is None else combine(held, mass)
-    return SimilarityStore(entries)
+    return SimilarityStore.from_entries(entries)
 
 
 @dataclass(frozen=True)
@@ -292,3 +295,108 @@ def evidence_from_analogy(analogy: Analogy, store: SimilarityStore) -> BinaryMas
     if analogy.host.label:
         return BinaryMass(s, 0.0, 1.0 - s)
     return BinaryMass(0.0, s, 1.0 - s)
+
+
+def pairs_of(store: SimilarityStore) -> set[CombinationPair]:
+    """The combination pairs a store holds."""
+    return {pair for pair, _ in store.items()}
+
+
+def count_table(counts: Mapping[tuple[int, int], tuple[int, int]]) -> PairCounts:
+    """A dict of (agree, disagree) counts per (smaller, larger) mask pair,
+    such as `scan_partition` returns, as the scan's sorted count table."""
+    lo = [a for a, _ in counts]
+    hi = [b for _, b in counts]
+    width = key_width(max(hi, default=0).bit_length())
+    keys = pack_keys(mask_words(lo, width), mask_words(hi, width))
+    order = np.lexsort(keys.T[::-1])
+    values = np.array(list(counts.values()), dtype=np.int64).reshape(-1, 2)
+    return PairCounts(keys[order], values[order, 0], values[order, 1])
+
+
+def fuse_reference(
+    stores: Sequence[tuple[str, SimilarityStore]], gammas: Mapping[str, float]
+) -> dict[CombinationPair, BinaryMass]:
+    """Per-pair fusion: over the union of the stores' pairs, the left fold
+    from vacuous of `combine` over the present sources, in source order,
+    each discounted by its gamma."""
+    entries = [(sid, dict(store.items())) for sid, store in stores]
+    keys: dict[CombinationPair, None] = {}
+    for _, held in entries:
+        keys.update(dict.fromkeys(held))
+    return {
+        pair: combine_all(discount(held[pair], gammas[sid]) for sid, held in entries if pair in held)
+        for pair in keys
+    }
+
+
+def weight_view(store: SimilarityStore, index: Mapping[str, int]) -> dict[tuple[int, int], float]:
+    """Analogy weight -ln(m_second + m_both) per (smaller, larger) bitmask
+    pair under `index`; entries naming other elements are skipped."""
+    keys: list[tuple[int, int]] = []
+    rest: list[float] = []
+    for pair, mass in store.items():
+        try:
+            a = sum(1 << index[e] for e in pair.first)
+            b = sum(1 << index[e] for e in pair.second)
+        except KeyError:
+            continue
+        keys.append((a, b) if a < b else (b, a))
+        rest.append(mass.m_second + mass.m_both)
+    return dict(zip(keys, support_weight(np.array(rest, dtype=float)).tolist()))
+
+
+def fold_masked(
+    cand_mask: int,
+    train_masks: Sequence[int],
+    train_labels: Sequence[bool],
+    weights: Mapping[tuple[int, int], float],
+    max_size: int,
+) -> tuple[float, float, int]:
+    """Summed analogy weights (positive, negative) and the number of
+    analogies of one candidate bitmask, one host at a time."""
+    w_pos = w_neg = 0.0
+    n = 0
+    for host_mask, label in zip(train_masks, train_labels):
+        inter = host_mask & cand_mask
+        if not inter:
+            continue
+        replaced = host_mask & ~cand_mask
+        replacement = cand_mask & ~host_mask
+        if not replaced or not replacement:
+            continue
+        if replaced.bit_count() > max_size or replacement.bit_count() > max_size:
+            continue
+        n += 1
+        key = (replaced, replacement) if replaced < replacement else (replacement, replaced)
+        if label:
+            w_pos += weights.get(key, 0.0)
+        else:
+            w_neg += weights.get(key, 0.0)
+    return w_pos, w_neg, n
+
+
+def predict_reference(
+    candidates: Sequence[Alloy], training: Dataset, store: SimilarityStore, max_size: int | None = None
+) -> list[tuple[tuple[float, float, float], float, int]]:
+    """(mass, score, analogies) per candidate from `fold_masked` over a
+    `weight_view`, read out with `from_weights` as `predict_batch` does."""
+    if max_size is None:
+        sizes = [len(la.alloy.elements) for la in training.alloys] + [len(c.elements) for c in candidates]
+        max_size = max(sizes, default=2) - 1
+    index = training.element_index()
+    extra = sorted({e for c in candidates for e in c.elements} - set(training.universe))
+    for offset, e in enumerate(extra):
+        index[e] = len(training.universe) + offset
+    train_masks = alloy_masks((la.alloy for la in training.alloys), index)
+    labels = training.labels()
+    weights = weight_view(store, index)
+    table = np.array(
+        [fold_masked(c, train_masks, labels, weights, max_size) for c in alloy_masks(candidates, index)],
+        dtype=float,
+    ).reshape(-1, 3)
+    masses = zip(*(m.tolist() for m in from_weights(table[:, 0], table[:, 1])))
+    out = []
+    for mass, n in zip(masses, table[:, 2].astype(int).tolist()):
+        out.append((mass, pignistic(BinaryMass(*mass)), n))
+    return out

@@ -54,7 +54,9 @@ from oracles import (
     combine_exact,
     combine_stores,
     complete_linkage_oracle,
+    count_table,
     mann_whitney_auc,
+    pairs_of,
     scan_partition,
 )
 
@@ -203,7 +205,7 @@ def _label_flip_cases(seed):
             if ct and cv and len(ct | cv) < 6 and rng.random() < 0.8:
                 s = rng.uniform(0, 0.9)
                 entries[CombinationPair(ct, cv)] = BinaryMass(s, 0.0, 1.0 - s)
-    store = SimilarityStore(entries)
+    store = SimilarityStore.from_entries(entries)
     flipped = ds.with_alloys([LabeledAlloy(la.alloy, not la.label) for la in ds.alloys])
     return ds, flipped, store, candidates
 
@@ -238,9 +240,9 @@ def _suite_partition_independence():
             partials = [
                 scan_partition(masks, labels, 3, parts, p) for p in range(parts)
             ]
-            stores = [counts_to_store(c, 0.1, ds.universe) for c in partials]
+            stores = [counts_to_store(count_table(c), 0.1, ds.universe) for c in partials]
             merged = combine_stores(stores)
-            assert set(merged.entries) == set(whole.entries)
+            assert pairs_of(merged) == pairs_of(whole)
             for pair, mass in whole.items():
                 for g, w in zip(merged.get(pair).as_tuple(), mass.as_tuple()):
                     assert abs(g - w) <= 1e-12

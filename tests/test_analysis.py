@@ -20,7 +20,7 @@ from oracles import complete_linkage_oracle
 
 
 def store_of(entries):
-    return SimilarityStore({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
+    return SimilarityStore.from_entries({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
 
 
 class TestElementDistance:

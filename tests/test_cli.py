@@ -345,6 +345,31 @@ class TestConfigFile:
         code = run(["extract", "--config", config, "--dataset", dataset_csv, "--out-dir", tmp_path])
         assert code == 2
 
+    def test_string_value_goes_through_the_option_type(self, tmp_path, dataset_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "0.1"}))
+        assert run(["extract", "--config", config, "--dataset", dataset_csv, "--out-dir", tmp_path / "a"]) == 0
+        assert run(["extract", "--alpha", "0.1", "--dataset", dataset_csv, "--out-dir", tmp_path / "b"]) == 0
+        meta = json.loads((tmp_path / "a" / "run_metadata.json").read_text())
+        assert meta["config"]["alpha"] == 0.1
+        assert (tmp_path / "a" / "md_store.csv").read_bytes() == (tmp_path / "b" / "md_store.csv").read_bytes()
+
+    @pytest.mark.parametrize("config", [{"alpha": "x"}, {"jobs": 0}, {"max_subst_size": 2.5}, {"unstratified": 1}])
+    def test_bad_value_is_config_error(self, tmp_path, dataset_csv, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        command = "eval-cv" if "unstratified" in config else "extract"
+        code = run([command, "--config", path, "--dataset", dataset_csv, "--seed", "1", "--out-dir", tmp_path])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["exit_code"] == 2
+
+    def test_jobs_below_one_rejected_on_command_line(self, tmp_path, dataset_csv):
+        with pytest.raises(SystemExit) as info:
+            run(["extract", "--dataset", dataset_csv, "--jobs", "0", "--out-dir", tmp_path])
+        assert info.value.code == 2
+
     def test_rerun_from_metadata_config(self, tmp_path, dataset_csv):
         """A run's metadata config echo reproduces it bit-identically."""
         out1 = tmp_path / "a"

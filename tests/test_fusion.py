@@ -6,7 +6,7 @@ import pytest
 
 from heafusion import BinaryMass, SimilarityStore
 from heafusion.belief import combine_all, discount, vacuous
-from heafusion.errors import DegenerateDataset, EmptySourceList, GammaOutOfRange
+from heafusion.errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
 from heafusion.evaluation import kfold_splits
 from heafusion.fusion import (
     SourceReliability,
@@ -23,14 +23,14 @@ from conftest import (
     planted_group_store,
     random_dataset,
 )
-from oracles import combine_exact, macro_f1_oracle
+from oracles import combine_exact, macro_f1_oracle, pairs_of
 
 GROUP_A = ("Fe", "Co", "Ni", "Mn", "Cr")
 GROUP_B = ("Cu", "Ag", "Au", "Zn", "Cd")
 
 
 def store_of(entries):
-    return SimilarityStore({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
+    return SimilarityStore.from_entries({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
 
 
 class TestSourceReliability:
@@ -163,7 +163,7 @@ class TestFuse:
         base = fuse(stores, gammas)
         order = [2, 0, 1]
         permuted = fuse([stores[i] for i in order], [gammas[i] for i in order])
-        assert set(base.entries) == set(permuted.entries)
+        assert pairs_of(base) == pairs_of(permuted)
         for pair, mass in base.items():
             for g, w in zip(permuted.get(pair).as_tuple(), mass.as_tuple()):
                 assert g == pytest.approx(w, abs=1e-12)
@@ -216,3 +216,14 @@ class TestGammaSidecar:
         write_gammas(gammas, path)
         again = read_gammas(path)
         assert again == sorted(gammas, key=lambda g: g.source_id)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", '{"md": "0.5"}', '{"md": 1.5}', '{"md": true}', '{"md": NaN}', "not json"],
+        ids=["list", "string-value", "above-one", "boolean", "nan", "not-json"],
+    )
+    def test_malformed_file_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "gammas.json"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_gammas(path)

@@ -19,7 +19,7 @@ def la(elements, label=True):
 
 
 def store_of(entries):
-    return SimilarityStore({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
+    return SimilarityStore.from_entries({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
 
 
 class TestEnumerateAnalogies:
@@ -107,7 +107,7 @@ class TestPredict:
         training = as_dataset(
             [la("Ag Cd In Cu".split(), True), la("Ag Cd In Sn".split(), False)]
         )
-        store = SimilarityStore({
+        store = SimilarityStore.from_entries({
             CombinationPair(("Cu",), ("Zn",)): saturated,
             CombinationPair(("Sn",), ("Zn",)): saturated,
         })
