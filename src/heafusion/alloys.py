@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDataset, KTooLarge, ParseError
 
@@ -180,6 +180,46 @@ def parse_composition(text: str, row: int | None = None, delimiter: str = "-") -
         raise ParseError(str(exc), row) from None
 
 
+def read_rows(
+    path: str | Path, columns: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[tuple[int, list[str]]]:
+    """The one CSV reader of every input format: yields (row number, cells)
+    with the cells of `columns` then `optional`, in that order.
+
+    Row 1 is the header, whose cells name the columns in any order and
+    case; a UTF-8 byte-order mark is allowed. Blank rows are skipped. An
+    optional column the header lacks, or a row ends before, reads as "".
+    A missing column, a row without a cell for one of `columns` and a row
+    with more cells than the header raise ParseError with the row number.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path} is empty", 1)
+        header = [h.strip().lower() for h in header]
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ParseError(f"header must declare columns {list(columns)}, missing {missing}", 1)
+        width = len(header)
+        take = [header.index(name) for name in columns]
+        needed = max(take) + 1
+        # absent optional columns read index `width` of a row padded with ""
+        take += [header.index(name) if name in header else width for name in optional]
+        padded = width + 1 if optional else 0
+        for lineno, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < needed:
+                raise ParseError(f"expected at least {needed} columns, got {len(row)}", lineno)
+            if len(row) > width:
+                raise ParseError(f"expected at most {width} columns, as in the header, got {len(row)}", lineno)
+            if len(row) < padded:
+                row += [""] * (padded - len(row))
+            yield lineno, [row[i] for i in take]
+
+
 def parse_dataset(
     path: str | Path,
     universe: Sequence[str] | str | None = None,
@@ -197,28 +237,13 @@ def parse_dataset(
     rows: list[LabeledAlloy] = []
     seen: dict[tuple[str, ...], int] = {}
     elements_seen: set[str] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path} is empty")
-        header = [h.strip().lower() for h in header]
-        try:
-            comp_col = header.index("composition")
-            label_col = header.index("label")
-        except ValueError:
-            raise ParseError(f"header must declare composition and label columns, got {header}", 1) from None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= max(comp_col, label_col):
-                raise ParseError(f"expected at least {max(comp_col, label_col) + 1} columns, got {len(row)}", lineno)
-            alloy = parse_composition(row[comp_col], lineno, delimiter)
-            if alloy.elements in seen:
-                raise ParseError(f"duplicate alloy {alloy} (first at row {seen[alloy.elements]})", lineno)
-            seen[alloy.elements] = lineno
-            elements_seen.update(alloy.elements)
-            rows.append(LabeledAlloy(alloy, parse_label(row[label_col], lineno)))
+    for lineno, (composition, label) in read_rows(path, ("composition", "label")):
+        alloy = parse_composition(composition, lineno, delimiter)
+        if alloy.elements in seen:
+            raise ParseError(f"duplicate alloy {alloy} (first at row {seen[alloy.elements]})", lineno)
+        seen[alloy.elements] = lineno
+        elements_seen.update(alloy.elements)
+        rows.append(LabeledAlloy(alloy, parse_label(label, lineno)))
     if not rows:
         raise EmptyDataset(f"{path} contains no alloy rows")
     resolved = _resolve_universe(universe, elements_seen)

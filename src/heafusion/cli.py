@@ -24,14 +24,14 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .alloys import UNIVERSES, Alloy, enumerate_combinations, parse_composition, parse_dataset
+from .alloys import UNIVERSES, Alloy, enumerate_combinations, parse_composition, parse_dataset, read_rows
 from .analysis import (
     element_distance_matrix,
     hac_complete,
     hybrid_distance_matrix,
     write_matrix_csv,
 )
-from .errors import ConfigError, DataError, EmptySourceList, HeafusionError, NumericError, ParseError
+from .errors import ConfigError, DataError, EmptySourceList, HeafusionError, NumericError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_FRACTIONS,
@@ -90,10 +90,26 @@ def _print_error(error: str, message: str, code: int, command: str | None) -> No
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as one JSON error object, exit 2."""
+    """Reports a malformed command line as one JSON error object, exit 2.
+    Options must be spelled in full, so `_apply_config` sees every flag the
+    command line set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_args(self, args=None, namespace=None):
+        """argparse reports unrecognized arguments from the top-level
+        parser; name the subcommand that was read instead."""
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self._fail(f"unrecognized arguments: {' '.join(extras)}", namespace.command)
+        return namespace
 
     def error(self, message: str) -> NoReturn:
-        _print_error("ConfigError", message, 2, self.prog.partition(" ")[2] or None)
+        self._fail(message, self.prog.partition(" ")[2] or None)
+
+    def _fail(self, message: str, command: str | None) -> NoReturn:
+        _print_error("ConfigError", message, 2, command)
         sys.exit(2)
 
 
@@ -305,23 +321,7 @@ def _out_path(args: argparse.Namespace, name: str) -> Path:
 
 
 def _read_candidates(path: str) -> list[Alloy]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} is empty")
-        try:
-            col = [h.strip().lower() for h in header].index("composition")
-        except ValueError:
-            raise DataError(f"{path} needs a composition column") from None
-        candidates = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= col:
-                raise ParseError(f"expected at least {col + 1} columns, got {len(row)}", lineno)
-            candidates.append(parse_composition(row[col], lineno))
-        return candidates
+    return [parse_composition(cell, lineno) for lineno, (cell,) in read_rows(path, ("composition",))]
 
 
 def _sources_from_args(args: argparse.Namespace) -> SourcesConfig:

@@ -9,14 +9,13 @@ weight domains independently.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .alloys import parse_symbols
+from .alloys import parse_symbols, read_rows
 from .belief import BinaryMass, combine
 from .errors import BetaOutOfRange, ParseError
 from .md_evidence import CombinationPair, SimilarityStore
@@ -124,47 +123,28 @@ def parse_responses(path: str | Path, delimiter: str = "-") -> list[LlmResponse]
     """
     path = Path(path)
     responses: list[LlmResponse] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path} is empty")
-        header = [h.strip().lower() for h in header]
-        missing = [name for name in _COLUMNS if name not in header]
-        if missing:
-            raise ParseError(f"header must declare {','.join(_COLUMNS)}[,q2], missing {missing}", 1)
-        col_a, col_b, col_domain, col_q1 = (header.index(name) for name in _COLUMNS)
-        col_q2 = header.index("q2") if "q2" in header else None
-        needed = max(col_a, col_b, col_domain, col_q1) + 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < needed:
-                raise ParseError(f"expected at least {needed} columns, got {len(row)}", lineno)
-            side_a = parse_symbols(row[col_a], lineno, delimiter)
-            side_b = parse_symbols(row[col_b], lineno, delimiter)
-            try:
-                pair = CombinationPair(side_a, side_b)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if len(side_a) > 1 or len(side_b) > 1:
-                warnings.warn(
-                    f"{path}:{lineno}: multi-element combination pair {pair}",
-                    stacklevel=2,
-                )
-            domain = row[col_domain].strip()
-            q1_text = row[col_q1].strip().lower()
-            if q1_text not in _YES_NO:
-                raise ParseError(f"q1 must be Yes or No, got {row[col_q1]!r}", lineno)
-            q1 = _YES_NO[q1_text]
-            q2_text = row[col_q2].strip() if col_q2 is not None and len(row) > col_q2 else ""
-            q2 = q2_text.capitalize() if q2_text else None
-            if q2 is not None and q2 not in _RATINGS:
-                raise ParseError(f"q2 must be High, Medium, or Low, got {row[col_q2]!r}", lineno)
-            try:
-                responses.append(LlmResponse(pair, domain, q1, q2))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+    for lineno, (cell_a, cell_b, domain, q1_cell, q2_cell) in read_rows(path, _COLUMNS, ("q2",)):
+        side_a = parse_symbols(cell_a, lineno, delimiter)
+        side_b = parse_symbols(cell_b, lineno, delimiter)
+        try:
+            pair = CombinationPair(side_a, side_b)
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        if len(side_a) > 1 or len(side_b) > 1:
+            warnings.warn(
+                f"{path}:{lineno}: multi-element combination pair {pair}",
+                stacklevel=2,
+            )
+        q1_text = q1_cell.strip().lower()
+        if q1_text not in _YES_NO:
+            raise ParseError(f"q1 must be Yes or No, got {q1_cell!r}", lineno)
+        q2 = q2_cell.strip().capitalize() or None
+        if q2 is not None and q2 not in _RATINGS:
+            raise ParseError(f"q2 must be High, Medium, or Low, got {q2_cell!r}", lineno)
+        try:
+            responses.append(LlmResponse(pair, domain.strip(), _YES_NO[q1_text], q2))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
     return responses
 
 

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .alloys import Alloy, Dataset, alloy_masks
+from .alloys import Alloy, Dataset, alloy_masks, parse_symbols, read_rows
 from .belief import BinaryMass, from_weights, support_weight
 from .errors import AlphaOutOfRange, ConfigError, ParseError
 
@@ -628,32 +628,26 @@ def read_store(path: str | Path) -> SimilarityStore:
     row raises ParseError with its row number."""
     path = Path(path)
     entries: dict[CombinationPair, BinaryMass] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != _HEADER:
-            raise ParseError(f"header must be {','.join(_HEADER)}, got {header}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_HEADER):
-                raise ParseError(f"expected {len(_HEADER)} columns, got {len(row)}", lineno)
-            try:
-                pair = CombinationPair(row[0].split("-"), row[1].split("-"))
-                mass = BinaryMass(float(row[2]), float(row[3]), float(row[4]))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if pair in entries:
-                raise ParseError(f"pair {pair} repeats row {_first_row(path, pair)}", lineno)
-            entries[pair] = mass
+    sides: dict[str, list[str]] = {}  # a store repeats few distinct sides over many rows
+    for lineno, (combo_a, combo_b, *masses) in read_rows(path, _HEADER):
+        for side in (combo_a, combo_b):
+            if side not in sides:
+                sides[side] = parse_symbols(side, lineno)
+        try:
+            pair = CombinationPair(sides[combo_a], sides[combo_b])
+            mass = BinaryMass(*map(float, masses))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from None
+        if pair in entries:
+            raise ParseError(f"pair {pair} repeats row {_first_row(path, pair)}", lineno)
+        entries[pair] = mass
     return SimilarityStore.from_entries(entries)
 
 
 def _first_row(path: Path, pair: CombinationPair) -> int | None:
     """Row number of the first row of a store file holding pair; looked up
     only on error, so reading a valid store keeps no row numbers."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if lineno > 1 and row and CombinationPair(row[0].split("-"), row[1].split("-")) == pair:
-                return lineno
+    for lineno, (combo_a, combo_b, *_) in read_rows(path, _HEADER):
+        if CombinationPair(parse_symbols(combo_a), parse_symbols(combo_b)) == pair:
+            return lineno
     return None

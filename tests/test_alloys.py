@@ -14,6 +14,7 @@ from heafusion.alloys import (
     LabeledAlloy,
     enumerate_combinations,
     parse_dataset,
+    read_rows,
     serialize_dataset,
 )
 from heafusion.errors import EmptyDataset, KTooLarge, ParseError
@@ -128,6 +129,35 @@ class TestParsing:
         again = parse_dataset(out, universe="E1", name=ds.name)
         assert again.alloys == ds.alloys
         assert again.universe == ds.universe
+
+
+class TestReadRows:
+    def test_columns_by_name_in_any_order_and_case(self, tmp_path):
+        f = tmp_path / "r.csv"
+        f.write_text("\ufeff Label ,x,COMPOSITION\n1,a,Fe-Ni\n\n , ,\n0,b,Co-Cr\n", encoding="utf-8")
+        assert list(read_rows(f, ("composition", "label"))) == [(2, ["Fe-Ni", "1"]), (5, ["Co-Cr", "0"])]
+
+    def test_optional_column_reads_empty_when_absent_or_short(self, tmp_path):
+        f = tmp_path / "r.csv"
+        f.write_text("a,b\n1,2\n3\n")
+        assert list(read_rows(f, ("a",), ("b", "c"))) == [(2, ["1", "2", ""]), (3, ["3", "", ""])]
+
+    @pytest.mark.parametrize(
+        "text, row, message",
+        [
+            ("", 1, "empty"),
+            ("a\n1\n", 1, "missing \\['b'\\]"),
+            ("a,b,c\n1,2,3\n1\n", 3, "at least 2"),
+            ("a,b\n1,2\n1,2,3\n", 3, "at most 2"),
+        ],
+        ids=["empty", "missing-column", "short-row", "long-row"],
+    )
+    def test_malformed_file_names_its_row(self, tmp_path, text, row, message):
+        f = tmp_path / "r.csv"
+        f.write_text(text)
+        with pytest.raises(ParseError, match=message) as info:
+            list(read_rows(f, ("a", "b")))
+        assert info.value.row == row
 
 
 class TestEnumeration:

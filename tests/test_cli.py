@@ -394,6 +394,25 @@ class TestClusterAndDistances:
 
 
 class TestConfigFile:
+    def test_abbreviated_flag_is_rejected(self, tmp_path, dataset_csv, capsys):
+        """An abbreviation would escape the flags-win-over-config rule."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.3}))
+        out = tmp_path / "run"
+        code = exit_code(["extract", "--alph", "0.2", "--config", config, "--dataset", dataset_csv,
+                          "--out-dir", out])
+        assert code == 2
+        err = one_error(capsys.readouterr().err)
+        assert err["command"] == "extract"
+        assert "--alph" in err["message"]
+        assert not out.exists()
+
+    def test_unknown_flag_names_the_subcommand(self, capsys):
+        assert exit_code(["extract", "--bogus"]) == 2
+        err = one_error(capsys.readouterr().err)
+        assert err["command"] == "extract"
+        assert "--bogus" in err["message"]
+
     def test_config_supplies_defaults_flags_win(self, tmp_path, dataset_csv):
         out = tmp_path / "run"
         config = tmp_path / "config.json"
@@ -512,6 +531,51 @@ def mutated(draw, text):
         elif kind == "bom":
             bom = True
     return ("\ufeff" if bom else "") + "\n".join(",".join(row) for row in rows) + "\n"
+
+
+# one command reading each CSV format; the other files it reads stay valid
+FORMAT_COMMANDS = dict(FUZZ_TARGETS[i] for i in (0, 2, 4, 5))
+
+
+def run_on_inputs(kind, root, texts):
+    """Exit status of kind's command on the files texts written under root."""
+    paths = {name: root / f"{name}.csv" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [a.format(**paths) for a in FORMAT_COMMANDS[kind]]
+    return exit_code(argv + ["--seed", "1", "--jobs", "1", "--out-dir", root / "out"])
+
+
+class TestCsvRows:
+    @pytest.mark.parametrize("kind", FORMAT_COMMANDS)
+    def test_byte_order_mark_reads_like_plain_file(self, tmp_path, valid_inputs, kind):
+        outputs = []
+        for mark in ("", "\ufeff"):
+            root = tmp_path / ("bom" if mark else "plain")
+            root.mkdir()
+            assert run_on_inputs(kind, root, {**valid_inputs, kind: mark + valid_inputs[kind]}) == 0
+            outputs.append({f.name: f.read_bytes() for f in (root / "out").iterdir()
+                            if f.name != "run_metadata.json"})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kind", ["dataset", "candidates", "responses"])
+    def test_row_longer_than_header_is_data_error(self, tmp_path, valid_inputs, capsys, kind):
+        lines = valid_inputs[kind].splitlines()
+        lines[1] += ",extra"
+        assert run_on_inputs(kind, tmp_path, {**valid_inputs, kind: "\n".join(lines) + "\n"}) == 3
+        err = one_error(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "row 2" in err["message"]
+
+    def test_store_symbol_outside_element_table_is_data_error(self, tmp_path, capsys):
+        store = tmp_path / "store.csv"
+        store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Xx,0.5,0,0.5\n")
+        code = exit_code(["cluster", "--store", store, "--elements", "Fe,Co", "--out-dir", tmp_path / "out"])
+        assert code == 3
+        err = one_error(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "row 2" in err["message"]
+        assert "Xx" in err["message"]
 
 
 class TestFuzz:

@@ -297,8 +297,9 @@ class TestSerialization:
             ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.1,0,0.9\nCu,Ag,x,0,1\n", 3),
             ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.5,0.5,0.5\n", 2),
             ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Cu,0.1,0,0.9\n", 2),
+            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Xx,0.5,0,0.5\n", 2),
         ],
-        ids=["empty", "header", "short-row", "long-row", "float", "sum", "overlap"],
+        ids=["empty", "header", "short-row", "long-row", "float", "sum", "overlap", "symbol"],
     )
     def test_malformed_rows_name_their_row(self, tmp_path, text, row):
         path = tmp_path / "store.csv"
@@ -306,6 +307,18 @@ class TestSerialization:
         with pytest.raises(ParseError) as info:
             read_store(path)
         assert info.value.row == row
+
+    def test_columns_are_read_by_header_name(self, tmp_path):
+        store = extract_all(random_dataset(30, universe_size=8, seed=22), ExtractionConfig(alpha=0.2))
+        path = tmp_path / "store.csv"
+        write_store(store, path)
+        order = [4, 2, 0, 3, 1]
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[0] = [name.upper() for name in rows[0]]
+        path.write_text("".join(",".join(row[i] for i in order) + "\n" for row in rows))
+        again = read_store(path)
+        assert dict(again.items()) == dict(store.items())
+        assert again.content_hash() == store.content_hash()
 
     def test_repeated_pair_names_both_rows(self, tmp_path):
         path = tmp_path / "store.csv"
