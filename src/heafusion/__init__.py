@@ -14,7 +14,10 @@ from .alloys import (
     Alloy,
     Dataset,
     LabeledAlloy,
+    element_split,
     enumerate_combinations,
+    fraction_split,
+    kfold_splits,
     parse_dataset,
     serialize_dataset,
 )
@@ -41,22 +44,23 @@ from .evaluation import (
     DEFAULT_FRACTIONS,
     MetricsReport,
     SourcesConfig,
-    accuracy,
-    element_split,
-    fraction_split,
     grid_search_alpha,
-    kfold_splits,
-    macro_f1,
-    roc_auc,
     run_cv_experiment,
     run_extrapolation_experiment,
     summarize_reports,
 )
 from .fusion import SourceReliability, estimate_reliability, fuse, read_gammas, write_gammas
-from .inference import Prediction, classify, predict, predict_batch
+from .inference import (
+    Prediction,
+    accuracy,
+    classify,
+    macro_f1,
+    predict,
+    predict_batch,
+    roc_auc,
+)
 from .llm_evidence import (
     DEFAULT_DOMAINS,
-    LlmConfig,
     LlmResponse,
     build_store,
     default_beta,

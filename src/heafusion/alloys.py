@@ -1,13 +1,16 @@
-"""Canonical alloy representation, element universes, and dataset file I/O.
+"""Canonical alloy representation, element universes, dataset file I/O
+and dataset splits.
 
 Alloys are equiatomic element sets; labels are booleans with True as the
 positive class (phase forms / property present). Datasets are immutable
-after load and safe to share between threads.
+after load and safe to share between threads. Splits draw all randomness
+from explicit seeds.
 """
 
 from __future__ import annotations
 
 import csv
+import random
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -15,7 +18,7 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyDataset, KTooLarge, ParseError
+from .errors import ElementAbsent, EmptyDataset, FractionDegenerate, KTooLarge, ParseError
 
 # IUPAC symbols for elements 1-103.
 ELEMENT_SYMBOLS: tuple[str, ...] = (
@@ -80,8 +83,8 @@ class Alloy:
     def element_set(self) -> frozenset[str]:
         return frozenset(self.elements)
 
-    def composition(self, delimiter: str = "-") -> str:
-        return delimiter.join(self.elements)
+    def composition(self) -> str:
+        return "-".join(self.elements)
 
     def __str__(self) -> str:
         return self.composition()
@@ -158,10 +161,10 @@ def parse_label(text: str, row: int | None = None) -> bool:
     raise ParseError(f"unrecognized label {text!r}", row)
 
 
-def parse_symbols(text: str, row: int | None = None, delimiter: str = "-") -> list[str]:
-    """Delimiter-joined element symbols. Duplicate symbols and symbols
+def parse_symbols(text: str, row: int | None = None) -> list[str]:
+    """Hyphen-joined element symbols. Duplicate symbols and symbols
     outside the element table raise ParseError carrying the row number."""
-    symbols = [s.strip() for s in text.split(delimiter)]
+    symbols = [s.strip() for s in text.split("-")]
     if len(set(symbols)) != len(symbols):
         raise ParseError(f"duplicate element in composition {text!r}", row)
     for s in symbols:
@@ -170,10 +173,10 @@ def parse_symbols(text: str, row: int | None = None, delimiter: str = "-") -> li
     return symbols
 
 
-def parse_composition(text: str, row: int | None = None, delimiter: str = "-") -> Alloy:
+def parse_composition(text: str, row: int | None = None) -> Alloy:
     """Alloy from `parse_symbols`; a single element also raises
     ParseError carrying the row number."""
-    symbols = parse_symbols(text, row, delimiter)
+    symbols = parse_symbols(text, row)
     try:
         return Alloy(symbols)
     except ValueError as exc:
@@ -223,12 +226,11 @@ def read_rows(
 def parse_dataset(
     path: str | Path,
     universe: Sequence[str] | str | None = None,
-    delimiter: str = "-",
     name: str | None = None,
 ) -> Dataset:
     """Load a labeled alloy dataset from CSV.
 
-    Expected header `composition,label`; compositions are delimiter-joined
+    Expected header `composition,label`; compositions are hyphen-joined
     element symbols, labels one of 0/1/true/false/HEA/NonHEA (any case).
     `universe` may be a preset name ("E1", "E2"), an explicit symbol list,
     or None to derive the universe from the file contents.
@@ -238,7 +240,7 @@ def parse_dataset(
     seen: dict[tuple[str, ...], int] = {}
     elements_seen: set[str] = set()
     for lineno, (composition, label) in read_rows(path, ("composition", "label")):
-        alloy = parse_composition(composition, lineno, delimiter)
+        alloy = parse_composition(composition, lineno)
         if alloy.elements in seen:
             raise ParseError(f"duplicate alloy {alloy} (first at row {seen[alloy.elements]})", lineno)
         seen[alloy.elements] = lineno
@@ -253,14 +255,14 @@ def parse_dataset(
     return Dataset(name or path.stem, tuple(rows), resolved)
 
 
-def serialize_dataset(dataset: Dataset, path: str | Path, delimiter: str = "-") -> None:
+def serialize_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset back to the CSV format understood by `parse_dataset`."""
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["composition", "label"])
         for la in dataset.alloys:
-            writer.writerow([la.alloy.composition(delimiter), "1" if la.label else "0"])
+            writer.writerow([la.alloy.composition(), "1" if la.label else "0"])
 
 
 def enumerate_combinations(universe: Sequence[str], k: int) -> list[Alloy]:
@@ -275,12 +277,88 @@ def enumerate_combinations(universe: Sequence[str], k: int) -> list[Alloy]:
     return alloys
 
 
-def alloy_masks(alloys: Iterable[Alloy], index: dict[str, int]) -> list[int]:
-    """Bitmask per alloy under the given element->bit index (hot-loop helper)."""
-    masks = []
-    for alloy in alloys:
-        m = 0
-        for e in alloy.elements:
-            m |= 1 << index[e]
-        masks.append(m)
-    return masks
+def _stratified_indices(labels: Sequence[bool], seed: int) -> tuple[list[int], list[int]]:
+    pos = [i for i, y in enumerate(labels) if y]
+    neg = [i for i, y in enumerate(labels) if not y]
+    rng = random.Random(seed)
+    rng.shuffle(pos)
+    rng.shuffle(neg)
+    return pos, neg
+
+
+def _take(dataset: Dataset, indices: Sequence[int], suffix: str) -> Dataset:
+    return dataset.with_alloys([dataset.alloys[i] for i in indices], suffix)
+
+
+def fraction_split(
+    dataset: Dataset, fraction: float, seed: int, stratified: bool = True
+) -> tuple[Dataset, Dataset]:
+    """(training, test) with round(fraction * n) seeded training rows,
+    drawn per class by default; fraction must lie in (0, 1)."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
+    labels = dataset.labels()
+    n = len(labels)
+    n_train = round(fraction * n)
+    if n_train <= 0 or n_train >= n:
+        raise FractionDegenerate(f"fraction {fraction} on {n} rows leaves an empty side")
+    if stratified:
+        pos, neg = _stratified_indices(labels, seed)
+        n_pos_train = min(round(fraction * len(pos)), n_train, len(pos))
+        # keep one row of each class in training whenever there is room
+        if pos and neg and n_train >= 2:
+            n_pos_train = min(max(n_pos_train, 1), n_train - 1)
+        n_neg_train = n_train - n_pos_train
+        if n_neg_train > len(neg):
+            n_pos_train += n_neg_train - len(neg)
+            n_neg_train = len(neg)
+        train = set(pos[:n_pos_train]) | set(neg[:n_neg_train])
+    else:
+        order = list(range(n))
+        random.Random(seed).shuffle(order)
+        train = set(order[:n_train])
+    test_idx = [i for i in range(n) if i not in train]
+    return _take(dataset, sorted(train), "[train]"), _take(dataset, test_idx, "[test]")
+
+
+def kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
+    """(train, test) row indices of k label-stratified, seeded folds that
+    partition the rows."""
+    n = len(labels)
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds dataset size {n}")
+    pos, neg = _stratified_indices(labels, seed)
+    # continuous round-robin across classes keeps fold sizes within one
+    # of each other even when a class is smaller than k
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for slot, idx in enumerate(pos + neg):
+        buckets[slot % k].append(idx)
+    folds = [sorted(b) for b in buckets]
+    out = []
+    for f in range(k):
+        test = folds[f]
+        test_set = set(test)
+        train = [i for i in range(n) if i not in test_set]
+        out.append((train, test))
+    return out
+
+
+def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
+    """Deterministic (train, test) fold sequence; folds are label-stratified
+    and partition the dataset."""
+    return [
+        (_take(dataset, tr, f"[fold{f}-train]"), _take(dataset, te, f"[fold{f}-test]"))
+        for f, (tr, te) in enumerate(kfold_indices(dataset.labels(), k, seed))
+    ]
+
+
+def element_split(dataset: Dataset, element: str) -> tuple[Dataset, Dataset]:
+    """(training, test) with every alloy containing element held out."""
+    test_idx = [i for i, la in enumerate(dataset.alloys) if element in la.alloy.elements]
+    if not test_idx:
+        raise ElementAbsent(f"no alloy in {dataset.name} contains {element!r}")
+    test_set = set(test_idx)
+    train_idx = [i for i in range(len(dataset)) if i not in test_set]
+    return _take(dataset, train_idx, f"[no-{element}]"), _take(dataset, test_idx, f"[{element}]")

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -42,7 +43,7 @@ from .evaluation import (
     summarize_reports,
 )
 from .fusion import SourceReliability, estimate_reliability, fuse, write_gammas
-from .inference import predict_batch
+from .inference import classify, predict_batch
 from .llm_evidence import (
     DEFAULT_DOMAINS,
     build_store,
@@ -282,11 +283,15 @@ def _universe_symbols(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
+    """ID -> VALUE of repeated --what ID=VALUE options; an ID given twice
+    is a ConfigError."""
     out = {}
     for token in pairs:
         if "=" not in token:
             raise ConfigError(f"--{what} expects ID=VALUE, got {token!r}")
         key, value = token.split("=", 1)
+        if key in out:
+            raise ConfigError(f"--{what} {key!r} given twice")
         out[key] = value
     return out
 
@@ -358,7 +363,7 @@ def _write_reports(args: argparse.Namespace, reports) -> list[str]:
     outputs = []
     reports_path = out_dir / "reports.json"
     reports_path.write_text(
-        json.dumps([r.to_dict() for r in reports], indent=2) + "\n", encoding="utf-8"
+        json.dumps([asdict(r) for r in reports], indent=2) + "\n", encoding="utf-8"
     )
     outputs.append(reports_path.name)
     metrics_path = out_dir / "metrics.csv"
@@ -427,8 +432,11 @@ def _cmd_fuse(args: argparse.Namespace) -> None:
     assignments = _parse_assignments(args.store, "store")
     if not assignments:
         raise EmptySourceList("fuse requires at least one --store ID=PATH")
-    stores = [(sid, read_store(path)) for sid, path in assignments.items()]
     explicit = {sid: float(v) for sid, v in _parse_assignments(args.gamma, "gamma").items()}
+    unknown = sorted(set(explicit) - set(assignments))
+    if unknown:
+        raise ConfigError(f"--gamma given for {unknown}, which name no --store")
+    stores = [(sid, read_store(path)) for sid, path in assignments.items()]
     gammas = []
     dataset = parse_dataset(args.dataset, universe=args.universe) if args.dataset else None
     for sid, store in stores:
@@ -473,10 +481,10 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5"])
-        for p in predictions:
+        for p, positive in zip(predictions, classify([p.score for p in predictions])):
             writer.writerow(
                 [p.candidate.composition(), f"{p.mass.m_first:.17g}", f"{p.mass.m_second:.17g}",
-                 f"{p.mass.m_both:.17g}", f"{p.score:.17g}", int(p.score > 0.5)]
+                 f"{p.mass.m_both:.17g}", f"{p.score:.17g}", int(positive)]
             )
     _write_metadata(args, [out.name], {"n_candidates": len(candidates)})
 

@@ -1,11 +1,12 @@
-"""Experiment protocols, dataset splitting, metrics, and alpha tuning.
+"""Experiment protocols and alpha tuning.
 
 Two evaluation protocols are provided: fractional cross-validation, where
 a stratified random slice of the dataset trains the pipeline and the rest
 is scored, and leave-element-out extrapolation, where every alloy
 containing a chosen element is held out to probe generalization to unseen
 chemistry. Evidence stores and reliability weights are always computed
-from the training partition alone.
+from the training partition alone. The splits live in `alloys`, the
+metrics in `inference`.
 
 All randomness is drawn from explicit seeds; identical inputs produce
 identical reports.
@@ -13,205 +14,30 @@ identical reports.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import inference
-from .alloys import Dataset, alloy_masks
+from . import fusion, inference
+from .alloys import Dataset, element_split, fraction_split, kfold_indices
 from .belief import from_weights, support_weight
-from .errors import (
-    ConfigError,
-    ElementAbsent,
-    EmptySourceList,
-    FractionDegenerate,
-    LengthMismatch,
-    SingleClass,
-)
+from .errors import ConfigError, EmptySourceList
+from .inference import accuracy, classify, macro_f1, roc_auc, youden_threshold_stats
 from .md_evidence import (
     ExtractionConfig,
     KeyTable,
     SimilarityStore,
+    element_words,
     evidence_weight,
     extract_all,
     key_width,
-    mask_words,
     pair_counts,
     substitution_limit,
 )
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 DEFAULT_FRACTIONS: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(1, 11)) + (0.2, 0.3)
 DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(round(0.01 * i, 2) for i in range(1, 51))
-
-def _stratified_indices(labels: Sequence[bool], seed: int) -> tuple[list[int], list[int]]:
-    pos = [i for i, y in enumerate(labels) if y]
-    neg = [i for i, y in enumerate(labels) if not y]
-    rng = random.Random(seed)
-    rng.shuffle(pos)
-    rng.shuffle(neg)
-    return pos, neg
-
-
-def fraction_split(
-    dataset: Dataset, fraction: float, seed: int, stratified: bool = True
-) -> tuple[Dataset, Dataset]:
-    """(training, test) with round(fraction * n) seeded training rows,
-    drawn per class by default; fraction must lie in (0, 1)."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
-    labels = dataset.labels()
-    n = len(labels)
-    n_train = round(fraction * n)
-    if n_train <= 0 or n_train >= n:
-        raise FractionDegenerate(f"fraction {fraction} on {n} rows leaves an empty side")
-    if stratified:
-        pos, neg = _stratified_indices(labels, seed)
-        n_pos_train = min(round(fraction * len(pos)), n_train, len(pos))
-        # keep one row of each class in training whenever there is room
-        if pos and neg and n_train >= 2:
-            n_pos_train = min(max(n_pos_train, 1), n_train - 1)
-        n_neg_train = n_train - n_pos_train
-        if n_neg_train > len(neg):
-            n_pos_train += n_neg_train - len(neg)
-            n_neg_train = len(neg)
-        train = set(pos[:n_pos_train]) | set(neg[:n_neg_train])
-    else:
-        order = list(range(n))
-        random.Random(seed).shuffle(order)
-        train = set(order[:n_train])
-    test_idx = [i for i in range(n) if i not in train]
-    return _take(dataset, sorted(train), "[train]"), _take(dataset, test_idx, "[test]")
-
-
-def _kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    n = len(labels)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > n:
-        raise ValueError(f"k={k} exceeds dataset size {n}")
-    pos, neg = _stratified_indices(labels, seed)
-    # continuous round-robin across classes keeps fold sizes within one
-    # of each other even when a class is smaller than k
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for slot, idx in enumerate(pos + neg):
-        buckets[slot % k].append(idx)
-    folds = [sorted(b) for b in buckets]
-    out = []
-    for f in range(k):
-        test = folds[f]
-        test_set = set(test)
-        train = [i for i in range(n) if i not in test_set]
-        out.append((train, test))
-    return out
-
-
-def _take(dataset: Dataset, indices: Sequence[int], suffix: str) -> Dataset:
-    return dataset.with_alloys([dataset.alloys[i] for i in indices], suffix)
-
-
-def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic (train, test) fold sequence; folds are label-stratified
-    and partition the dataset."""
-    return [
-        (_take(dataset, tr, f"[fold{f}-train]"), _take(dataset, te, f"[fold{f}-test]"))
-        for f, (tr, te) in enumerate(_kfold_indices(dataset.labels(), k, seed))
-    ]
-
-
-def element_split(dataset: Dataset, element: str) -> tuple[Dataset, Dataset]:
-    """(training, test) with every alloy containing element held out."""
-    test_idx = [i for i, la in enumerate(dataset.alloys) if element in la.alloy.elements]
-    if not test_idx:
-        raise ElementAbsent(f"no alloy in {dataset.name} contains {element!r}")
-    test_set = set(test_idx)
-    train_idx = [i for i in range(len(dataset)) if i not in test_set]
-    return _take(dataset, train_idx, f"[no-{element}]"), _take(dataset, test_idx, f"[{element}]")
-
-
-def _check_paired(labels: Sequence[bool], other: Sequence, what: str) -> None:
-    if len(labels) != len(other):
-        raise LengthMismatch(f"{len(labels)} labels vs {len(other)} {what}")
-    if not labels:
-        raise LengthMismatch("empty inputs")
-
-
-def accuracy(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
-    """Fraction of correct predictions."""
-    _check_paired(labels, predictions, "predictions")
-    return sum(1 for y, p in zip(labels, predictions) if y == p) / len(labels)
-
-
-def macro_f1(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
-    """Unweighted mean of per-class F1.
-
-    A class absent from both labels and predictions counts as F1 = 1; a
-    class never labeled but predicted counts as 0 (it produced only false
-    positives).
-    """
-    _check_paired(labels, predictions, "predictions")
-    f1s = []
-    for cls in (True, False):
-        tp = sum(1 for y, p in zip(labels, predictions) if y == cls and p == cls)
-        fp = sum(1 for y, p in zip(labels, predictions) if y != cls and p == cls)
-        fn = sum(1 for y, p in zip(labels, predictions) if y == cls and p != cls)
-        denom = 2 * tp + fp + fn
-        f1s.append(1.0 if denom == 0 else 2 * tp / denom)
-    return sum(f1s) / len(f1s)
-
-
-def _roc_sweep(
-    labels: Sequence[bool], scores: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Cumulative TP/FP after each distinct-score group (descending scores)."""
-    _check_paired(labels, scores, "scores")
-    y = np.asarray(labels, dtype=bool)
-    s = np.asarray(scores, dtype=float)
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("ROC analysis needs both classes among the labels")
-    order = np.argsort(-s, kind="stable")
-    y_sorted = y[order]
-    s_sorted = s[order]
-    ends = np.r_[np.where(np.diff(s_sorted))[0], len(s_sorted) - 1]
-    tp = np.cumsum(y_sorted)[ends]
-    fp = np.cumsum(~y_sorted)[ends]
-    return tp, fp, s_sorted[ends], n_pos, n_neg
-
-
-def roc_auc(
-    labels: Sequence[bool], scores: Sequence[float]
-) -> tuple[float, list[tuple[float, float]]]:
-    """ROC curve and area from a descending-score sweep with tied scores
-    grouped into single steps; the trapezoidal area equals the
-    Mann-Whitney statistic with ties counted one half."""
-    tp, fp, _, n_pos, n_neg = _roc_sweep(labels, scores)
-    tpr = np.r_[0.0, tp / n_pos]
-    fpr = np.r_[0.0, fp / n_neg]
-    auc = float(_trapezoid(tpr, fpr))
-    return auc, list(zip(fpr.tolist(), tpr.tolist()))
-
-
-def youden_threshold_stats(
-    labels: Sequence[bool], scores: Sequence[float]
-) -> tuple[float, float]:
-    """(threshold, accuracy) at the sweep point maximizing TPR - FPR.
-
-    The all-negative operating point is a candidate; ties resolve toward
-    the more conservative (higher) threshold.
-    """
-    tp, fp, thresholds, n_pos, n_neg = _roc_sweep(labels, scores)
-    n = n_pos + n_neg
-    j = np.r_[0.0, tp / n_pos - fp / n_neg]
-    best = int(np.argmax(j))
-    if best == 0:
-        return 1.0, n_neg / n
-    acc = (tp[best - 1] + (n_neg - fp[best - 1])) / n
-    return float(thresholds[best - 1]), float(acc)
 
 
 def grid_search_alpha(
@@ -223,7 +49,8 @@ def grid_search_alpha(
     max_subst_size: int | None = None,
 ) -> float:
     """Pick the evidence weight alpha maximizing mean CV macro-F1 of the
-    dataset-evidence-only predictor; ties break toward the smallest alpha.
+    dataset-evidence-only predictor; ties break toward the smallest alpha,
+    and each distinct alpha of the grid is scored once.
 
     The fold pair scan is alpha-independent (it only counts agreeing and
     disagreeing evidence), so each fold is scanned once; every grid point
@@ -237,21 +64,20 @@ def grid_search_alpha(
         raise ValueError("alpha grid must be non-empty")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    weights = [evidence_weight(alpha) for alpha in grid]
+    alphas = sorted(set(grid))
+    weights = [evidence_weight(alpha) for alpha in alphas]
     labels = dataset.labels()
     index = dataset.element_index()
-    masks = alloy_masks((la.alloy for la in dataset.alloys), index)
-    words = mask_words(masks, key_width(len(index)))
-    max_subst_size = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
-    totals = {alpha: 0.0 for alpha in grid}
-    n_runs = 0
+    alloys = [la.alloy for la in dataset.alloys]
+    words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
+    max_subst_size = substitution_limit(alloys, max_subst_size)
+    totals = np.zeros(len(alphas))
     for rep in range(repeats):
-        for train_idx, test_idx in _kfold_indices(labels, folds, seed + rep):
+        for train_idx, test_idx in kfold_indices(labels, folds, seed + rep):
             train_labels = [labels[i] for i in train_idx]
             test_labels = [labels[i] for i in test_idx]
-            counts = pair_counts([masks[i] for i in train_idx], train_labels, max_subst_size)
+            counts = pair_counts(words[train_idx], train_labels, max_subst_size)
             agree, disagree = counts.agree.astype(float), counts.disagree.astype(float)
-            n_runs += 1
             columns = []
             for weight in weights:
                 _, m_second, m_both = from_weights(weight * agree, weight * disagree)
@@ -260,16 +86,11 @@ def grid_search_alpha(
             w_pos, w_neg, _ = inference.analogy_weights(
                 words[test_idx], words[train_idx], train_labels, table, max_subst_size
             )
-            for j, alpha in enumerate(grid):
+            for j in range(len(alphas)):
                 m_pos, _, m_unc = from_weights(w_pos[:, j], w_neg[:, j])
-                totals[alpha] += macro_f1(test_labels, (m_pos + m_unc / 2.0 > 0.5).tolist())
-    best_alpha = grid[0]
-    best_score = -1.0
-    for alpha in grid:
-        mean = totals[alpha] / n_runs
-        if mean > best_score:
-            best_alpha, best_score = alpha, mean
-    return best_alpha
+                totals[j] += macro_f1(test_labels, classify(m_pos + m_unc / 2.0))
+    # argmax takes the first of equal means, the smallest alpha
+    return alphas[int(np.argmax(totals / (repeats * folds)))]
 
 
 @dataclass(frozen=True)
@@ -278,7 +99,8 @@ class SourcesConfig:
 
     The dataset-evidence source is extracted from each training partition;
     expert stores are fixed inputs whose reliability is still estimated per
-    partition. gamma_overrides skips estimation for the named sources.
+    partition. gamma_overrides skips estimation for the named sources,
+    each of which must be one of `source_ids`.
     """
 
     use_md: bool = True
@@ -291,6 +113,9 @@ class SourcesConfig:
     def __post_init__(self) -> None:
         if self.gamma_folds < 2:
             raise ConfigError(f"gamma_folds must be >= 2, got {self.gamma_folds}")
+        unknown = sorted(set(self.gamma_overrides or ()) - set(self.source_ids()))
+        if unknown:
+            raise ConfigError(f"gamma given for {unknown}, which name no source of {self.source_ids()}")
 
     def source_ids(self) -> list[str]:
         ids = ["md"] if self.use_md else []
@@ -300,7 +125,8 @@ class SourcesConfig:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Metrics for one evaluation job, with enough config echo to rerun it."""
+    """Metrics for one evaluation job, with enough config echo to rerun it;
+    `dataclasses.asdict` gives its JSON form."""
 
     kind: str
     key: str
@@ -315,22 +141,6 @@ class MetricsReport:
     gammas: dict[str, float]
     config: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "key": self.key,
-            "repeat": self.repeat,
-            "n_test": self.n_test,
-            "accuracy": self.accuracy,
-            "accuracy_youden": self.accuracy_youden,
-            "youden_threshold": self.youden_threshold,
-            "macro_f1": self.macro_f1,
-            "auc": self.auc,
-            "roc": [list(pt) for pt in self.roc],
-            "gammas": dict(self.gammas),
-            "config": self.config,
-        }
-
 
 def _evaluate_split(
     training: Dataset,
@@ -344,8 +154,6 @@ def _evaluate_split(
     Returns (scores, labels, gammas, store hashes). Everything the test
     side sees is derived from the training partition alone.
     """
-    from .fusion import SourceReliability, estimate_reliability, fuse
-
     stores: list[tuple[str, SimilarityStore]] = []
     if sources.use_md:
         config = ExtractionConfig(sources.md_alpha, sources.max_subst_size)
@@ -362,11 +170,11 @@ def _evaluate_split(
         if source_id in overrides:
             gamma = overrides[source_id]
         else:
-            gamma = estimate_reliability(
+            gamma = fusion.estimate_reliability(
                 store, training, folds=folds, seed=seed, max_subst_size=sources.max_subst_size
             )
-        gammas.append(SourceReliability(source_id, gamma))
-    fused = fuse(stores, gammas)
+        gammas.append(fusion.SourceReliability(source_id, gamma))
+    fused = fusion.fuse(stores, gammas)
     predictions = inference.predict_batch(
         [la.alloy for la in test.alloys], training, fused,
         max_subst_size=sources.max_subst_size, jobs=jobs,
@@ -407,7 +215,7 @@ def _report(
         "dataset": dataset.name,
     }
     auc, roc = roc_auc(labels, scores)
-    preds = [s > 0.5 for s in scores]
+    preds = classify(scores)
     threshold, acc_youden = youden_threshold_stats(labels, scores)
     return MetricsReport(
         kind=kind,

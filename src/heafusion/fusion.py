@@ -26,11 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloys import Dataset
+from .alloys import Dataset, kfold_splits
 from .belief import combine_masses, discount_masses
 from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
-from .evaluation import kfold_splits, macro_f1
-from .inference import predict_batch
+from .inference import classify, macro_f1, predict_batch
 from .md_evidence import SimilarityStore, union_rows
 
 __all__ = ["SourceReliability", "estimate_reliability", "fuse", "write_gammas", "read_gammas"]
@@ -59,8 +58,8 @@ def estimate_reliability(
     folds of the dataset, clipped to [0, 1].
 
     Each fold is predicted from the remaining alloys' labels and the given
-    store (the store itself is not re-derived per fold); classification
-    uses threshold 0.5 with ties negative.
+    store (the store itself is not re-derived per fold) and classified by
+    `inference.classify`.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -73,8 +72,7 @@ def estimate_reliability(
         predictions = predict_batch(
             [la.alloy for la in test.alloys], training, store, max_subst_size
         )
-        preds = [p.score > 0.5 for p in predictions]
-        total += macro_f1(test.labels(), preds)
+        total += macro_f1(test.labels(), classify([p.score for p in predictions]))
     return min(1.0, max(0.0, total / len(splits)))
 
 

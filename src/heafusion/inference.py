@@ -1,4 +1,5 @@
-"""Analogy-based phase prediction for candidate alloys.
+"""Analogy-based phase prediction for candidate alloys, and the metrics
+that score predictions against labels.
 
 A candidate is compared against every labeled alloy it shares elements
 with. Each such host defines a substitution: replace the host elements
@@ -38,15 +39,19 @@ import numpy as np
 
 from .alloys import Alloy, Dataset
 from .belief import BinaryMass, from_weights, pignistic
-from .errors import CandidateInTraining
+from .errors import CandidateInTraining, LengthMismatch, SingleClass
 from .md_evidence import KeyTable, SimilarityStore, element_words, key_width, pack_keys, substitution_limit
 
 __all__ = [
     "Prediction",
+    "accuracy",
     "analogy_weights",
+    "classify",
+    "macro_f1",
     "predict",
     "predict_batch",
-    "classify",
+    "roc_auc",
+    "youden_threshold_stats",
 ]
 
 
@@ -182,9 +187,89 @@ def predict(
     return predict_batch([candidate], training, store, max_subst_size)[0]
 
 
-def classify(p: Prediction, threshold: float = 0.5) -> bool:
-    """Positive iff the score strictly exceeds the threshold (ties are
-    negative, so the positive class needs positive evidence)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
-    return p.score > threshold
+def classify(scores: Sequence[float] | np.ndarray) -> list[bool]:
+    """Positive iff the score strictly exceeds 0.5 (ties are negative, so
+    the positive class needs positive evidence)."""
+    return (np.asarray(scores, dtype=float) > 0.5).tolist()
+
+
+def _check_paired(labels: Sequence[bool], other: Sequence, what: str) -> None:
+    if len(labels) != len(other):
+        raise LengthMismatch(f"{len(labels)} labels vs {len(other)} {what}")
+    if not labels:
+        raise LengthMismatch("empty inputs")
+
+
+def accuracy(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
+    """Fraction of correct predictions."""
+    _check_paired(labels, predictions, "predictions")
+    return sum(1 for y, p in zip(labels, predictions) if y == p) / len(labels)
+
+
+def macro_f1(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
+    """Unweighted mean of per-class F1.
+
+    A class absent from both labels and predictions counts as F1 = 1; a
+    class never labeled but predicted counts as 0 (it produced only false
+    positives).
+    """
+    _check_paired(labels, predictions, "predictions")
+    f1s = []
+    for cls in (True, False):
+        tp = sum(1 for y, p in zip(labels, predictions) if y == cls and p == cls)
+        fp = sum(1 for y, p in zip(labels, predictions) if y != cls and p == cls)
+        fn = sum(1 for y, p in zip(labels, predictions) if y == cls and p != cls)
+        denom = 2 * tp + fp + fn
+        f1s.append(1.0 if denom == 0 else 2 * tp / denom)
+    return sum(f1s) / len(f1s)
+
+
+def _roc_sweep(
+    labels: Sequence[bool], scores: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Cumulative TP/FP after each distinct-score group (descending scores)."""
+    _check_paired(labels, scores, "scores")
+    y = np.asarray(labels, dtype=bool)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClass("ROC analysis needs both classes among the labels")
+    order = np.argsort(-s, kind="stable")
+    y_sorted = y[order]
+    s_sorted = s[order]
+    ends = np.r_[np.where(np.diff(s_sorted))[0], len(s_sorted) - 1]
+    tp = np.cumsum(y_sorted)[ends]
+    fp = np.cumsum(~y_sorted)[ends]
+    return tp, fp, s_sorted[ends], n_pos, n_neg
+
+
+def roc_auc(
+    labels: Sequence[bool], scores: Sequence[float]
+) -> tuple[float, list[tuple[float, float]]]:
+    """ROC curve and area from a descending-score sweep with tied scores
+    grouped into single steps; the trapezoidal area equals the
+    Mann-Whitney statistic with ties counted one half."""
+    tp, fp, _, n_pos, n_neg = _roc_sweep(labels, scores)
+    tpr = np.r_[0.0, tp / n_pos]
+    fpr = np.r_[0.0, fp / n_neg]
+    auc = float(np.trapezoid(tpr, fpr))
+    return auc, list(zip(fpr.tolist(), tpr.tolist()))
+
+
+def youden_threshold_stats(
+    labels: Sequence[bool], scores: Sequence[float]
+) -> tuple[float, float]:
+    """(threshold, accuracy) at the sweep point maximizing TPR - FPR.
+
+    The all-negative operating point is a candidate; ties resolve toward
+    the more conservative (higher) threshold.
+    """
+    tp, fp, thresholds, n_pos, n_neg = _roc_sweep(labels, scores)
+    n = n_pos + n_neg
+    j = np.r_[0.0, tp / n_pos - fp / n_neg]
+    best = int(np.argmax(j))
+    if best == 0:
+        return 1.0, n_neg / n
+    acc = (tp[best - 1] + (n_neg - fp[best - 1])) / n
+    return float(thresholds[best - 1]), float(acc)

@@ -53,17 +53,6 @@ def default_beta(n_domains: int = len(DEFAULT_DOMAINS)) -> float:
 
 
 @dataclass(frozen=True)
-class LlmConfig:
-    """Confidence weight for expert answers."""
-
-    beta: float = default_beta()
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta < 1.0:
-            raise BetaOutOfRange(f"beta must lie in (0, 1), got {self.beta!r}")
-
-
-@dataclass(frozen=True)
 class LlmResponse:
     """One normalized answer: q1 is the knowledge gate, q2 the rating.
 
@@ -113,19 +102,19 @@ def write_prompts(records: Iterable[Mapping[str, str]], path: str | Path) -> Non
             fh.write(json.dumps(dict(record), sort_keys=True) + "\n")
 
 
-def parse_responses(path: str | Path, delimiter: str = "-") -> list[LlmResponse]:
+def parse_responses(path: str | Path) -> list[LlmResponse]:
     """Load responses from a CSV whose header names the columns element_a,
     element_b, domain, q1 and optionally q2, in any order.
 
-    Combination cells hold delimiter-joined symbols from the element
+    Combination cells hold hyphen-joined symbols from the element
     table; multi-element combinations are accepted with a warning since
     expert prompts normally cover single elements.
     """
     path = Path(path)
     responses: list[LlmResponse] = []
     for lineno, (cell_a, cell_b, domain, q1_cell, q2_cell) in read_rows(path, _COLUMNS, ("q2",)):
-        side_a = parse_symbols(cell_a, lineno, delimiter)
-        side_b = parse_symbols(cell_b, lineno, delimiter)
+        side_a = parse_symbols(cell_a, lineno)
+        side_b = parse_symbols(cell_b, lineno)
         try:
             pair = CombinationPair(side_a, side_b)
         except ValueError as exc:

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .alloys import Alloy, Dataset, alloy_masks, parse_symbols, read_rows
+from .alloys import Alloy, Dataset, parse_symbols, read_rows
 from .belief import BinaryMass, from_weights, support_weight
 from .errors import AlphaOutOfRange, ConfigError, ParseError
 
@@ -59,7 +59,6 @@ __all__ = [
     "evidence_weight",
     "element_words",
     "key_width",
-    "mask_words",
     "mass_from_counts",
     "pack_keys",
     "read_store",
@@ -138,18 +137,10 @@ def key_width(n_bits: int) -> int:
     return max(1, -(-n_bits // _WORD_BITS))
 
 
-def mask_words(masks: Sequence[int], width: int | None = None) -> np.ndarray:
-    """(n, W) uint64 array of each mask's 32-bit words, least significant
-    first; W defaults to the words the highest set bit needs."""
-    if width is None:
-        width = key_width(max(masks, default=0).bit_length())
-    raw = b"".join(m.to_bytes(4 * width, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(len(masks), width)
-
-
 def element_words(combinations: Iterable[Sequence[str]], index: Mapping[str, int], width: int) -> np.ndarray:
-    """`mask_words` of each element combination's bitmask under index
-    (element -> bit), built without per-combination integers."""
+    """(n, width) uint64 array of each element combination's bitmask under
+    index (element -> bit), split into 32-bit words, least significant
+    first: the one mask representation of the library."""
     combinations = list(combinations)
     sizes = [len(c) for c in combinations]
     bits = np.fromiter((index[e] for c in combinations for e in c), dtype=np.int64, count=sum(sizes))
@@ -161,7 +152,7 @@ def element_words(combinations: Iterable[Sequence[str]], index: Mapping[str, int
 
 
 def _words_to_ints(words: np.ndarray) -> list[int]:
-    """Inverse of `mask_words`: one Python int per row."""
+    """Inverse of `element_words`: one mask as a Python int per row."""
     ints = words[:, -1].tolist()
     for w in range(words.shape[1] - 2, -1, -1):
         ints = [hi << _WORD_BITS | lo for hi, lo in zip(ints, words[:, w].tolist())]
@@ -507,9 +498,10 @@ class PairCounts(NamedTuple):
     disagree: np.ndarray
 
 
-def pair_counts(masks: Sequence[int], labels: Sequence[bool], max_size: int) -> PairCounts:
+def pair_counts(words: np.ndarray, labels: Sequence[bool], max_size: int) -> PairCounts:
     """(agree, disagree) counts of every informative alloy pair, keyed by
-    the pair's two difference masks.
+    the pair's two difference masks; alloys are the rows of an
+    `element_words` array.
 
     A pair is informative when the alloys share an element, neither
     contains the other, and each difference side has at most max_size
@@ -518,7 +510,6 @@ def pair_counts(masks: Sequence[int], labels: Sequence[bool], max_size: int) -> 
     once they outnumber both it and a fixed batch, so memory follows the
     number of distinct keys rather than the number of pairs.
     """
-    words = mask_words(masks)
     flags = np.asarray(labels, dtype=bool)
     n = len(words)
     empty = np.zeros(0, dtype=np.int64)
@@ -550,8 +541,9 @@ def pair_counts(masks: Sequence[int], labels: Sequence[bool], max_size: int) -> 
 
 def _dataset_counts(dataset: Dataset, max_subst_size: int | None) -> PairCounts:
     alloys = [la.alloy for la in dataset.alloys]
-    masks = alloy_masks(alloys, dataset.element_index())
-    return pair_counts(masks, dataset.labels(), substitution_limit(alloys, max_subst_size))
+    index = dataset.element_index()
+    words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
+    return pair_counts(words, dataset.labels(), substitution_limit(alloys, max_subst_size))
 
 
 def extract_counts(
@@ -562,8 +554,8 @@ def extract_counts(
     (smaller, larger) as Python ints.
 
     The counts are a sufficient statistic for the combined mass at any
-    alpha, which is what makes the alpha grid search affordable. Bits
-    follow `alloy_masks` under the dataset's element index; max_subst_size
+    alpha, which is what makes the alpha grid search affordable. Bit i
+    of a mask is element i of the dataset's universe; max_subst_size
     resolves through `substitution_limit`.
     """
     keys, agree, disagree = _dataset_counts(dataset, max_subst_size)

@@ -19,10 +19,30 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import alloy_masks
 from heafusion.belief import combine, combine_all, discount, from_weights, pignistic, support_weight
 from heafusion.errors import AlphaOutOfRange, CandidateInTraining
-from heafusion.md_evidence import CombinationPair, PairCounts, key_width, mask_words, pack_keys
+from heafusion.md_evidence import CombinationPair, PairCounts, key_width, pack_keys
+
+def alloy_masks(alloys: Iterable[Alloy], index: Mapping[str, int]) -> list[int]:
+    """Bitmask per alloy under the given element->bit index, as a Python int."""
+    masks = []
+    for alloy in alloys:
+        m = 0
+        for e in alloy.elements:
+            m |= 1 << index[e]
+        masks.append(m)
+    return masks
+
+
+def mask_words(masks: Sequence[int], width: int | None = None) -> np.ndarray:
+    """(n, W) uint64 array of each integer mask's 32-bit words, least
+    significant first, as `md_evidence.element_words` lays masks out; W
+    defaults to the words the highest set bit needs."""
+    if width is None:
+        width = key_width(max(masks, default=0).bit_length())
+    raw = b"".join(m.to_bytes(4 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u4").astype(np.uint64).reshape(len(masks), width)
+
 
 FIRST = frozenset({"first"})
 SECOND = frozenset({"second"})

@@ -23,17 +23,12 @@ from heafusion import (
     UNIVERSES,
     SimilarityStore,
 )
+from heafusion.alloys import element_split, serialize_dataset
 from heafusion.analysis import hac_complete
 from heafusion.belief import combine, discount, pignistic, vacuous
 from heafusion.cli import main as cli_main
-from heafusion.evaluation import (
-    SourcesConfig,
-    _evaluate_split,
-    element_split,
-    roc_auc,
-    run_extrapolation_experiment,
-)
-from heafusion.inference import predict_batch
+from heafusion.evaluation import SourcesConfig, _evaluate_split, run_extrapolation_experiment
+from heafusion.inference import predict_batch, roc_auc
 from heafusion.llm_evidence import LlmResponse, build_store, mass_from_response
 from heafusion.md_evidence import (
     CombinationPair,
@@ -41,7 +36,6 @@ from heafusion.md_evidence import (
     counts_to_store,
     extract_all,
 )
-from heafusion.alloys import alloy_masks, serialize_dataset
 
 from conftest import (
     as_dataset,
@@ -50,6 +44,7 @@ from conftest import (
     single_substitution_alloys,
 )
 from oracles import (
+    alloy_masks,
     combine_exact,
     combine_stores,
     complete_linkage_oracle,

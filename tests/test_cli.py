@@ -162,6 +162,26 @@ class TestFuse:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "assignments",
+        [
+            ["--store", "md={a}", "--store", "md={b}", "--gamma", "md=1"],
+            ["--store", "md={a}", "--gamma", "md=1", "--gamma", "typo=0.5"],
+            ["--store", "md={a}", "--gamma", "md=1", "--gamma", "md=0.5"],
+        ],
+        ids=["store-twice", "gamma-unknown", "gamma-twice"],
+    )
+    def test_dropped_assignment_is_config_error(self, tmp_path, capsys, assignments):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        header = "combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\n"
+        a.write_text(header + "Cu,Zn,0.5,0,0.5\n")
+        b.write_text(header + "Cu,Ni,0.5,0,0.5\n")
+        args = [token.format(a=a, b=b) for token in assignments]
+        assert exit_code(["fuse", *args, "--seed", "1", "--out-dir", tmp_path / "run"]) == 2
+        err = one_error(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert not (tmp_path / "run" / "fused_store.csv").exists()
+
     def test_zero_sources(self, tmp_path, capsys):
         assert run(["fuse", "--seed", "1", "--out-dir", tmp_path]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "EmptySourceList"
@@ -212,8 +232,7 @@ class TestPredict:
     def test_pipeline_composition_matches_eval(self, tmp_path, planted_csv, responses_csv):
         """extract + ingest + fuse + predict equals the eval pipeline's
         intermediate artifacts on the same split."""
-        from heafusion.alloys import parse_dataset, serialize_dataset
-        from heafusion.evaluation import element_split
+        from heafusion.alloys import element_split, parse_dataset, serialize_dataset
 
         ds = parse_dataset(planted_csv)
         training, test = element_split(ds, "Fe")
@@ -317,6 +336,22 @@ class TestEvaluationCommands:
         assert code == 2
         assert "seed" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("command", ["eval-cv", "eval-extrapolate"])
+    @pytest.mark.parametrize(
+        "gammas",
+        [["md=1", "typo=0.5"], ["md=1", "md=0.5"], ["llm:Metallurgy=0.5"]],
+        ids=["unknown", "twice", "source-not-selected"],
+    )
+    def test_dropped_gamma_is_config_error(self, tmp_path, dataset_csv, capsys, command, gammas):
+        args = ["--fractions", "0.2"] if command == "eval-cv" else ["--elements", "H"]
+        gamma_args = [arg for gamma in gammas for arg in ("--gamma", gamma)]
+        code = exit_code([command, "--dataset", dataset_csv, *args, "--sources", "md", *gamma_args,
+                          "--gamma-folds", "3", "--seed", "5", "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = one_error(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert not (tmp_path / "run" / "reports.json").exists()
+
     def test_multi_source_eval(self, tmp_path, planted_csv, responses_csv):
         out = tmp_path / "run"
         code = run(
@@ -339,6 +374,18 @@ class TestTuneAlpha:
         )
         assert code == 0
         assert json.loads((out / "alpha.json").read_text())["alpha"] == 0.1
+
+
+    def test_tie_ignores_grid_order_and_repeats(self, tmp_path):
+        data = tmp_path / "toy.csv"
+        data.write_text("composition,label\nCo-Ni-Cr,1\nNi-Cr-Mn,0\nFe-Co-Ni,1\n"
+                        "Fe-Co-Mn,1\nFe-Ni-Mn,0\nFe-Ni-Cr,0\n")
+        for grid in ("0.3,0.05", "0.05,0.3", "0.45,0.05,0.45"):
+            out = tmp_path / grid
+            code = run(["tune-alpha", "--dataset", data, "--grid", grid, "--folds", "2",
+                        "--repeats", "1", "--seed", "1", "--out-dir", out])
+            assert code == 0
+            assert json.loads((out / "alpha.json").read_text())["alpha"] == 0.05, grid
 
 
 class TestCountOptions:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import ELEMENT_SYMBOLS, alloy_masks
+from heafusion.alloys import ELEMENT_SYMBOLS
 from heafusion.errors import TotalConflict
 from heafusion.fusion import SourceReliability, fuse
 from heafusion.inference import predict_batch
@@ -21,7 +21,7 @@ from heafusion.md_evidence import (
 )
 
 from conftest import random_dataset
-from oracles import fuse_reference, predict_reference, scan_partition
+from oracles import alloy_masks, fuse_reference, predict_reference, scan_partition
 
 TABLE_SIZES = (3, 5, 9, 16, 26, 31, 32, 33, 47, 63, 64, 65, 80, 103)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import UNIVERSES, enumerate_combinations
+from heafusion.alloys import UNIVERSES, element_split, enumerate_combinations, fraction_split, kfold_splits
 from heafusion.errors import (
     ConfigError,
     ElementAbsent,
@@ -18,19 +18,12 @@ from heafusion.evaluation import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_FRACTIONS,
     SourcesConfig,
-    accuracy,
-    element_split,
-    fraction_split,
     grid_search_alpha,
-    kfold_splits,
-    macro_f1,
-    roc_auc,
     run_cv_experiment,
     run_extrapolation_experiment,
     summarize_reports,
-    youden_threshold_stats,
 )
-from heafusion.inference import predict_batch
+from heafusion.inference import accuracy, macro_f1, predict_batch, roc_auc, youden_threshold_stats
 from heafusion.md_evidence import ExtractionConfig, extract_all
 
 from conftest import (
@@ -132,6 +125,15 @@ class TestCountChecks:
         ds = random_dataset(20, universe_size=8, seed=1)
         with pytest.raises(ConfigError):
             call(ds)
+
+
+class TestGammaOverrides:
+    def test_override_must_name_a_source(self):
+        with pytest.raises(ConfigError, match="typo"):
+            SourcesConfig(gamma_overrides={"md": 1.0, "typo": 0.5})
+        with pytest.raises(ConfigError, match="md"):
+            SourcesConfig(use_md=False, llm_stores={"llm:x": SimilarityStore()}, gamma_overrides={"md": 0.5})
+        assert SourcesConfig(gamma_overrides={"md": 0.5}).gamma_overrides == {"md": 0.5}
 
 
 class TestAccuracy:
@@ -268,6 +270,17 @@ class TestGridSearchAlpha:
         ]
         ds = as_dataset(rows)
         assert grid_search_alpha(ds, grid=[0.05, 0.1, 0.2], folds=2, repeats=1, seed=1) == 0.05
+
+    def test_tie_ignores_grid_order_and_repeats(self):
+        # every alpha scores the same on these six alloys, so the smallest
+        # wins whatever the grid order, and a repeated alpha counts once
+        ds = as_dataset([
+            LabeledAlloy(Alloy(elements.split()), label)
+            for elements, label in (("Co Ni Cr", True), ("Ni Cr Mn", False), ("Fe Co Ni", True),
+                                    ("Fe Co Mn", True), ("Fe Ni Mn", False), ("Fe Ni Cr", False))
+        ])
+        for grid in ([0.3, 0.05], [0.05, 0.3], [0.05, 0.45, 0.45], [0.45, 0.05, 0.45]):
+            assert grid_search_alpha(ds, grid=grid, folds=2, repeats=1, seed=1) == 0.05, grid
 
     def test_default_grid_shape(self):
         assert len(DEFAULT_ALPHA_GRID) == 50

@@ -7,7 +7,7 @@ import pytest
 from heafusion import BinaryMass, SimilarityStore
 from heafusion.belief import combine_all, discount, vacuous
 from heafusion.errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
-from heafusion.evaluation import kfold_splits
+from heafusion.alloys import kfold_splits
 from heafusion.fusion import (
     SourceReliability,
     estimate_reliability,

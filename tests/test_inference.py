@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore
@@ -135,14 +136,16 @@ class TestClassify:
         training = as_dataset([la("Ag Cd In Cu".split(), True)])
         store = store_of({(("Cu",), ("Zn",)): (0.25, 0.0, 0.75)})
         p = predict(Alloy("Ag Cd In Zn".split()), training, store)
-        assert classify(p, 0.5) is True
-        assert classify(p, 0.625) is False  # strict inequality
-        assert classify(p, 0.7) is False
+        assert p.score == 0.625
+        assert classify([p.score]) == [True]
+        assert classify([0.5, np.nextafter(0.5, 1.0), 0.0, 1.0]) == [False, True, False, True]
+        assert classify(np.array([0.625, 0.375])) == [True, False]
 
     def test_vacuous_tie_is_negative(self):
         training = as_dataset([la("Fe Ni Cr Co".split())])
         p = predict(Alloy("Ag Cd In Zn".split()), training, SimilarityStore())
-        assert classify(p, 0.5) is False
+        assert p.score == 0.5
+        assert classify([p.score]) == [False]
 
 
 def _random_instance(seed):

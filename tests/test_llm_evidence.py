@@ -6,7 +6,6 @@ from heafusion import BinaryMass
 from heafusion.errors import BetaOutOfRange, ParseError
 from heafusion.llm_evidence import (
     DEFAULT_DOMAINS,
-    LlmConfig,
     LlmResponse,
     build_store,
     default_beta,
@@ -58,11 +57,13 @@ class TestResponseInvariants:
 
     def test_default_beta_matches_domain_count(self):
         assert default_beta() == pytest.approx(1.0 / len(DEFAULT_DOMAINS))
-        assert LlmConfig().beta == pytest.approx(0.2)
+        assert default_beta() == pytest.approx(0.2)
 
     def test_default_beta_single_domain_stays_valid(self):
         assert default_beta(1) == 0.5
-        LlmConfig(default_beta(1))
+        assert mass_from_response(LlmResponse(pair(), "Metallurgy", True, "High"), default_beta(1)) == BinaryMass(
+            0.5, 0.0, 0.5
+        )
 
 
 class TestPrompts:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy
-from heafusion.alloys import ELEMENT_SYMBOLS, alloy_masks
+from heafusion.alloys import ELEMENT_SYMBOLS
 from heafusion.errors import AlphaOutOfRange, ParseError
 from heafusion.md_evidence import (
     CombinationPair,
@@ -22,6 +22,7 @@ from heafusion.md_evidence import (
 
 from conftest import EXAMPLE_MASS, as_dataset, random_dataset
 from oracles import (
+    alloy_masks,
     combine_exact,
     combine_stores,
     count_table,
