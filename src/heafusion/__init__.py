@@ -28,16 +28,7 @@ from .analysis import (
     hybrid_distance_matrix,
     write_matrix_csv,
 )
-from .belief import (
-    BinaryMass,
-    combine,
-    combine_all,
-    conflict,
-    discount,
-    from_weights,
-    pignistic,
-    vacuous,
-)
+from .belief import BinaryMass, discount_weights, from_weights, pignistic, to_weights
 from .errors import HeafusionError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,

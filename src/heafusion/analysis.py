@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .alloys import Alloy
+from .belief import from_weights
 from .errors import MatrixMalformed
 from .md_evidence import CombinationPair, SimilarityStore
 
@@ -33,8 +34,8 @@ _VACUOUS_DISTANCE = 0.5  # pignistic dissimilarity of an unobserved pair
 
 
 def _pignistic_dissimilarity(store: SimilarityStore, pairs: Sequence[CombinationPair]) -> np.ndarray:
-    masses = store.masses(pairs)
-    return masses[:, 1] + masses[:, 2] / 2.0
+    _, m_second, m_both = from_weights(*store.weights(pairs).T)
+    return m_second + m_both / 2.0
 
 
 def element_distance_matrix(store: SimilarityStore, universe: Sequence[str]) -> np.ndarray:

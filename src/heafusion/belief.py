@@ -8,10 +8,13 @@ used in this package: {similar, dissimilar} for substitutability evidence and
 call site.
 
 Simple support on one outcome with strength s carries the weight of
-evidence w = -ln(1 - s), and Dempster's rule adds the weights of evidence
-for the same outcome, so evidence on a two-outcome frame pools by summing
-one weight per outcome and reading the sums out once with `from_weights`
-(Smets 1995; Denoeux 2019).
+evidence w = -ln(1 - s), and every mass with m_both > 0 is the Dempster
+combination of simple support on each outcome (Smets 1995; Denoeux 2019).
+Dempster's rule therefore adds the weights of evidence for the same
+outcome, so the library holds evidence as one weight per outcome, pools it
+by addition, and reads the sums out once with `from_weights`; `to_weights`
+is its inverse and `discount_weights` applies reliability discounting to
+weights.
 
 All values are immutable and all operations are pure functions, so they are
 safe to share across threads.
@@ -20,15 +23,12 @@ safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable
 
 import numpy as np
 
 from .errors import GammaOutOfRange, TotalConflict
 
 SUM_TOL = 1e-9
-CONFLICT_LIMIT = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,62 +55,8 @@ class BinaryMass:
         return (self.m_first, self.m_second, self.m_both)
 
 
-def vacuous() -> BinaryMass:
-    """Total-uncertainty mass: all weight on the full frame."""
-    return BinaryMass(0.0, 0.0, 1.0)
-
-
-def conflict(x: BinaryMass, y: BinaryMass) -> float:
-    """Mass assigned to contradictory singleton pairs during combination."""
-    return x.m_first * y.m_second + x.m_second * y.m_first
-
-
-def combine_masses(x, y):
-    """Normalized Dempster combination of (first, second, both) triples of
-    floats or of equal-length arrays; `combine` and the array fusion share
-    this arithmetic.
-
-    Raises TotalConflict when the inputs are (numerically) fully
-    contradictory, which cannot happen while either keeps m_both > 0.
-    """
-    x_first, x_second, x_both = x
-    y_first, y_second, y_both = y
-    k = x_first * y_second + x_second * y_first
-    if np.any(k >= CONFLICT_LIMIT):
-        worst = k if np.ndim(k) == 0 else k[np.flatnonzero(k >= CONFLICT_LIMIT)[0]]
-        raise TotalConflict(f"conflict {float(worst)!r} leaves no mass to renormalize")
-    # cross terms grouped so argument order cannot change the rounding;
-    # normalizing by the computed sum (exactly 1 - k in real arithmetic)
-    # keeps results on the simplex even under repeated combination
-    first = x_first * y_first + (x_first * y_both + x_both * y_first)
-    second = x_second * y_second + (x_second * y_both + x_both * y_second)
-    both = x_both * y_both
-    total = first + second + both
-    return first / total, second / total, both / total
-
-
-def combine(x: BinaryMass, y: BinaryMass) -> BinaryMass:
-    """Normalized Dempster combination of two mass functions (see
-    `combine_masses`)."""
-    return BinaryMass(*combine_masses(x.as_tuple(), y.as_tuple()))
-
-
-def combine_all(ms: Iterable[BinaryMass]) -> BinaryMass:
-    """Left fold of `combine` starting from the vacuous mass."""
-    return reduce(combine, ms, vacuous())
-
-
-def discount_masses(m, gamma: float):
-    """`discount` of a (first, second, both) triple of floats or arrays."""
-    if not 0.0 <= gamma <= 1.0:
-        raise GammaOutOfRange(f"gamma must lie in [0, 1], got {gamma!r}")
-    m_first, m_second, m_both = m
-    return gamma * m_first, gamma * m_second, 1.0 - gamma + gamma * m_both
-
-
-def discount(m: BinaryMass, gamma: float) -> BinaryMass:
-    """Scale committed mass by reliability gamma, moving the rest to the frame."""
-    return BinaryMass(*discount_masses(m.as_tuple(), gamma))
+def _scalar_or_array(values: tuple, ndim: int) -> tuple:
+    return tuple(float(x) for x in values) if ndim == 0 else values
 
 
 def from_weights(w_first, w_second):
@@ -136,22 +82,41 @@ def from_weights(w_first, w_second):
     first = np.exp(np.minimum(w1 - w2, 0.0)) - both
     second = np.exp(np.minimum(w2 - w1, 0.0)) - both
     total = first + second + both
-    m = (first / total, second / total, both / total)
-    return tuple(float(x) for x in m) if total.ndim == 0 else m
+    return _scalar_or_array((first / total, second / total, both / total), total.ndim)
 
 
-def support_weight(m_rest):
-    """Weight of evidence -ln(1 - s) of the support s = m_first of a mass,
-    given m_rest = m_second + m_both.
+def to_weights(m_first, m_second, m_both):
+    """(w_first, w_second) with `from_weights(w_first, w_second)` equal to
+    the mass: w = ln(1 + m / m_both) per outcome.
 
-    Taking the logarithm of the mass left over, rather than of 1 - s,
-    keeps the weight finite for supports that round to 1. Floats or
-    arrays; clipped at 0 for masses whose components sum slightly above 1,
-    and infinite where m_rest is 0.
+    Where m_both is 0 a committed outcome has infinite weight and an empty
+    one weight 0; a mass with both singletons positive and m_both 0 has no
+    weights and raises ValueError. Floats or arrays, as in `from_weights`.
     """
-    with np.errstate(divide="ignore"):
-        w = np.maximum(-np.log(m_rest), 0.0)
-    return float(w) if np.ndim(w) == 0 else w
+    first, second, both = (np.asarray(m, dtype=float) for m in (m_first, m_second, m_both))
+    if np.any((both == 0.0) & (first > 0.0) & (second > 0.0)):
+        raise ValueError("a mass with both singletons positive and no ignorance has no weights of evidence")
+    weights = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in (first, second):
+            w = np.log1p(m / both)
+            # m / m_both overflows only for a subnormal m_both, where m dwarfs it
+            w = np.where(np.isinf(w) & (both > 0.0), np.log(m) - np.log(both), w)
+            weights.append(np.where(m == 0.0, 0.0, w))
+    return _scalar_or_array(tuple(weights), np.ndim(weights[0]))
+
+
+def discount_weights(w_first, w_second, gamma: float):
+    """Weights (w_first, w_second) discounted by reliability gamma: the
+    committed mass of their readout scaled by gamma, the rest moved to the
+    frame. gamma = 1 returns the weights themselves, gamma = 0 gives (0, 0).
+    Floats or arrays, as in `from_weights`."""
+    if not 0.0 <= gamma <= 1.0:
+        raise GammaOutOfRange(f"gamma must lie in [0, 1], got {gamma!r}")
+    if gamma == 1.0:
+        return w_first, w_second
+    m_first, m_second, m_both = from_weights(w_first, w_second)
+    return to_weights(gamma * m_first, gamma * m_second, 1.0 - gamma + gamma * m_both)
 
 
 def pignistic(m: BinaryMass) -> float:

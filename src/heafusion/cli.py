@@ -432,24 +432,20 @@ def _cmd_fuse(args: argparse.Namespace) -> None:
     assignments = _parse_assignments(args.store, "store")
     if not assignments:
         raise EmptySourceList("fuse requires at least one --store ID=PATH")
-    explicit = {sid: float(v) for sid, v in _parse_assignments(args.gamma, "gamma").items()}
+    explicit = {sid: SourceReliability(sid, float(v)) for sid, v in _parse_assignments(args.gamma, "gamma").items()}
     unknown = sorted(set(explicit) - set(assignments))
     if unknown:
         raise ConfigError(f"--gamma given for {unknown}, which name no --store")
+    estimated = [sid for sid in assignments if sid not in explicit]
+    if estimated and args.dataset is None:
+        raise ConfigError(f"no --gamma for {estimated[0]!r} and no --dataset to estimate from")
     stores = [(sid, read_store(path)) for sid, path in assignments.items()]
-    gammas = []
-    dataset = parse_dataset(args.dataset, universe=args.universe) if args.dataset else None
-    for sid, store in stores:
-        if sid in explicit:
-            gammas.append(SourceReliability(sid, explicit[sid]))
-        else:
-            if dataset is None:
-                raise ConfigError(f"no --gamma for {sid!r} and no --dataset to estimate from")
-            gammas.append(
-                SourceReliability(
-                    sid, estimate_reliability(store, dataset, folds=args.folds, seed=args.seed)
-                )
-            )
+    dataset = parse_dataset(args.dataset, universe=args.universe) if estimated else None
+    gammas = [
+        explicit[sid] if sid in explicit
+        else SourceReliability(sid, estimate_reliability(store, dataset, folds=args.folds, seed=args.seed))
+        for sid, store in stores
+    ]
     fused = fuse(stores, gammas)
     out = _out_path(args, args.out)
     write_store(fused, out)
@@ -480,11 +476,11 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     out = _out_path(args, args.out)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5"])
+        writer.writerow(["composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5", "n_analogies"])
         for p, positive in zip(predictions, classify([p.score for p in predictions])):
             writer.writerow(
                 [p.candidate.composition(), f"{p.mass.m_first:.17g}", f"{p.mass.m_second:.17g}",
-                 f"{p.mass.m_both:.17g}", f"{p.score:.17g}", int(positive)]
+                 f"{p.mass.m_both:.17g}", f"{p.score:.17g}", int(positive), p.n_analogies]
             )
     _write_metadata(args, [out.name], {"n_candidates": len(candidates)})
 

@@ -21,13 +21,14 @@ import numpy as np
 
 from . import fusion, inference
 from .alloys import Dataset, element_split, fraction_split, kfold_indices
-from .belief import from_weights, support_weight
-from .errors import ConfigError, EmptySourceList
+from .belief import from_weights
+from .errors import ConfigError, EmptySourceList, GammaOutOfRange
 from .inference import accuracy, classify, macro_f1, roc_auc, youden_threshold_stats
 from .md_evidence import (
     ExtractionConfig,
     KeyTable,
     SimilarityStore,
+    analogy_weight,
     element_words,
     evidence_weight,
     extract_all,
@@ -54,9 +55,9 @@ def grid_search_alpha(
 
     The fold pair scan is alpha-independent (it only counts agreeing and
     disagreeing evidence), so each fold is scanned once; every grid point
-    reads the counts out as `extract_all` and `predict_batch` would, one
-    weight column per alpha, and one `analogy_weights` call sums all
-    columns.
+    turns the counts into analogy weights as `extract_all` and
+    `predict_batch` would, one weight column per alpha, and one
+    `analogy_weights` call sums all columns.
     """
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
@@ -77,11 +78,7 @@ def grid_search_alpha(
             train_labels = [labels[i] for i in train_idx]
             test_labels = [labels[i] for i in test_idx]
             counts = pair_counts(words[train_idx], train_labels, max_subst_size)
-            agree, disagree = counts.agree.astype(float), counts.disagree.astype(float)
-            columns = []
-            for weight in weights:
-                _, m_second, m_both = from_weights(weight * agree, weight * disagree)
-                columns.append(support_weight(m_second + m_both))
+            columns = [analogy_weight(weight * counts.agree, weight * counts.disagree) for weight in weights]
             table = KeyTable(counts.keys, np.stack(columns, axis=1))
             w_pos, w_neg, _ = inference.analogy_weights(
                 words[test_idx], words[train_idx], train_labels, table, max_subst_size
@@ -100,7 +97,7 @@ class SourcesConfig:
     The dataset-evidence source is extracted from each training partition;
     expert stores are fixed inputs whose reliability is still estimated per
     partition. gamma_overrides skips estimation for the named sources,
-    each of which must be one of `source_ids`.
+    each of which must be one of `source_ids`, with a gamma in [0, 1].
     """
 
     use_md: bool = True
@@ -116,6 +113,9 @@ class SourcesConfig:
         unknown = sorted(set(self.gamma_overrides or ()) - set(self.source_ids()))
         if unknown:
             raise ConfigError(f"gamma given for {unknown}, which name no source of {self.source_ids()}")
+        for source_id, gamma in (self.gamma_overrides or {}).items():
+            if not 0.0 <= gamma <= 1.0:
+                raise GammaOutOfRange(f"gamma for {source_id!r} must lie in [0, 1], got {gamma!r}")
 
     def source_ids(self) -> list[str]:
         ids = ["md"] if self.use_md else []

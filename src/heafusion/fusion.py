@@ -2,18 +2,17 @@
 
 Each evidence source gets a reliability weight gamma in [0, 1]: the
 macro-averaged F1 its store achieves when predicting held-out folds of the
-reference dataset by analogy. Before fusion, every source's masses are
+reference dataset by analogy. Before fusion, every source's evidence is
 discounted by its gamma (committed mass shrinks toward ignorance), then
 the discounted stores are Dempster-combined pair by pair, so unreliable
 sources pull the result toward the vacuous mass instead of injecting
 conflict.
 
-Fusion works on the stores' columns: `md_evidence.union_rows` aligns the
-stores on the sorted union of their keys, and the mass columns are folded
-source by source with `belief.discount_masses` and
-`belief.combine_masses`, the arithmetic `discount` and `combine` use. Every
-key starts vacuous and meets its present sources in source order, so each
-fused mass is the one a per-pair fold gives, to the bit.
+Stores hold weights of evidence, and Dempster's rule adds them, so fusion
+is one sum: `md_evidence.union_rows` aligns the stores on the sorted union
+of their keys, and each source's weight columns, discounted by
+`belief.discount_weights`, are added into the fused columns in source
+order.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .alloys import Dataset, kfold_splits
-from .belief import combine_masses, discount_masses
-from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
+from .belief import discount_weights
+from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError, TotalConflict
 from .inference import classify, macro_f1, predict_batch
 from .md_evidence import SimilarityStore, union_rows
 
@@ -81,11 +80,12 @@ def fuse(
     gammas: Sequence[SourceReliability],
 ) -> SimilarityStore:
     """Discount every source by its reliability and Dempster-combine the
-    stores over the union of their pairs.
+    stores over the union of their pairs: the sum of the discounted
+    weights.
 
-    Sources missing a pair contribute the vacuous mass there and are
-    skipped (vacuous is the combination identity). Every store must have a
-    matching reliability entry.
+    Sources missing a pair contribute weight 0 there. Every store must
+    have a matching reliability entry. Raises TotalConflict for a pair
+    whose fused weights are infinite on both outcomes.
     """
     if not stores:
         raise EmptySourceList("no stores to fuse")
@@ -95,13 +95,16 @@ def fuse(
         raise ValueError(f"no reliability given for sources {missing}")
 
     elements, keys, positions = union_rows([store for _, store in stores])
-    fused = (np.zeros(len(keys)), np.zeros(len(keys)), np.ones(len(keys)))
+    w_first, w_second = np.zeros(len(keys)), np.zeros(len(keys))
     for (sid, store), rows in zip(stores, positions):
-        held = tuple(column[rows] for column in fused)
-        contribution = discount_masses((store.m_first, store.m_second, store.m_both), gamma_by_id[sid])
-        for column, values in zip(fused, combine_masses(held, contribution)):
-            column[rows] = values
-    return SimilarityStore(elements, keys, *fused)
+        d_first, d_second = discount_weights(store.w_first, store.w_second, gamma_by_id[sid])
+        w_first[rows] += d_first  # a store's rows are distinct
+        w_second[rows] += d_second
+    fused = SimilarityStore(elements, keys, w_first, w_second)
+    if np.any(np.isinf(w_first) & np.isinf(w_second)):
+        pair = next(pair for pair, (w1, w2) in fused.items() if math.isinf(w1) and math.isinf(w2))
+        raise TotalConflict(f"infinite weight of evidence on both outcomes for pair {pair}")
+    return fused
 
 
 def write_gammas(gammas: Sequence[SourceReliability], path: str | Path) -> None:

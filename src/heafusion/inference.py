@@ -11,13 +11,10 @@ weights, so the analogy pool is one sum of weights per class, read out
 once by `belief.from_weights` and scored by the pignistic probability of
 the positive class.
 
-The weights come from `SimilarityStore.mask_view` as -ln(m_second +
-m_both), which stays finite for similarities that round to 1.
-TotalConflict means infinite weight on both classes: a candidate with
-hosts of both classes whose stored masses have m_second + m_both exactly
-0. The md source at small alpha cannot produce such masses (at alpha =
-0.1 a pair would need over 7,000 more agreeing than disagreeing pieces);
-large alpha can, until stores hold weights instead of masses.
+The weights come from `SimilarityStore.mask_view`, finite for
+similarities that round to 1. TotalConflict means infinite weight on both
+classes: hosts of both classes whose store entries have infinite weight on
+similar, which counts never give.
 
 `analogy_weights` is one array kernel. Candidates and hosts are rows of
 32-bit mask words; a block of whole candidates is compared with every host

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .alloys import parse_symbols, read_rows
-from .belief import BinaryMass, combine
+from .belief import BinaryMass, to_weights
 from .errors import BetaOutOfRange, ParseError
 from .md_evidence import CombinationPair, SimilarityStore
 
@@ -155,11 +157,13 @@ def build_store(
     responses: Iterable[LlmResponse], beta: float
 ) -> dict[str, SimilarityStore]:
     """One similarity store per domain; repeated answers for the same pair
-    within a domain are Dempster-combined."""
-    by_domain: dict[str, dict[CombinationPair, BinaryMass]] = {}
-    for resp in responses:
-        entries = by_domain.setdefault(resp.domain, {})
-        mass = mass_from_response(resp, beta)
-        held = entries.get(resp.pair)
-        entries[resp.pair] = mass if held is None else combine(held, mass)
+    within a domain are Dempster-combined: their weights of evidence are
+    summed in file order."""
+    responses = list(responses)
+    masses = np.array([mass_from_response(resp, beta).as_tuple() for resp in responses]).reshape(-1, 3)
+    by_domain: dict[str, dict[CombinationPair, list[float]]] = {}
+    for resp, w_first, w_second in zip(responses, *(w.tolist() for w in to_weights(*masses.T))):
+        held = by_domain.setdefault(resp.domain, {}).setdefault(resp.pair, [0.0, 0.0])
+        held[0] += w_first
+        held[1] += w_second
     return {domain: SimilarityStore.from_entries(entries) for domain, entries in by_domain.items()}

@@ -6,8 +6,7 @@ under the shared elements as context: mass alpha lands on {similar} when
 the labels agree and on {dissimilar} when they differ, the rest on the
 full frame. Each piece is simple support with weight of evidence
 -ln(1 - alpha), and Dempster's rule adds weights, so a pair's pooled
-evidence is its (agree, disagree) counts times that weight, read out once
-by `belief.from_weights` into the similarity store.
+evidence is its (agree, disagree) counts times that weight, as stored.
 
 The pair scan is the hot loop; alloys are folded to bitmasks and each
 block of alloys is compared with all later ones in numpy array operations,
@@ -15,19 +14,20 @@ so a 14,950-alloy dataset stays tractable in one process. The counts are
 alpha-independent, so one scan serves every alpha.
 
 Stores are columnar. A `SimilarityStore` holds its element tuple (bit i of
-a side mask is element i), one row of packed key words per entry and three
-float64 mass columns. A side mask is split into 32-bit words, and key word
-w packs word w of the smaller side mask (compared as integers) in its high
+a side mask is element i), one row of packed key words per entry and two
+float64 columns of weights of evidence. A side mask is split into 32-bit
+words, and key word w packs word w of the smaller side mask (compared as integers) in its high
 half and word w of the larger side's in its low half, so one layout covers
 every table up to the 103-symbol element table. Rows are distinct and
 sorted lexicographically, word 0 first, which is the order `pair_counts`
 produces, so the scan's arrays become a store without per-entry objects.
 Lookups use `np.searchsorted` (`KeyTable`); combination pairs and element
-strings appear only at the edges: `get`, `masses`, `items`, `read_store`,
-`write_store` and `from_entries`. `content_hash` digests one canonical
-byte buffer: the used element names sorted, the keys re-packed in that bit
-order and sorted, then the mass columns, so it does not depend on bit or
-insertion order. The store CSV format is unchanged.
+strings appear only at the edges: `get`, `weights`, `items`,
+`from_entries`, `write_store` and the error messages of `read_store`.
+`content_hash` digests one canonical byte buffer: the used element names
+sorted, the keys re-packed in that bit order and sorted, then the weight
+columns, so it does not depend on bit or insertion order. Store files
+hold the weights as 17-digit floats or `inf`, so their round trip is exact.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .alloys import Alloy, Dataset, parse_symbols, read_rows
-from .belief import BinaryMass, from_weights, support_weight
+from .belief import BinaryMass, from_weights
 from .errors import AlphaOutOfRange, ConfigError, ParseError
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "KeyTable",
     "PairCounts",
     "SimilarityStore",
+    "analogy_weight",
     "extract_all",
     "extract_counts",
     "pair_counts",
@@ -300,48 +301,49 @@ def _no_keys() -> np.ndarray:
     return np.zeros((0, 1), dtype=np.uint64)
 
 
-def _no_mass() -> np.ndarray:
+def _no_weights() -> np.ndarray:
     return np.zeros(0)
 
 
 @dataclass(frozen=True, eq=False)
 class SimilarityStore:
-    """Map from combination pair to combined substitutability mass, held
-    as columns.
+    """Map from combination pair to pooled substitutability evidence, held
+    as columns of weights of evidence.
 
     `elements` names the mask bits; `keys` holds one row of packed words
-    per entry (see the module docstring), distinct and sorted; `m_first`,
-    `m_second` and `m_both` are the masses of the rows. Lookup of an
-    absent pair is vacuous (total uncertainty). The constructor trusts its
-    arrays; build stores with `from_entries`, `counts_to_store` or the
-    library's combinators. Treat as immutable once built.
+    per entry (see the module docstring), distinct and sorted; `w_first`
+    and `w_second` are the rows' non-negative weights of evidence on
+    similar and on dissimilar, never both infinite. An absent pair weighs
+    (0, 0), which reads out vacuous. The constructor trusts its arrays;
+    build stores with `from_entries`, `counts_to_store` or the library's
+    combinators. Treat as immutable once built.
     """
 
     elements: tuple[str, ...] = ()
     keys: np.ndarray = field(default_factory=_no_keys)
-    m_first: np.ndarray = field(default_factory=_no_mass)
-    m_second: np.ndarray = field(default_factory=_no_mass)
-    m_both: np.ndarray = field(default_factory=_no_mass)
+    w_first: np.ndarray = field(default_factory=_no_weights)
+    w_second: np.ndarray = field(default_factory=_no_weights)
 
     def __post_init__(self) -> None:
         if not isinstance(self.elements, tuple):
             raise TypeError(f"elements must be a tuple of symbols, got {type(self.elements).__name__}")
         if self.keys.ndim != 2 or self.keys.dtype != np.uint64:
             raise TypeError("keys must be a 2-D uint64 array")
-        if not len(self.keys) == len(self.m_first) == len(self.m_second) == len(self.m_both):
-            raise ValueError("keys and mass columns differ in length")
+        if not len(self.keys) == len(self.w_first) == len(self.w_second):
+            raise ValueError("keys and weight columns differ in length")
 
     @classmethod
-    def from_entries(cls, entries: Mapping[CombinationPair, BinaryMass]) -> "SimilarityStore":
-        """Store of the given entries, over their elements in sorted order."""
+    def from_entries(cls, entries: Mapping[CombinationPair, Sequence[float]]) -> "SimilarityStore":
+        """Store of the given (w_first, w_second) entries, over their
+        elements in sorted order."""
         elements = tuple(sorted({e for pair in entries for e in pair.first + pair.second}))
         bit = {e: i for i, e in enumerate(elements)}
         width = key_width(len(elements))
         keys = pack_keys(*(element_words([getattr(pair, side) for pair in entries], bit, width)
                            for side in ("first", "second")))
-        masses = np.array([m.as_tuple() for m in entries.values()], dtype=float).reshape(-1, 3)
+        weights = np.array([tuple(w) for w in entries.values()], dtype=float).reshape(-1, 2)
         order = _row_order(keys)
-        return cls(elements, keys[order], *(np.ascontiguousarray(masses[order, j]) for j in range(3)))
+        return cls(elements, keys[order], *(np.ascontiguousarray(weights[order, j]) for j in range(2)))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -349,6 +351,10 @@ class SimilarityStore:
     @cached_property
     def _table(self) -> KeyTable:
         return KeyTable(self.keys)
+
+    @cached_property
+    def _analogy_weights(self) -> np.ndarray:
+        return analogy_weight(self.w_first, self.w_second)
 
     @cached_property
     def _bit(self) -> dict[str, int]:
@@ -366,19 +372,20 @@ class SimilarityStore:
         rows[np.array(known, dtype=np.intp)[found]] = pos[found]
         return rows
 
-    def masses(self, pairs: Sequence[CombinationPair]) -> np.ndarray:
-        """(m_first, m_second, m_both) row of each pair, vacuous where absent."""
+    def weights(self, pairs: Sequence[CombinationPair]) -> np.ndarray:
+        """(w_first, w_second) row of each pair, (0, 0) where absent."""
         rows = self._rows(pairs)
-        out = np.tile([0.0, 0.0, 1.0], (len(pairs), 1))
+        out = np.zeros((len(pairs), 2))
         held = rows >= 0
-        out[held] = np.stack([column[rows[held]] for column in (self.m_first, self.m_second, self.m_both)], axis=1)
+        out[held] = np.stack([self.w_first[rows[held]], self.w_second[rows[held]]], axis=1)
         return out
 
     def get(self, pair: CombinationPair) -> BinaryMass:
-        return BinaryMass(*self.masses([pair])[0].tolist())
+        """The pair's evidence read out as a mass."""
+        return BinaryMass(*from_weights(*self.weights([pair])[0].tolist()))
 
     def similarity(self, pair: CombinationPair) -> float:
-        return float(self.masses([pair])[0, 0])
+        return self.get(pair).m_first
 
     def __contains__(self, pair: CombinationPair) -> bool:
         return bool(self._rows([pair])[0] >= 0)
@@ -398,11 +405,10 @@ class SimilarityStore:
             out.append((a, b) if a <= b else (b, a))
         return out
 
-    def items(self) -> Iterator[tuple[CombinationPair, BinaryMass]]:
-        """(pair, mass) of every entry, in key row order."""
-        columns = zip(self.m_first.tolist(), self.m_second.tolist(), self.m_both.tolist())
-        for (first, second), mass in zip(self._sides(), columns):
-            yield CombinationPair(first, second), BinaryMass(*mass)
+    def items(self) -> Iterator[tuple[CombinationPair, tuple[float, float]]]:
+        """(pair, (w_first, w_second)) of every entry, in key row order."""
+        for (first, second), weights in zip(self._sides(), zip(self.w_first.tolist(), self.w_second.tolist())):
+            yield CombinationPair(first, second), weights
 
     def reindexed(self, elements: Sequence[str]) -> "SimilarityStore":
         """The entries over the given elements, keyed in their bit order;
@@ -411,32 +417,31 @@ class SimilarityStore:
         target = {e: i for i, e in enumerate(elements)}
         bits = np.array([target.get(e, -1) for e in self.elements], dtype=np.int64)
         keys, rows = _remap(self.keys, bits, key_width(len(elements)))
-        return SimilarityStore(elements, keys, self.m_first[rows], self.m_second[rows], self.m_both[rows])
+        return SimilarityStore(elements, keys, self.w_first[rows], self.w_second[rows])
 
     def mask_view(self, index: Mapping[str, int]) -> KeyTable:
-        """Analogy weight of evidence -ln(m_second + m_both), the
-        `belief.support_weight` of each entry's similarity, in a key table
-        whose bits follow `index` (element -> bit), for hot-loop lookups.
+        """`analogy_weight` of each entry in a key table whose bits follow
+        `index` (element -> bit), for hot-loop lookups.
 
         Entries naming elements outside the index cannot be reached by any
         substitution within that universe and are skipped.
         """
         bits = np.array([index.get(e, -1) for e in self.elements], dtype=np.int64)
         keys, rows = _remap(self.keys, bits, key_width(max(index.values(), default=-1) + 1))
-        return KeyTable(keys, support_weight(self.m_second[rows] + self.m_both[rows]))
+        return KeyTable(keys, self._analogy_weights[rows])
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical form: the used element names sorted,
         then the key rows packed in that bit order and sorted, then the
-        m_first, m_second and m_both columns in that row order."""
+        w_first and w_second columns in that row order."""
         used = np.bitwise_or.reduce(self.keys, axis=0) if len(self) else np.zeros(1, dtype=np.uint64)
         side_bits = np.unpackbits(((used >> _WORD) | (used & _LOW)).astype("<u4").view(np.uint8), bitorder="little")
         names = sorted(self.elements[i] for i in np.flatnonzero(side_bits))
         canonical = self.reindexed(names)
         digest = hashlib.sha256()
-        digest.update(f"heafusion-store-2\n{','.join(names)}\n{canonical.keys.shape}\n".encode())
+        digest.update(f"heafusion-store-3\n{','.join(names)}\n{canonical.keys.shape}\n".encode())
         digest.update(canonical.keys.astype("<u8").tobytes())
-        for column in (canonical.m_first, canonical.m_second, canonical.m_both):
+        for column in (canonical.w_first, canonical.w_second):
             digest.update(column.astype("<f8").tobytes())
         return digest.hexdigest()
 
@@ -574,6 +579,24 @@ def evidence_weight(alpha: float) -> float:
     return -math.log1p(-alpha)
 
 
+_EXP_LIMIT = 700.0  # below the largest x with a finite e**x
+
+
+def analogy_weight(w_first, w_second) -> np.ndarray:
+    """Weight of evidence -ln(1 - s) of the similarity s read out from
+    store weights (arrays, never both infinite): with P = e^-w_first and
+    Q = e^-w_second, 1 - s = P / (P + Q - PQ), so the weight is
+    ln(1 + Q (e^w_first - 1)), exactly 0 where w_first is 0. Above
+    w_first = 700 the -1 is below rounding, and ln(1 + e^(w_first -
+    w_second)) keeps e^w_first from overflowing."""
+    w1 = np.asarray(w_first, dtype=float)
+    w2 = np.asarray(w_second, dtype=float)
+    weight = np.log1p(np.exp(-w2) * np.expm1(np.minimum(w1, _EXP_LIMIT)))
+    far = w1 > _EXP_LIMIT
+    weight[far] = np.logaddexp(0.0, w1[far] - w2[far])
+    return weight
+
+
 def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
     """Dempster fold of n_agree agreeing and n_disagree disagreeing pieces.
 
@@ -586,11 +609,10 @@ def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
 
 
 def counts_to_store(counts: PairCounts, alpha: float, universe: Sequence[str]) -> SimilarityStore:
-    """`mass_from_counts` of every key, read out in one array call; the
-    keys' bits name the universe's elements."""
+    """The store of every key's counts times the weight of one piece of
+    evidence; the keys' bits name the universe's elements."""
     weight = evidence_weight(alpha)
-    masses = from_weights(weight * counts.agree.astype(float), weight * counts.disagree.astype(float))
-    return SimilarityStore(tuple(universe), counts.keys, *masses)
+    return SimilarityStore(tuple(universe), counts.keys, weight * counts.agree, weight * counts.disagree)
 
 
 def extract_all(dataset: Dataset, config: ExtractionConfig) -> SimilarityStore:
@@ -598,48 +620,64 @@ def extract_all(dataset: Dataset, config: ExtractionConfig) -> SimilarityStore:
     return counts_to_store(_dataset_counts(dataset, config.max_subst_size), config.alpha, dataset.universe)
 
 
-_HEADER = ["combo_a", "combo_b", "m_similar", "m_dissimilar", "m_uncertain"]
+_HEADER = ["combo_a", "combo_b", "w_similar", "w_dissimilar"]
 
 
 def write_store(store: SimilarityStore, path: str | Path) -> None:
-    """Serialize a store as CSV, rows sorted by combination pair; floats
-    carry 17 significant digits so the round-trip is bit-exact."""
+    """Serialize a store as CSV, rows sorted by combination pair; weights
+    are written with 17 significant digits, or as `inf`, so the round-trip
+    is bit-exact."""
     path = Path(path)
     sides = store._sides()
-    columns = list(zip(store.m_first.tolist(), store.m_second.tolist(), store.m_both.tolist()))
+    columns = list(zip(store.w_first.tolist(), store.w_second.tolist()))
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for row in sorted(range(len(sides)), key=sides.__getitem__):
             first, second = sides[row]
-            writer.writerow(["-".join(first), "-".join(second), *(f"{m:.17g}" for m in columns[row])])
+            writer.writerow(["-".join(first), "-".join(second), *(f"{w:.17g}" for w in columns[row])])
 
 
 def read_store(path: str | Path) -> SimilarityStore:
-    """Load a store written by `write_store`; any malformed or repeated
-    row raises ParseError with its row number."""
+    """Load a store written by `write_store`; a malformed row, weights
+    that are negative, NaN or both infinite, sides that overlap and a
+    repeated pair raise ParseError with the row number."""
     path = Path(path)
-    entries: dict[CombinationPair, BinaryMass] = {}
-    sides: dict[str, list[str]] = {}  # a store repeats few distinct sides over many rows
-    for lineno, (combo_a, combo_b, *masses) in read_rows(path, _HEADER):
+    side_ids: dict[str, int] = {}  # a store repeats few distinct sides over many rows
+    sides: list[list[str]] = []
+    rows: list[tuple[int, int, int]] = []
+    weights: list[tuple[float, float]] = []
+    for lineno, (combo_a, combo_b, w_similar, w_dissimilar) in read_rows(path, _HEADER):
         for side in (combo_a, combo_b):
-            if side not in sides:
-                sides[side] = parse_symbols(side, lineno)
+            if side not in side_ids:
+                side_ids[side] = len(sides)
+                sides.append(parse_symbols(side, lineno))
         try:
-            pair = CombinationPair(sides[combo_a], sides[combo_b])
-            mass = BinaryMass(*map(float, masses))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if pair in entries:
-            raise ParseError(f"pair {pair} repeats row {_first_row(path, pair)}", lineno)
-        entries[pair] = mass
-    return SimilarityStore.from_entries(entries)
-
-
-def _first_row(path: Path, pair: CombinationPair) -> int | None:
-    """Row number of the first row of a store file holding pair; looked up
-    only on error, so reading a valid store keeps no row numbers."""
-    for lineno, (combo_a, combo_b, *_) in read_rows(path, _HEADER):
-        if CombinationPair(parse_symbols(combo_a), parse_symbols(combo_b)) == pair:
-            return lineno
-    return None
+            weights.append((float(w_similar), float(w_dissimilar)))
+        except ValueError:
+            raise ParseError(f"weights must be numbers, got {w_similar!r} and {w_dissimilar!r}", lineno) from None
+        rows.append((lineno, side_ids[combo_a], side_ids[combo_b]))
+    linenos, first, second = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    w = np.array(weights, dtype=float).reshape(-1, 2) + 0.0  # -0.0 reads as 0.0
+    elements = tuple(sorted({e for side in sides for e in side}))
+    words = element_words(sides, {e: i for i, e in enumerate(elements)}, key_width(len(elements)))
+    bad = ~(w >= 0.0).all(axis=1) | np.isinf(w).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"weights must be non-negative and not both infinite, got {w[i, 0]} and {w[i, 1]}",
+                         int(linenos[i]))
+    overlap = (words[first] & words[second]).any(axis=1)
+    if overlap.any():
+        i = int(np.argmax(overlap))
+        raise ParseError(f"combination sides must be disjoint, got {sides[first[i]]} and {sides[second[i]]}",
+                         int(linenos[i]))
+    keys = pack_keys(words[first], words[second])
+    order = _row_order(keys)  # stable: equal keys keep their file order
+    keys = keys[order]
+    repeat = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    if len(repeat):
+        earlier, later = order[repeat], order[repeat + 1]
+        j = int(np.argmin(later))
+        pair = CombinationPair(sides[first[later[j]]], sides[second[later[j]]])
+        raise ParseError(f"pair {pair} repeats row {linenos[earlier[j]]}", int(linenos[later[j]]))
+    return SimilarityStore(elements, keys, w[order, 0], w[order, 1])

@@ -12,6 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
+from heafusion.belief import from_weights, to_weights
 from heafusion.md_evidence import CombinationPair
 
 # CI runs HYPOTHESIS_PROFILE=ci: the same examples on every run, no timing
@@ -139,6 +140,21 @@ def dense_noisy_dataset() -> Dataset:
     return Dataset("dense", tuple(alloys), universe)
 
 
+def combine_weights(*ms: BinaryMass) -> BinaryMass:
+    """Dempster's rule as the library applies it: the masses' weights of
+    evidence summed and read out once."""
+    weights = [to_weights(*m.as_tuple()) for m in ms]
+    return BinaryMass(*from_weights(sum(w for w, _ in weights), sum(w for _, w in weights)))
+
+
+def mass_store(entries) -> SimilarityStore:
+    """Store of {(side, side): (m_first, m_second, m_both)} entries, each
+    mass held as its weights of evidence."""
+    return SimilarityStore.from_entries(
+        {CombinationPair(a, b): to_weights(*m) for (a, b), m in entries.items()}
+    )
+
+
 def planted_group_store(
     group_a: tuple[str, ...], group_b: tuple[str, ...], strength: float = 0.95
 ) -> SimilarityStore:
@@ -149,9 +165,8 @@ def planted_group_store(
     group_a_set = set(group_a)
     for x, y in combinations(universe, 2):
         same = (x in group_a_set) == (y in group_a_set)
-        pair = CombinationPair((x,), (y,))
         if same:
-            entries[pair] = BinaryMass(strength, 0.0, 1.0 - strength)
+            entries[(x,), (y,)] = (strength, 0.0, 1.0 - strength)
         else:
-            entries[pair] = BinaryMass(0.0, strength, 1.0 - strength)
-    return SimilarityStore.from_entries(entries)
+            entries[(x,), (y,)] = (0.0, strength, 1.0 - strength)
+    return mass_store(entries)

@@ -6,22 +6,95 @@ The oracles deliberately avoid the package's computational paths: exact
 rational arithmetic over explicit power-set expansions, quadratic pair
 counting, and from-scratch linkage recomputation. The reference
 implementations spell out one pair, one analogy or one store merge at a
-time with the package's value types.
+time with the package's value types. The float Dempster reference
+(`combine`, `discount` and their helpers) folds masses pairwise with the
+textbook rule, where the package adds weights of evidence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.belief import combine, combine_all, discount, from_weights, pignistic, support_weight
-from heafusion.errors import AlphaOutOfRange, CandidateInTraining
-from heafusion.md_evidence import CombinationPair, PairCounts, key_width, pack_keys
+from heafusion.belief import discount_weights, from_weights, pignistic
+from heafusion.errors import AlphaOutOfRange, CandidateInTraining, GammaOutOfRange, TotalConflict
+from heafusion.md_evidence import CombinationPair, PairCounts, analogy_weight, key_width, pack_keys
+
+CONFLICT_LIMIT = 1.0 - 1e-12
+
+
+def vacuous() -> BinaryMass:
+    """Total-uncertainty mass: all weight on the full frame."""
+    return BinaryMass(0.0, 0.0, 1.0)
+
+
+def conflict(x: BinaryMass, y: BinaryMass) -> float:
+    """Mass assigned to contradictory singleton pairs during combination."""
+    return x.m_first * y.m_second + x.m_second * y.m_first
+
+
+def combine_masses(x, y):
+    """Normalized Dempster combination of (first, second, both) triples of
+    floats or of equal-length arrays.
+
+    Raises TotalConflict when the inputs are (numerically) fully
+    contradictory, which cannot happen while either keeps m_both > 0.
+    """
+    x_first, x_second, x_both = x
+    y_first, y_second, y_both = y
+    k = x_first * y_second + x_second * y_first
+    if np.any(k >= CONFLICT_LIMIT):
+        worst = k if np.ndim(k) == 0 else k[np.flatnonzero(k >= CONFLICT_LIMIT)[0]]
+        raise TotalConflict(f"conflict {float(worst)!r} leaves no mass to renormalize")
+    # cross terms grouped so argument order cannot change the rounding;
+    # normalizing by the computed sum (exactly 1 - k in real arithmetic)
+    # keeps results on the simplex even under repeated combination
+    first = x_first * y_first + (x_first * y_both + x_both * y_first)
+    second = x_second * y_second + (x_second * y_both + x_both * y_second)
+    both = x_both * y_both
+    total = first + second + both
+    return first / total, second / total, both / total
+
+
+def combine(x: BinaryMass, y: BinaryMass) -> BinaryMass:
+    """Normalized Dempster combination of two mass functions (see
+    `combine_masses`)."""
+    return BinaryMass(*combine_masses(x.as_tuple(), y.as_tuple()))
+
+
+def combine_all(ms: Iterable[BinaryMass]) -> BinaryMass:
+    """Left fold of `combine` starting from the vacuous mass."""
+    return reduce(combine, ms, vacuous())
+
+
+def discount_masses(m, gamma: float):
+    """`discount` of a (first, second, both) triple of floats or arrays."""
+    if not 0.0 <= gamma <= 1.0:
+        raise GammaOutOfRange(f"gamma must lie in [0, 1], got {gamma!r}")
+    m_first, m_second, m_both = m
+    return gamma * m_first, gamma * m_second, 1.0 - gamma + gamma * m_both
+
+
+def discount(m: BinaryMass, gamma: float) -> BinaryMass:
+    """Scale committed mass by reliability gamma, moving the rest to the frame."""
+    return BinaryMass(*discount_masses(m.as_tuple(), gamma))
+
+
+def support_weight(m_rest):
+    """Weight of evidence -ln(1 - s) of the support s = m_first of a mass,
+    given m_rest = m_second + m_both: clipped at 0 for masses whose
+    components sum slightly above 1, and infinite where m_rest is 0."""
+    with np.errstate(divide="ignore"):
+        w = np.maximum(-np.log(m_rest), 0.0)
+    return float(w) if np.ndim(w) == 0 else w
+
 
 def alloy_masks(alloys: Iterable[Alloy], index: Mapping[str, int]) -> list[int]:
     """Bitmask per alloy under the given element->bit index, as a Python int."""
@@ -248,18 +321,25 @@ def evidence_from_pair(
     return pair, BinaryMass(0.0, alpha, 1.0 - alpha)
 
 
-def combine_stores(stores: Iterable[SimilarityStore]) -> SimilarityStore:
-    """Dempster-combine stores entry-wise over the union of their keys.
+def masses_of(store: SimilarityStore) -> dict[CombinationPair, BinaryMass]:
+    """Every entry of a store read out as a mass."""
+    masses = zip(*(m.tolist() for m in from_weights(store.w_first, store.w_second)))
+    return {pair: BinaryMass(*mass) for (pair, _), mass in zip(store.items(), masses)}
+
+
+def combine_stores(stores: Iterable[SimilarityStore]) -> dict[CombinationPair, BinaryMass]:
+    """Dempster-combine the stores' masses entry-wise over the union of
+    their keys with the float reference `combine`.
 
     Absent entries are vacuous and contribute nothing, so stores built from
     disjoint slices of the pair space merge into the whole-dataset store.
     """
     entries: dict[CombinationPair, BinaryMass] = {}
     for store in stores:
-        for pair, mass in store.items():
+        for pair, mass in masses_of(store).items():
             held = entries.get(pair)
             entries[pair] = mass if held is None else combine(held, mass)
-    return SimilarityStore.from_entries(entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -336,11 +416,29 @@ def count_table(counts: Mapping[tuple[int, int], tuple[int, int]]) -> PairCounts
 
 def fuse_reference(
     stores: Sequence[tuple[str, SimilarityStore]], gammas: Mapping[str, float]
+) -> dict[CombinationPair, tuple[float, float]]:
+    """Per-pair fusion: over the union of the stores' pairs, the sum in
+    source order of the present sources' weights, each source's columns
+    discounted by its gamma with `belief.discount_weights`."""
+    fused: dict[CombinationPair, tuple[float, float]] = {}
+    for sid, store in stores:
+        d_first, d_second = discount_weights(store.w_first, store.w_second, gammas[sid])
+        for (pair, _), w_first, w_second in zip(store.items(), d_first.tolist(), d_second.tolist()):
+            held = fused.get(pair, (0.0, 0.0))
+            fused[pair] = (held[0] + w_first, held[1] + w_second)
+    if any(math.isinf(w_first) and math.isinf(w_second) for w_first, w_second in fused.values()):
+        raise TotalConflict("infinite weight of evidence on both outcomes")
+    return fused
+
+
+def fuse_masses_reference(
+    stores: Sequence[tuple[str, SimilarityStore]], gammas: Mapping[str, float]
 ) -> dict[CombinationPair, BinaryMass]:
-    """Per-pair fusion: over the union of the stores' pairs, the left fold
-    from vacuous of `combine` over the present sources, in source order,
-    each discounted by its gamma."""
-    entries = [(sid, dict(store.items())) for sid, store in stores]
+    """Per-pair fusion with the float Dempster reference: over the union
+    of the stores' pairs, the left fold from vacuous of `combine` over the
+    present sources' masses, in source order, each discounted by its
+    gamma."""
+    entries = [(sid, masses_of(store)) for sid, store in stores]
     keys: dict[CombinationPair, None] = {}
     for _, held in entries:
         keys.update(dict.fromkeys(held))
@@ -351,19 +449,21 @@ def fuse_reference(
 
 
 def weight_view(store: SimilarityStore, index: Mapping[str, int]) -> dict[tuple[int, int], float]:
-    """Analogy weight -ln(m_second + m_both) per (smaller, larger) bitmask
-    pair under `index`; entries naming other elements are skipped."""
+    """Analogy weight `md_evidence.analogy_weight` per (smaller, larger)
+    bitmask pair under `index`; entries naming other elements are
+    skipped."""
     keys: list[tuple[int, int]] = []
-    rest: list[float] = []
-    for pair, mass in store.items():
+    weights: list[tuple[float, float]] = []
+    for pair, held in store.items():
         try:
             a = sum(1 << index[e] for e in pair.first)
             b = sum(1 << index[e] for e in pair.second)
         except KeyError:
             continue
         keys.append((a, b) if a < b else (b, a))
-        rest.append(mass.m_second + mass.m_both)
-    return dict(zip(keys, support_weight(np.array(rest, dtype=float)).tolist()))
+        weights.append(held)
+    columns = np.array(weights, dtype=float).reshape(-1, 2)
+    return dict(zip(keys, analogy_weight(columns[:, 0], columns[:, 1]).tolist()))
 
 
 def fold_masked(

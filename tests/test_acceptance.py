@@ -25,7 +25,7 @@ from heafusion import (
 )
 from heafusion.alloys import element_split, serialize_dataset
 from heafusion.analysis import hac_complete
-from heafusion.belief import combine, discount, pignistic, vacuous
+from heafusion.belief import discount_weights, from_weights, pignistic, to_weights
 from heafusion.cli import main as cli_main
 from heafusion.evaluation import SourcesConfig, _evaluate_split, run_extrapolation_experiment
 from heafusion.inference import predict_batch, roc_auc
@@ -39,6 +39,7 @@ from heafusion.md_evidence import (
 
 from conftest import (
     as_dataset,
+    combine_weights as combine,
     planted_group_dataset,
     random_dataset,
     single_substitution_alloys,
@@ -50,6 +51,7 @@ from oracles import (
     complete_linkage_oracle,
     count_table,
     mann_whitney_auc,
+    masses_of,
     pairs_of,
     scan_partition,
 )
@@ -170,9 +172,9 @@ def _suite_combination(rng):
 
 def _suite_discount(rng):
     for _ in range(1000):
-        m = _random_mass(rng)
-        assert discount(m, 1.0) == m
-        assert discount(m, 0.0) == vacuous()
+        w = to_weights(*_random_mass(rng).as_tuple())
+        assert discount_weights(*w, 1.0) == w
+        assert from_weights(*discount_weights(*w, 0.0)) == (0.0, 0.0, 1.0)
 
 
 def _suite_pignistic(rng):
@@ -198,7 +200,7 @@ def _label_flip_cases(seed):
             cv = cand.element_set - host.alloy.element_set
             if ct and cv and len(ct | cv) < 6 and rng.random() < 0.8:
                 s = rng.uniform(0, 0.9)
-                entries[CombinationPair(ct, cv)] = BinaryMass(s, 0.0, 1.0 - s)
+                entries[CombinationPair(ct, cv)] = to_weights(s, 0.0, 1.0 - s)
     store = SimilarityStore.from_entries(entries)
     flipped = ds.with_alloys([LabeledAlloy(la.alloy, not la.label) for la in ds.alloys])
     return ds, flipped, store, candidates
@@ -235,9 +237,9 @@ def _suite_partition_independence():
                 scan_partition(masks, labels, 3, parts, p) for p in range(parts)
             ]
             stores = [counts_to_store(count_table(c), 0.1, ds.universe) for c in partials]
-            merged = dict(combine_stores(stores).items())
+            merged = combine_stores(stores)
             assert set(merged) == pairs_of(whole)
-            for pair, mass in whole.items():
+            for pair, mass in masses_of(whole).items():
                 for g, w in zip(merged[pair].as_tuple(), mass.as_tuple()):
                     assert abs(g - w) <= 1e-12
             checked += 1

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from heafusion import Alloy, BinaryMass, SimilarityStore
+from heafusion import Alloy, SimilarityStore
 from heafusion.analysis import (
     element_distance_matrix,
     hac_complete,
@@ -14,13 +14,9 @@ from heafusion.analysis import (
     write_matrix_csv,
 )
 from heafusion.errors import MatrixMalformed
-from heafusion.md_evidence import CombinationPair
 
+from conftest import mass_store as store_of
 from oracles import complete_linkage_oracle
-
-
-def store_of(entries):
-    return SimilarityStore.from_entries({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
 
 
 class TestElementDistance:

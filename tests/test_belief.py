@@ -1,4 +1,8 @@
-"""Belief algebra: worked examples and algebraic invariants."""
+"""Belief algebra: worked examples and algebraic invariants.
+
+Combination and discounting go through the library's weights of evidence
+(`to_weights`, addition, `discount_weights`, `from_weights`); `conflict`
+is the float Dempster reference of `oracles`."""
 
 import math
 from fractions import Fraction
@@ -8,21 +12,21 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from heafusion.belief import (
-    BinaryMass,
-    combine,
-    combine_all,
-    conflict,
-    discount,
-    from_weights,
-    pignistic,
-    support_weight,
-    vacuous,
-)
+from heafusion.belief import BinaryMass, discount_weights, from_weights, pignistic, to_weights
 from heafusion.errors import GammaOutOfRange, TotalConflict
+from heafusion.md_evidence import analogy_weight
 
-from conftest import masses
-from oracles import combine_exact
+from conftest import combine_weights as combine, masses
+from oracles import combine_exact, conflict, discount, support_weight, vacuous
+
+
+def combine_all(ms):
+    return combine(*ms)
+
+
+def has_weights(*ms: BinaryMass) -> bool:
+    """Masses with finite weights of evidence: some ignorance left."""
+    return all(m.m_both > 0.0 for m in ms)
 
 
 def approx_mass(m: BinaryMass, expected, tol=1e-9):
@@ -103,19 +107,65 @@ class TestCombineAll:
 
 class TestDiscount:
     def test_identity_at_one(self):
-        m = BinaryMass(0.4, 0.2, 0.4)
-        assert discount(m, 1.0) == m
+        w = to_weights(0.4, 0.2, 0.4)
+        assert discount_weights(*w, 1.0) == w
 
     def test_vacuous_at_zero(self):
-        assert discount(BinaryMass(0.4, 0.2, 0.4), 0.0).as_tuple() == (0.0, 0.0, 1.0)
+        assert discount_weights(*to_weights(0.4, 0.2, 0.4), 0.0) == (0.0, 0.0)
 
     def test_half(self):
-        approx_mass(discount(BinaryMass(0.4, 0.2, 0.4), 0.5), (0.2, 0.1, 0.7), tol=1e-12)
+        got = BinaryMass(*from_weights(*discount_weights(*to_weights(0.4, 0.2, 0.4), 0.5)))
+        approx_mass(got, (0.2, 0.1, 0.7), tol=1e-12)
+
+    def test_certain_mass(self):
+        # a certain similarity discounted by gamma is simple support gamma
+        assert discount_weights(math.inf, 0.0, 0.75) == pytest.approx((-math.log(0.25), 0.0), abs=1e-15)
 
     @pytest.mark.parametrize("gamma", [-0.01, 1.01, math.nan])
     def test_out_of_range(self, gamma):
         with pytest.raises(GammaOutOfRange):
-            discount(vacuous(), gamma)
+            discount_weights(0.0, 0.0, gamma)
+
+    @given(masses(), st.floats(0, 1))
+    def test_matches_mass_discount(self, m, gamma):
+        assume(has_weights(m))
+        got = BinaryMass(*from_weights(*discount_weights(*to_weights(*m.as_tuple()), gamma)))
+        approx_mass(got, discount(m, gamma).as_tuple(), tol=1e-12)
+
+    def test_arrays_match_scalars(self):
+        w1 = np.array([0.0, 0.3, 5.0, 800.0, math.inf])
+        w2 = np.array([0.0, 1.2, 5.0, 2.0, 4.0])
+        got = discount_weights(w1, w2, 0.3)
+        for i in range(len(w1)):
+            for g, w in zip(got, discount_weights(float(w1[i]), float(w2[i]), 0.3)):
+                assert g[i] == pytest.approx(w, abs=1e-15)
+
+
+class TestToWeights:
+    def test_inverts_from_weights(self):
+        for w1, w2 in [(0.0, 0.0), (0.1, 0.2), (2.5, 0.7), (0.0, 4.0), (30.0, 31.0)]:
+            assert to_weights(*from_weights(w1, w2)) == pytest.approx((w1, w2), rel=1e-12, abs=1e-15)
+
+    def test_simple_support(self):
+        assert to_weights(0.25, 0.0, 0.75) == (math.log1p(1 / 3), 0.0)
+
+    def test_certain_outcome_is_infinite(self):
+        assert to_weights(1.0, 0.0, 0.0) == (math.inf, 0.0)
+        assert to_weights(0.0, 1.0, 0.0) == (0.0, math.inf)
+
+    def test_no_ignorance_on_both_sides_has_no_weights(self):
+        with pytest.raises(ValueError):
+            to_weights(0.5, 0.5, 0.0)
+
+    def test_subnormal_ignorance_stays_finite(self):
+        w1, w2 = to_weights(0.3, 0.7, 5e-324)
+        assert w1 == pytest.approx(math.log(0.3) - math.log(5e-324), rel=1e-15)
+        assert w2 == pytest.approx(math.log(0.7) - math.log(5e-324), rel=1e-15)
+
+    @given(masses())
+    def test_round_trip(self, m):
+        assume(has_weights(m))
+        approx_mass(BinaryMass(*from_weights(*to_weights(*m.as_tuple()))), m.as_tuple(), tol=1e-12)
 
 
 class TestConflict:
@@ -142,14 +192,14 @@ class TestPignistic:
 class TestProperties:
     @given(masses(), masses())
     def test_normalization_and_bounds(self, x, y):
-        assume(conflict(x, y) < 1.0 - 1e-12)
+        assume(has_weights(x, y))
         z = combine(x, y)
         assert abs(z.m_first + z.m_second + z.m_both - 1.0) <= 1e-9
         assert z.m_first >= 0 and z.m_second >= 0 and z.m_both >= 0
 
     @given(masses(), masses())
     def test_commutativity_exact(self, x, y):
-        assume(conflict(x, y) < 1.0 - 1e-12)
+        assume(has_weights(x, y))
         assert combine(x, y) == combine(y, x)
 
     @given(masses(min_both=0.01), masses(min_both=0.01), masses(min_both=0.01))
@@ -160,12 +210,15 @@ class TestProperties:
 
     @given(masses())
     def test_vacuous_neutrality(self, x):
+        assume(has_weights(x))
         approx_mass(combine(x, vacuous()), x.as_tuple(), tol=1e-12)
 
     @given(masses(), st.floats(0, 1), st.floats(0, 1))
     def test_discount_monotone_in_ignorance(self, m, g1, g2):
+        assume(has_weights(m))
         lo, hi = min(g1, g2), max(g1, g2)
-        assert discount(m, lo).m_both >= discount(m, hi).m_both - 1e-12
+        w = to_weights(*m.as_tuple())
+        assert from_weights(*discount_weights(*w, lo))[2] >= from_weights(*discount_weights(*w, hi))[2] - 1e-12
 
     @given(masses())
     def test_pignistic_between_belief_and_plausibility(self, m):
@@ -224,7 +277,7 @@ class TestFromWeights:
     def test_matches_dempster_fold_of_simple_supports(self, ms):
         # each mass contributes its first-outcome support as simple support
         pieces = [(m.m_first, 0.0, 1.0 - m.m_first) for m in ms]
-        w = sum(support_weight(1.0 - s) for s, _, _ in pieces)
+        w = sum(to_weights(*piece)[0] for piece in pieces)
         expected = combine_exact(pieces)
         for g, e in zip(from_weights(w, 0.0), expected):
             assert g == pytest.approx(float(e), abs=1e-12)
@@ -239,14 +292,30 @@ class TestFromWeights:
 
 
 class TestSupportWeight:
+    """The weight of evidence -ln(1 - s) of a store entry's similarity s,
+    `md_evidence.analogy_weight`, straight from the entry's weights."""
+
     def test_values(self):
-        assert support_weight(1.0) == 0.0
-        assert support_weight(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
-        assert support_weight(0.0) == math.inf
+        assert analogy_weight(np.array([0.0]), np.array([3.0]))[0] == 0.0
+        half = analogy_weight(np.array([math.log(2.0)]), np.array([0.0]))[0]
+        assert half == pytest.approx(math.log(2.0), abs=1e-15)
+        assert analogy_weight(np.array([math.inf]), np.array([3.0]))[0] == math.inf
+        assert analogy_weight(np.array([3.0]), np.array([math.inf]))[0] == 0.0
 
     def test_clipped_at_zero(self):
-        assert support_weight(1.0 + 1e-12) == 0.0
+        # no evidence on similar gives weight 0 exactly, whatever the other side
+        w2 = np.array([0.0, 1e-300, 0.5, 37.0, 800.0, math.inf])
+        assert np.all(analogy_weight(np.zeros(len(w2)), w2) == 0.0)
 
     def test_saturated_support_keeps_finite_weight(self):
-        # a similarity that rounds to 1 still leaves mass off the first outcome
-        assert support_weight(1e-17 + 5e-18) == pytest.approx(-math.log(1.5e-17), rel=1e-12)
+        # a similarity that rounds to 1 keeps its finite weight, also where
+        # e^w would overflow
+        for w1, w2, expected in [(40.0, 0.0, 40.0), (800.0, 0.0, 800.0), (800.0, 799.0, math.log1p(math.e))]:
+            assert analogy_weight(np.array([w1]), np.array([w2]))[0] == pytest.approx(expected, rel=1e-15)
+
+    @given(weights, weights)
+    def test_matches_readout(self, w1, w2):
+        assume(w1 < 700.0)  # below, 1 - s = m_second + m_both does not underflow
+        _, m_second, m_both = from_weights(w1, w2)
+        expected = support_weight(m_second + m_both)
+        assert analogy_weight(np.array([w1]), np.array([w2]))[0] == pytest.approx(expected, rel=1e-12, abs=1e-15)

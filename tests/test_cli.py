@@ -173,9 +173,9 @@ class TestFuse:
     )
     def test_dropped_assignment_is_config_error(self, tmp_path, capsys, assignments):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        header = "combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\n"
-        a.write_text(header + "Cu,Zn,0.5,0,0.5\n")
-        b.write_text(header + "Cu,Ni,0.5,0,0.5\n")
+        header = "combo_a,combo_b,w_similar,w_dissimilar\n"
+        a.write_text(header + "Cu,Zn,0.5,0\n")
+        b.write_text(header + "Cu,Ni,0.5,0\n")
         args = [token.format(a=a, b=b) for token in assignments]
         assert exit_code(["fuse", *args, "--seed", "1", "--out-dir", tmp_path / "run"]) == 2
         err = one_error(capsys.readouterr().err)
@@ -188,15 +188,39 @@ class TestFuse:
 
     def test_total_conflict_exit_code(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        header = "combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\n"
-        a.write_text(header + "Cu,Zn,1,0,0\n")
-        b.write_text(header + "Cu,Zn,0,1,0\n")
+        header = "combo_a,combo_b,w_similar,w_dissimilar\n"
+        a.write_text(header + "Cu,Zn,inf,0\n")
+        b.write_text(header + "Cu,Zn,0,inf\n")
         code = run(
             ["fuse", "--store", f"x={a}", "--store", f"y={b}",
              "--gamma", "x=1.0", "--gamma", "y=1.0", "--seed", "1", "--out-dir", tmp_path]
         )
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "TotalConflict"
+
+    def test_gamma_out_of_range_fails_before_stores_are_read(self, tmp_path, capsys):
+        args = ["fuse", "--store", f"x={tmp_path / 'missing.csv'}", "--gamma", "x=1.5"]
+        assert exit_code(args + ["--seed", "1", "--out-dir", tmp_path / "run"]) == 2
+        assert one_error(capsys.readouterr().err)["error"] == "GammaOutOfRange"
+        assert not (tmp_path / "run").exists()
+
+    def test_dataset_is_read_only_to_estimate_a_gamma(self, tmp_path, dataset_csv):
+        out = tmp_path / "run"
+        assert run(["extract", "--dataset", dataset_csv, "--out-dir", out]) == 0
+        code = run(["fuse", "--store", f"md={out / 'md_store.csv'}", "--gamma", "md=1",
+                    "--dataset", tmp_path / "missing.csv", "--seed", "1", "--out-dir", out])
+        assert code == 0
+        assert read_store(out / "fused_store.csv").content_hash() == read_store(out / "md_store.csv").content_hash()
+
+    def test_mass_format_store_is_data_error(self, tmp_path, capsys):
+        store = tmp_path / "a.csv"
+        store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.5,0,0.5\n")
+        code = exit_code(["fuse", "--store", f"md={store}", "--gamma", "md=1", "--seed", "1",
+                          "--out-dir", tmp_path / "run"])
+        assert code == 3
+        err = one_error(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert "missing ['w_similar', 'w_dissimilar']" in err["message"]
 
 
 class TestPredict:
@@ -222,8 +246,9 @@ class TestPredict:
         with (out / "predictions.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert set(rows[0]) == {
-            "composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5"
+            "composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5", "n_analogies"
         }
+        assert int(rows[0]["n_analogies"]) >= 0
         total = (
             float(rows[0]["m_hea"]) + float(rows[0]["m_not_hea"]) + float(rows[0]["m_uncertain"])
         )
@@ -274,7 +299,7 @@ class TestPredict:
 
     def test_malformed_store_row_is_data_error(self, tmp_path, dataset_csv, capsys):
         store = tmp_path / "store.csv"
-        store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Co,0.5\n")
+        store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nFe,Co,0.5\n")
         cands = tmp_path / "candidates.csv"
         cands.write_text("composition\nH-He-Li-Be\n")
         code = run(
@@ -317,6 +342,13 @@ class TestEvaluationCommands:
         assert reports[0]["auc"] == 0.5
         summary = json.loads((out / "summary.json").read_text())
         assert summary["auc"]["mean"] == 0.5
+
+    def test_gamma_out_of_range_fails_before_any_work(self, tmp_path, dataset_csv, capsys):
+        # the protocol would reject fraction 0 before it meets the gamma
+        args = ["eval-cv", "--dataset", dataset_csv, "--fractions", "0", "--gamma", "md=1.5"]
+        assert exit_code(args + ["--seed", "5", "--out-dir", tmp_path / "run"]) == 2
+        assert one_error(capsys.readouterr().err)["error"] == "GammaOutOfRange"
+        assert not (tmp_path / "run").exists()
 
     def test_eval_cv_outputs(self, tmp_path, dataset_csv):
         out = tmp_path / "run"
@@ -406,7 +438,7 @@ class TestCountOptions:
     )
     def test_count_below_minimum_is_config_error(self, tmp_path, dataset_csv, capsys, argv):
         store = tmp_path / "store.csv"
-        store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nH,He,0.5,0,0.5\n")
+        store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nH,He,0.5,0\n")
         args = [a.format(data=dataset_csv, store=store) for a in argv]
         assert exit_code(args + ["--seed", "1", "--jobs", "1", "--out-dir", tmp_path / "run"]) == 2
         err = one_error(capsys.readouterr().err)
@@ -616,7 +648,7 @@ class TestCsvRows:
 
     def test_store_symbol_outside_element_table_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.csv"
-        store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Xx,0.5,0,0.5\n")
+        store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nFe,Xx,0.5,0\n")
         code = exit_code(["cluster", "--store", store, "--elements", "Fe,Co", "--out-dir", tmp_path / "out"])
         assert code == 3
         err = one_error(capsys.readouterr().err)

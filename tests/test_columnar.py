@@ -6,22 +6,30 @@ import random
 import numpy as np
 import pytest
 
-from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
 from heafusion.alloys import ELEMENT_SYMBOLS
+from heafusion.belief import to_weights
 from heafusion.errors import TotalConflict
 from heafusion.fusion import SourceReliability, fuse
 from heafusion.inference import predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
+    evidence_weight,
     extract_all,
-    mass_from_counts,
     read_store,
     write_store,
 )
 
 from conftest import random_dataset
-from oracles import alloy_masks, fuse_reference, predict_reference, scan_partition
+from oracles import (
+    alloy_masks,
+    fuse_masses_reference,
+    fuse_reference,
+    masses_of,
+    predict_reference,
+    scan_partition,
+)
 
 TABLE_SIZES = (3, 5, 9, 16, 26, 31, 32, 33, 47, 63, 64, 65, 80, 103)
 
@@ -30,11 +38,11 @@ def _subset(rng, symbols, low, high):
     return tuple(sorted(rng.sample(symbols, rng.randint(low, min(high, len(symbols))))))
 
 
-def _random_mass(rng):
+def _random_weights(rng):
     a, b = rng.random(), rng.random()
     u = rng.random() + 1e-3  # keeps every mass off the certain corners
     total = a + b + u
-    return BinaryMass(a / total, b / total, 1.0 - a / total - b / total)
+    return to_weights(a / total, b / total, 1.0 - a / total - b / total)
 
 
 def _expert_store(rng, symbols, shared_pairs):
@@ -43,14 +51,14 @@ def _expert_store(rng, symbols, shared_pairs):
     entries = {}
     for pair in shared_pairs:
         if rng.random() < 0.5:
-            entries[pair] = _random_mass(rng)
+            entries[pair] = _random_weights(rng)
     for _ in range(rng.randint(0, 12)):
         sides = rng.sample(symbols, 2)
         first = [sides[0]] + ([rng.choice(symbols)] if rng.random() < 0.3 else [])
         second = [sides[1]]
         if set(first) & set(second) or len(set(first)) != len(first):
             continue
-        entries[CombinationPair(first, second)] = _random_mass(rng)
+        entries[CombinationPair(first, second)] = _random_weights(rng)
     return SimilarityStore.from_entries(entries)
 
 
@@ -59,23 +67,22 @@ def _reference_extract(dataset, alpha, max_size):
     if max_size is None:
         max_size = max((len(la.alloy.elements) for la in dataset.alloys), default=2) - 1
     names = dataset.universe
+    weight = evidence_weight(alpha)
 
     def side(mask):
         return [names[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
     return {
-        CombinationPair(side(lo), side(hi)): mass_from_counts(agree, disagree, alpha)
+        CombinationPair(side(lo), side(hi)): (agree * weight, disagree * weight)
         for (lo, hi), (agree, disagree) in scan_partition(masks, dataset.labels(), max_size).items()
     }
 
 
 def _reference_csv(entries):
-    lines = ["combo_a,combo_b,m_similar,m_dissimilar,m_uncertain"]
+    lines = ["combo_a,combo_b,w_similar,w_dissimilar"]
     for pair in sorted(entries):
-        m = entries[pair]
-        lines.append(
-            f"{'-'.join(pair.first)},{'-'.join(pair.second)},{m.m_first:.17g},{m.m_second:.17g},{m.m_both:.17g}"
-        )
+        w_first, w_second = entries[pair]
+        lines.append(f"{'-'.join(pair.first)},{'-'.join(pair.second)},{w_first:.17g},{w_second:.17g}")
     return "\r\n".join(lines) + "\r\n"
 
 
@@ -125,6 +132,9 @@ def test_kernels_match_reference_implementations(tmp_path):
         gammas = {sid: rng.choice([0.0, 1.0, rng.random()]) for sid, _ in stores}
         fused = fuse(stores, [SourceReliability(sid, g) for sid, g in gammas.items()])
         assert dict(fused.items()) == fuse_reference(stores, gammas), case
+        reference = fuse_masses_reference(stores, gammas)
+        for pair, mass in masses_of(fused).items():
+            assert mass.as_tuple() == pytest.approx(reference[pair].as_tuple(), abs=1e-12), case
 
         for store in (md, experts[0], fused):
             if not candidates:
@@ -146,15 +156,17 @@ def test_kernels_match_reference_implementations(tmp_path):
 def test_total_conflict_matches_reference():
     pair = CombinationPair(("Fe",), ("Co",))
     other = CombinationPair(("Ni",), ("Co",))
-    a = SimilarityStore.from_entries({pair: BinaryMass(1.0, 0.0, 0.0), other: BinaryMass(0.5, 0.0, 0.5)})
-    b = SimilarityStore.from_entries({pair: BinaryMass(0.0, 1.0, 0.0)})
+    a = SimilarityStore.from_entries({pair: to_weights(1.0, 0.0, 0.0), other: to_weights(0.5, 0.0, 0.5)})
+    b = SimilarityStore.from_entries({pair: to_weights(0.0, 1.0, 0.0)})
     stores = [("a", a), ("b", b)]
     gammas = {"a": 1.0, "b": 1.0}
-    with pytest.raises(TotalConflict) as expected:
-        fuse_reference(stores, gammas)
-    with pytest.raises(TotalConflict) as got:
+    for reference in (fuse_reference, fuse_masses_reference):
+        with pytest.raises(TotalConflict):
+            reference(stores, gammas)
+    with pytest.raises(TotalConflict, match=r"pair \(Co, Fe\)"):
         fuse(stores, [SourceReliability(sid, g) for sid, g in gammas.items()])
-    assert str(got.value) == str(expected.value)
+    # any discount leaves the certain masses a readout
+    fuse(stores, [SourceReliability("a", 1.0), SourceReliability("b", 0.999)])
 
 
 class TestContentHash:
@@ -176,9 +188,9 @@ class TestContentHash:
         ds = random_dataset(40, universe_size=12, seed=9)
         entries = dict(extract_all(ds, ExtractionConfig(alpha=0.2)).items())
         pair = sorted(entries)[len(entries) // 2]
-        m = entries[pair]
+        w_first, w_second = entries[pair]
         changed = dict(entries)
-        changed[pair] = BinaryMass(float(np.nextafter(m.m_first, 1.0)), m.m_second, m.m_both)
+        changed[pair] = (float(np.nextafter(w_first, np.inf)), w_second)
         assert SimilarityStore.from_entries(changed).content_hash() != SimilarityStore.from_entries(entries).content_hash()
 
     def test_empty_stores_agree(self):

@@ -11,6 +11,7 @@ from heafusion.errors import (
     ElementAbsent,
     EmptySourceList,
     FractionDegenerate,
+    GammaOutOfRange,
     LengthMismatch,
     SingleClass,
 )
@@ -134,6 +135,11 @@ class TestGammaOverrides:
         with pytest.raises(ConfigError, match="md"):
             SourcesConfig(use_md=False, llm_stores={"llm:x": SimilarityStore()}, gamma_overrides={"md": 0.5})
         assert SourcesConfig(gamma_overrides={"md": 0.5}).gamma_overrides == {"md": 0.5}
+
+    @pytest.mark.parametrize("gamma", [1.5, -0.1, float("nan")])
+    def test_override_must_lie_in_unit_interval(self, gamma):
+        with pytest.raises(GammaOutOfRange, match="md"):
+            SourcesConfig(gamma_overrides={"md": gamma})
 
 
 class TestAccuracy:

@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore
+from heafusion.belief import to_weights
 from heafusion.errors import CandidateInTraining, TotalConflict
 from heafusion.inference import classify, predict, predict_batch
-from heafusion.md_evidence import CombinationPair, mass_from_counts
+from heafusion.md_evidence import CombinationPair, counts_to_store, mass_from_counts, read_store, write_store
 
-from conftest import as_dataset, planted_group_store, random_dataset
-from oracles import Analogy, enumerate_analogies, evidence_from_analogy, expand_dempster
+from conftest import as_dataset, mass_store as store_of, planted_group_store, random_dataset
+from oracles import Analogy, count_table, enumerate_analogies, evidence_from_analogy, expand_dempster
 
 
 def la(elements, label=True):
     return LabeledAlloy(Alloy(elements), label)
-
-
-def store_of(entries):
-    return SimilarityStore.from_entries({CombinationPair(a, b): BinaryMass(*m) for (a, b), m in entries.items()})
 
 
 class TestEnumerateAnalogies:
@@ -109,13 +106,33 @@ class TestPredict:
             [la("Ag Cd In Cu".split(), True), la("Ag Cd In Sn".split(), False)]
         )
         store = SimilarityStore.from_entries({
-            CombinationPair(("Cu",), ("Zn",)): saturated,
-            CombinationPair(("Sn",), ("Zn",)): saturated,
+            CombinationPair(("Cu",), ("Zn",)): to_weights(*saturated.as_tuple()),
+            CombinationPair(("Sn",), ("Zn",)): to_weights(*saturated.as_tuple()),
         })
         p = predict(Alloy("Ag Cd In Zn".split()), training, store)
         assert p.score == pytest.approx(0.5, abs=1e-12)
         assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
         assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
+
+    def test_stored_counts_beyond_mass_precision_cancel(self, tmp_path):
+        # 1,100 agreeing pieces at alpha 0.5 read out as the mass (1, 0, 0):
+        # stored as weights, two such entries met by hosts of opposite
+        # class still cancel, before and after a store file round trip
+        assert mass_from_counts(1100, 0, 0.5).as_tuple() == (1.0, 0.0, 0.0)
+        training = as_dataset(
+            [la("Ag Cd In Cu".split(), True), la("Ag Cd In Sn".split(), False)]
+        )
+        universe = training.universe + ("Zn",)  # Zn on the highest bit
+        bit = {e: 1 << i for i, e in enumerate(universe)}
+        counts = {(bit[e], bit["Zn"]): (1100, 0) for e in ("Cu", "Sn")}
+        store = counts_to_store(count_table(counts), 0.5, universe)
+        write_store(store, tmp_path / "store.csv")
+        for held in (store, read_store(tmp_path / "store.csv")):
+            p = predict(Alloy("Ag Cd In Zn".split()), training, held)
+            assert p.n_analogies == 2
+            assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
+            assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
+            assert p.score == pytest.approx(0.5, abs=1e-12)
 
     def test_certain_opposite_hosts_are_total_conflict(self):
         training = as_dataset(

@@ -3,6 +3,7 @@
 import pytest
 
 from heafusion import BinaryMass
+from heafusion.belief import to_weights
 from heafusion.errors import BetaOutOfRange, ParseError
 from heafusion.llm_evidence import (
     DEFAULT_DOMAINS,
@@ -153,7 +154,9 @@ class TestBuildStore:
     def test_single_response(self):
         stores = build_store([LlmResponse(pair("Cu", "Ag"), "Metallurgy", True, "High")], 0.2)
         assert set(stores) == {"Metallurgy"}
-        assert stores["Metallurgy"].get(pair("Ag", "Cu")) == BinaryMass(0.2, 0.0, 0.8)
+        assert stores["Metallurgy"].weights([pair("Ag", "Cu")]).tolist() == [list(to_weights(0.2, 0.0, 0.8))]
+        got = stores["Metallurgy"].get(pair("Ag", "Cu"))
+        assert got.as_tuple() == pytest.approx((0.2, 0.0, 0.8), abs=1e-15)
 
     def test_domains_stay_separate(self):
         responses = [

@@ -1,18 +1,21 @@
 """Evidence extraction: worked fixtures, count oracle, store round-trips."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy
+from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
 from heafusion.alloys import ELEMENT_SYMBOLS
+from heafusion.belief import from_weights
 from heafusion.errors import AlphaOutOfRange, ParseError
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
     counts_to_store,
+    evidence_weight,
     extract_all,
     extract_counts,
     mass_from_counts,
@@ -27,6 +30,7 @@ from oracles import (
     combine_stores,
     count_table,
     evidence_from_pair,
+    masses_of,
     pair_evidence_oracle,
     pairs_of,
     scan_partition,
@@ -113,7 +117,7 @@ class TestExtraction:
         random.Random(7).shuffle(rows)
         shuffled = extract_all(ds.with_alloys(rows), ExtractionConfig(alpha=0.2))
         assert pairs_of(store) == pairs_of(shuffled)
-        for pair, mass in store.items():
+        for pair, mass in masses_of(store).items():
             other = shuffled.get(pair)
             for a, b in zip(mass.as_tuple(), other.as_tuple()):
                 assert a == pytest.approx(b, abs=1e-12)
@@ -162,7 +166,7 @@ class TestExtraction:
         ds = random_dataset(50, universe_size=9, seed=8, positive_rate=1.1)
         store = extract_all(ds, ExtractionConfig(alpha=0.3))
         assert len(store) > 0
-        assert all(mass.m_second == 0.0 for _, mass in store.items())
+        assert all(mass.m_second == 0.0 for mass in masses_of(store).values())
 
     def test_max_subst_size_filters_pairs(self, example2_dataset):
         store = extract_all(example2_dataset, ExtractionConfig(alpha=0.1, max_subst_size=1))
@@ -183,9 +187,9 @@ class TestPartitioning:
             for part in range(2)
         ]
         merged = combine_stores(partials)
-        assert pairs_of(merged) == pairs_of(whole)
-        for pair, mass in whole.items():
-            for g, w in zip(merged.get(pair).as_tuple(), mass.as_tuple()):
+        assert set(merged) == pairs_of(whole)
+        for pair, mass in masses_of(whole).items():
+            for g, w in zip(merged[pair].as_tuple(), mass.as_tuple()):
                 assert g == pytest.approx(w, abs=1e-12)
 
 
@@ -260,9 +264,12 @@ class TestCountsClosedForm:
         store = counts_to_store(count_table(counts), 0.3, ds.universe)
         assert len(store) == len(counts)
         index = ds.element_index()
-        for pair, mass in store.items():
+        weight = evidence_weight(0.3)
+        for pair, weights in store.items():
             masks = sorted(sum(1 << index[e] for e in side) for side in (pair.first, pair.second))
-            assert mass == mass_from_counts(*counts[tuple(masks)], 0.3)
+            agree, disagree = counts[tuple(masks)]
+            assert weights == (agree * weight, disagree * weight)
+            assert BinaryMass(*from_weights(*weights)) == mass_from_counts(agree, disagree, 0.3)
 
     def test_alpha_range(self):
         with pytest.raises(AlphaOutOfRange):
@@ -277,8 +284,22 @@ class TestSerialization:
         write_store(store, path)
         again = read_store(path)
         assert pairs_of(again) == pairs_of(store)
-        for pair, mass in store.items():
-            assert again.get(pair) == mass  # bit-exact
+        assert dict(again.items()) == dict(store.items())  # bit-exact
+        assert again.content_hash() == store.content_hash()
+
+    def test_infinite_and_subnormal_weights_round_trip(self, tmp_path):
+        entries = {
+            CombinationPair(("Cu",), ("Zn",)): (math.inf, 0.5),
+            CombinationPair(("Ag",), ("Zn",)): (0.0, math.inf),
+            CombinationPair(("Ag", "Cu"), ("Ni",)): (5e-324, 1e308),
+            CombinationPair(("Fe",), ("Ni",)): (1100 * evidence_weight(0.5), 0.1 + 0.2),
+        }
+        store = SimilarityStore.from_entries(entries)
+        path = tmp_path / "store.csv"
+        write_store(store, path)
+        assert "inf" in path.read_text()
+        again = read_store(path)
+        assert dict(again.items()) == entries
         assert again.content_hash() == store.content_hash()
 
     def test_header_format(self, tmp_path, example1_dataset):
@@ -286,21 +307,30 @@ class TestSerialization:
         path = tmp_path / "store.csv"
         write_store(store, path)
         header = path.read_text().splitlines()[0]
-        assert header == "combo_a,combo_b,m_similar,m_dissimilar,m_uncertain"
+        assert header == "combo_a,combo_b,w_similar,w_dissimilar"
+
+    def test_mass_columns_name_the_missing_weights(self, tmp_path):
+        path = tmp_path / "store.csv"
+        path.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.1,0,0.9\n")
+        with pytest.raises(ParseError, match="missing \\['w_similar', 'w_dissimilar'\\]") as info:
+            read_store(path)
+        assert info.value.row == 1
 
     @pytest.mark.parametrize(
         "text, row",
         [
             ("", 1),
-            ("a,b,c\nCu,Zn,0.1,0,0.9\n", 1),
-            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Co,0.5\n", 2),
-            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.1,0,0.9,7\n", 2),
-            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.1,0,0.9\nCu,Ag,x,0,1\n", 3),
-            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.5,0.5,0.5\n", 2),
-            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Cu,0.1,0,0.9\n", 2),
-            ("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nFe,Xx,0.5,0,0.5\n", 2),
+            ("a,b,c\nCu,Zn,0.1,0\n", 1),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nFe,Co,0.5\n", 2),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0,0.9\n", 2),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,x,0\n", 3),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,inf,inf\n", 3),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,-0.5,1\n", 3),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,0.5,nan\n", 3),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Cu,0.1,0\n", 3),
+            ("combo_a,combo_b,w_similar,w_dissimilar\nFe,Xx,0.5,0\n", 2),
         ],
-        ids=["empty", "header", "short-row", "long-row", "float", "sum", "overlap", "symbol"],
+        ids=["empty", "header", "short-row", "long-row", "float", "sum", "negative", "nan", "overlap", "symbol"],
     )
     def test_malformed_rows_name_their_row(self, tmp_path, text, row):
         path = tmp_path / "store.csv"
@@ -313,7 +343,7 @@ class TestSerialization:
         store = extract_all(random_dataset(30, universe_size=8, seed=22), ExtractionConfig(alpha=0.2))
         path = tmp_path / "store.csv"
         write_store(store, path)
-        order = [4, 2, 0, 3, 1]
+        order = [3, 1, 0, 2]
         rows = [line.split(",") for line in path.read_text().splitlines()]
         rows[0] = [name.upper() for name in rows[0]]
         path.write_text("".join(",".join(row[i] for i in order) + "\n" for row in rows))
@@ -323,7 +353,7 @@ class TestSerialization:
 
     def test_repeated_pair_names_both_rows(self, tmp_path):
         path = tmp_path / "store.csv"
-        path.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCo,Fe,0.5,0,0.5\nFe,Co,0,0.9,0.1\n")
-        with pytest.raises(ParseError, match="repeats row 2") as info:
+        path.write_text("combo_a,combo_b,w_similar,w_dissimilar\nCo,Fe,0.5,0\nCu,Fe,1,0\nFe,Co,0,0.9\nFe,Cu,1,1\n")
+        with pytest.raises(ParseError, match=r"pair \(Co, Fe\) repeats row 2") as info:
             read_store(path)
-        assert info.value.row == 3
+        assert info.value.row == 4
