@@ -18,7 +18,17 @@ from math import comb
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ElementAbsent, EmptyDataset, FractionDegenerate, KTooLarge, ParseError
+from .errors import (
+    ConfigError,
+    ElementAbsent,
+    EmptyDataset,
+    FoldsOutOfRange,
+    FractionDegenerate,
+    FractionOutOfRange,
+    KTooLarge,
+    ParseError,
+    TooFewElements,
+)
 
 # IUPAC symbols for elements 1-103.
 ELEMENT_SYMBOLS: tuple[str, ...] = (
@@ -148,7 +158,7 @@ def _resolve_universe(universe: Sequence[str] | str | None, elements_seen: Itera
         try:
             return UNIVERSES[universe]
         except KeyError:
-            raise ValueError(f"unknown universe preset {universe!r}; have {sorted(UNIVERSES)}") from None
+            raise ConfigError(f"unknown universe preset {universe!r}; have {sorted(UNIVERSES)}") from None
     return tuple(universe)
 
 
@@ -183,6 +193,15 @@ def parse_composition(text: str, row: int | None = None) -> Alloy:
         raise ParseError(str(exc), row) from None
 
 
+def _csv_rows(fh, path: Path) -> Iterator[list[str]]:
+    """The rows of a CSV text file; bytes that are not UTF-8 and CSV the
+    csv module rejects raise ParseError."""
+    try:
+        yield from csv.reader(fh)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path} is not UTF-8 CSV: {exc}") from None
+
+
 def read_rows(
     path: str | Path, columns: Sequence[str], optional: Sequence[str] = ()
 ) -> Iterator[tuple[int, list[str]]]:
@@ -193,11 +212,12 @@ def read_rows(
     case; a UTF-8 byte-order mark is allowed. Blank rows are skipped. An
     optional column the header lacks, or a row ends before, reads as "".
     A missing column, a row without a cell for one of `columns` and a row
-    with more cells than the header raise ParseError with the row number.
+    with more cells than the header raise ParseError with the row number;
+    a file that is not UTF-8 CSV raises ParseError.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None:
             raise ParseError(f"{path} is empty", 1)
@@ -270,8 +290,8 @@ def enumerate_combinations(universe: Sequence[str], k: int) -> list[Alloy]:
     symbols = sorted(set(universe))
     if k > len(symbols):
         raise KTooLarge(f"k={k} exceeds universe size {len(symbols)}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    if k < 2:
+        raise TooFewElements(f"an alloy needs at least 2 elements, got k={k}")
     alloys = [Alloy(combo) for combo in combinations(symbols, k)]
     assert len(alloys) == comb(len(symbols), k)
     return alloys
@@ -296,7 +316,7 @@ def fraction_split(
     """(training, test) with round(fraction * n) seeded training rows,
     drawn per class by default; fraction must lie in (0, 1)."""
     if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must lie in (0, 1), got {fraction!r}")
+        raise FractionOutOfRange(f"fraction must lie in (0, 1), got {fraction!r}")
     labels = dataset.labels()
     n = len(labels)
     n_train = round(fraction * n)
@@ -326,9 +346,9 @@ def kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[
     partition the rows."""
     n = len(labels)
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise FoldsOutOfRange(f"folds must be >= 2, got {k}")
     if k > n:
-        raise ValueError(f"k={k} exceeds dataset size {n}")
+        raise FoldsOutOfRange(f"{k} folds exceed the dataset's {n} rows")
     pos, neg = _stratified_indices(labels, seed)
     # continuous round-robin across classes keeps fold sizes within one
     # of each other even when a class is smaller than k

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alloys import Alloy
 from .belief import from_weights
-from .errors import MatrixMalformed
+from .errors import MatrixMalformed, TooFewAlloys, TooFewElements
 from .md_evidence import CombinationPair, SimilarityStore
 
 __all__ = [
@@ -42,7 +42,7 @@ def element_distance_matrix(store: SimilarityStore, universe: Sequence[str]) -> 
     """Symmetric element-by-element distance: dissimilarity mass plus half
     the ignorance mass; unobserved pairs sit at 0.5, the diagonal at 0."""
     if len(universe) < 2:
-        raise ValueError("universe needs at least 2 elements")
+        raise TooFewElements(f"need at least 2 elements, got {list(universe)}")
     n = len(universe)
     i, j = np.triu_indices(n, 1)
     out = np.zeros((n, n))
@@ -66,7 +66,7 @@ def hybrid_distance_matrix(alloys: Sequence[Alloy], store: SimilarityStore) -> n
     other) and pairs absent from the store use the vacuous factor 0.5.
     """
     if len(alloys) < 2:
-        raise ValueError("need at least 2 alloys")
+        raise TooFewAlloys(f"need at least 2 alloys, got {len(alloys)}")
     n = len(alloys)
     sets = [a.element_set for a in alloys]
     cells, pairs = [], []

@@ -3,12 +3,16 @@
 Subcommands compose into the full workflow: extract / prompts / ingest /
 fuse / predict, plus the evaluation protocols (eval-cv, eval-extrapolate),
 alpha tuning, clustering, and distance-matrix export. Options resolve as
-defaults < JSON config file < command-line flags, every run writes a
-run_metadata.json that is sufficient to reproduce it, and all randomness
-comes from the required --seed.
+defaults < JSON config file < command-line flags: a config file is read as
+the flags it stands for, and argparse checks those and the command line in
+one pass. Every run writes a run_metadata.json that is sufficient to
+reproduce it, and all randomness comes from --seed, which the four
+commands that draw any (fuse, eval-cv, eval-extrapolate, tune-alpha)
+require.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-error in the belief algebra.
+`main` returns the exit code: 0 success, 2 configuration error (a bad
+option or config value, or a file that cannot be opened), 3 data error,
+4 numeric error in the belief algebra.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .alloys import UNIVERSES, Alloy, enumerate_combinations, parse_composition, parse_dataset, read_rows
+from .alloys import ELEMENT_SYMBOLS, UNIVERSES, Alloy, enumerate_combinations, parse_composition, parse_dataset, read_rows
 from .analysis import (
     element_distance_matrix,
     hac_complete,
@@ -55,115 +59,97 @@ from .llm_evidence import (
 from .md_evidence import (
     CombinationPair,
     ExtractionConfig,
+    SimilarityStore,
     extract_all,
     read_store,
     write_store,
 )
 
-_SEEDED_COMMANDS = {"fuse", "eval-cv", "eval-extrapolate", "tune-alpha"}
-
-# options that must be present after merging config-file values
-_REQUIRED = {
-    "extract": ("dataset",),
-    "prompts": (),
-    "ingest": ("responses",),
-    "fuse": (),
-    "predict": ("store", "training"),
-    "eval-cv": ("dataset",),
-    "eval-extrapolate": ("dataset",),
-    "tune-alpha": ("dataset",),
-    "cluster": ("store",),
-    "export-distances": ("store",),
-}
+_PRESETS = sorted(UNIVERSES)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _count(minimum: int):
+    """argparse type of an integer option that must be at least `minimum`."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return count
 
 
-def _print_error(error: str, message: str, code: int, command: str | None) -> None:
-    """The one JSON error object a failed run writes to stderr."""
-    print(json.dumps({"error": error, "message": message, "exit_code": code, "command": command}),
-          file=sys.stderr)
+_positive_int = _count(1)
+_at_least_two = _count(2)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line as one JSON error object, exit 2.
-    Options must be spelled in full, so `_apply_config` sees every flag the
-    command line set."""
+    """Raises ConfigError for a malformed command line, which `main`
+    reports like any other failure. Options must be spelled in full, so a
+    config key is skipped exactly when its flag is on the command line."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
-    def parse_args(self, args=None, namespace=None):
-        """argparse reports unrecognized arguments from the top-level
-        parser; name the subcommand that was read instead."""
-        namespace, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self._fail(f"unrecognized arguments: {' '.join(extras)}", namespace.command)
-        return namespace
-
     def error(self, message: str) -> NoReturn:
-        self._fail(message, self.prog.partition(" ")[2] or None)
-
-    def _fail(self, message: str, command: str | None) -> NoReturn:
-        _print_error("ConfigError", message, 2, command)
-        sys.exit(2)
+        raise ConfigError(message)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--seed", type=int, default=None, help="seed for all randomness")
     sub.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                      help="worker-pool cap for batch prediction, at least 1 (default: all cores)")
     sub.add_argument("--out-dir", default=".", help="directory for outputs and run metadata")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
+    """The heafusion parser; its `commands` attribute maps each subcommand
+    to its own parser."""
     parser = _Parser(prog="heafusion", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     p = subs.add_parser("extract", help="extract a similarity store from a labeled dataset")
     _add_common(p)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--universe", default=None, help="preset name (E1/E2) or omit to derive")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--universe", choices=_PRESETS, help="preset name, or omit to derive")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--max-subst-size", type=_positive_int, default=None)
     p.add_argument("--out", default="md_store.csv")
 
     p = subs.add_parser("prompts", help="generate expert prompt records for offline querying")
     _add_common(p)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--universe", choices=_PRESETS)
     p.add_argument("--elements", default=None, help="comma-separated element list")
     p.add_argument("--domains", default=",".join(DEFAULT_DOMAINS))
     p.add_argument("--out", default="prompts.jsonl")
 
     p = subs.add_parser("ingest", help="turn an expert response file into per-domain stores")
     _add_common(p)
-    p.add_argument("--responses", default=None)
+    p.add_argument("--responses", required=True)
     p.add_argument("--beta", type=float, default=None, help="default 1/N_domains in the file")
 
     p = subs.add_parser("fuse", help="discount stores by reliability and combine them")
     _add_common(p)
+    p.add_argument("--seed", type=int, required=True, help="seed for all randomness")
     p.add_argument("--store", action="append", default=[], metavar="ID=PATH")
     p.add_argument("--gamma", action="append", default=[], metavar="ID=VALUE")
     p.add_argument("--dataset", default=None, help="reference data for gamma estimation")
-    p.add_argument("--universe", default=None)
-    p.add_argument("--folds", type=_positive_int, default=10)
+    p.add_argument("--universe", choices=_PRESETS)
+    p.add_argument("--folds", type=_at_least_two, default=10)
     p.add_argument("--out", default="fused_store.csv")
 
     p = subs.add_parser("predict", help="score candidate alloys against a store")
     _add_common(p)
-    p.add_argument("--store", default=None)
-    p.add_argument("--training", default=None, help="labeled dataset providing analogy hosts")
-    p.add_argument("--universe", default=None)
-    p.add_argument("--candidates", default=None, help="CSV with a composition column")
-    p.add_argument("--enumerate", type=_positive_int, default=None, metavar="K",
-                   help="score all K-element alloys over the universe instead")
+    p.add_argument("--store", required=True)
+    p.add_argument("--training", required=True, help="labeled dataset providing analogy hosts")
+    p.add_argument("--universe", choices=_PRESETS)
+    candidates = p.add_mutually_exclusive_group(required=True)
+    candidates.add_argument("--candidates", help="CSV with a composition column")
+    candidates.add_argument("--enumerate", type=_at_least_two, metavar="K",
+                            help="score all K-element alloys over the universe instead")
     p.add_argument("--max-subst-size", type=_positive_int, default=None)
     p.add_argument("--out", default="predictions.csv")
 
@@ -173,14 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = subs.add_parser(name, help=help_text)
         _add_common(p)
-        p.add_argument("--dataset", default=None)
-        p.add_argument("--universe", default=None)
+        p.add_argument("--seed", type=int, required=True, help="seed for all randomness")
+        p.add_argument("--dataset", required=True)
+        p.add_argument("--universe", choices=_PRESETS)
         p.add_argument("--sources", default="md", help="comma list from {md,llm}")
         p.add_argument("--alpha", type=float, default=0.1)
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--responses", default=None, help="expert response CSV for llm sources")
         p.add_argument("--max-subst-size", type=_positive_int, default=None)
-        p.add_argument("--gamma-folds", type=_positive_int, default=10)
+        p.add_argument("--gamma-folds", type=_at_least_two, default=10)
         p.add_argument("--gamma", action="append", default=[], metavar="ID=VALUE")
         if name == "eval-cv":
             p.add_argument("--fractions", default=",".join(str(f) for f in DEFAULT_FRACTIONS))
@@ -191,94 +178,89 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tune-alpha", help="grid-search the dataset-evidence weight")
     _add_common(p)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--seed", type=int, required=True, help="seed for all randomness")
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--universe", choices=_PRESETS)
     p.add_argument("--grid", default=None, help="comma list; default 0.01..0.50 step 0.01")
-    p.add_argument("--folds", type=_positive_int, default=10)
+    p.add_argument("--folds", type=_at_least_two, default=10)
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--max-subst-size", type=_positive_int, default=None)
     p.add_argument("--out", default="alpha.json")
 
     p = subs.add_parser("cluster", help="complete-linkage clustering of elements in a store")
     _add_common(p)
-    p.add_argument("--store", default=None)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--store", required=True)
+    p.add_argument("--universe", choices=_PRESETS)
     p.add_argument("--elements", default=None)
 
     p = subs.add_parser("export-distances", help="element and hybrid alloy distance matrices")
     _add_common(p)
-    p.add_argument("--store", default=None)
-    p.add_argument("--universe", default=None)
+    p.add_argument("--store", required=True)
+    p.add_argument("--universe", choices=_PRESETS)
     p.add_argument("--elements", default=None)
     p.add_argument("--alloys", default=None, help="dataset CSV; enables the hybrid matrix")
 
     return parser
 
 
-def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """The options of one subcommand, by destination."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return {a.dest: a for a in action.choices[command]._actions}
-    raise ConfigError(f"unknown command {command!r}")
+def _config_text(key: str, value) -> str:
+    """One config value as command-line text: a string or a number, and
+    like every command-line argument free of NUL characters."""
+    text = str(value)
+    if isinstance(value, (bool, list, dict)) or "\0" in text:
+        raise ConfigError(f"config key {key!r}: invalid value {value!r}")
+    return text
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """A config-file value as the command line would have given it: a
-    JSON boolean for a flag, each item of a list for a repeatable option,
-    and anything else through the option's own type, from its text."""
-    if value is None:
-        return None
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} is a flag and needs true or false, got {value!r}")
-        return value
-    repeatable = isinstance(action, argparse._AppendAction)
-    items = value if repeatable and isinstance(value, list) else [value]
-    converted = []
-    for item in items:
-        if isinstance(item, (bool, list, dict)):
-            raise ConfigError(f"config key {key!r}: invalid value {item!r}")
-        try:
-            converted.append(action.type(str(item)) if action.type else str(item))
-        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-            raise ConfigError(f"config key {key!r}: invalid value {item!r} ({exc})") from None
-    return converted if repeatable else converted[0]
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser) -> None:
-    """Overlay config-file values for options not set on the command line,
-    passed through the parser's own types."""
-    if not args.config:
-        return
+def _config_flags(sub: argparse.ArgumentParser, rest: list[str]) -> tuple[list[str], list[str]]:
+    """The flags that a --config file among a subcommand's command-line
+    tokens `rest` stands for: `--key=value` for each key the command line
+    leaves unset, so that its flags win. A JSON list repeats a repeatable
+    option, `true` is a bare flag and `false` leaves a flag unset; the
+    option's default tells which it is (a list, or False). The keys whose
+    value is null, which leaves their option at its default, come second."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(rest)[0].config
+    if path is None:
+        return [], []
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {args.config}: {exc}") from None
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = vars(args)
-    actions = _subcommand_actions(parser, args.command)
-    explicit = {token.split("=")[0].lstrip("-").replace("-", "_")
-                for token in argv if token.startswith("--")}
+    given = {token.partition("=")[0] for token in rest}
+    flags, nulls = [], []
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if attr in ("command", "config"):
+        flag = "--" + key.replace("_", "-")
+        if key in ("command", "config") or flag in given:
             continue
-        if attr not in known:
-            raise ConfigError(f"config key {key!r} unknown for command {args.command!r}")
-        if attr not in explicit:
-            setattr(args, attr, _config_value(actions[attr], key, value))
+        kind = sub.get_default(key.replace("-", "_"))
+        if value is None:
+            nulls.append(key)
+        elif kind is False and isinstance(value, bool):
+            flags += [flag] if value else []
+        elif isinstance(kind, list) and isinstance(value, list):
+            flags += [f"{flag}={_config_text(key, item)}" for item in value]
+        else:
+            flags.append(f"{flag}={_config_text(key, value)}")
+    return flags, nulls
 
 
 def _universe_symbols(args: argparse.Namespace) -> tuple[str, ...]:
-    if getattr(args, "elements", None):
-        return tuple(e.strip() for e in args.elements.split(",") if e.strip())
+    """The distinct element-table symbols of --elements, else the
+    --universe preset."""
+    if args.elements:
+        symbols = tuple(e.strip() for e in args.elements.split(",") if e.strip())
+        unknown = sorted(set(symbols) - set(ELEMENT_SYMBOLS))
+        if unknown:
+            raise ConfigError(f"--elements names symbols outside the element table: {unknown}")
+        if len(set(symbols)) != len(symbols):
+            raise ConfigError(f"--elements names a symbol twice: {args.elements!r}")
+        return symbols
     if args.universe:
-        try:
-            return UNIVERSES[args.universe]
-        except KeyError:
-            raise ConfigError(f"unknown universe preset {args.universe!r}") from None
+        return UNIVERSES[args.universe]
     raise ConfigError("need --universe or --elements")
 
 
@@ -294,6 +276,26 @@ def _parse_assignments(pairs: list[str], what: str) -> dict[str, str]:
             raise ConfigError(f"--{what} {key!r} given twice")
         out[key] = value
     return out
+
+
+def _number(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"--{option} expects numbers, got {text!r}") from None
+
+
+def _gammas(args: argparse.Namespace) -> dict[str, float]:
+    """Source ID -> reliability of the --gamma options."""
+    return {sid: _number(v, "gamma") for sid, v in _parse_assignments(args.gamma, "gamma").items()}
+
+
+def _expert_stores(args: argparse.Namespace) -> tuple[float, dict[str, SimilarityStore]]:
+    """The beta used, --beta or 1/N over the domains of the --responses
+    file, and that file's store per domain."""
+    responses = parse_responses(args.responses)
+    beta = args.beta if args.beta is not None else default_beta(len({r.domain for r in responses}))
+    return beta, build_store(responses, beta)
 
 
 def _write_metadata(args: argparse.Namespace, outputs: list[str], extra: dict | None = None) -> None:
@@ -340,13 +342,8 @@ def _sources_from_args(args: argparse.Namespace) -> SourcesConfig:
     if "llm" in wanted:
         if not args.responses:
             raise ConfigError("--responses is required when llm is among the sources")
-        responses = parse_responses(args.responses)
-        domains = {r.domain for r in responses}
-        beta = args.beta if args.beta is not None else default_beta(len(domains))
-        llm_stores = {f"llm:{d}": s for d, s in build_store(responses, beta).items()}
-    overrides = {
-        sid: float(v) for sid, v in _parse_assignments(args.gamma, "gamma").items()
-    }
+        llm_stores = {f"llm:{d}": s for d, s in _expert_stores(args)[1].items()}
+    overrides = _gammas(args)
     return SourcesConfig(
         use_md="md" in wanted,
         md_alpha=args.alpha,
@@ -416,23 +413,20 @@ def _cmd_prompts(args: argparse.Namespace) -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> None:
-    responses = parse_responses(args.responses)
-    domains = {r.domain for r in responses}
-    beta = args.beta if args.beta is not None else default_beta(len(domains))
-    stores = build_store(responses, beta)
+    beta, stores = _expert_stores(args)
     outputs = []
     for domain, store in sorted(stores.items()):
         out = _out_path(args, f"llm_{domain}.csv")
         write_store(store, out)
         outputs.append(out.name)
-    _write_metadata(args, outputs, {"beta": beta, "domains": sorted(domains)})
+    _write_metadata(args, outputs, {"beta": beta, "domains": sorted(stores)})
 
 
 def _cmd_fuse(args: argparse.Namespace) -> None:
     assignments = _parse_assignments(args.store, "store")
     if not assignments:
         raise EmptySourceList("fuse requires at least one --store ID=PATH")
-    explicit = {sid: SourceReliability(sid, float(v)) for sid, v in _parse_assignments(args.gamma, "gamma").items()}
+    explicit = {sid: SourceReliability(sid, gamma) for sid, gamma in _gammas(args).items()}
     unknown = sorted(set(explicit) - set(assignments))
     if unknown:
         raise ConfigError(f"--gamma given for {unknown}, which name no --store")
@@ -460,8 +454,6 @@ def _cmd_fuse(args: argparse.Namespace) -> None:
 def _cmd_predict(args: argparse.Namespace) -> None:
     training = parse_dataset(args.training, universe=args.universe)
     store = read_store(args.store)
-    if (args.candidates is None) == (args.enumerate is None):
-        raise ConfigError("need exactly one of --candidates or --enumerate")
     if args.candidates:
         candidates = _read_candidates(args.candidates)
     else:
@@ -488,7 +480,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
 def _cmd_eval_cv(args: argparse.Namespace) -> None:
     dataset = parse_dataset(args.dataset, universe=args.universe)
     sources = _sources_from_args(args)
-    fractions = [float(f) for f in str(args.fractions).split(",") if str(f).strip()]
+    fractions = [_number(f, "fractions") for f in args.fractions.split(",") if f.strip()]
     reports = run_cv_experiment(
         dataset, sources, fractions=fractions, seed=args.seed, repeats=args.repeats,
         stratified=not args.unstratified, jobs=args.jobs,
@@ -513,7 +505,7 @@ def _cmd_eval_extrapolate(args: argparse.Namespace) -> None:
 def _cmd_tune_alpha(args: argparse.Namespace) -> None:
     dataset = parse_dataset(args.dataset, universe=args.universe)
     grid = (
-        [float(a) for a in args.grid.split(",")] if args.grid else list(DEFAULT_ALPHA_GRID)
+        [_number(a, "grid") for a in args.grid.split(",")] if args.grid else list(DEFAULT_ALPHA_GRID)
     )
     best = grid_search_alpha(
         dataset, grid=grid, folds=args.folds, repeats=args.repeats, seed=args.seed,
@@ -538,20 +530,15 @@ def _cmd_cluster(args: argparse.Namespace) -> None:
 
 def _cmd_export_distances(args: argparse.Namespace) -> None:
     store = read_store(args.store)
-    outputs = []
     symbols = _universe_symbols(args)
-    matrix = element_distance_matrix(store, symbols)
-    element_path = _out_path(args, "element_distances.csv")
-    write_matrix_csv(matrix, symbols, element_path)
-    outputs.append(element_path.name)
+    matrices = [("element_distances.csv", element_distance_matrix(store, symbols), symbols)]
     if args.alloys:
-        dataset = parse_dataset(args.alloys, universe=args.universe)
-        alloys = [la.alloy for la in dataset.alloys]
-        hybrid = hybrid_distance_matrix(alloys, store)
-        hybrid_path = _out_path(args, "hybrid_distances.csv")
-        write_matrix_csv(hybrid, [a.composition() for a in alloys], hybrid_path)
-        outputs.append(hybrid_path.name)
-    _write_metadata(args, outputs)
+        alloys = [la.alloy for la in parse_dataset(args.alloys, universe=args.universe).alloys]
+        matrices.append(("hybrid_distances.csv", hybrid_distance_matrix(alloys, store),
+                         [a.composition() for a in alloys]))
+    for name, matrix, labels in matrices:
+        write_matrix_csv(matrix, labels, _out_path(args, name))
+    _write_metadata(args, [name for name, _, _ in matrices])
 
 
 _HANDLERS = {
@@ -577,23 +564,24 @@ def _exit_code(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code. A malformed command
+    line or config value is a ConfigError; every failure is printed as one
+    JSON object on stderr. Only --help and --version exit."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _HANDLERS else None
     try:
-        _apply_config(args, argv, parser)
-        missing = [opt for opt in _REQUIRED[args.command] if getattr(args, opt) is None]
-        if missing:
-            raise ConfigError(
-                f"{args.command} requires {', '.join('--' + m for m in missing)} (flag or config)"
-            )
-        if args.command in _SEEDED_COMMANDS and args.seed is None:
-            raise ConfigError(f"{args.command} requires --seed (flag or config)")
+        parser = build_parser()
+        flags, nulls = _config_flags(parser.commands[command], argv[1:]) if command else ([], [])
+        args = parser.parse_args(argv[:1] + flags + argv[1:])
+        unknown = [key for key in nulls if not hasattr(args, key.replace("-", "_"))]
+        if unknown:
+            raise ConfigError(f"config keys {unknown} name no option of {command}")
         _HANDLERS[args.command](args)
         return 0
-    except (HeafusionError, ValueError, OSError, KeyError) as exc:
+    except (HeafusionError, OSError) as exc:
         code = _exit_code(exc)
-        _print_error(type(exc).__name__, str(exc), code, args.command)
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code, "command": command}),
+              file=sys.stderr)
         return code
 
 

@@ -1,7 +1,13 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by library code derives from :class:`HeafusionError` so
-callers (and the CLI) can map failures to exit codes without string matching.
+Every error that an option, a config value or an input file can cause
+derives from :class:`HeafusionError`, so callers (and the CLI) map failures
+to exit codes without string matching. The range errors of the splitters,
+`enumerate_combinations` and the distance matrices also derive from
+ValueError, which they raised before. A ValueError or TypeError that
+library code still raises guards an invariant or argument that the CLI's
+checked input always meets: the CLI does not catch it, since reaching it
+is a bug.
 """
 
 from __future__ import annotations
@@ -67,6 +73,22 @@ class DegenerateDataset(DataError):
 
 class ElementAbsent(DataError):
     """Requested element does not occur in the dataset."""
+
+
+class FractionOutOfRange(ConfigError, ValueError):
+    """Split fraction outside (0, 1)."""
+
+
+class FoldsOutOfRange(ConfigError, ValueError):
+    """Fold count below 2 or above the number of rows."""
+
+
+class TooFewElements(ConfigError, ValueError):
+    """Element list or combination size below the two an alloy needs."""
+
+
+class TooFewAlloys(DataError, ValueError):
+    """Dataset with fewer alloys than the operation needs."""
 
 
 class FractionDegenerate(ConfigError):

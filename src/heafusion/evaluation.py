@@ -62,7 +62,7 @@ def grid_search_alpha(
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
     if not grid:
-        raise ValueError("alpha grid must be non-empty")
+        raise ConfigError("alpha grid must be non-empty")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     alphas = sorted(set(grid))

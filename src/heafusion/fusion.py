@@ -58,10 +58,9 @@ def estimate_reliability(
 
     Each fold is predicted from the remaining alloys' labels and the given
     store (the store itself is not re-derived per fold) and classified by
-    `inference.classify`.
+    `inference.classify`. A fold count below 2 or above the dataset's
+    size raises FoldsOutOfRange.
     """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
     n_pos = dataset.n_positive
     if n_pos == 0 or n_pos == len(dataset):
         raise DegenerateDataset(f"{dataset.name} has a single class; reliability undefined")

@@ -390,25 +390,26 @@ class SimilarityStore:
     def __contains__(self, pair: CombinationPair) -> bool:
         return bool(self._rows([pair])[0] >= 0)
 
-    def _sides(self) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-        """(first, second) sorted element tuples of every row, smaller first."""
-        names: dict[int, tuple[str, ...]] = {}
-
-        def side(mask: int) -> tuple[str, ...]:
-            if mask not in names:
-                names[mask] = tuple(sorted(self.elements[i] for i in range(mask.bit_length()) if mask >> i & 1))
-            return names[mask]
-
-        out = []
-        for lo, hi in zip(_words_to_ints(self.keys >> _WORD), _words_to_ints(self.keys & _LOW)):
-            a, b = side(lo), side(hi)
-            out.append((a, b) if a <= b else (b, a))
-        return out
+    def _named_sides(self) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
+        """The distinct sides of the rows as sorted element tuples, in
+        sorted order, and per row the positions of its first and second
+        side among them: the side whose tuple sorts first comes first.
+        Each distinct side mask is named once."""
+        halves = np.concatenate([self.keys >> _WORD, self.keys & _LOW])
+        _, first_seen, inverse = np.unique(_row_code(halves), return_index=True, return_inverse=True)
+        bits = np.unpackbits(halves[first_seen].astype("<u4").view(np.uint8), axis=1, bitorder="little")
+        names = [tuple(sorted(self.elements[i] for i in np.flatnonzero(row))) for row in bits]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[order] = np.arange(len(names))
+        side = rank[inverse.reshape(-1)].reshape(2, len(self))
+        return [names[i] for i in order], side.min(axis=0), side.max(axis=0)
 
     def items(self) -> Iterator[tuple[CombinationPair, tuple[float, float]]]:
         """(pair, (w_first, w_second)) of every entry, in key row order."""
-        for (first, second), weights in zip(self._sides(), zip(self.w_first.tolist(), self.w_second.tolist())):
-            yield CombinationPair(first, second), weights
+        names, first, second = self._named_sides()
+        for a, b, weights in zip(first.tolist(), second.tolist(), zip(self.w_first.tolist(), self.w_second.tolist())):
+            yield CombinationPair(names[a], names[b]), weights
 
     def reindexed(self, elements: Sequence[str]) -> "SimilarityStore":
         """The entries over the given elements, keyed in their bit order;
@@ -628,14 +629,17 @@ def write_store(store: SimilarityStore, path: str | Path) -> None:
     are written with 17 significant digits, or as `inf`, so the round-trip
     is bit-exact."""
     path = Path(path)
-    sides = store._sides()
-    columns = list(zip(store.w_first.tolist(), store.w_second.tolist()))
+    names, first, second = store._named_sides()
+    text = ["-".join(name) for name in names]
+    order = np.lexsort((second, first))
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
-        for row in sorted(range(len(sides)), key=sides.__getitem__):
-            first, second = sides[row]
-            writer.writerow(["-".join(first), "-".join(second), *(f"{w:.17g}" for w in columns[row])])
+        writer.writerows(
+            [text[a], text[b], f"{w1:.17g}", f"{w2:.17g}"]
+            for a, b, w1, w2 in zip(first[order].tolist(), second[order].tolist(),
+                                    store.w_first[order].tolist(), store.w_second[order].tolist())
+        )
 
 
 def read_store(path: str | Path) -> SimilarityStore:

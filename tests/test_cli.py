@@ -59,14 +59,6 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def exit_code(args):
-    """The process exit status of a run, also when argparse ends it."""
-    try:
-        return run(args)
-    except SystemExit as exc:
-        return exc.code
-
-
 def one_error(stderr):
     """The single JSON error object a failed run leaves on stderr."""
     assert "Traceback" not in stderr
@@ -75,6 +67,14 @@ def one_error(stderr):
     err = json.loads(lines[0])
     assert set(err) == {"error", "message", "exit_code", "command"}
     return err
+
+
+def write_inputs(root, texts):
+    """Each text written to root/<name>.csv; the paths by name."""
+    paths = {name: root / f"{name}.csv" for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
 
 
 class TestExtract:
@@ -177,7 +177,7 @@ class TestFuse:
         a.write_text(header + "Cu,Zn,0.5,0\n")
         b.write_text(header + "Cu,Ni,0.5,0\n")
         args = [token.format(a=a, b=b) for token in assignments]
-        assert exit_code(["fuse", *args, "--seed", "1", "--out-dir", tmp_path / "run"]) == 2
+        assert run(["fuse", *args, "--seed", "1", "--out-dir", tmp_path / "run"]) == 2
         err = one_error(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert not (tmp_path / "run" / "fused_store.csv").exists()
@@ -200,7 +200,7 @@ class TestFuse:
 
     def test_gamma_out_of_range_fails_before_stores_are_read(self, tmp_path, capsys):
         args = ["fuse", "--store", f"x={tmp_path / 'missing.csv'}", "--gamma", "x=1.5"]
-        assert exit_code(args + ["--seed", "1", "--out-dir", tmp_path / "run"]) == 2
+        assert run(args + ["--seed", "1", "--out-dir", tmp_path / "run"]) == 2
         assert one_error(capsys.readouterr().err)["error"] == "GammaOutOfRange"
         assert not (tmp_path / "run").exists()
 
@@ -215,8 +215,8 @@ class TestFuse:
     def test_mass_format_store_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "a.csv"
         store.write_text("combo_a,combo_b,m_similar,m_dissimilar,m_uncertain\nCu,Zn,0.5,0,0.5\n")
-        code = exit_code(["fuse", "--store", f"md={store}", "--gamma", "md=1", "--seed", "1",
-                          "--out-dir", tmp_path / "run"])
+        code = run(["fuse", "--store", f"md={store}", "--gamma", "md=1", "--seed", "1",
+                    "--out-dir", tmp_path / "run"])
         assert code == 3
         err = one_error(capsys.readouterr().err)
         assert err["error"] == "ParseError"
@@ -346,7 +346,7 @@ class TestEvaluationCommands:
     def test_gamma_out_of_range_fails_before_any_work(self, tmp_path, dataset_csv, capsys):
         # the protocol would reject fraction 0 before it meets the gamma
         args = ["eval-cv", "--dataset", dataset_csv, "--fractions", "0", "--gamma", "md=1.5"]
-        assert exit_code(args + ["--seed", "5", "--out-dir", tmp_path / "run"]) == 2
+        assert run(args + ["--seed", "5", "--out-dir", tmp_path / "run"]) == 2
         assert one_error(capsys.readouterr().err)["error"] == "GammaOutOfRange"
         assert not (tmp_path / "run").exists()
 
@@ -377,8 +377,8 @@ class TestEvaluationCommands:
     def test_dropped_gamma_is_config_error(self, tmp_path, dataset_csv, capsys, command, gammas):
         args = ["--fractions", "0.2"] if command == "eval-cv" else ["--elements", "H"]
         gamma_args = [arg for gamma in gammas for arg in ("--gamma", gamma)]
-        code = exit_code([command, "--dataset", dataset_csv, *args, "--sources", "md", *gamma_args,
-                          "--gamma-folds", "3", "--seed", "5", "--out-dir", tmp_path / "run"])
+        code = run([command, "--dataset", dataset_csv, *args, "--sources", "md", *gamma_args,
+                    "--gamma-folds", "3", "--seed", "5", "--out-dir", tmp_path / "run"])
         assert code == 2
         err = one_error(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
@@ -424,26 +424,32 @@ class TestCountOptions:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["tune-alpha", "--dataset", "{data}", "--grid", "0.1", "--folds", "3", "--repeats", "0"],
-            ["eval-cv", "--dataset", "{data}", "--fractions", "0.2", "--gamma-folds", "3", "--repeats", "0"],
+            ["tune-alpha", "--dataset", "{data}", "--grid", "0.1", "--folds", "3", "--seed", "1", "--repeats", "0"],
+            ["eval-cv", "--dataset", "{data}", "--fractions", "0.2", "--gamma-folds", "3", "--seed", "1",
+             "--repeats", "0"],
             ["predict", "--store", "{store}", "--training", "{data}", "--enumerate", "4", "--max-subst-size", "0"],
             ["predict", "--store", "{store}", "--training", "{data}", "--enumerate", "4", "--max-subst-size", "-1"],
             ["tune-alpha", "--dataset", "{data}", "--grid", "0.01,0.1", "--folds", "3", "--repeats", "1",
-             "--max-subst-size", "0"],
-            ["eval-extrapolate", "--dataset", "{data}", "--elements", "H", "--gamma-folds", "0"],
-            ["eval-extrapolate", "--dataset", "{data}", "--elements", "H", "--gamma-folds", "1"],
+             "--seed", "1", "--max-subst-size", "0"],
+            ["eval-extrapolate", "--dataset", "{data}", "--elements", "H", "--seed", "1", "--gamma-folds", "0"],
+            ["eval-extrapolate", "--dataset", "{data}", "--elements", "H", "--seed", "1", "--gamma-folds", "1"],
+            ["fuse", "--store", "md={store}", "--dataset", "{data}", "--seed", "1", "--folds", "1"],
+            ["tune-alpha", "--dataset", "{data}", "--grid", "0.1", "--seed", "1", "--folds", "1"],
         ],
         ids=["tune-repeats", "cv-repeats", "predict-size-0", "predict-size-neg", "tune-size",
-             "gamma-folds-0", "gamma-folds-1"],
+             "gamma-folds-0", "gamma-folds-1", "fuse-folds-1", "tune-folds-1"],
     )
     def test_count_below_minimum_is_config_error(self, tmp_path, dataset_csv, capsys, argv):
+        """Each argv is valid but for its last option."""
         store = tmp_path / "store.csv"
         store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nH,He,0.5,0\n")
         args = [a.format(data=dataset_csv, store=store) for a in argv]
-        assert exit_code(args + ["--seed", "1", "--jobs", "1", "--out-dir", tmp_path / "run"]) == 2
+        assert run(args + ["--jobs", "1", "--out-dir", tmp_path / "run"]) == 2
         err = one_error(capsys.readouterr().err)
         assert err["exit_code"] == 2
         assert err["command"] == argv[0]
+        assert f"argument {argv[-2]}:" in err["message"]
+        assert run(args[:-2] + ["--jobs", "1", "--out-dir", tmp_path / "run"]) == 0
 
 
 class TestClusterAndDistances:
@@ -472,14 +478,31 @@ class TestClusterAndDistances:
         assert (out / "hybrid_distances.csv").exists()
 
 
+# arguments of one run of each subcommand; {name} stands for an input file
+REPLAYS = {
+    "extract": ["--dataset", "{planted}", "--alpha", "0.17", "--max-subst-size", "2"],
+    "prompts": ["--elements", "Cu,Ag,Au", "--domains", "Metallurgy,Chemistry"],
+    "ingest": ["--responses", "{responses}", "--beta", "0.2"],
+    "fuse": ["--store", "md={store}", "--store", "llm:Metallurgy={llm}", "--gamma", "md=0.75",
+             "--dataset", "{planted}", "--folds", "3", "--seed", "4"],
+    "predict": ["--store", "{store}", "--training", "{planted}", "--enumerate", "4"],
+    "eval-cv": ["--dataset", "{planted}", "--fractions", "0.5", "--gamma-folds", "3", "--unstratified",
+                "--sources", "md,llm", "--responses", "{responses}", "--gamma", "llm:Metallurgy=0.5", "--seed", "5"],
+    "eval-extrapolate": ["--dataset", "{planted}", "--elements", "Fe", "--gamma-folds", "3", "--seed", "5"],
+    "tune-alpha": ["--dataset", "{planted}", "--grid", "0.05,0.2", "--folds", "3", "--repeats", "1", "--seed", "2"],
+    "cluster": ["--store", "{store}", "--elements", ",".join(GROUP_A + GROUP_B)],
+    "export-distances": ["--store", "{store}", "--elements", "Fe,Co,Cu", "--alloys", "{planted}"],
+}
+
+
 class TestConfigFile:
     def test_abbreviated_flag_is_rejected(self, tmp_path, dataset_csv, capsys):
         """An abbreviation would escape the flags-win-over-config rule."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alpha": 0.3}))
         out = tmp_path / "run"
-        code = exit_code(["extract", "--alph", "0.2", "--config", config, "--dataset", dataset_csv,
-                          "--out-dir", out])
+        code = run(["extract", "--alph", "0.2", "--config", config, "--dataset", dataset_csv,
+                    "--out-dir", out])
         assert code == 2
         err = one_error(capsys.readouterr().err)
         assert err["command"] == "extract"
@@ -487,7 +510,7 @@ class TestConfigFile:
         assert not out.exists()
 
     def test_unknown_flag_names_the_subcommand(self, capsys):
-        assert exit_code(["extract", "--bogus"]) == 2
+        assert run(["extract", "--dataset", "d.csv", "--bogus"]) == 2
         err = one_error(capsys.readouterr().err)
         assert err["command"] == "extract"
         assert "--bogus" in err["message"]
@@ -520,35 +543,146 @@ class TestConfigFile:
         assert (tmp_path / "a" / "md_store.csv").read_bytes() == (tmp_path / "b" / "md_store.csv").read_bytes()
 
     @pytest.mark.parametrize(
-        "config", [{"alpha": "x"}, {"jobs": 0}, {"max_subst_size": 2.5}, {"unstratified": 1}, {"max_subst_size": 0}]
+        "config",
+        [{"alpha": "x"}, {"jobs": 0}, {"max_subst_size": 2.5}, {"unstratified": 1}, {"max_subst_size": 0},
+         {"alpha": {"x": 1}}, {"alpha": False}, {"alpha": [0.1, 0.2]}, {"out": True}, {"help": True},
+         {"universe": "X9"}, {"seed": 1}, {"no_such_option": None}, {"out": "a\0b"}],
     )
     def test_bad_value_is_config_error(self, tmp_path, dataset_csv, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
-        command = "eval-cv" if "unstratified" in config else "extract"
-        code = run([command, "--config", path, "--dataset", dataset_csv, "--seed", "1", "--out-dir", tmp_path])
+        command = ["eval-cv", "--seed", "1"] if "unstratified" in config else ["extract"]
+        code = run([*command, "--config", path, "--dataset", dataset_csv, "--out-dir", tmp_path])
         assert code == 2
-        err = json.loads(capsys.readouterr().err)
+        err = one_error(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["exit_code"] == 2
+        (key,) = config
+        assert key.replace("_", "-") in err["message"].replace("_", "-")
 
-    def test_jobs_below_one_rejected_on_command_line(self, tmp_path, dataset_csv):
-        with pytest.raises(SystemExit) as info:
-            run(["extract", "--dataset", dataset_csv, "--jobs", "0", "--out-dir", tmp_path])
-        assert info.value.code == 2
+    def test_null_leaves_the_default(self, tmp_path, dataset_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_subst_size": None, "universe": None}))
+        assert run(["extract", "--config", config, "--dataset", dataset_csv, "--out-dir", tmp_path / "a"]) == 0
+        assert run(["extract", "--dataset", dataset_csv, "--out-dir", tmp_path / "b"]) == 0
+        assert (tmp_path / "a" / "md_store.csv").read_bytes() == (tmp_path / "b" / "md_store.csv").read_bytes()
 
-    def test_rerun_from_metadata_config(self, tmp_path, dataset_csv):
+    def test_jobs_below_one_rejected_on_command_line(self, tmp_path, dataset_csv, capsys):
+        assert run(["extract", "--dataset", dataset_csv, "--jobs", "0", "--out-dir", tmp_path]) == 2
+        assert "argument --jobs:" in one_error(capsys.readouterr().err)["message"]
+
+    def test_flags_replace_a_repeatable_config_key(self, tmp_path):
+        store = tmp_path / "a.csv"
+        store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.5,0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"store": [f"md={store}"], "gamma": ["md=0.5"], "seed": 1}))
+        out = tmp_path / "run"
+        assert run(["fuse", "--config", config, "--gamma", "md=0.75", "--out-dir", out]) == 0
+        assert json.loads((out / "fused_store.gammas.json").read_text()) == {"md": 0.75}
+
+    @pytest.mark.parametrize("command,args", REPLAYS.items(), ids=list(REPLAYS))
+    def test_rerun_from_metadata_config(self, tmp_path, planted_csv, responses_csv, command, args):
         """A run's metadata config echo reproduces it bit-identically."""
-        out1 = tmp_path / "a"
-        run(["extract", "--dataset", dataset_csv, "--alpha", "0.17", "--out-dir", out1])
+        inputs = tmp_path / "inputs"
+        assert run(["extract", "--dataset", planted_csv, "--out-dir", inputs]) == 0
+        assert run(["ingest", "--responses", responses_csv, "--out-dir", inputs]) == 0
+        files = {"planted": planted_csv, "responses": responses_csv,
+                 "store": inputs / "md_store.csv", "llm": inputs / "llm_Metallurgy.csv"}
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run([command, *(a.format(**files) for a in args), "--out-dir", out1]) == 0
         meta = json.loads((out1 / "run_metadata.json").read_text())
-        out2 = tmp_path / "b"
-        replay = dict(meta["config"])
-        replay["out_dir"] = str(out2)
+        replay = dict(meta["config"], out_dir=str(out2))
         config = tmp_path / "replay.json"
         config.write_text(json.dumps(replay))
-        assert run(["extract", "--config", config]) == 0
-        assert (out1 / "md_store.csv").read_bytes() == (out2 / "md_store.csv").read_bytes()
+        assert run([command, "--config", config]) == 0
+        assert json.loads((out2 / "run_metadata.json").read_text())["config"] == replay
+        outputs = sorted(f.name for f in out1.iterdir() if f.name != "run_metadata.json")
+        assert outputs and outputs == sorted(f.name for f in out2.iterdir() if f.name != "run_metadata.json")
+        for name in outputs:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# input files and an error each command line meets before it writes an output
+INPUT_ERRORS = {
+    "fuse-more-folds-than-rows": (
+        ["fuse", "--store", "md={store}", "--dataset", "{four}", "--folds", "9", "--seed", "1"], 2, "FoldsOutOfRange"),
+    "tune-more-folds-than-rows": (
+        ["tune-alpha", "--dataset", "{four}", "--grid", "0.1", "--folds", "9", "--seed", "1"], 2, "FoldsOutOfRange"),
+    "unknown-universe": (["extract", "--dataset", "{dataset}", "--universe", "X9"], 2, "ConfigError"),
+    "fraction-above-one": (
+        ["eval-cv", "--dataset", "{dataset}", "--fractions", "1.5", "--seed", "1"], 2, "FractionOutOfRange"),
+    "cluster-one-element": (["cluster", "--store", "{store}", "--elements", "Fe"], 2, "TooFewElements"),
+    "distances-one-alloy": (
+        ["export-distances", "--store", "{store}", "--elements", "Fe,Co", "--alloys", "{one}"], 3, "TooFewAlloys"),
+    "gamma-not-a-number": (["fuse", "--store", "md={store}", "--gamma", "md=abc", "--seed", "1"], 2, "ConfigError"),
+    "fraction-not-a-number": (
+        ["eval-cv", "--dataset", "{dataset}", "--fractions", "0.5,x", "--seed", "1"], 2, "ConfigError"),
+    "grid-not-a-number": (["tune-alpha", "--dataset", "{dataset}", "--grid", "0.1,y", "--seed", "1"], 2, "ConfigError"),
+    "enumerate-one": (
+        ["predict", "--store", "{store}", "--training", "{dataset}", "--enumerate", "1"], 2, "ConfigError"),
+    "cluster-unknown-element": (["cluster", "--store", "{store}", "--elements", "Fe,Xx"], 2, "ConfigError"),
+    "prompts-unknown-element": (["prompts", "--elements", "Fe,Qq"], 2, "ConfigError"),
+    "prompts-repeated-element": (["prompts", "--elements", "Fe,Fe"], 2, "ConfigError"),
+    "distances-repeated-element": (
+        ["export-distances", "--store", "{store}", "--elements", "Co,Fe,Co"], 2, "ConfigError"),
+    "predict-no-candidates": (["predict", "--store", "{store}", "--training", "{dataset}"], 2, "ConfigError"),
+    "predict-two-candidate-sources": (
+        ["predict", "--store", "{store}", "--training", "{dataset}", "--candidates", "{candidates}",
+         "--enumerate", "4"], 2, "ConfigError"),
+    "dataset-not-utf8": (["extract", "--dataset", "{binary}"], 3, "ParseError"),
+    "config-not-utf8": (["extract", "--dataset", "{dataset}", "--config", "{binary}"], 2, "ConfigError"),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv,code,error", INPUT_ERRORS.values(), ids=list(INPUT_ERRORS))
+    def test_one_json_error(self, tmp_path, valid_inputs, capsys, argv, code, error):
+        files = write_inputs(tmp_path, {
+            **valid_inputs,
+            "four": "composition,label\nFe-Co-Ni,1\nFe-Co-Mn,0\nCo-Ni-Mn,1\nFe-Ni-Mn,0\n",
+            "one": "composition,label\nFe-Co-Ni,1\n",
+        })
+        files["binary"] = tmp_path / "binary.csv"
+        files["binary"].write_bytes(b"\xff\xfe\x00composition")
+        out = tmp_path / "out"
+        assert run([a.format(**files) for a in argv] + ["--jobs", "1", "--out-dir", out]) == code
+        err = one_error(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"], err["command"]) == (error, code, argv[0])
+        assert not out.exists()
+
+    def test_unexpected_value_error_is_not_reported(self, tmp_path, dataset_csv, monkeypatch):
+        """A ValueError from a handler is a bug, not a bad input: it ends the
+        run with a traceback instead of an exit code."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("broken invariant")
+
+        monkeypatch.setattr("heafusion.cli.extract_all", broken)
+        with pytest.raises(ValueError, match="broken invariant"):
+            run(["extract", "--dataset", dataset_csv, "--out-dir", tmp_path])
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--dataset", "{dataset}"],
+        ["prompts", "--elements", "Fe,Co"],
+        ["ingest", "--responses", "{responses}"],
+        ["predict", "--store", "{store}", "--training", "{dataset}", "--candidates", "{candidates}"],
+        ["cluster", "--store", "{store}", "--elements", "Fe,Co"],
+        ["export-distances", "--store", "{store}", "--elements", "Fe,Co"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_on_commands_that_draw(self, tmp_path, valid_inputs, capsys, argv):
+        files = write_inputs(tmp_path, valid_inputs)
+        args = [a.format(**files) for a in argv] + ["--jobs", "1", "--out-dir", tmp_path / "out"]
+        assert run(args) == 0
+        capsys.readouterr()
+        assert run(args + ["--seed", "1"]) == 2
+        assert one_error(capsys.readouterr().err)["message"] == "unrecognized arguments: --seed 1"
+
+    @pytest.mark.parametrize("argv", [["--version"], ["extract", "--help"]])
+    def test_only_help_and_version_exit(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -618,11 +752,9 @@ FORMAT_COMMANDS = dict(FUZZ_TARGETS[i] for i in (0, 2, 4, 5))
 
 def run_on_inputs(kind, root, texts):
     """Exit status of kind's command on the files texts written under root."""
-    paths = {name: root / f"{name}.csv" for name in texts}
-    for name, text in texts.items():
-        paths[name].write_text(text, encoding="utf-8")
+    paths = write_inputs(root, texts)
     argv = [a.format(**paths) for a in FORMAT_COMMANDS[kind]]
-    return exit_code(argv + ["--seed", "1", "--jobs", "1", "--out-dir", root / "out"])
+    return run(argv + ["--jobs", "1", "--out-dir", root / "out"])
 
 
 class TestCsvRows:
@@ -649,7 +781,7 @@ class TestCsvRows:
     def test_store_symbol_outside_element_table_is_data_error(self, tmp_path, capsys):
         store = tmp_path / "store.csv"
         store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nFe,Xx,0.5,0\n")
-        code = exit_code(["cluster", "--store", store, "--elements", "Fe,Co", "--out-dir", tmp_path / "out"])
+        code = run(["cluster", "--store", store, "--elements", "Fe,Co", "--out-dir", tmp_path / "out"])
         assert code == 3
         err = one_error(capsys.readouterr().err)
         assert err["error"] == "ParseError"
@@ -658,6 +790,11 @@ class TestCsvRows:
 
 
 class TestFuzz:
+    @pytest.mark.parametrize("kind,argv", FUZZ_TARGETS, ids=[f"{kind}-{argv[0]}" for kind, argv in FUZZ_TARGETS])
+    def test_unmutated_inputs_exit_zero(self, tmp_path, valid_inputs, kind, argv):
+        paths = write_inputs(tmp_path, valid_inputs)
+        assert run([a.format(**paths) for a in argv] + ["--jobs", "1", "--out-dir", tmp_path / "out"]) == 0
+
     @settings(max_examples=120, deadline=None)
     @given(data=st.data(), target=st.sampled_from(FUZZ_TARGETS))
     def test_mutated_inputs_exit_cleanly(self, valid_inputs, data, target):
@@ -667,10 +804,10 @@ class TestFuzz:
             for name, text in valid_inputs.items():
                 paths[name] = Path(tmp) / f"{name}.csv"
                 paths[name].write_text(data.draw(mutated(text)) if name == kind else text, encoding="utf-8")
-            args = [a.format(**paths) for a in argv] + ["--seed", "1", "--jobs", "1", "--out-dir", f"{tmp}/out"]
+            args = [a.format(**paths) for a in argv] + ["--jobs", "1", "--out-dir", f"{tmp}/out"]
             stderr = io.StringIO()
             with contextlib.redirect_stderr(stderr):
-                code = exit_code(args)
+                code = run(args)
         assert code in (0, 2, 3, 4)
         if code:
             assert one_error(stderr.getvalue())["exit_code"] == code
