@@ -17,7 +17,6 @@ from .alloys import (
     element_split,
     enumerate_combinations,
     fraction_split,
-    kfold_splits,
     parse_dataset,
     serialize_dataset,
 )

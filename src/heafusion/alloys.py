@@ -365,15 +365,6 @@ def kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[
     return out
 
 
-def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    """Deterministic (train, test) fold sequence; folds are label-stratified
-    and partition the dataset."""
-    return [
-        (_take(dataset, tr, f"[fold{f}-train]"), _take(dataset, te, f"[fold{f}-test]"))
-        for f, (tr, te) in enumerate(kfold_indices(dataset.labels(), k, seed))
-    ]
-
-
 def element_split(dataset: Dataset, element: str) -> tuple[Dataset, Dataset]:
     """(training, test) with every alloy containing element held out."""
     test_idx = [i for i, la in enumerate(dataset.alloys) if element in la.alloy.elements]

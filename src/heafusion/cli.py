@@ -248,17 +248,24 @@ def _config_flags(sub: argparse.ArgumentParser, rest: list[str]) -> tuple[list[s
     return flags, nulls
 
 
+def _element_list(text: str) -> tuple[str, ...]:
+    """The symbols of a comma-separated --elements list: at least one, all
+    distinct and in the element table."""
+    symbols = tuple(e.strip() for e in text.split(",") if e.strip())
+    if not symbols:
+        raise ConfigError(f"--elements names no symbol: {text!r}")
+    unknown = sorted(set(symbols) - set(ELEMENT_SYMBOLS))
+    if unknown:
+        raise ConfigError(f"--elements names symbols outside the element table: {unknown}")
+    if len(set(symbols)) != len(symbols):
+        raise ConfigError(f"--elements names a symbol twice: {text!r}")
+    return symbols
+
+
 def _universe_symbols(args: argparse.Namespace) -> tuple[str, ...]:
-    """The distinct element-table symbols of --elements, else the
-    --universe preset."""
+    """The --elements symbols, else the --universe preset."""
     if args.elements:
-        symbols = tuple(e.strip() for e in args.elements.split(",") if e.strip())
-        unknown = sorted(set(symbols) - set(ELEMENT_SYMBOLS))
-        if unknown:
-            raise ConfigError(f"--elements names symbols outside the element table: {unknown}")
-        if len(set(symbols)) != len(symbols):
-            raise ConfigError(f"--elements names a symbol twice: {args.elements!r}")
-        return symbols
+        return _element_list(args.elements)
     if args.universe:
         return UNIVERSES[args.universe]
     raise ConfigError("need --universe or --elements")
@@ -434,12 +441,14 @@ def _cmd_fuse(args: argparse.Namespace) -> None:
     if estimated and args.dataset is None:
         raise ConfigError(f"no --gamma for {estimated[0]!r} and no --dataset to estimate from")
     stores = [(sid, read_store(path)) for sid, path in assignments.items()]
-    dataset = parse_dataset(args.dataset, universe=args.universe) if estimated else None
-    gammas = [
-        explicit[sid] if sid in explicit
-        else SourceReliability(sid, estimate_reliability(store, dataset, folds=args.folds, seed=args.seed))
-        for sid, store in stores
-    ]
+    if estimated:
+        dataset = parse_dataset(args.dataset, universe=args.universe)
+        held = dict(stores)
+        estimates = estimate_reliability(
+            [held[sid] for sid in estimated], dataset, folds=args.folds, seed=args.seed
+        )
+        explicit.update((sid, SourceReliability(sid, gamma)) for sid, gamma in zip(estimated, estimates))
+    gammas = [explicit[sid] for sid, _ in stores]
     fused = fuse(stores, gammas)
     out = _out_path(args, args.out)
     write_store(fused, out)
@@ -481,6 +490,10 @@ def _cmd_eval_cv(args: argparse.Namespace) -> None:
     dataset = parse_dataset(args.dataset, universe=args.universe)
     sources = _sources_from_args(args)
     fractions = [_number(f, "fractions") for f in args.fractions.split(",") if f.strip()]
+    if not fractions:
+        raise ConfigError(f"--fractions names no fraction: {args.fractions!r}")
+    if len(set(fractions)) != len(fractions):
+        raise ConfigError(f"--fractions names a fraction twice: {args.fractions!r}")
     reports = run_cv_experiment(
         dataset, sources, fractions=fractions, seed=args.seed, repeats=args.repeats,
         stratified=not args.unstratified, jobs=args.jobs,
@@ -496,7 +509,7 @@ def _cmd_eval_extrapolate(args: argparse.Namespace) -> None:
         elements = [e for e in dataset.universe
                     if any(e in la.alloy.elements for la in dataset.alloys)]
     else:
-        elements = [e.strip() for e in args.elements.split(",") if e.strip()]
+        elements = list(_element_list(args.elements))
     reports = run_extrapolation_experiment(dataset, sources, elements, seed=args.seed, jobs=args.jobs)
     outputs = _write_reports(args, reports)
     _write_metadata(args, outputs, {"summary": summarize_reports(reports)})

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import fusion, inference
 from .alloys import Dataset, element_split, fraction_split, kfold_indices
-from .belief import from_weights
 from .errors import ConfigError, EmptySourceList, GammaOutOfRange
 from .inference import accuracy, classify, macro_f1, roc_auc, youden_threshold_stats
 from .md_evidence import (
@@ -57,7 +56,7 @@ def grid_search_alpha(
     disagreeing evidence), so each fold is scanned once; every grid point
     turns the counts into analogy weights as `extract_all` and
     `predict_batch` would, one weight column per alpha, and one
-    `analogy_weights` call sums all columns.
+    `inference.fold_macro_f1` call scores all columns.
     """
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
@@ -80,12 +79,9 @@ def grid_search_alpha(
             counts = pair_counts(words[train_idx], train_labels, max_subst_size)
             columns = [analogy_weight(weight * counts.agree, weight * counts.disagree) for weight in weights]
             table = KeyTable(counts.keys, np.stack(columns, axis=1))
-            w_pos, w_neg, _ = inference.analogy_weights(
-                words[test_idx], words[train_idx], train_labels, table, max_subst_size
+            totals += inference.fold_macro_f1(
+                words[test_idx], words[train_idx], train_labels, test_labels, table, max_subst_size
             )
-            for j in range(len(alphas)):
-                m_pos, _, m_unc = from_weights(w_pos[:, j], w_neg[:, j])
-                totals[j] += macro_f1(test_labels, classify(m_pos + m_unc / 2.0))
     # argmax takes the first of equal means, the smallest alpha
     return alphas[int(np.argmax(totals / (repeats * folds)))]
 
@@ -164,16 +160,14 @@ def _evaluate_split(
         raise EmptySourceList("experiment configured with no evidence sources")
 
     overrides = sources.gamma_overrides or {}
-    folds = min(sources.gamma_folds, len(training))
-    gammas = []
-    for source_id, store in stores:
-        if source_id in overrides:
-            gamma = overrides[source_id]
-        else:
-            gamma = fusion.estimate_reliability(
-                store, training, folds=folds, seed=seed, max_subst_size=sources.max_subst_size
-            )
-        gammas.append(fusion.SourceReliability(source_id, gamma))
+    held = dict(stores)
+    estimated = [source_id for source_id in held if source_id not in overrides]
+    estimates = fusion.estimate_reliability(
+        [held[source_id] for source_id in estimated], training,
+        folds=min(sources.gamma_folds, len(training)), seed=seed, max_subst_size=sources.max_subst_size,
+    )
+    gamma_of = {**overrides, **dict(zip(estimated, estimates))}
+    gammas = [fusion.SourceReliability(source_id, gamma_of[source_id]) for source_id in held]
     fused = fusion.fuse(stores, gammas)
     predictions = inference.predict_batch(
         [la.alloy for la in test.alloys], training, fused,

@@ -8,11 +8,14 @@ the discounted stores are Dempster-combined pair by pair, so unreliable
 sources pull the result toward the vacuous mass instead of injecting
 conflict.
 
-Stores hold weights of evidence, and Dempster's rule adds them, so fusion
-is one sum: `md_evidence.union_rows` aligns the stores on the sorted union
-of their keys, and each source's weight columns, discounted by
-`belief.discount_weights`, are added into the fused columns in source
-order.
+Both steps align the stores with `md_evidence.union_rows` on the sorted
+union of their keys. `estimate_reliability` holds every source's analogy
+weights in one key table, one column per source and 0 where a source
+lacks the key, and scores each fold for all sources with one kernel call
+(`inference.fold_macro_f1`). Stores hold weights of evidence, and
+Dempster's rule adds them, so fusion is one sum: each source's weight
+columns, discounted by `belief.discount_weights`, are added into the fused
+columns in source order.
 """
 
 from __future__ import annotations
@@ -25,11 +28,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloys import Dataset, kfold_splits
+from .alloys import Dataset, kfold_indices
 from .belief import discount_weights
 from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError, TotalConflict
-from .inference import classify, macro_f1, predict_batch
-from .md_evidence import SimilarityStore, union_rows
+# predict_batch is unused here; it stays while the benchmark's tracer wraps heafusion.fusion.predict_batch
+from .inference import fold_macro_f1, predict_batch  # noqa: F401
+from .md_evidence import (
+    KeyTable,
+    SimilarityStore,
+    analogy_weight,
+    element_words,
+    key_width,
+    substitution_limit,
+    union_rows,
+)
 
 __all__ = ["SourceReliability", "estimate_reliability", "fuse", "write_gammas", "read_gammas"]
 
@@ -47,31 +59,48 @@ class SourceReliability:
 
 
 def estimate_reliability(
-    store: SimilarityStore,
+    stores: Sequence[SimilarityStore],
     dataset: Dataset,
     folds: int = 10,
     seed: int = 42,
     max_subst_size: int | None = None,
-) -> float:
-    """Mean macro-F1 of single-source analogy prediction over stratified CV
-    folds of the dataset, clipped to [0, 1].
+) -> list[float]:
+    """Per store, in order: the mean macro-F1 of single-source analogy
+    prediction over stratified CV folds of the dataset, clipped to [0, 1].
 
-    Each fold is predicted from the remaining alloys' labels and the given
-    store (the store itself is not re-derived per fold) and classified by
-    `inference.classify`. A fold count below 2 or above the dataset's
-    size raises FoldsOutOfRange.
+    Each fold is predicted from the remaining alloys' labels and each
+    store (the stores themselves are not re-derived per fold) and
+    classified by `inference.classify`. All stores are scored in one pass:
+    their analogy weights are aligned on the union of their keys over the
+    dataset's universe (0 where a store lacks a key) as the columns of one
+    key table, and `inference.fold_macro_f1` scores every column of a fold
+    with one kernel call. A fold count below 2 or above the dataset's size
+    raises FoldsOutOfRange; a store whose fold readout has infinite weight
+    on both classes raises TotalConflict.
     """
+    if not stores:
+        return []
     n_pos = dataset.n_positive
     if n_pos == 0 or n_pos == len(dataset):
         raise DegenerateDataset(f"{dataset.name} has a single class; reliability undefined")
-    total = 0.0
-    splits = kfold_splits(dataset, folds, seed)
-    for training, test in splits:
-        predictions = predict_batch(
-            [la.alloy for la in test.alloys], training, store, max_subst_size
+    labels = dataset.labels()
+    splits = kfold_indices(labels, folds, seed)
+    alloys = [la.alloy for la in dataset.alloys]
+    max_size = substitution_limit(alloys, max_subst_size)
+    index = dataset.element_index()
+    words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
+    aligned = [store.reindexed(dataset.universe) for store in stores]
+    _, keys, positions = union_rows(aligned)
+    columns = np.zeros((len(keys), len(aligned)))
+    for j, (store, rows) in enumerate(zip(aligned, positions)):
+        columns[rows, j] = analogy_weight(store.w_first, store.w_second)
+    table = KeyTable(keys, columns)
+    totals = np.zeros(len(stores))
+    for train, test in splits:
+        totals += fold_macro_f1(
+            words[test], words[train], [labels[i] for i in train], [labels[i] for i in test], table, max_size
         )
-        total += macro_f1(test.labels(), classify([p.score for p in predictions]))
-    return min(1.0, max(0.0, total / len(splits)))
+    return np.clip(totals / len(splits), 0.0, 1.0).tolist()
 
 
 def fuse(

@@ -44,6 +44,7 @@ __all__ = [
     "accuracy",
     "analogy_weights",
     "classify",
+    "fold_macro_f1",
     "macro_f1",
     "predict",
     "predict_batch",
@@ -117,6 +118,27 @@ def analogy_weights(
                 out[start:start + size, j] = np.bincount(rows[side], weights=found_weights[side, j], minlength=size)
     shape = (n_cand,) + table.weights.shape[1:]
     return w_pos.reshape(shape), w_neg.reshape(shape), n
+
+
+def fold_macro_f1(
+    test_words: np.ndarray,
+    train_words: np.ndarray,
+    train_labels: Sequence[bool],
+    test_labels: Sequence[bool],
+    table: KeyTable,
+    max_size: int,
+) -> list[float]:
+    """Macro-F1 of every weight column of a (keys, k) table on one fold:
+    one `analogy_weights` call predicts the test rows from the training
+    rows, and each column's sums are read out by `belief.from_weights`,
+    scored by the pignistic probability and classified by `classify`, as
+    `predict_batch` would with that column alone."""
+    w_pos, w_neg, _ = analogy_weights(test_words, train_words, train_labels, table, max_size)
+    scores = []
+    for j in range(w_pos.shape[1]):
+        m_pos, _, m_unc = from_weights(w_pos[:, j], w_neg[:, j])
+        scores.append(macro_f1(test_labels, classify(m_pos + m_unc / 2.0)))
+    return scores
 
 
 def predict_batch(

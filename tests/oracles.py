@@ -23,8 +23,10 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
+from heafusion.alloys import kfold_indices
 from heafusion.belief import discount_weights, from_weights, pignistic
-from heafusion.errors import AlphaOutOfRange, CandidateInTraining, GammaOutOfRange, TotalConflict
+from heafusion.errors import AlphaOutOfRange, CandidateInTraining, DegenerateDataset, GammaOutOfRange, TotalConflict
+from heafusion.inference import classify, macro_f1, predict_batch
 from heafusion.md_evidence import CombinationPair, PairCounts, analogy_weight, key_width, pack_keys
 
 CONFLICT_LIMIT = 1.0 - 1e-12
@@ -520,3 +522,36 @@ def predict_reference(
     for mass, n in zip(masses, table[:, 2].astype(int).tolist()):
         out.append((mass, pignistic(BinaryMass(*mass)), n))
     return out
+
+
+def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
+    """The (train, test) datasets of `kfold_indices`' folds."""
+    return [
+        (dataset.with_alloys([dataset.alloys[i] for i in tr], f"[fold{f}-train]"),
+         dataset.with_alloys([dataset.alloys[i] for i in te], f"[fold{f}-test]"))
+        for f, (tr, te) in enumerate(kfold_indices(dataset.labels(), k, seed))
+    ]
+
+
+def estimate_reliability_reference(
+    stores: Sequence[SimilarityStore],
+    dataset: Dataset,
+    folds: int = 10,
+    seed: int = 42,
+    max_subst_size: int | None = None,
+) -> list[float]:
+    """Per store, one `predict_batch` call per fold of `kfold_splits`,
+    classified and scored by macro-F1; the mean over folds, clipped to
+    [0, 1]."""
+    gammas = []
+    for store in stores:
+        n_pos = dataset.n_positive
+        if n_pos == 0 or n_pos == len(dataset):
+            raise DegenerateDataset(f"{dataset.name} has a single class; reliability undefined")
+        total = 0.0
+        splits = kfold_splits(dataset, folds, seed)
+        for training, test in splits:
+            predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
+            total += macro_f1(test.labels(), classify([p.score for p in predictions]))
+        gammas.append(min(1.0, max(0.0, total / len(splits))))
+    return gammas

@@ -384,6 +384,22 @@ class TestEvaluationCommands:
         assert err["error"] == "ConfigError"
         assert not (tmp_path / "run" / "reports.json").exists()
 
+    @pytest.mark.parametrize("command,option", [
+        ("eval-extrapolate", ["--elements", "H,H"]),
+        ("eval-extrapolate", ["--elements", "H,Xx"]),
+        ("eval-extrapolate", ["--elements", ","]),
+        ("eval-cv", ["--fractions", "0.5,0.5"]),
+        ("eval-cv", ["--fractions", ","]),
+    ], ids=["repeated-element", "unknown-element", "no-element", "repeated-fraction", "no-fraction"])
+    def test_element_and_fraction_lists_checked(self, tmp_path, dataset_csv, capsys, command, option):
+        # each ran a fold twice, met ElementAbsent or ran nothing and exited 0
+        code = run([command, "--dataset", dataset_csv, *option, "--gamma-folds", "3", "--seed", "5",
+                    "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = one_error(capsys.readouterr().err)
+        assert (err["error"], err["command"]) == ("ConfigError", command)
+        assert not (tmp_path / "run").exists()
+
     def test_multi_source_eval(self, tmp_path, planted_csv, responses_csv):
         out = tmp_path / "run"
         code = run(

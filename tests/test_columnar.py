@@ -1,7 +1,9 @@
 """The columnar store and the array kernels against the per-entry
 reference implementations in `oracles`, with exact float equality."""
 
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ import pytest
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
 from heafusion.alloys import ELEMENT_SYMBOLS
 from heafusion.belief import to_weights
-from heafusion.errors import TotalConflict
-from heafusion.fusion import SourceReliability, fuse
+from heafusion.errors import DegenerateDataset, TotalConflict
+from heafusion.fusion import SourceReliability, estimate_reliability, fuse
 from heafusion.inference import predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
@@ -24,6 +26,7 @@ from heafusion.md_evidence import (
 from conftest import random_dataset
 from oracles import (
     alloy_masks,
+    estimate_reliability_reference,
     fuse_masses_reference,
     fuse_reference,
     masses_of,
@@ -151,6 +154,57 @@ def test_kernels_match_reference_implementations(tmp_path):
         seen["gammas"].update(gammas.values())
     assert seen["wide"] and seen["extra_candidates"] and seen["outside_store"] and seen["partial_keys"]
     assert {0.0, 1.0} <= seen["gammas"] and len(seen["gammas"]) > 2
+
+
+def test_reliability_matches_reference():
+    # every store of a call is scored in one pass; the reference scores
+    # them one at a time, one predict_batch per fold
+    rng = random.Random(777)
+    seen = {"n_stores": set(), "max_size": set(), "all_folds": 0, "empty": 0, "disjoint": 0, "outside": 0,
+            "outcomes": set()}
+    for case in range(300):
+        dataset, extra, _ = _case(rng, case)
+        max_size = rng.choice([None, 1, 2, 3])
+        folds = rng.randint(2, max(2, len(dataset)))
+        symbols = list(dataset.universe) + extra
+        half = len(symbols) // 2
+        used = sorted({e for la in dataset.alloys for e in la.alloy.elements})
+        certain = SimilarityStore.from_entries(
+            {CombinationPair((a,), (b,)): (math.inf, 0.0) for a, b in combinations(used, 2)}
+        )
+        md = extract_all(dataset, ExtractionConfig(rng.uniform(0.01, 0.9), max_size))
+        md_pairs = sorted(pair for pair, _ in md.items())
+
+        def expert(names):
+            # random weights on some of the md pairs over these elements, so they meet analogies
+            return _expert_store(rng, names, [p for p in md_pairs if set(p.first + p.second) <= set(names)])
+
+        pool = [
+            md,
+            SimilarityStore(),
+            expert(symbols),
+            expert(symbols[:half]),
+            expert(symbols[half:]),  # holds the elements outside the universe
+            certain,
+        ]
+        stores = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        outcomes = []
+        for estimate in (estimate_reliability, estimate_reliability_reference):
+            try:
+                outcomes.append(estimate(stores, dataset, folds=folds, seed=case, max_subst_size=max_size))
+            except (DegenerateDataset, TotalConflict) as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], case
+        seen["n_stores"].add(len(stores))
+        seen["max_size"].add(max_size)
+        seen["all_folds"] += folds == len(dataset)
+        seen["empty"] += any(len(store) == 0 for store in stores)
+        seen["disjoint"] += pool[3] in stores and pool[4] in stores and min(len(pool[3]), len(pool[4])) > 0
+        seen["outside"] += any(set(store.elements) - set(dataset.universe) for store in stores)
+        seen["outcomes"].add(outcomes[0] if isinstance(outcomes[0], type) else list)
+    assert seen["n_stores"] == set(range(7)) and seen["max_size"] == {None, 1, 2, 3}
+    assert seen["all_folds"] and seen["empty"] and seen["disjoint"] and seen["outside"]
+    assert seen["outcomes"] == {list, DegenerateDataset, TotalConflict}
 
 
 def test_total_conflict_matches_reference():

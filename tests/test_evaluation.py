@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import UNIVERSES, element_split, enumerate_combinations, fraction_split, kfold_splits
+from heafusion.alloys import UNIVERSES, element_split, enumerate_combinations, fraction_split
 from heafusion.errors import (
     ConfigError,
     ElementAbsent,
@@ -34,7 +34,7 @@ from conftest import (
     planted_group_store,
     random_dataset,
 )
-from oracles import macro_f1_oracle, mann_whitney_auc
+from oracles import kfold_splits, macro_f1_oracle, mann_whitney_auc
 
 
 @pytest.fixture(scope="module")

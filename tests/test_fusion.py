@@ -6,7 +6,6 @@ import pytest
 
 from heafusion import SimilarityStore
 from heafusion.errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
-from heafusion.alloys import kfold_splits
 from heafusion.fusion import (
     SourceReliability,
     estimate_reliability,
@@ -23,7 +22,7 @@ from conftest import (
     planted_group_store,
     random_dataset,
 )
-from oracles import combine_all, combine_exact, discount, macro_f1_oracle, masses_of, pairs_of, vacuous
+from oracles import combine_all, combine_exact, discount, kfold_splits, macro_f1_oracle, masses_of, pairs_of, vacuous
 
 GROUP_A = ("Fe", "Co", "Ni", "Mn", "Cr")
 GROUP_B = ("Cu", "Ag", "Au", "Zn", "Cd")
@@ -39,12 +38,12 @@ class TestEstimateReliability:
     def test_planted_store_is_fully_reliable(self):
         dataset = planted_group_dataset(GROUP_A, GROUP_B)
         store = planted_group_store(GROUP_A, GROUP_B, strength=0.95)
-        gamma = estimate_reliability(store, dataset, folds=10, seed=42)
+        gamma = estimate_reliability([store], dataset, folds=10, seed=42)[0]
         assert gamma == 1.0
 
     def test_vacuous_store_scores_like_constant_classifier(self):
         dataset = random_dataset(80, universe_size=10, seed=4)
-        gamma = estimate_reliability(SimilarityStore(), dataset, folds=10, seed=7)
+        gamma = estimate_reliability([SimilarityStore()], dataset, folds=10, seed=7)[0]
         expected = 0.0
         for _, test in kfold_splits(dataset, 10, seed=7):
             expected += macro_f1_oracle(test.labels(), [False] * len(test))
@@ -54,13 +53,13 @@ class TestEstimateReliability:
     def test_small_dataset_bounds(self):
         dataset = random_dataset(4, universe_size=8, seed=1, positive_rate=0.5)
         assert dataset.n_positive not in (0, len(dataset))
-        gamma = estimate_reliability(SimilarityStore(), dataset, folds=2, seed=0)
+        gamma = estimate_reliability([SimilarityStore()], dataset, folds=2, seed=0)[0]
         assert 0.0 <= gamma <= 1.0
 
     def test_single_class_rejected(self):
         dataset = random_dataset(20, universe_size=8, seed=1, positive_rate=1.1)
         with pytest.raises(DegenerateDataset):
-            estimate_reliability(SimilarityStore(), dataset, folds=5, seed=0)
+            estimate_reliability([SimilarityStore()], dataset, folds=5, seed=0)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5])
     def test_saturated_dataset_store(self, alpha):
@@ -70,14 +69,14 @@ class TestEstimateReliability:
         dataset = dense_noisy_dataset()
         store = extract_all(dataset, ExtractionConfig(alpha))
         assert min(mass.m_second + mass.m_both for mass in masses_of(store).values()) < 1e-12
-        gamma = estimate_reliability(store, dataset, folds=10, seed=0)
+        gamma = estimate_reliability([store], dataset, folds=10, seed=0)[0]
         assert 0.4 < gamma < 0.5
 
     def test_deterministic(self):
         dataset = random_dataset(60, universe_size=10, seed=2)
         store = planted_group_store(tuple(dataset.universe[:5]), tuple(dataset.universe[5:]), 0.6)
-        a = estimate_reliability(store, dataset, folds=5, seed=11)
-        b = estimate_reliability(store, dataset, folds=5, seed=11)
+        a = estimate_reliability([store], dataset, folds=5, seed=11)[0]
+        b = estimate_reliability([store], dataset, folds=5, seed=11)[0]
         assert a == b
 
 
