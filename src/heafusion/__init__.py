@@ -39,7 +39,7 @@ from .evaluation import (
     run_extrapolation_experiment,
     summarize_reports,
 )
-from .fusion import SourceReliability, estimate_reliability, fuse, read_gammas, write_gammas
+from .fusion import SourceReliability, estimate_reliability, fuse, write_gammas
 from .inference import (
     Prediction,
     accuracy,

@@ -9,13 +9,16 @@ sources pull the result toward the vacuous mass instead of injecting
 conflict.
 
 Both steps align the stores with `md_evidence.union_rows` on the sorted
-union of their keys. `estimate_reliability` holds every source's analogy
+union of their keys. `estimate_reliability` groups the stores by the size
+of their largest substitution side, since a store only meets analogies
+whose sides fit its own. Per group it holds every source's analogy
 weights in one key table, one column per source and 0 where a source
-lacks the key, and scores each fold for all sources with one kernel call
-(`inference.fold_macro_f1`). Stores hold weights of evidence, and
-Dempster's rule adds them, so fusion is one sum: each source's weight
-columns, discounted by `belief.discount_weights`, are added into the fused
-columns in source order.
+lacks the key, and scores every fold of every source with one kernel call
+(`inference.analogy_weights` over all rows, skipping pairs within a fold;
+`inference.columns_macro_f1` reads out the folds). Stores hold weights of
+evidence, and Dempster's rule adds them, so fusion is one sum: each
+source's weight columns, discounted by `belief.discount_weights`, are
+added into the fused columns in source order.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ import numpy as np
 
 from .alloys import Dataset, kfold_indices
 from .belief import discount_weights
-from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError, TotalConflict
+from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, TotalConflict
 # predict_batch is unused here; it stays while the benchmark's tracer wraps heafusion.fusion.predict_batch
-from .inference import fold_macro_f1, predict_batch  # noqa: F401
+from .inference import analogy_weights, columns_macro_f1, predict_batch  # noqa: F401
 from .md_evidence import (
     KeyTable,
     SimilarityStore,
@@ -43,7 +46,7 @@ from .md_evidence import (
     union_rows,
 )
 
-__all__ = ["SourceReliability", "estimate_reliability", "fuse", "write_gammas", "read_gammas"]
+__all__ = ["SourceReliability", "estimate_reliability", "fuse", "write_gammas"]
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,17 @@ def estimate_reliability(
 
     Each fold is predicted from the remaining alloys' labels and each
     store (the stores themselves are not re-derived per fold) and
-    classified by `inference.classify`. All stores are scored in one pass:
-    their analogy weights are aligned on the union of their keys over the
-    dataset's universe (0 where a store lacks a key) as the columns of one
-    key table, and `inference.fold_macro_f1` scores every column of a fold
-    with one kernel call. A fold count below 2 or above the dataset's size
-    raises FoldsOutOfRange; a store whose fold readout has infinite weight
-    on both classes raises TotalConflict.
+    classified by `inference.classify`. The stores are taken over the
+    dataset's universe and grouped by their largest side, capped at the
+    substitution limit; a store with no key there reads out vacuous. Each
+    group's analogy weights are aligned on the union of its stores' keys
+    (0 where a store lacks a key) as the columns of one key table, and one
+    `inference.analogy_weights` call predicts every row from the rows of
+    the other folds, in host order. `inference.columns_macro_f1` scores
+    each (fold, store) from the summed weights, and the fold scores are
+    added in fold order. A fold count below 2 or above the dataset's size
+    raises FoldsOutOfRange; a store whose readout has infinite weight on
+    both classes raises TotalConflict.
     """
     if not stores:
         return []
@@ -85,22 +92,41 @@ def estimate_reliability(
         raise DegenerateDataset(f"{dataset.name} has a single class; reliability undefined")
     labels = dataset.labels()
     splits = kfold_indices(labels, folds, seed)
+    fold_of = np.empty(len(labels), dtype=np.intp)
+    for f, (_, test) in enumerate(splits):
+        fold_of[test] = f
     alloys = [la.alloy for la in dataset.alloys]
     max_size = substitution_limit(alloys, max_subst_size)
     index = dataset.element_index()
     words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
     aligned = [store.reindexed(dataset.universe) for store in stores]
-    _, keys, positions = union_rows(aligned)
-    columns = np.zeros((len(keys), len(aligned)))
-    for j, (store, rows) in enumerate(zip(aligned, positions)):
-        columns[rows, j] = analogy_weight(store.w_first, store.w_second)
-    table = KeyTable(keys, columns)
-    totals = np.zeros(len(stores))
-    for train, test in splits:
-        totals += fold_macro_f1(
-            words[test], words[train], [labels[i] for i in train], [labels[i] for i in test], table, max_size
+    sizes = [min(_largest_side(store), max_size) for store in aligned]
+    w_pos, w_neg = np.zeros((len(labels), len(stores))), np.zeros((len(labels), len(stores)))
+    for size in sorted(set(sizes) - {0}):
+        members = [j for j, s in enumerate(sizes) if s == size]
+        if len(members) == 1:  # a store's own keys are distinct and sorted: no union to build
+            keys, positions = aligned[members[0]].keys, [slice(None)]
+        else:
+            _, keys, positions = union_rows([aligned[j] for j in members])
+        columns = np.zeros((len(keys), len(members)))
+        for c, (j, rows) in enumerate(zip(members, positions)):
+            columns[rows, c] = analogy_weight(aligned[j].w_first, aligned[j].w_second)
+        w_pos[:, members], w_neg[:, members], _ = analogy_weights(
+            words, words, labels, KeyTable(keys, columns), size, fold_of
         )
+    totals = np.zeros(len(stores))
+    for scores in columns_macro_f1(labels, w_pos, w_neg, fold_of, len(splits)):
+        totals += scores
     return np.clip(totals / len(splits), 0.0, 1.0).tolist()
+
+
+def _largest_side(store: SimilarityStore) -> int:
+    """Most elements on one side of any key of the store (0 when empty):
+    key word w packs word w of both side masks, 32 bits each."""
+    if not len(store):
+        return 0
+    sides = (store.keys >> np.uint64(32), store.keys & np.uint64(0xFFFFFFFF))
+    return int(max(np.bitwise_count(side).sum(axis=1).max() for side in sides))
 
 
 def fuse(
@@ -141,21 +167,3 @@ def write_gammas(gammas: Sequence[SourceReliability], path: str | Path) -> None:
         json.dumps({g.source_id: g.gamma for g in gammas}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-
-
-def read_gammas(path: str | Path) -> list[SourceReliability]:
-    """Load a sidecar written by `write_gammas`: a JSON object mapping
-    source ids to finite numbers in [0, 1]; anything else raises
-    ParseError."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"gamma file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ParseError(f"gamma file {path} must hold a JSON object, got {type(data).__name__}")
-    for sid, gamma in data.items():
-        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
-            raise ParseError(f"gamma for {sid!r} must be a number, got {gamma!r}")
-        if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-            raise ParseError(f"gamma for {sid!r} must lie in [0, 1], got {gamma!r}")
-    return [SourceReliability(sid, float(g)) for sid, g in sorted(data.items())]

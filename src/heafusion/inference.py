@@ -19,10 +19,18 @@ similar, which counts never give.
 `analogy_weights` is one array kernel. Candidates and hosts are rows of
 32-bit mask words; a block of whole candidates is compared with every host
 at once, the replaced and replacement masks are packed into store keys and
-looked up with `np.searchsorted` in the `mask_view` key table, and each
-candidate's class weights are summed with `np.bincount` over its analogies
-in host order. bincount adds in input order, so every weight sum is the
-one a sequential loop over the hosts gives, to the bit.
+looked up with `np.searchsorted` in the `mask_view` key table, and one
+`np.bincount` per block sums every candidate's weights per class and
+weight column over a combined (class, candidate, column) code, its
+analogies in host order. bincount adds in input order, so every weight sum
+is the one a sequential loop over the hosts gives, to the bit. Given a
+fold id per row, with candidates and hosts the same rows, the kernel skips
+the pairs of two rows in one fold: each row is then predicted from the
+other folds, so one call scores every fold of a cross-validation.
+
+The metrics count (label, prediction) outcomes with one `np.bincount`
+(`accuracy`, `macro_f1`, and per fold and weight column in
+`columns_macro_f1`), and divide the integer counts as Python's `/` does.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ __all__ = [
     "accuracy",
     "analogy_weights",
     "classify",
+    "columns_macro_f1",
     "fold_macro_f1",
     "macro_f1",
     "predict",
@@ -69,7 +78,7 @@ class Prediction:
             raise ValueError("n_analogies must be non-negative")
 
 
-_BLOCK_PAIRS = 1 << 15  # candidate-host pairs compared per block of candidates
+_BLOCK_PAIRS = 1 << 17  # candidate-host pairs compared per block of candidates
 
 
 def analogy_weights(
@@ -78,6 +87,7 @@ def analogy_weights(
     host_labels: Sequence[bool],
     table: KeyTable,
     max_size: int,
+    folds: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per candidate: summed positive weight, summed negative weight and
     number of analogies.
@@ -88,36 +98,69 @@ def analogy_weights(
     side by at most max_size elements; each adds its pair's weight from
     `table` (a `SimilarityStore.mask_view`; absent pairs weigh 0) to its
     host's class. With a (keys, k) weight table the sums are (candidates,
-    k) arrays, one column per weight column.
+    k) arrays, one column per weight column. `folds`, when candidates and
+    hosts are the same rows, gives each row's fold id: a host in the
+    candidate's own fold is no analogy.
     """
     labels = np.asarray(host_labels, dtype=bool)
     n_cand = len(cand_words)
     weights = table.weights if table.weights.ndim == 2 else table.weights[:, None]
-    w_pos = np.zeros((n_cand, weights.shape[1]))
-    w_neg = np.zeros((n_cand, weights.shape[1]))
+    k = weights.shape[1]
+    if folds is not None:
+        folds = np.asarray(folds)
+        if not len(folds) == n_cand == len(host_words):
+            raise LengthMismatch(f"{len(folds)} fold ids for {n_cand} candidates and {len(host_words)} hosts")
+    sums = np.zeros((2, n_cand, k))  # [host positive, candidate, column]
     n = np.zeros(n_cand, dtype=np.int64)
+    # A substitution side, the elements of one alloy the other lacks, holds
+    # s = size - shared elements; 1 <= s <= max_size iff (size - 1) - shared
+    # < max_size in uint8 arithmetic, where s = 0 wraps round to 255 (masks
+    # hold at most 103 bits).
+    cand_less_one = np.bitwise_count(cand_words).sum(axis=1, dtype=np.uint8) - np.uint8(1)
+    host_less_one = np.bitwise_count(host_words).sum(axis=1, dtype=np.uint8) - np.uint8(1)
+    limit = np.uint8(min(max_size, 128))
     block = max(1, _BLOCK_PAIRS // max(1, len(host_words)))
     for start in range(0, n_cand, block):
         cand = cand_words[start:start + block, None]  # (b, 1, W) against all hosts (h, W)
-        shared = cand & host_words
-        replaced = shared ^ host_words  # in the host only
-        replacement = shared ^ cand  # in the candidate only
-        n_replaced = np.bitwise_count(replaced).sum(axis=2)
-        n_replacement = np.bitwise_count(replacement).sum(axis=2)
-        rows, cols = np.nonzero(
-            shared.any(axis=2) & (n_replaced > 0) & (n_replacement > 0)
-            & (n_replaced <= max_size) & (n_replacement <= max_size)
-        )  # row-major: each candidate's hosts in host order
-        pos, found = table.find(pack_keys(replaced[rows, cols], replacement[rows, cols]))
-        found_weights = np.zeros((len(pos), weights.shape[1]))
-        found_weights[found] = weights[pos[found]]
         size = len(cand)
+        shared = cand & host_words
+        n_shared = np.bitwise_count(shared).sum(axis=2, dtype=np.uint8)
+        informative = (
+            (n_shared > 0)
+            & (host_less_one - n_shared < limit)  # the replaced side, in the host only
+            & (cand_less_one[start:start + size, None] - n_shared < limit)  # the replacement side
+        )
+        if folds is not None:
+            informative &= folds[start:start + size, None] != folds
+        rows, cols = np.nonzero(informative)  # row-major: each candidate's hosts in host order
         n[start:start + size] = np.bincount(rows, minlength=size)
-        for out, side in ((w_pos, labels[cols]), (w_neg, ~labels[cols])):
-            for j in range(weights.shape[1]):
-                out[start:start + size, j] = np.bincount(rows[side], weights=found_weights[side, j], minlength=size)
+        shared = shared[rows, cols]
+        pos, found = table.find(pack_keys(shared ^ host_words[cols], shared ^ cand[rows, 0]))
+        # an absent pair adds +0.0, which leaves a sum of non-negative weights as it is
+        rows, cols, pos = rows[found], cols[found], pos[found]
+        code = (labels[cols] * size + rows)[:, None] * k + np.arange(k)
+        sums[:, start:start + size] = np.bincount(
+            code.ravel(), weights=weights[pos].ravel(), minlength=2 * size * k
+        ).reshape(2, size, k)
     shape = (n_cand,) + table.weights.shape[1:]
-    return w_pos.reshape(shape), w_neg.reshape(shape), n
+    return sums[1].reshape(shape), sums[0].reshape(shape), n
+
+
+def columns_macro_f1(
+    labels: Sequence[bool],
+    w_pos: np.ndarray,
+    w_neg: np.ndarray,
+    groups: np.ndarray | None = None,
+    n_groups: int = 1,
+) -> np.ndarray:
+    """(groups, k) macro-F1 of every column of (rows, k) class-weight sums
+    within each group of rows (all rows in group 0 without `groups`): the
+    sums are read out by `belief.from_weights`, scored by the pignistic
+    probability and classified by `classify`, as `predict_batch` would with
+    that column alone, and each group's rows scored as `macro_f1` scores
+    them."""
+    m_pos, _, m_unc = from_weights(w_pos, w_neg)
+    return _macro_f1(_outcomes(labels, _positive(m_pos + m_unc / 2.0), groups, n_groups))
 
 
 def fold_macro_f1(
@@ -130,15 +173,9 @@ def fold_macro_f1(
 ) -> list[float]:
     """Macro-F1 of every weight column of a (keys, k) table on one fold:
     one `analogy_weights` call predicts the test rows from the training
-    rows, and each column's sums are read out by `belief.from_weights`,
-    scored by the pignistic probability and classified by `classify`, as
-    `predict_batch` would with that column alone."""
+    rows, and `columns_macro_f1` scores each column."""
     w_pos, w_neg, _ = analogy_weights(test_words, train_words, train_labels, table, max_size)
-    scores = []
-    for j in range(w_pos.shape[1]):
-        m_pos, _, m_unc = from_weights(w_pos[:, j], w_neg[:, j])
-        scores.append(macro_f1(test_labels, classify(m_pos + m_unc / 2.0)))
-    return scores
+    return columns_macro_f1(test_labels, w_pos, w_neg)[0].tolist()
 
 
 def predict_batch(
@@ -206,23 +243,52 @@ def predict(
     return predict_batch([candidate], training, store, max_subst_size)[0]
 
 
+def _positive(scores: Sequence[float] | np.ndarray) -> np.ndarray:
+    return np.asarray(scores, dtype=float) > 0.5
+
+
 def classify(scores: Sequence[float] | np.ndarray) -> list[bool]:
     """Positive iff the score strictly exceeds 0.5 (ties are negative, so
     the positive class needs positive evidence)."""
-    return (np.asarray(scores, dtype=float) > 0.5).tolist()
+    return _positive(scores).tolist()
 
 
 def _check_paired(labels: Sequence[bool], other: Sequence, what: str) -> None:
     if len(labels) != len(other):
         raise LengthMismatch(f"{len(labels)} labels vs {len(other)} {what}")
-    if not labels:
+    if not len(labels):
         raise LengthMismatch("empty inputs")
+
+
+def _outcomes(
+    labels: Sequence[bool], predictions: Sequence[bool] | np.ndarray, groups: np.ndarray | None = None, n_groups: int = 1
+) -> np.ndarray:
+    """int64 counts [group, column, label, prediction] of (rows,) labels
+    against (rows,) or (rows, k) predictions, one bincount over a combined
+    code; rows count in their group, all in group 0 without `groups`."""
+    y = np.asarray(labels, dtype=bool)
+    p = np.asarray(predictions, dtype=bool).reshape(len(y), -1)
+    k = p.shape[1]
+    g = np.zeros(len(y), dtype=np.intp) if groups is None else np.asarray(groups)
+    code = ((g[:, None] * k + np.arange(k)) * 2 + y[:, None]) * 2 + p
+    return np.bincount(code.ravel(), minlength=4 * k * n_groups).reshape(n_groups, k, 2, 2)
+
+
+def _macro_f1(counts: np.ndarray) -> np.ndarray:
+    """Macro-F1 of [..., label, prediction] counts, by `macro_f1`'s rule."""
+    f1 = 0.0
+    for cls in (1, 0):
+        tp, fp, fn = counts[..., cls, cls], counts[..., 1 - cls, cls], counts[..., cls, 1 - cls]
+        denom = 2 * tp + fp + fn
+        f1 = f1 + np.where(denom == 0, 1.0, 2 * tp / np.maximum(denom, 1))
+    return f1 / 2
 
 
 def accuracy(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
     """Fraction of correct predictions."""
     _check_paired(labels, predictions, "predictions")
-    return sum(1 for y, p in zip(labels, predictions) if y == p) / len(labels)
+    counts = _outcomes(labels, predictions)[0, 0]
+    return float((counts[0, 0] + counts[1, 1]) / len(labels))
 
 
 def macro_f1(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
@@ -233,14 +299,7 @@ def macro_f1(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
     positives).
     """
     _check_paired(labels, predictions, "predictions")
-    f1s = []
-    for cls in (True, False):
-        tp = sum(1 for y, p in zip(labels, predictions) if y == cls and p == cls)
-        fp = sum(1 for y, p in zip(labels, predictions) if y != cls and p == cls)
-        fn = sum(1 for y, p in zip(labels, predictions) if y == cls and p != cls)
-        denom = 2 * tp + fp + fn
-        f1s.append(1.0 if denom == 0 else 2 * tp / denom)
-    return sum(f1s) / len(f1s)
+    return float(_macro_f1(_outcomes(labels, predictions))[0, 0])
 
 
 def _roc_sweep(

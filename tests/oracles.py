@@ -13,11 +13,13 @@ textbook rule, where the package adds weights of evidence.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,8 +27,16 @@ import numpy as np
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
 from heafusion.alloys import kfold_indices
 from heafusion.belief import discount_weights, from_weights, pignistic
-from heafusion.errors import AlphaOutOfRange, CandidateInTraining, DegenerateDataset, GammaOutOfRange, TotalConflict
-from heafusion.inference import classify, macro_f1, predict_batch
+from heafusion.errors import (
+    AlphaOutOfRange,
+    CandidateInTraining,
+    DegenerateDataset,
+    GammaOutOfRange,
+    ParseError,
+    TotalConflict,
+)
+from heafusion.fusion import SourceReliability
+from heafusion.inference import classify, predict_batch
 from heafusion.md_evidence import CombinationPair, PairCounts, analogy_weight, key_width, pack_keys
 
 CONFLICT_LIMIT = 1.0 - 1e-12
@@ -219,6 +229,24 @@ def macro_f1_oracle(labels: Sequence[bool], predictions: Sequence[bool]) -> floa
         recall = tp / actual
         f1s.append(0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall))
     return sum(f1s) / 2.0
+
+
+def accuracy_loop(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
+    """`inference.accuracy` as one Python loop over the rows."""
+    return sum(1 for y, p in zip(labels, predictions) if y == p) / len(labels)
+
+
+def macro_f1_loop(labels: Sequence[bool], predictions: Sequence[bool]) -> float:
+    """`inference.macro_f1` as Python loops over the rows: per class,
+    F1 = 2 tp / (2 tp + fp + fn), or 1 where that denominator is 0."""
+    f1s = []
+    for cls in (True, False):
+        tp = sum(1 for y, p in zip(labels, predictions) if y == cls and p == cls)
+        fp = sum(1 for y, p in zip(labels, predictions) if y != cls and p == cls)
+        fn = sum(1 for y, p in zip(labels, predictions) if y == cls and p != cls)
+        denom = 2 * tp + fp + fn
+        f1s.append(1.0 if denom == 0 else 2 * tp / denom)
+    return sum(f1s) / len(f1s)
 
 
 def pair_evidence_oracle(
@@ -541,8 +569,8 @@ def estimate_reliability_reference(
     max_subst_size: int | None = None,
 ) -> list[float]:
     """Per store, one `predict_batch` call per fold of `kfold_splits`,
-    classified and scored by macro-F1; the mean over folds, clipped to
-    [0, 1]."""
+    classified and scored by `macro_f1_loop`; the mean over folds, clipped
+    to [0, 1]."""
     gammas = []
     for store in stores:
         n_pos = dataset.n_positive
@@ -552,6 +580,24 @@ def estimate_reliability_reference(
         splits = kfold_splits(dataset, folds, seed)
         for training, test in splits:
             predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
-            total += macro_f1(test.labels(), classify([p.score for p in predictions]))
+            total += macro_f1_loop(test.labels(), classify([p.score for p in predictions]))
         gammas.append(min(1.0, max(0.0, total / len(splits))))
     return gammas
+
+
+def read_gammas(path: str | Path) -> list[SourceReliability]:
+    """Load a sidecar written by `fusion.write_gammas`: a JSON object
+    mapping source ids to finite numbers in [0, 1]; anything else raises
+    ParseError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"gamma file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"gamma file {path} must hold a JSON object, got {type(data).__name__}")
+    for sid, gamma in data.items():
+        if isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+            raise ParseError(f"gamma for {sid!r} must be a number, got {gamma!r}")
+        if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
+            raise ParseError(f"gamma for {sid!r} must lie in [0, 1], got {gamma!r}")
+    return [SourceReliability(sid, float(g)) for sid, g in sorted(data.items())]

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import ELEMENT_SYMBOLS
+from heafusion.alloys import ELEMENT_SYMBOLS, kfold_indices
 from heafusion.belief import to_weights
-from heafusion.errors import DegenerateDataset, TotalConflict
+from heafusion.errors import DegenerateDataset, LengthMismatch, TotalConflict
 from heafusion.fusion import SourceReliability, estimate_reliability, fuse
-from heafusion.inference import predict_batch
+from heafusion.inference import analogy_weights, predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
+    KeyTable,
+    element_words,
     evidence_weight,
     extract_all,
+    key_width,
     read_store,
     write_store,
 )
@@ -156,12 +159,18 @@ def test_kernels_match_reference_implementations(tmp_path):
     assert {0.0, 1.0} <= seen["gammas"] and len(seen["gammas"]) > 2
 
 
+def _largest_side(store, universe):
+    """Most elements on one side of a key of the store over the universe."""
+    return max((max(len(p.first), len(p.second)) for p, _ in store.reindexed(universe).items()), default=0)
+
+
 def test_reliability_matches_reference():
-    # every store of a call is scored in one pass; the reference scores
-    # them one at a time, one predict_batch per fold
+    # all folds of all stores of a call are scored in one kernel pass per
+    # side size; the reference scores the stores one at a time, one
+    # predict_batch per fold
     rng = random.Random(777)
     seen = {"n_stores": set(), "max_size": set(), "all_folds": 0, "empty": 0, "disjoint": 0, "outside": 0,
-            "outcomes": set()}
+            "outcomes": set(), "mixed_sizes": 0, "over_limit": 0, "none_inside": 0}
     for case in range(300):
         dataset, extra, _ = _case(rng, case)
         max_size = rng.choice([None, 1, 2, 3])
@@ -172,7 +181,8 @@ def test_reliability_matches_reference():
         certain = SimilarityStore.from_entries(
             {CombinationPair((a,), (b,)): (math.inf, 0.0) for a, b in combinations(used, 2)}
         )
-        md = extract_all(dataset, ExtractionConfig(rng.uniform(0.01, 0.9), max_size))
+        alpha = rng.uniform(0.01, 0.9)
+        md = extract_all(dataset, ExtractionConfig(alpha, max_size))
         md_pairs = sorted(pair for pair, _ in md.items())
 
         def expert(names):
@@ -186,8 +196,13 @@ def test_reliability_matches_reference():
             expert(symbols[:half]),
             expert(symbols[half:]),  # holds the elements outside the universe
             certain,
+            SimilarityStore.from_entries(  # every key names an element outside the universe
+                {CombinationPair((x,), (e,)): _random_weights(rng) for x in extra[:1] for e in used[:3]}
+            ),
+            extract_all(dataset, ExtractionConfig(alpha)),  # keys of analogies beyond a set substitution limit
         ]
         stores = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        limit = max(len(la.alloy.elements) for la in dataset.alloys) - 1 if max_size is None else max_size
         outcomes = []
         for estimate in (estimate_reliability, estimate_reliability_reference):
             try:
@@ -202,9 +217,53 @@ def test_reliability_matches_reference():
         seen["disjoint"] += pool[3] in stores and pool[4] in stores and min(len(pool[3]), len(pool[4])) > 0
         seen["outside"] += any(set(store.elements) - set(dataset.universe) for store in stores)
         seen["outcomes"].add(outcomes[0] if isinstance(outcomes[0], type) else list)
+        sides = [_largest_side(store, dataset.universe) for store in stores]
+        seen["mixed_sizes"] += len({min(side, limit) for side in sides} - {0}) > 1
+        seen["over_limit"] += any(side > limit for side in sides)
+        seen["none_inside"] += any(len(store) and not side for store, side in zip(stores, sides))
     assert seen["n_stores"] == set(range(7)) and seen["max_size"] == {None, 1, 2, 3}
     assert seen["all_folds"] and seen["empty"] and seen["disjoint"] and seen["outside"]
+    assert seen["mixed_sizes"] and seen["over_limit"] and seen["none_inside"]
     assert seen["outcomes"] == {list, DegenerateDataset, TotalConflict}
+
+
+def test_fold_ids_match_per_fold_calls():
+    # one pass over all rows with fold ids against one call per fold,
+    # leave-one-out folds (folds = n) included
+    rng = random.Random(31)
+    seen = {"leave_one_out": 0, "columns": set()}
+    for case in range(120):
+        dataset, _, _ = _case(rng, case)
+        if len(dataset) < 2:
+            continue
+        max_size = rng.choice([None, 1, 2, 3])
+        limit = max(len(la.alloy.elements) for la in dataset.alloys) - 1 if max_size is None else max_size
+        index = dataset.element_index()
+        words = element_words((la.alloy.elements for la in dataset.alloys), index, key_width(len(index)))
+        labels = dataset.labels()
+        md = extract_all(dataset, ExtractionConfig(rng.uniform(0.01, 0.9), max_size)).mask_view(index)
+        k = rng.choice([None, 1, 3])
+        weights = md.weights if k is None else np.stack([md.weights * rng.random() for _ in range(k)], axis=1)
+        table = KeyTable(md.keys, weights)
+        folds = len(dataset) if case % 3 == 0 else rng.randint(2, len(dataset))
+        fold_of = np.empty(len(dataset), dtype=np.intp)
+        splits = kfold_indices(labels, folds, case)
+        for f, (_, test) in enumerate(splits):
+            fold_of[test] = f
+        w_pos, w_neg, n = analogy_weights(words, words, labels, table, limit, fold_of)
+        for train, test in splits:
+            got = analogy_weights(words[test], words[train], [labels[i] for i in train], table, limit)
+            for one_pass, per_fold in zip((w_pos, w_neg, n), got):
+                assert one_pass[test].tobytes() == per_fold.tobytes(), case
+        seen["leave_one_out"] += folds == len(dataset)
+        seen["columns"].add(k)
+    assert seen["leave_one_out"] and seen["columns"] == {None, 1, 3}
+
+
+def test_fold_ids_must_cover_the_rows():
+    words = np.zeros((3, 1), dtype=np.uint64)
+    with pytest.raises(LengthMismatch):
+        analogy_weights(words, words, [True, False, True], KeyTable(words, np.zeros(3)), 1, np.zeros(2, dtype=np.intp))
 
 
 def test_total_conflict_matches_reference():

@@ -1,5 +1,6 @@
 """Splits, metrics, alpha tuning, and the two experiment protocols."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,16 @@ from heafusion.evaluation import (
     run_extrapolation_experiment,
     summarize_reports,
 )
-from heafusion.inference import accuracy, macro_f1, predict_batch, roc_auc, youden_threshold_stats
+from heafusion.belief import from_weights
+from heafusion.inference import (
+    accuracy,
+    classify,
+    columns_macro_f1,
+    macro_f1,
+    predict_batch,
+    roc_auc,
+    youden_threshold_stats,
+)
 from heafusion.md_evidence import ExtractionConfig, extract_all
 
 from conftest import (
@@ -34,7 +44,7 @@ from conftest import (
     planted_group_store,
     random_dataset,
 )
-from oracles import kfold_splits, macro_f1_oracle, mann_whitney_auc
+from oracles import accuracy_loop, kfold_splits, macro_f1_loop, macro_f1_oracle, mann_whitney_auc
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +169,13 @@ class TestAccuracy:
         with pytest.raises(LengthMismatch):
             accuracy([True], [True, False])
 
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))
+    def test_equals_loop(self, pairs):
+        labels = [y for y, _ in pairs]
+        preds = [p for _, p in pairs]
+        got = accuracy(labels, np.array(preds))
+        assert type(got) is float and got == accuracy_loop(labels, preds)
+
 
 class TestMacroF1:
     def test_perfect(self):
@@ -180,6 +197,32 @@ class TestMacroF1:
         assert macro_f1(labels, preds) == pytest.approx(
             macro_f1_oracle(labels, preds), abs=1e-12
         )
+
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60))
+    def test_equals_loop(self, pairs):
+        labels = [y for y, _ in pairs]
+        preds = [p for _, p in pairs]
+        got = macro_f1(labels, np.array(preds))
+        assert type(got) is float and got == macro_f1_loop(labels, preds)
+
+    def test_columns_per_group_equal_loop(self):
+        rng = np.random.default_rng(5)
+        for case in range(50):
+            n, k, n_groups = int(rng.integers(1, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            labels = (rng.random(n) < 0.5).tolist()
+            groups = rng.integers(0, n_groups, n)
+            weights = [np.where(rng.random((n, k)) < 0.3, 0.0, rng.exponential(2.0, (n, k))) for _ in range(2)]
+            got = columns_macro_f1(labels, *weights, groups, n_groups)
+            assert got.shape == (n_groups, k)
+            for g in range(n_groups):
+                rows = np.flatnonzero(groups == g)
+                for j in range(k):
+                    if not len(rows):
+                        assert got[g, j] == 1.0  # no rows: both classes absent
+                        continue
+                    m_pos, _, m_unc = from_weights(weights[0][rows, j], weights[1][rows, j])
+                    expected = macro_f1_loop([labels[i] for i in rows], classify(m_pos + m_unc / 2.0))
+                    assert got[g, j] == expected, case
 
 
 class TestRocAuc:

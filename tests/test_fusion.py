@@ -10,7 +10,6 @@ from heafusion.fusion import (
     SourceReliability,
     estimate_reliability,
     fuse,
-    read_gammas,
     write_gammas,
 )
 from heafusion.md_evidence import CombinationPair, ExtractionConfig, extract_all
@@ -22,7 +21,17 @@ from conftest import (
     planted_group_store,
     random_dataset,
 )
-from oracles import combine_all, combine_exact, discount, kfold_splits, macro_f1_oracle, masses_of, pairs_of, vacuous
+from oracles import (
+    combine_all,
+    combine_exact,
+    discount,
+    kfold_splits,
+    macro_f1_oracle,
+    masses_of,
+    pairs_of,
+    read_gammas,
+    vacuous,
+)
 
 GROUP_A = ("Fe", "Co", "Ni", "Mn", "Cr")
 GROUP_B = ("Cu", "Ag", "Au", "Zn", "Cd")
