@@ -29,7 +29,15 @@ from typing import NoReturn
 import numpy as np
 
 from . import __version__
-from .alloys import ELEMENT_SYMBOLS, UNIVERSES, Alloy, enumerate_combinations, parse_composition, parse_dataset, read_rows
+from .alloys import (
+    ELEMENT_SYMBOLS,
+    UNIVERSES,
+    Alloy,
+    enumerate_combinations,
+    parse_composition,
+    parse_dataset,
+    read_blocks,
+)
 from .analysis import (
     element_distance_matrix,
     hac_complete,
@@ -335,7 +343,8 @@ def _out_path(args: argparse.Namespace, name: str) -> Path:
 
 
 def _read_candidates(path: str) -> list[Alloy]:
-    return [parse_composition(cell, lineno) for lineno, (cell,) in read_rows(path, ("composition",))]
+    return [parse_composition(cell, lineno) for block in read_blocks(path, ("composition",))
+            for lineno, cell in zip(block.rows.tolist(), *block.columns)]
 
 
 def _sources_from_args(args: argparse.Namespace) -> SourcesConfig:

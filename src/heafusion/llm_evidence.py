@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .alloys import parse_symbols, read_rows
+from .alloys import parse_symbols, read_blocks
 from .belief import BinaryMass, to_weights
 from .errors import BetaOutOfRange, ParseError
 from .md_evidence import CombinationPair, SimilarityStore
@@ -114,28 +114,29 @@ def parse_responses(path: str | Path) -> list[LlmResponse]:
     """
     path = Path(path)
     responses: list[LlmResponse] = []
-    for lineno, (cell_a, cell_b, domain, q1_cell, q2_cell) in read_rows(path, _COLUMNS, ("q2",)):
-        side_a = parse_symbols(cell_a, lineno)
-        side_b = parse_symbols(cell_b, lineno)
-        try:
-            pair = CombinationPair(side_a, side_b)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if len(side_a) > 1 or len(side_b) > 1:
-            warnings.warn(
-                f"{path}:{lineno}: multi-element combination pair {pair}",
-                stacklevel=2,
-            )
-        q1_text = q1_cell.strip().lower()
-        if q1_text not in _YES_NO:
-            raise ParseError(f"q1 must be Yes or No, got {q1_cell!r}", lineno)
-        q2 = q2_cell.strip().capitalize() or None
-        if q2 is not None and q2 not in _RATINGS:
-            raise ParseError(f"q2 must be High, Medium, or Low, got {q2_cell!r}", lineno)
-        try:
-            responses.append(LlmResponse(pair, domain.strip(), _YES_NO[q1_text], q2))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+    for block in read_blocks(path, _COLUMNS, ("q2",)):
+        for lineno, cell_a, cell_b, domain, q1_cell, q2_cell in zip(block.rows.tolist(), *block.columns):
+            side_a = parse_symbols(cell_a, lineno)
+            side_b = parse_symbols(cell_b, lineno)
+            try:
+                pair = CombinationPair(side_a, side_b)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if len(side_a) > 1 or len(side_b) > 1:
+                warnings.warn(
+                    f"{path}:{lineno}: multi-element combination pair {pair}",
+                    stacklevel=2,
+                )
+            q1_text = q1_cell.strip().lower()
+            if q1_text not in _YES_NO:
+                raise ParseError(f"q1 must be Yes or No, got {q1_cell!r}", lineno)
+            q2 = q2_cell.strip().capitalize() or None
+            if q2 is not None and q2 not in _RATINGS:
+                raise ParseError(f"q2 must be High, Medium, or Low, got {q2_cell!r}", lineno)
+            try:
+                responses.append(LlmResponse(pair, domain.strip(), _YES_NO[q1_text], q2))
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
     return responses
 
 

@@ -13,6 +13,7 @@ textbook rule, where the package adds weights of evidence.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import kfold_indices
+from heafusion.alloys import kfold_indices, parse_symbols
 from heafusion.belief import discount_weights, from_weights, pignistic
 from heafusion.errors import (
     AlphaOutOfRange,
@@ -37,7 +38,7 @@ from heafusion.errors import (
 )
 from heafusion.fusion import SourceReliability
 from heafusion.inference import classify, predict_batch
-from heafusion.md_evidence import CombinationPair, PairCounts, analogy_weight, key_width, pack_keys
+from heafusion.md_evidence import CombinationPair, PairCounts, analogy_weight, element_words, key_width, pack_keys
 
 CONFLICT_LIMIT = 1.0 - 1e-12
 
@@ -601,3 +602,86 @@ def read_gammas(path: str | Path) -> list[SourceReliability]:
         if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
             raise ParseError(f"gamma for {sid!r} must lie in [0, 1], got {gamma!r}")
     return [SourceReliability(sid, float(g)) for sid, g in sorted(data.items())]
+
+
+STORE_HEADER = ["combo_a", "combo_b", "w_similar", "w_dissimilar"]
+
+
+def write_store_reference(store: SimilarityStore, path: str | Path) -> None:
+    """`md_evidence.write_store` one row at a time through `csv.writer`:
+    rows sorted by combination pair, weights as 17-digit floats."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STORE_HEADER)
+        for pair, (w1, w2) in sorted(store.items()):
+            writer.writerow(["-".join(pair.first), "-".join(pair.second), f"{w1:.17g}", f"{w2:.17g}"])
+
+
+def read_rows_reference(path: str | Path, columns: Sequence[str]) -> Iterable[tuple[int, list[str]]]:
+    """(row number, cells of `columns`) of each non-blank row, checked one
+    row at a time with the messages of `alloys.read_blocks`; a column the
+    header names twice is not checked here, and its first copy is read."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path} is empty", 1)
+        header = [h.strip().lower() for h in header]
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ParseError(f"header must declare columns {list(columns)}, missing {missing}", 1)
+        width = len(header)
+        take = [header.index(name) for name in columns]
+        needed = max(take) + 1
+        for lineno, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < needed:
+                raise ParseError(f"expected at least {needed} columns, got {len(row)}", lineno)
+            if len(row) > width:
+                raise ParseError(f"expected at most {width} columns, as in the header, got {len(row)}", lineno)
+            yield lineno, [row[i] for i in take]
+
+
+def read_store_reference(path: str | Path) -> SimilarityStore:
+    """`md_evidence.read_store` one row at a time: each row's sides and
+    weights are parsed and checked as the row is read."""
+    side_ids: dict[str, int] = {}
+    sides: list[list[str]] = []
+    rows: list[tuple[int, int, int]] = []
+    weights: list[tuple[float, float]] = []
+    for lineno, (combo_a, combo_b, w_similar, w_dissimilar) in read_rows_reference(path, STORE_HEADER):
+        for side in (combo_a, combo_b):
+            if side not in side_ids:
+                side_ids[side] = len(sides)
+                sides.append(parse_symbols(side, lineno))
+        try:
+            weights.append((float(w_similar), float(w_dissimilar)))
+        except ValueError:
+            raise ParseError(f"weights must be numbers, got {w_similar!r} and {w_dissimilar!r}", lineno) from None
+        rows.append((lineno, side_ids[combo_a], side_ids[combo_b]))
+    linenos, first, second = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    w = np.array(weights, dtype=float).reshape(-1, 2) + 0.0  # -0.0 reads as 0.0
+    elements = tuple(sorted({e for side in sides for e in side}))
+    words = element_words(sides, {e: i for i, e in enumerate(elements)}, key_width(len(elements)))
+    bad = ~(w >= 0.0).all(axis=1) | np.isinf(w).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ParseError(f"weights must be non-negative and not both infinite, got {w[i, 0]} and {w[i, 1]}",
+                         int(linenos[i]))
+    overlap = (words[first] & words[second]).any(axis=1)
+    if overlap.any():
+        i = int(np.argmax(overlap))
+        raise ParseError(f"combination sides must be disjoint, got {sides[first[i]]} and {sides[second[i]]}",
+                         int(linenos[i]))
+    keys = pack_keys(words[first], words[second])
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys keep their file order
+    keys = keys[order]
+    repeat = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    if len(repeat):
+        earlier, later = order[repeat], order[repeat + 1]
+        j = int(np.argmin(later))
+        pair = CombinationPair(sides[first[later[j]]], sides[second[later[j]]])
+        raise ParseError(f"pair {pair} repeats row {linenos[earlier[j]]}", int(linenos[later[j]]))
+    return SimilarityStore(elements, keys, w[order, 0], w[order, 1])

@@ -14,7 +14,7 @@ from heafusion.alloys import (
     LabeledAlloy,
     enumerate_combinations,
     parse_dataset,
-    read_rows,
+    read_blocks,
     serialize_dataset,
 )
 from heafusion.errors import EmptyDataset, KTooLarge, ParseError
@@ -105,6 +105,13 @@ class TestParsing:
         with pytest.raises(ParseError, match="row 2"):
             parse_dataset(f)
 
+    def test_repeated_column(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("composition,label,label\nFe-Co,1,0\n")
+        with pytest.raises(ParseError, match="'label' more than once") as info:
+            parse_dataset(f)
+        assert info.value.row == 1
+
     def test_universe_preset_enforced(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("composition,label\nFe-Ni-H-O,1\n")
@@ -131,16 +138,22 @@ class TestParsing:
         assert again.universe == ds.universe
 
 
+def read_rows(path, columns, optional=()):
+    """(row number, cells) of every row `read_blocks` yields."""
+    return [(row, list(cells)) for block in read_blocks(path, columns, optional)
+            for row, *cells in zip(block.rows.tolist(), *block.columns)]
+
+
 class TestReadRows:
     def test_columns_by_name_in_any_order_and_case(self, tmp_path):
         f = tmp_path / "r.csv"
         f.write_text("\ufeff Label ,x,COMPOSITION\n1,a,Fe-Ni\n\n , ,\n0,b,Co-Cr\n", encoding="utf-8")
-        assert list(read_rows(f, ("composition", "label"))) == [(2, ["Fe-Ni", "1"]), (5, ["Co-Cr", "0"])]
+        assert read_rows(f, ("composition", "label")) == [(2, ["Fe-Ni", "1"]), (5, ["Co-Cr", "0"])]
 
     def test_optional_column_reads_empty_when_absent_or_short(self, tmp_path):
         f = tmp_path / "r.csv"
         f.write_text("a,b\n1,2\n3\n")
-        assert list(read_rows(f, ("a",), ("b", "c"))) == [(2, ["1", "2", ""]), (3, ["3", "", ""])]
+        assert read_rows(f, ("a",), ("b", "c")) == [(2, ["1", "2", ""]), (3, ["3", "", ""])]
 
     @pytest.mark.parametrize(
         "text, row, message",
@@ -149,14 +162,15 @@ class TestReadRows:
             ("a\n1\n", 1, "missing \\['b'\\]"),
             ("a,b,c\n1,2,3\n1\n", 3, "at least 2"),
             ("a,b\n1,2\n1,2,3\n", 3, "at most 2"),
+            ("a,B,b\n1,2,3\n", 1, "'b' more than once"),
         ],
-        ids=["empty", "missing-column", "short-row", "long-row"],
+        ids=["empty", "missing-column", "short-row", "long-row", "repeated-column"],
     )
     def test_malformed_file_names_its_row(self, tmp_path, text, row, message):
         f = tmp_path / "r.csv"
         f.write_text(text)
         with pytest.raises(ParseError, match=message) as info:
-            list(read_rows(f, ("a", "b")))
+            read_rows(f, ("a", "b"))
         assert info.value.row == row
 
 

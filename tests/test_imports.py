@@ -1,6 +1,6 @@
 """Module hygiene: no module of the package imports another's private
-names, the package's modules import each other without a cycle, and every
-import sits at module level."""
+names, the package's modules import each other without a cycle, every
+import sits at module level, and one module reads CSV."""
 
 import ast
 from pathlib import Path
@@ -114,3 +114,30 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(offenders) == []
+
+
+_CSV_READERS = ("reader", "DictReader")
+
+
+def csv_readers(tree: ast.Module) -> list[int]:
+    """Lines that name a reader of the csv module: `csv.reader`,
+    `csv.DictReader` or an import of either from csv."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _CSV_READERS
+        and isinstance(node.value, ast.Name) and node.value.id == "csv"
+        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+        and any(alias.name in _CSV_READERS for alias in node.names)
+    ]
+
+
+def test_only_alloys_reads_csv():
+    """Every input format goes through `alloys.read_blocks`, so its header,
+    encoding and width checks cannot fork."""
+    trees = _trees()
+    assert csv_readers(trees["alloys"])
+    offenders = [f"{name}.py:{line}" for name, tree in trees.items() if name != "alloys" for line in csv_readers(tree)]
+    assert offenders == []
+    assert csv_readers(ast.parse("import csv\nrows = csv.reader(fh)\n")) == [2]
+    assert csv_readers(ast.parse("from csv import DictReader\n")) == [1]

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,9 @@ from oracles import (
     masses_of,
     pair_evidence_oracle,
     pairs_of,
+    read_store_reference,
     scan_partition,
+    write_store_reference,
 )
 
 
@@ -276,6 +279,72 @@ class TestCountsClosedForm:
             counts_to_store({}, 1.0, ())
 
 
+STORE_FAULTS = {
+    "short-row": "Fe,Co,0.5",
+    "long-row": "Cu,Zn,0.1,0,0.9",
+    "symbol": "Fe,Xx,0.5,0",
+    "float": "Cu,Ag,x,0",
+    "float-dissimilar": "Cu,Ag,0.5,y",
+    "sum": "Cu,Ag,inf,inf",
+    "negative": "Cu,Ag,-0.5,1",
+    "nan": "Cu,Ag,0.5,nan",
+    "overlap": "Cu,Cu,0.1,0",
+}
+# 9,999 rows: distinct valid pairs over the first 30 symbols, none naming
+# Ag, and a blank row in every thousand
+STORE_ROWS = [
+    " , , ," if n % 1_000 == 500 else line
+    for n, line in enumerate(
+        f"{ELEMENT_SYMBOLS[i]},{ELEMENT_SYMBOLS[j]}-{ELEMENT_SYMBOLS[k]},0.5,0"
+        for i in range(30) for j in range(30) for k in range(j + 1, 30) if i not in (j, k)
+    )
+][:9_999]
+
+
+def store_text_with(line, row):
+    """A 10,000-row store file (header included) with line as row `row`."""
+    rows = STORE_ROWS[:row - 2] + [line] + STORE_ROWS[row - 1:]
+    return "combo_a,combo_b,w_similar,w_dissimilar\n" + "\n".join(rows) + "\n"
+
+
+def reference_store(kind, rng):
+    """A seeded store of one kind: `extremes` holds inf, subnormal, huge
+    and signed-zero weights, `distinct` a different weight in every cell,
+    `multi-word` sides over the whole 103-symbol table (four key words),
+    `many-rows` more rows than one reader block."""
+    symbols = list(ELEMENT_SYMBOLS[:12] if kind == "extremes" else ELEMENT_SYMBOLS)
+    unit = evidence_weight(0.1)
+    weights = {
+        "extremes": lambda: rng.choice([(math.inf, 0.0), (0.0, math.inf), (5e-324, 1e308), (-0.0, 0.5),
+                                        (0.1 + 0.2, 0.0), (1100 * evidence_weight(0.5), 5e-324)]),
+        "distinct": lambda: (rng.random() * 10 ** rng.randint(-300, 300), rng.random()),
+        "multi-word": lambda: (rng.randint(0, 9) * unit, rng.randint(0, 9) * unit),
+        "many-rows": lambda: (rng.randint(0, 30) * unit, rng.randint(0, 30) * unit),
+    }[kind]
+    size = {"extremes": 300, "distinct": 3_000, "multi-word": 3_000, "many-rows": 9_000}[kind]
+    entries = {}
+    while len(entries) < size:
+        chosen = rng.sample(symbols, rng.randint(2, 6))
+        cut = rng.randint(1, len(chosen) - 1)
+        entries[CombinationPair(chosen[:cut], chosen[cut:])] = weights()
+    return SimilarityStore.from_entries(entries)
+
+
+def edited_store_text(text, rng):
+    """The store file text as another writer could give it: a byte-order
+    mark, an upper-case header in another column order, quoted cells and
+    blank rows."""
+    order = [2, 0, 3, 1]
+    lines = []
+    for number, line in enumerate(text.splitlines()):
+        cells = line.split(",")
+        cells = [cells[i].upper() if number == 0 else cells[i] for i in order]
+        lines.append(",".join(f'"{cell}"' if rng.random() < 0.3 else cell for cell in cells))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", " , , , ", ",,,", '"",""', "\t"]))
+    return "\ufeff" + "\n".join(lines) + "\n\n"
+
+
 class TestSerialization:
     def test_bit_exact_round_trip(self, tmp_path):
         ds = random_dataset(60, universe_size=10, seed=21)
@@ -319,18 +388,20 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "text, row",
         [
-            ("", 1),
-            ("a,b,c\nCu,Zn,0.1,0\n", 1),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nFe,Co,0.5\n", 2),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0,0.9\n", 2),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,x,0\n", 3),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,inf,inf\n", 3),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,-0.5,1\n", 3),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,0.5,nan\n", 3),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Cu,0.1,0\n", 3),
-            ("combo_a,combo_b,w_similar,w_dissimilar\nFe,Xx,0.5,0\n", 2),
+            pytest.param("", 1, id="empty"),
+            pytest.param("a,b,c\nCu,Zn,0.1,0\n", 1, id="header"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nFe,Co,0.5\n", 2, id="short-row"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0,0.9\n", 2, id="long-row"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,x,0\n", 3, id="float"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,inf,inf\n", 3, id="sum"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,-0.5,1\n", 3, id="negative"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Ag,0.5,nan\n", 3, id="nan"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nCu,Zn,0.1,0\nCu,Cu,0.1,0\n", 3, id="overlap"),
+            pytest.param("combo_a,combo_b,w_similar,w_dissimilar\nFe,Xx,0.5,0\n", 2, id="symbol"),
+            # around the reader's block boundary: rows 2-4097 form the first block
+            *(pytest.param(store_text_with(line, row), row, id=f"{kind}-at-{row}")
+              for kind, line in STORE_FAULTS.items() for row in (2, 4097, 4098, 10_000)),
         ],
-        ids=["empty", "header", "short-row", "long-row", "float", "sum", "negative", "nan", "overlap", "symbol"],
     )
     def test_malformed_rows_name_their_row(self, tmp_path, text, row):
         path = tmp_path / "store.csv"
@@ -338,6 +409,26 @@ class TestSerialization:
         with pytest.raises(ParseError) as info:
             read_store(path)
         assert info.value.row == row
+        with pytest.raises(ParseError) as reference:
+            read_store_reference(path)
+        assert (type(info.value), str(info.value)) == (type(reference.value), str(reference.value))
+
+    @pytest.mark.parametrize("kind", ["extremes", "distinct", "multi-word", "many-rows"])
+    def test_block_io_matches_row_reference(self, tmp_path, kind):
+        store = reference_store(kind, random.Random(f"store-io:{kind}"))
+        written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+        write_store(store, written)
+        write_store_reference(store, reference)
+        assert written.read_bytes() == reference.read_bytes()
+        edited = tmp_path / "edited.csv"
+        edited.write_text(edited_store_text(reference.read_text(), random.Random(f"store-edit:{kind}")),
+                          encoding="utf-8")
+        for path in (written, edited):
+            got, want = read_store(path), read_store_reference(path)
+            assert got.elements == want.elements
+            assert got.keys.dtype == want.keys.dtype and np.array_equal(got.keys, want.keys)
+            for column in ("w_first", "w_second"):
+                assert getattr(got, column).view(np.uint64).tolist() == getattr(want, column).view(np.uint64).tolist()
 
     def test_columns_are_read_by_header_name(self, tmp_path):
         store = extract_all(random_dataset(30, universe_size=8, seed=22), ExtractionConfig(alpha=0.2))
