@@ -143,8 +143,16 @@ class Dataset:
         return sum(1 for la in self.alloys if la.label)
 
     def element_index(self) -> dict[str, int]:
-        """Universe symbol -> bit position, in universe order."""
-        return {e: i for i, e in enumerate(self.universe)}
+        """Universe symbol -> bit position, the one bit order of the
+        library: bit i of every alloy mask and store key built over this
+        dataset is symbol i of the sorted universe. The universe keeps its
+        own order for everything shown to the user."""
+        return {e: i for i, e in enumerate(sorted(self.universe))}
+
+    @property
+    def bit_names(self) -> tuple[str, ...]:
+        """The symbol of each bit of `element_index`: the universe sorted."""
+        return tuple(self.element_index())
 
     def with_alloys(self, alloys: Sequence[LabeledAlloy], suffix: str = "") -> "Dataset":
         """Same universe, different rows; used by split/fold machinery."""

@@ -9,16 +9,18 @@ sources pull the result toward the vacuous mass instead of injecting
 conflict.
 
 Both steps align the stores with `md_evidence.union_rows` on the sorted
-union of their keys. `estimate_reliability` groups the stores by the size
-of their largest substitution side, since a store only meets analogies
-whose sides fit its own. Per group it holds every source's analogy
-weights in one key table, one column per source and 0 where a source
-lacks the key, and scores every fold of every source with one kernel call
-(`inference.analogy_weights` over all rows, skipping pairs within a fold;
-`inference.columns_macro_f1` reads out the folds). Stores hold weights of
-evidence, and Dempster's rule adds them, so fusion is one sum: each
-source's weight columns, discounted by `belief.discount_weights`, are
-added into the fused columns in source order.
+union of their keys, in the library's one bit order (sorted symbols), so
+stores keyed by it are aligned without re-keying. `estimate_reliability`
+groups the stores by the size of their largest substitution side, since
+a store only meets analogies whose sides fit its own. Per group it holds
+every source's analogy weights in one key table, one column per source
+and 0 where a source lacks the key, and scores every fold of every
+source with one kernel call (`inference.analogy_weights` over all rows,
+skipping pairs within a fold; `inference.columns_macro_f1` reads out the
+folds). Stores hold weights of evidence, and Dempster's rule adds them,
+so fusion is one sum: each source's weight columns, discounted by
+`belief.discount_weights`, are added into the fused columns in source
+order.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def estimate_reliability(
     Each fold is predicted from the remaining alloys' labels and each
     store (the stores themselves are not re-derived per fold) and
     classified by `inference.classify`. The stores are taken over the
-    dataset's universe and grouped by their largest side, capped at the
+    dataset's `bit_names` (the library's one bit order, so a store keyed
+    by it is not re-keyed) and grouped by their largest side, capped at the
     substitution limit; a store with no key there reads out vacuous. Each
     group's analogy weights are aligned on the union of its stores' keys
     (0 where a store lacks a key) as the columns of one key table, and one
@@ -99,7 +102,7 @@ def estimate_reliability(
     max_size = substitution_limit(alloys, max_subst_size)
     index = dataset.element_index()
     words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
-    aligned = [store.reindexed(dataset.universe) for store in stores]
+    aligned = [store.reindexed(dataset.bit_names) for store in stores]
     sizes = [min(_largest_side(store), max_size) for store in aligned]
     w_pos, w_neg = np.zeros((len(labels), len(stores))), np.zeros((len(labels), len(stores)))
     for size in sorted(set(sizes) - {0}):

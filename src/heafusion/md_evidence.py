@@ -29,6 +29,18 @@ sorted, the keys re-packed in that bit order and sorted, then the weight
 columns, so it does not depend on bit or insertion order. Store files
 hold the weights as 17-digit floats or `inf`, so their round trip is exact.
 
+The library names bits in one order: element symbols sorted. Alloy masks
+follow `Dataset.element_index` (bit i is symbol i of the sorted universe),
+`extract_all` keys its store by the same `Dataset.bit_names`,
+`from_entries` and `read_store` sort their elements, and `union_rows`
+sorts the union of its stores' elements. So the alignments of a fold
+(`content_hash`, `fusion.estimate_reliability`, `fusion.fuse` and
+`mask_view`) find every bit in place and re-key no store; only a store
+that leaves an element of its tuple unused, such as a fold's md store
+without its held-out element, is re-keyed for its hash. No result depends
+on the bit order: sums run in host order, the hash is canonical and
+`write_store` sorts its rows by name.
+
 Store files are read and written a block of rows at a time, with no
 per-row Python loop: `read_store` takes blocks from `alloys.read_blocks`,
 parses each distinct side text and converts each distinct weight text
@@ -404,11 +416,16 @@ class SimilarityStore:
         """The distinct sides of the rows as sorted element tuples, in
         sorted order, and per row the positions of its first and second
         side among them: the side whose tuple sorts first comes first.
-        Each distinct side mask is named once."""
+        Each distinct side mask is named once: one `np.nonzero` over its
+        bits, taken in element name order, lists every side's symbols."""
         halves = np.concatenate([self.keys >> _WORD, self.keys & _LOW])
         _, first_seen, inverse = np.unique(_row_code(halves), return_index=True, return_inverse=True)
         bits = np.unpackbits(halves[first_seen].astype("<u4").view(np.uint8), axis=1, bitorder="little")
-        names = [tuple(sorted(self.elements[i] for i in np.flatnonzero(row))) for row in bits]
+        by_name = np.argsort(np.array(self.elements, dtype=str))  # bit of each element, in name order
+        sides, columns = np.nonzero(bits[:, by_name])  # row-major: each side's symbols in name order
+        symbols = [self.elements[i] for i in by_name[columns].tolist()]
+        ends = np.cumsum(np.bincount(sides, minlength=len(bits))).tolist()
+        names = [tuple(symbols[start:end]) for start, end in zip([0, *ends], ends)]
         order = sorted(range(len(names)), key=names.__getitem__)
         rank = np.empty(len(names), dtype=np.intp)
         rank[order] = np.arange(len(names))
@@ -458,11 +475,12 @@ class SimilarityStore:
 
 
 def union_rows(stores: Sequence[SimilarityStore]) -> tuple[tuple[str, ...], np.ndarray, list[np.ndarray]]:
-    """Alignment of several stores: their element tuples merged in order
-    (first appearance), the distinct key rows of all of them in that bit
-    order, sorted, and for each store the position of each of its rows
-    among them."""
-    elements = tuple(dict.fromkeys(e for store in stores for e in store.elements))
+    """Alignment of several stores: the union of their elements sorted
+    (the library's one bit order, so stores keyed by it align without
+    re-keying), the distinct key rows of all of them in that bit order,
+    sorted, and for each store the position of each of its rows among
+    them."""
+    elements = tuple(sorted({e for store in stores for e in store.elements}))
     width = key_width(len(elements))
     target = {e: i for i, e in enumerate(elements)}
     parts, sources = [], []
@@ -571,8 +589,8 @@ def extract_counts(
 
     The counts are a sufficient statistic for the combined mass at any
     alpha, which is what makes the alpha grid search affordable. Bit i
-    of a mask is element i of the dataset's universe; max_subst_size
-    resolves through `substitution_limit`.
+    is element i of the sorted universe (`Dataset.element_index`);
+    max_subst_size resolves through `substitution_limit`.
     """
     keys, agree, disagree = _dataset_counts(dataset, max_subst_size)
     out: dict[tuple[int, int], tuple[int, int]] = {}
@@ -619,16 +637,17 @@ def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
     return BinaryMass(*from_weights(n_agree * weight, n_disagree * weight))
 
 
-def counts_to_store(counts: PairCounts, alpha: float, universe: Sequence[str]) -> SimilarityStore:
+def counts_to_store(counts: PairCounts, alpha: float, elements: Sequence[str]) -> SimilarityStore:
     """The store of every key's counts times the weight of one piece of
-    evidence; the keys' bits name the universe's elements."""
+    evidence; bit i of the keys names elements[i] (for counts of a
+    dataset, its `bit_names`)."""
     weight = evidence_weight(alpha)
-    return SimilarityStore(tuple(universe), counts.keys, weight * counts.agree, weight * counts.disagree)
+    return SimilarityStore(tuple(elements), counts.keys, weight * counts.agree, weight * counts.disagree)
 
 
 def extract_all(dataset: Dataset, config: ExtractionConfig) -> SimilarityStore:
     """Scan all alloy pairs and pool their evidence into a similarity store."""
-    return counts_to_store(_dataset_counts(dataset, config.max_subst_size), config.alpha, dataset.universe)
+    return counts_to_store(_dataset_counts(dataset, config.max_subst_size), config.alpha, dataset.bit_names)
 
 
 _HEADER = ["combo_a", "combo_b", "w_similar", "w_dissimilar"]

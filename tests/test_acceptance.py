@@ -236,7 +236,7 @@ def _suite_partition_independence():
             partials = [
                 scan_partition(masks, labels, 3, parts, p) for p in range(parts)
             ]
-            stores = [counts_to_store(count_table(c), 0.1, ds.universe) for c in partials]
+            stores = [counts_to_store(count_table(c), 0.1, ds.bit_names) for c in partials]
             merged = combine_stores(stores)
             assert set(merged) == pairs_of(whole)
             for pair, mass in masses_of(whole).items():

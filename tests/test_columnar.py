@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import ELEMENT_SYMBOLS, kfold_indices
+from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, kfold_indices
 from heafusion.belief import to_weights
 from heafusion.errors import DegenerateDataset, LengthMismatch, TotalConflict
 from heafusion.fusion import SourceReliability, estimate_reliability, fuse
@@ -72,7 +72,7 @@ def _reference_extract(dataset, alpha, max_size):
     masks = alloy_masks((la.alloy for la in dataset.alloys), dataset.element_index())
     if max_size is None:
         max_size = max((len(la.alloy.elements) for la in dataset.alloys), default=2) - 1
-    names = dataset.universe
+    names = dataset.bit_names
     weight = evidence_weight(alpha)
 
     def side(mask):
@@ -225,6 +225,47 @@ def test_reliability_matches_reference():
     assert seen["all_folds"] and seen["empty"] and seen["disjoint"] and seen["outside"]
     assert seen["mixed_sizes"] and seen["over_limit"] and seen["none_inside"]
     assert seen["outcomes"] == {list, DegenerateDataset, TotalConflict}
+
+
+def _layout_results(stores, training, candidates, path):
+    """Everything a store's bit layout could leak into: the store hashes,
+    the reliabilities, the fused store, predictions from every store and
+    the store files."""
+    ids = [f"s{i}" for i in range(len(stores))]
+    gammas = estimate_reliability(stores, training, folds=5, seed=3)
+    fused = fuse(list(zip(ids, stores)), [SourceReliability(sid, g) for sid, g in zip(ids, gammas)])
+    predictions, files = [], []
+    for store in (*stores, fused):
+        got = predict_batch(candidates, training, store)
+        predictions.append([(p.mass.as_tuple(), p.score, p.n_analogies) for p in got])
+        write_store(store, path)
+        files.append(path.read_bytes())
+    return [store.content_hash() for store in (*stores, fused)], gammas, predictions, files
+
+
+@pytest.mark.parametrize("table", ["E1", "elements"])
+def test_results_do_not_depend_on_bit_order(table, tmp_path):
+    # each store keyed in the library's bit order (sorted symbols) and in
+    # the universe's own order gives bit-identical results; the universes
+    # are unsorted, and the element table's needs four key words
+    rng = random.Random(2024)
+    universe = UNIVERSES["E1"] if table == "E1" else ELEMENT_SYMBOLS
+    symbols = list(universe) if table == "E1" else rng.sample(universe, 40)  # spread over every word
+    rows = sorted({_subset(rng, symbols, 3, 4) for _ in range(220)})
+    alloys = [LabeledAlloy(Alloy(r), rng.random() < 0.5) for r in rows]
+    training = Dataset(table, tuple(alloys[:180]), universe)
+    candidates = [la.alloy for la in alloys[180:]]
+    if table == "E1":  # a candidate naming an element outside the universe
+        candidates.append(Alloy(rows[0][:2] + ("H",)))
+    md = extract_all(training, ExtractionConfig(0.2))
+    shared = rng.sample(sorted(pair for pair, _ in md.items()), 12)
+    stores = [md] + [_expert_store(rng, symbols, shared) for _ in range(2)]
+    in_universe_order = [store.reindexed(universe) for store in stores]
+    assert md.elements == training.bit_names != universe
+    assert not np.array_equal(in_universe_order[0].keys, md.keys)
+    assert key_width(len(universe)) == (1 if table == "E1" else 4)
+    assert (_layout_results(stores, training, candidates, tmp_path / "store.csv")
+            == _layout_results(in_universe_order, training, candidates, tmp_path / "store.csv"))
 
 
 def test_fold_ids_match_per_fold_calls():

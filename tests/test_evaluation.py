@@ -1,11 +1,13 @@
 """Splits, metrics, alpha tuning, and the two experiment protocols."""
 
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
 from heafusion.alloys import UNIVERSES, element_split, enumerate_combinations, fraction_split
 from heafusion.errors import (
     ConfigError,
@@ -448,6 +450,31 @@ class TestExtrapolationExperiment:
         )
         reports = run_extrapolation_experiment(ds, sources, elements=["Fe"], seed=2)
         assert reports[0].auc >= 0.9
+
+    def test_a_fold_rekeys_only_the_held_out_md_store(self, monkeypatch):
+        # stores are keyed by sorted symbols throughout, so one fold over an
+        # unsorted universe moves bits only to hash the md store, whose
+        # tuple names the held-out element it never uses
+        universe = UNIVERSES["E1"]
+        planted = planted_group_dataset(universe[:13], universe[13:], subsample=220, seed=3)
+        ds = Dataset("e1", planted.alloys, universe)
+        experts = {f"llm:{s}": planted_group_store(universe[:13], universe[13:], strength=s) for s in (0.6, 0.8)}
+        sources = SourcesConfig(md_alpha=0.1, gamma_folds=5, llm_stores=experts)
+        remap = md_evidence._remap
+        rekeyed = []
+
+        def counting(keys, bits, width):
+            if not np.array_equal(bits, np.arange(len(bits))):
+                rekeyed.append(([f.name for f in traceback.extract_stack(limit=3)[:-1]], len(keys)))
+            return remap(keys, bits, width)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(md_evidence, "_remap", counting)
+            reports = run_extrapolation_experiment(ds, sources, elements=["Fe"], seed=1)
+        training, _ = element_split(ds, "Fe")
+        md = extract_all(training, ExtractionConfig(0.1))
+        assert reports[0].config["store_hashes"]["md"] == md.content_hash()
+        assert rekeyed == [(["content_hash", "reindexed"], len(md))]
 
 
 class TestSummaries:

@@ -120,6 +120,7 @@ class TestFuse:
             [SourceReliability("a", 1.0), SourceReliability("b", 1.0)],
         )
         assert len(fused) == 2
+        assert fused.elements == ("Cu", "Fe", "Ni", "Zn")  # sorted symbols, not in order of first appearance
         for store, pair in ((a, CombinationPair(("Cu",), ("Zn",))), (b, CombinationPair(("Fe",), ("Ni",)))):
             assert fused.weights([pair]).tolist() == store.weights([pair]).tolist()
 

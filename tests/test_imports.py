@@ -141,3 +141,43 @@ def test_only_alloys_reads_csv():
     assert offenders == []
     assert csv_readers(ast.parse("import csv\nrows = csv.reader(fh)\n")) == [2]
     assert csv_readers(ast.parse("from csv import DictReader\n")) == [1]
+
+
+# calls that turn a sequence of symbols into bit positions
+_BIT_NAMERS = ("enumerate", "reindexed", "counts_to_store", "SimilarityStore")
+
+
+def _names_universe(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.Name) and n.id == "universe" or isinstance(n, ast.Attribute) and n.attr == "universe"
+        for n in ast.walk(node)
+    )
+
+
+def universe_bit_maps(tree: ast.Module) -> list[int]:
+    """Lines that name mask bits after a universe: a call of `enumerate`,
+    `reindexed`, `counts_to_store` or `SimilarityStore` with an argument
+    that names a `universe`."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) in _BIT_NAMERS
+        and any(_names_universe(arg) for arg in (*node.args, *(k.value for k in node.keywords)))
+    ]
+
+
+def test_only_alloys_maps_a_universe_to_bits():
+    """`Dataset.element_index` defines the one bit order (sorted symbols),
+    so no other module may derive bits from a universe's own order."""
+    trees = _trees()
+    assert universe_bit_maps(trees["alloys"])
+    offenders = [
+        f"{name}.py:{line}" for name, tree in trees.items() if name != "alloys" for line in universe_bit_maps(tree)
+    ]
+    assert offenders == []
+    assert universe_bit_maps(ast.parse("index = {e: i for i, e in enumerate(ds.universe)}\n")) == [1]
+    assert universe_bit_maps(ast.parse("bits = dict(enumerate(sorted(universe)))\n")) == [1]
+    assert universe_bit_maps(ast.parse("store.reindexed(dataset.universe)\n")) == [1]
+    assert universe_bit_maps(ast.parse("md.counts_to_store(c, 0.1, elements=ds.universe)\n")) == [1]
+    assert universe_bit_maps(ast.parse("store.reindexed(dataset.bit_names)\nenumerate(elements)\n")) == []

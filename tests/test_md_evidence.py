@@ -130,7 +130,7 @@ class TestExtraction:
         ds = random_dataset(120, universe_size=11, seed=seed)
         max_size = 3
         counts = extract_counts(ds, max_subst_size=max_size)
-        universe = ds.universe
+        universe = ds.bit_names
         by_sides = {}
         for (mask_a, mask_b), (agree, disagree) in counts.items():
             sides = sorted(
@@ -186,7 +186,7 @@ class TestPartitioning:
         masks = alloy_masks((r.alloy for r in rows), ds.element_index())
         labels = [r.label for r in rows]
         partials = [
-            counts_to_store(count_table(scan_partition(masks, labels, 3, 2, part)), 0.1, ds.universe)
+            counts_to_store(count_table(scan_partition(masks, labels, 3, 2, part)), 0.1, ds.bit_names)
             for part in range(2)
         ]
         merged = combine_stores(partials)
@@ -264,7 +264,7 @@ class TestCountsClosedForm:
     def test_store_matches_per_key_readout(self):
         ds = random_dataset(60, universe_size=9, seed=4)
         counts = extract_counts(ds)
-        store = counts_to_store(count_table(counts), 0.3, ds.universe)
+        store = counts_to_store(count_table(counts), 0.3, ds.bit_names)
         assert len(store) == len(counts)
         index = ds.element_index()
         weight = evidence_weight(0.3)
