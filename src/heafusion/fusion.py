@@ -14,10 +14,13 @@ stores keyed by it are aligned without re-keying. `estimate_reliability`
 groups the stores by the size of their largest substitution side, since
 a store only meets analogies whose sides fit its own. Per group it holds
 every source's analogy weights in one key table, one column per source
-and 0 where a source lacks the key, and scores every fold of every
-source with one kernel call (`inference.analogy_weights` over all rows,
-skipping pairs within a fold; `inference.columns_macro_f1` reads out the
-folds). Stores hold weights of evidence, and Dempster's rule adds them,
+and 0 where a source lacks the key. One upper-triangle pass of
+`md_evidence.informative_pairs` over all rows, skipping the pairs within a
+fold, serves every group: each unordered pair is looked up once per group
+its larger side fits and credited to both of its rows, in host order, so
+every sum is the one a candidates x hosts kernel gives, to the bit
+(`inference.columns_macro_f1` reads out the folds). Stores hold weights
+of evidence, and Dempster's rule adds them,
 so fusion is one sum: each source's weight columns, discounted by
 `belief.discount_weights`, are added into the fused columns in source
 order.
@@ -37,12 +40,13 @@ from .alloys import Dataset, kfold_indices
 from .belief import discount_weights
 from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, TotalConflict
 # predict_batch is unused here; it stays while the benchmark's tracer wraps heafusion.fusion.predict_batch
-from .inference import analogy_weights, columns_macro_f1, predict_batch  # noqa: F401
+from .inference import columns_macro_f1, predict_batch  # noqa: F401
 from .md_evidence import (
     KeyTable,
     SimilarityStore,
     analogy_weight,
     element_words,
+    informative_pairs,
     key_width,
     substitution_limit,
     union_rows,
@@ -81,12 +85,13 @@ def estimate_reliability(
     substitution limit; a store with no key there reads out vacuous. Each
     group's analogy weights are aligned on the union of its stores' keys
     (0 where a store lacks a key) as the columns of one key table, and one
-    `inference.analogy_weights` call predicts every row from the rows of
-    the other folds, in host order. `inference.columns_macro_f1` scores
-    each (fold, store) from the summed weights, and the fold scores are
-    added in fold order. A fold count below 2 or above the dataset's size
-    raises FoldsOutOfRange; a store whose readout has infinite weight on
-    both classes raises TotalConflict.
+    pass over the pairs of rows (`_cross_fold_weights`) predicts every row
+    from the rows of the other folds, in host order.
+    `inference.columns_macro_f1` scores each (fold, store) from the summed
+    weights, and the fold scores are added in fold order. A fold count
+    below 2 or above the dataset's size raises FoldsOutOfRange; a store
+    whose readout has infinite weight on both classes raises
+    TotalConflict.
     """
     if not stores:
         return []
@@ -104,7 +109,7 @@ def estimate_reliability(
     words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
     aligned = [store.reindexed(dataset.bit_names) for store in stores]
     sizes = [min(_largest_side(store), max_size) for store in aligned]
-    w_pos, w_neg = np.zeros((len(labels), len(stores))), np.zeros((len(labels), len(stores)))
+    groups = []
     for size in sorted(set(sizes) - {0}):
         members = [j for j, s in enumerate(sizes) if s == size]
         if len(members) == 1:  # a store's own keys are distinct and sorted: no union to build
@@ -114,13 +119,49 @@ def estimate_reliability(
         columns = np.zeros((len(keys), len(members)))
         for c, (j, rows) in enumerate(zip(members, positions)):
             columns[rows, c] = analogy_weight(aligned[j].w_first, aligned[j].w_second)
-        w_pos[:, members], w_neg[:, members], _ = analogy_weights(
-            words, words, labels, KeyTable(keys, columns), size, fold_of
-        )
+        groups.append((size, members, KeyTable(keys, columns)))
+    w_pos, w_neg = _cross_fold_weights(words, labels, fold_of, groups, len(stores))
     totals = np.zeros(len(stores))
     for scores in columns_macro_f1(labels, w_pos, w_neg, fold_of, len(splits)):
         totals += scores
     return np.clip(totals / len(splits), 0.0, 1.0).tolist()
+
+
+def _cross_fold_weights(
+    words: np.ndarray,
+    labels: Sequence[bool],
+    fold_of: np.ndarray,
+    groups: Sequence[tuple[int, Sequence[int], KeyTable]],
+    n_columns: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n_columns) summed positive and negative analogy weights of
+    every row predicted from the rows of the other folds, for groups of
+    (side size, columns, key table of those columns).
+
+    One upper-triangle pass of `informative_pairs` at the largest size
+    serves every group; a group looks up the pairs whose larger side fits
+    its size. A pair (i, j), i < j, is looked up once and credited both
+    ways: to candidate j with host i's label, then to candidate i with
+    host j's label. Within a block the (j, i) entries are added first, then
+    the (i, j) entries, each in row-major order, with `np.add.at`, which
+    adds in input order. So candidate c receives its hosts i < c in
+    increasing order (from earlier blocks, then its own), then its hosts
+    j > c: host order, the order a rectangle of candidates x hosts adds
+    them in, so every sum is that rectangle's to the bit.
+    """
+    labels = np.asarray(labels, dtype=bool)
+    n = len(words)
+    sums = np.zeros((2, n, n_columns))  # [host positive, row, column]
+    top = max((size for size, _, _ in groups), default=0)
+    for block in informative_pairs(words, top, folds=fold_of) if groups else ():
+        for size, members, table in groups:
+            fits = slice(None) if size == top else np.flatnonzero(block.larger <= size)
+            pos, found = table.find(block.keys[fits])
+            first, second = block.first[fits][found], block.second[fits][found]
+            candidates, hosts = np.concatenate([second, first]), np.concatenate([first, second])
+            code = (labels[hosts] * n + candidates)[:, None] * n_columns + np.asarray(members)
+            np.add.at(sums.reshape(-1), code.ravel(), np.tile(table.weights[pos[found]], (2, 1)).ravel())
+    return sums[1], sums[0]
 
 
 def _largest_side(store: SimilarityStore) -> int:

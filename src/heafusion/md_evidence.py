@@ -11,7 +11,12 @@ evidence is its (agree, disagree) counts times that weight, as stored.
 The pair scan is the hot loop; alloys are folded to bitmasks and each
 block of alloys is compared with all later ones in numpy array operations,
 so a 14,950-alloy dataset stays tractable in one process. The counts are
-alpha-independent, so one scan serves every alpha.
+alpha-independent, so one scan serves every alpha. `informative_pairs` is
+the one informative-pair predicate, a generator of row-major blocks of
+pairs with their keys and larger side sizes: the upper triangle of one
+mask array serves the scan (`pair_counts`) and the cross-validated γ
+estimate (`fusion`), the rectangle of candidates x hosts serves
+prediction (`inference.analogy_weights`).
 
 Stores are columnar. A `SimilarityStore` holds its element tuple (bit i of
 a side mask is element i), one row of packed key words per entry and two
@@ -72,11 +77,13 @@ __all__ = [
     "CombinationPair",
     "ExtractionConfig",
     "KeyTable",
+    "PairBlock",
     "PairCounts",
     "SimilarityStore",
     "analogy_weight",
     "extract_all",
     "extract_counts",
+    "informative_pairs",
     "pair_counts",
     "counts_to_store",
     "evidence_weight",
@@ -150,7 +157,7 @@ def substitution_limit(alloys: Iterable[Alloy], max_subst_size: int | None) -> i
 _WORD_BITS = 32
 _WORD = np.uint64(_WORD_BITS)
 _LOW = np.uint64((1 << _WORD_BITS) - 1)
-_BLOCK_PAIRS = 1 << 15  # alloy pairs compared per block of outer rows
+_BLOCK_PAIRS = 1 << 17  # alloy pairs compared per block of first rows (`informative_pairs`)
 _MERGE_ROWS = 1 << 22  # pending pair rows before they are merged into the running counts
 _DICT_ROWS = 1 << 16  # keys converted to Python ints at a time
 
@@ -197,6 +204,68 @@ def pack_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     word arrays: the smaller mask's words high, the larger's low."""
     swap = _less(b, a)[:, None]
     return np.where(swap, b, a) << _WORD | np.where(swap, a, b)
+
+
+class PairBlock(NamedTuple):
+    """A block of informative pairs, in row-major order: the row of each
+    pair's first and second alloy, the pair's key row (`pack_keys` of its
+    two difference masks) and the size of its larger difference side."""
+
+    first: np.ndarray
+    second: np.ndarray
+    keys: np.ndarray
+    larger: np.ndarray
+
+
+def informative_pairs(
+    words: np.ndarray,
+    max_size: int,
+    others: np.ndarray | None = None,
+    folds: np.ndarray | None = None,
+) -> Iterator[PairBlock]:
+    """The informative pairs among the rows of `words`, i < j (the upper
+    triangle), or of the rows of `words` with those of `others` (the
+    rectangle), both (n, W) `element_words` arrays.
+
+    A pair is informative when the alloys share an element and each
+    difference side holds 1 to max_size elements. A block of first rows is
+    compared with all second rows at once, so every pair of a first row
+    lies in one block; blocks without a pair are skipped. `folds`, one id
+    per row of the triangle, skips the pairs of two rows in one fold.
+    """
+    if folds is not None and others is not None:
+        raise ValueError("fold ids apply to the triangle of one word array")
+    seconds = words if others is None else others
+    # a difference side holds s = size - shared elements; 1 <= s <= max_size
+    # iff (size - 1) - shared < max_size in uint8 arithmetic, where s = 0
+    # wraps round to 255 (masks hold at most 103 bits)
+    first_less_one = np.bitwise_count(words).sum(axis=1, dtype=np.uint8) - np.uint8(1)
+    second_less_one = np.bitwise_count(seconds).sum(axis=1, dtype=np.uint8) - np.uint8(1)
+    limit = np.uint8(min(max(max_size, 0), 128))
+    block = max(1, _BLOCK_PAIRS // max(1, len(seconds)))
+    for start in range(0, len(words), block):
+        stop = min(start + block, len(words))
+        low = start + 1 if others is None else 0  # the block's first second row
+        a = words[start:stop, None]  # (b, 1, W) against the second rows (m, W)
+        b = seconds[low:]
+        shared = a & b
+        n_shared = np.bitwise_count(shared).sum(axis=2, dtype=np.uint8)
+        informative = (
+            (n_shared > 0)
+            & (first_less_one[start:stop, None] - n_shared < limit)
+            & (second_less_one[low:] - n_shared < limit)
+        )
+        if others is None:
+            informative &= np.arange(low, len(seconds)) > np.arange(start, stop)[:, None]
+            if folds is not None:
+                informative &= folds[start:stop, None] != folds[low:]
+        rows, cols = np.nonzero(informative)  # row-major
+        if not len(rows):
+            continue
+        shared = shared[rows, cols]
+        first, second = start + rows, low + cols
+        larger = np.maximum(first_less_one[first], second_less_one[second]) - n_shared[rows, cols] + np.uint8(1)
+        yield PairBlock(first, second, pack_keys(shared ^ words[first], shared ^ seconds[second]), larger)
 
 
 def _row_code(keys: np.ndarray) -> np.ndarray:
@@ -288,17 +357,22 @@ def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, 
     """Key rows with bit i of both sides moved to bit bits[i], at `width`
     words per side, re-packed and sorted, with the source row of each.
 
-    Rows using an element with bits[i] < 0 are dropped. Each byte of a
-    side word is mapped through a 256-entry table of target words, so the
-    cost is a few gathers per row, not one pass per bit.
+    Rows using an element with bits[i] < 0 are dropped. Single-word keys
+    under a map that is strictly increasing on its kept bits, such as one
+    that drops bits no key sets, are only shifted (`_shift_bits`).
+    Otherwise each byte of a side word is mapped through a 256-entry table
+    of target words, so the cost is a few gathers per row, not one pass per
+    bit.
     """
     n_src = len(bits)
     if np.array_equal(bits, np.arange(n_src)) and key_width(n_src) <= width:
         return _fit_width(keys, width), np.arange(len(keys))
+    kept = np.flatnonzero(bits >= 0)
+    if key_width(n_src) == keys.shape[1] == width == 1 and np.all(np.diff(bits[kept]) > 0):
+        return _shift_bits(keys, bits, kept)
     n_bytes = -(-n_src // 8)
     target = np.zeros((8 * n_bytes, width), dtype=np.uint64)  # the target bit of each source bit
-    moved = np.flatnonzero(bits >= 0)
-    target[moved, bits[moved] // _WORD_BITS] = np.uint64(1) << (bits[moved] % _WORD_BITS).astype(np.uint64)
+    target[kept, bits[kept] // _WORD_BITS] = np.uint64(1) << (bits[kept] % _WORD_BITS).astype(np.uint64)
     dropped = np.zeros(8 * n_bytes, dtype=np.uint64)
     dropped[:n_src] = bits < 0
     # distinct target bits, so a sum over a byte's set bits is their OR
@@ -317,6 +391,28 @@ def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, 
     remapped = pack_keys(*(side[keep] for side in sides))
     order = _row_order(remapped)
     return remapped[order], np.flatnonzero(keep)[order]
+
+
+def _both_halves(bits: np.ndarray) -> np.uint64:
+    """The key word that sets the given bits in both side masks."""
+    mask = int(np.bitwise_or.reduce(np.left_shift(1, bits), initial=0))
+    return np.uint64(mask << _WORD_BITS | mask)
+
+
+def _shift_bits(keys: np.ndarray, bits: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_remap` of single-word keys onto single-word keys under a map that
+    is strictly increasing on the kept bits: the rows that set no dropped
+    bit, each set of kept bits that moves by the same amount shifted
+    there. A monotone map keeps every side comparison, so the smaller side
+    stays high and the rows stay sorted: no re-packing, no sort."""
+    keep = (keys[:, 0] & _both_halves(np.flatnonzero(bits < 0))) == 0
+    words = keys[keep, 0]
+    out = np.zeros_like(words)
+    shifts = bits[kept] - kept
+    for shift in np.unique(shifts).tolist():
+        moved = words & _both_halves(kept[shifts == shift])
+        out |= moved << np.uint64(shift) if shift >= 0 else moved >> np.uint64(-shift)
+    return out[:, None], np.flatnonzero(keep)
 
 
 def _no_keys() -> np.ndarray:
@@ -537,36 +633,21 @@ def pair_counts(words: np.ndarray, labels: Sequence[bool], max_size: int) -> Pai
     the pair's two difference masks; alloys are the rows of an
     `element_words` array.
 
-    A pair is informative when the alloys share an element, neither
-    contains the other, and each difference side has at most max_size
-    elements. A block of outer rows is compared with all later rows at
-    once. The kept pairs are merged into one running sorted count table
-    once they outnumber both it and a fixed batch, so memory follows the
-    number of distinct keys rather than the number of pairs.
+    The pairs are the upper triangle of `informative_pairs`. They are
+    merged into one running sorted count table once they outnumber both it
+    and a fixed batch, so memory follows the number of distinct keys rather
+    than the number of pairs.
     """
     flags = np.asarray(labels, dtype=bool)
-    n = len(words)
     empty = np.zeros(0, dtype=np.int64)
     table = (np.zeros((0, words.shape[1]), dtype=np.uint64), empty, empty)
     new_keys: list[np.ndarray] = []
     new_same: list[np.ndarray] = []
     n_new = 0
-    block = max(1, _BLOCK_PAIRS // max(1, n))
-    for start in range(0, n - 1, block):
-        outer = words[start:start + block, None]  # (b, 1, W) against all later rows (m, W)
-        later = words[start + 1:]
-        shared = outer & later
-        left = shared ^ outer  # in the outer alloy only
-        right = shared ^ later  # in the later alloy only
-        n_left = np.bitwise_count(left).sum(axis=2)
-        n_right = np.bitwise_count(right).sum(axis=2)
-        after = np.arange(len(later)) >= np.arange(len(outer))[:, None]  # later row index > outer row index
-        rows, cols = np.nonzero(
-            after & shared.any(axis=2) & (n_left > 0) & (n_right > 0) & (n_left <= max_size) & (n_right <= max_size)
-        )
-        new_keys.append(pack_keys(left[rows, cols], right[rows, cols]))
-        new_same.append(flags[start + rows] == flags[start + 1 + cols])
-        n_new += len(rows)
+    for block in informative_pairs(words, max_size):
+        new_keys.append(block.keys)
+        new_same.append(flags[block.first] == flags[block.second])
+        n_new += len(block.keys)
         if n_new >= max(_MERGE_ROWS, len(table[0])):
             table = _merge(table, new_keys, new_same)
             new_keys, new_same, n_new = [], [], 0

@@ -8,11 +8,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
 from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, kfold_indices
 from heafusion.belief import to_weights
-from heafusion.errors import DegenerateDataset, LengthMismatch, TotalConflict
-from heafusion.fusion import SourceReliability, estimate_reliability, fuse
+from heafusion.errors import DegenerateDataset, TotalConflict
+from heafusion.fusion import SourceReliability, _cross_fold_weights, estimate_reliability, fuse
 from heafusion.inference import analogy_weights, predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
@@ -22,6 +22,8 @@ from heafusion.md_evidence import (
     evidence_weight,
     extract_all,
     key_width,
+    pack_keys,
+    pair_counts,
     read_store,
     write_store,
 )
@@ -268,13 +270,27 @@ def test_results_do_not_depend_on_bit_order(table, tmp_path):
             == _layout_results(in_universe_order, training, candidates, tmp_path / "store.csv"))
 
 
-def test_fold_ids_match_per_fold_calls():
-    # one pass over all rows with fold ids against one call per fold,
-    # leave-one-out folds (folds = n) included
+def _small_blocks(patch, rng, n_rows):
+    """Patch the pair generator's block constant so that every block holds
+    one to three first rows."""
+    patch.setattr(md_evidence, "_BLOCK_PAIRS", rng.randint(1, 3) * max(1, n_rows))
+
+
+def test_triangle_pass_matches_per_fold_calls():
+    # the γ estimate's one upper-triangle pass against one rectangle
+    # kernel call per fold and group, byte for byte, both in blocks of a
+    # few rows; groups of one and of three weight columns at mixed side
+    # sizes, and leave-one-out folds (folds = n), over one- and multi-word
+    # keys
     rng = random.Random(31)
-    seen = {"leave_one_out": 0, "columns": set()}
-    for case in range(120):
+    seen = {"leave_one_out": 0, "columns": set(), "mixed_sizes": 0, "partial_tables": 0, "universes": set()}
+    for case in range(150):
         dataset, _, _ = _case(rng, case)
+        if case % 5 >= 3:  # the E1 universe itself, or a dense dataset over a few of its symbols
+            symbols = list(UNIVERSES["E1"]) if case % 5 == 4 else rng.sample(UNIVERSES["E1"], 8)
+            rows = sorted({_subset(rng, symbols, 2, 5) for _ in range(rng.randint(2, 80))})
+            alloys = tuple(LabeledAlloy(Alloy(r), rng.random() < 0.5) for r in rows)
+            dataset = Dataset("E1", alloys, UNIVERSES["E1"])
         if len(dataset) < 2:
             continue
         max_size = rng.choice([None, 1, 2, 3])
@@ -283,28 +299,104 @@ def test_fold_ids_match_per_fold_calls():
         words = element_words((la.alloy.elements for la in dataset.alloys), index, key_width(len(index)))
         labels = dataset.labels()
         md = extract_all(dataset, ExtractionConfig(rng.uniform(0.01, 0.9), max_size)).mask_view(index)
-        k = rng.choice([None, 1, 3])
-        weights = md.weights if k is None else np.stack([md.weights * rng.random() for _ in range(k)], axis=1)
-        table = KeyTable(md.keys, weights)
+        groups, n_columns = [], 0
+        for size in sorted(rng.sample(range(1, limit + 1), rng.randint(1, min(3, limit)))):
+            k = rng.choice([1, 3])
+            held = np.flatnonzero([rng.random() < 0.8 for _ in range(len(md.keys))])  # a table may lack keys
+            weights = np.random.default_rng(case).random((len(held), k))  # the order of a sum shows in its bits
+            groups.append((size, list(range(n_columns, n_columns + k)), KeyTable(md.keys[held], weights)))
+            n_columns += k
+            seen["columns"].add(k)
+            seen["partial_tables"] += len(held) < len(md.keys)
         folds = len(dataset) if case % 3 == 0 else rng.randint(2, len(dataset))
         fold_of = np.empty(len(dataset), dtype=np.intp)
         splits = kfold_indices(labels, folds, case)
         for f, (_, test) in enumerate(splits):
             fold_of[test] = f
-        w_pos, w_neg, n = analogy_weights(words, words, labels, table, limit, fold_of)
-        for train, test in splits:
-            got = analogy_weights(words[test], words[train], [labels[i] for i in train], table, limit)
-            for one_pass, per_fold in zip((w_pos, w_neg, n), got):
-                assert one_pass[test].tobytes() == per_fold.tobytes(), case
+        with pytest.MonkeyPatch.context() as patch:
+            _small_blocks(patch, rng, len(dataset))
+            w_pos, w_neg = _cross_fold_weights(words, labels, fold_of, groups, n_columns)
+            _small_blocks(patch, rng, len(dataset))  # the rectangle's blocks of candidates, too
+            for train, test in splits:
+                for size, members, table in groups:
+                    got = analogy_weights(words[test], words[train], [labels[i] for i in train], table, size)
+                    for one_pass, per_fold in zip((w_pos, w_neg), got):
+                        assert one_pass[np.ix_(test, members)].tobytes() == per_fold.tobytes(), case
         seen["leave_one_out"] += folds == len(dataset)
-        seen["columns"].add(k)
-    assert seen["leave_one_out"] and seen["columns"] == {None, 1, 3}
+        seen["mixed_sizes"] += len(groups) > 1
+        seen["universes"].add("E1" if dataset.universe == UNIVERSES["E1"] else len(dataset.universe))
+    assert seen["leave_one_out"] and seen["mixed_sizes"] and seen["partial_tables"]
+    assert {"E1", len(ELEMENT_SYMBOLS)} <= seen["universes"]  # one key word and four
+    assert seen["columns"] == {1, 3}
 
 
-def test_fold_ids_must_cover_the_rows():
-    words = np.zeros((3, 1), dtype=np.uint64)
-    with pytest.raises(LengthMismatch):
-        analogy_weights(words, words, [True, False, True], KeyTable(words, np.zeros(3)), 1, np.zeros(2, dtype=np.intp))
+def test_pair_counts_do_not_depend_on_block_size():
+    rng = random.Random(32)
+    for case in range(60):
+        dataset, _, _ = _case(rng, case)
+        index = dataset.element_index()
+        words = element_words((la.alloy.elements for la in dataset.alloys), index, key_width(len(index)))
+        limit = rng.randint(1, 4)
+        expected = pair_counts(words, dataset.labels(), limit)
+        with pytest.MonkeyPatch.context() as patch:
+            _small_blocks(patch, rng, len(dataset))
+            got = pair_counts(words, dataset.labels(), limit)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), case
+
+
+def _store_over(entries, elements):
+    """The store of the entries over the given elements, keyed in their
+    bit order, built straight from the element names."""
+    bit = {e: i for i, e in enumerate(elements)}
+    width = key_width(len(elements))
+    pairs = list(entries)
+    keys = pack_keys(*(element_words([getattr(p, side) for p in pairs], bit, width) for side in ("first", "second")))
+    order = np.lexsort(keys.T[::-1])
+    weights = np.array([entries[p] for p in pairs], dtype=float).reshape(-1, 2)
+    return SimilarityStore(tuple(elements), keys[order], weights[order, 0].copy(), weights[order, 1].copy())
+
+
+@pytest.mark.parametrize("kind", ["drop-used", "drop-unused", "shift-up", "shift-down", "no-kept-bit",
+                                  "mixed", "reversed", "multi-word"])
+def test_rekey_matches_a_direct_build(kind):
+    # single-word keys under a map increasing on the kept bits are only
+    # shifted; every other map takes the table path; both must give the
+    # store built directly over the target elements
+    rng = random.Random(kind)
+    symbols = sorted(rng.sample(ELEMENT_SYMBOLS, 60 if kind == "multi-word" else 20))
+    used = symbols[:-4]  # the last four symbols are in the tuple, in no key
+    entries = {}
+    while len(entries) < 80:
+        a, b = _subset(rng, used, 1, 3), _subset(rng, used, 1, 3)
+        if not set(a) & set(b):
+            entries[CombinationPair(a, b)] = _random_weights(rng)
+    source = _store_over(entries, symbols)
+    outside = sorted(set(ELEMENT_SYMBOLS) - set(symbols))
+    targets = {
+        "drop-used": [e for e in symbols if e != used[3]],
+        "drop-unused": symbols[:-2],
+        "shift-up": sorted(symbols + outside[:5]),
+        "shift-down": symbols[6:],
+        "no-kept-bit": outside[:8],
+        "mixed": sorted(rng.sample(symbols, 12) + outside[:4]),
+        "reversed": symbols[::-1],
+        "multi-word": [e for e in symbols if e != used[5]],
+    }[kind]
+    monotone = kind not in ("reversed", "multi-word")
+    sorts = []
+    with pytest.MonkeyPatch.context() as patch:
+        row_order = md_evidence._row_order
+        patch.setattr(md_evidence, "_row_order", lambda keys: sorts.append(len(keys)) or row_order(keys))
+        got = source.reindexed(targets)
+    assert bool(sorts) != monotone  # the shift path neither re-packs nor sorts
+    kept = {p: w for p, w in entries.items() if set(p.first + p.second) <= set(targets)}
+    expected = _store_over(kept, targets)
+    assert got.elements == expected.elements
+    for column in ("keys", "w_first", "w_second"):
+        assert getattr(got, column).tobytes() == getattr(expected, column).tobytes(), column
+    assert got.content_hash() == SimilarityStore.from_entries(kept).content_hash()
+    assert (len(kept) < len(entries)) == (kind in ("drop-used", "shift-down", "no-kept-bit", "mixed", "multi-word"))
 
 
 def test_total_conflict_matches_reference():

@@ -181,3 +181,38 @@ def test_only_alloys_maps_a_universe_to_bits():
     assert universe_bit_maps(ast.parse("store.reindexed(dataset.universe)\n")) == [1]
     assert universe_bit_maps(ast.parse("md.counts_to_store(c, 0.1, elements=ds.universe)\n")) == [1]
     assert universe_bit_maps(ast.parse("store.reindexed(dataset.bit_names)\nenumerate(elements)\n")) == []
+
+
+_POPCOUNT_CALLERS = {"md_evidence.informative_pairs", "fusion._largest_side"}
+
+
+def popcount_callers(tree: ast.Module, module: str) -> set[str]:
+    """`module.function` of every function that calls `bitwise_count`
+    (`np.bitwise_count` or the name imported from numpy); a call outside
+    any function counts as `module.<module>`."""
+    callers = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{module}.{node.name}"
+        elif isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "bitwise_count"
+            or isinstance(node.func, ast.Name) and node.func.id == "bitwise_count"
+        ):
+            callers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, f"{module}.<module>")
+    return callers
+
+
+def test_one_informative_pair_predicate():
+    """Only the pair generator counts the elements of masks to decide
+    which pairs are informative (`fusion._largest_side` sizes store keys),
+    so the scan, the kernel and the γ estimate cannot fork the predicate."""
+    callers = set().union(*(popcount_callers(tree, name) for name, tree in _trees().items()))
+    assert callers == _POPCOUNT_CALLERS
+    source = "def f(m):\n    return np.bitwise_count(m)\nclass K:\n    def g(self):\n        return bitwise_count(1)\n"
+    assert popcount_callers(ast.parse(source), "m") == {"m.f", "m.g"}
+    assert popcount_callers(ast.parse("n = numpy.bitwise_count(x)\n"), "m") == {"m.<module>"}

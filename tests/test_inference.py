@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore, inference
 from heafusion.belief import to_weights
 from heafusion.errors import CandidateInTraining, TotalConflict
 from heafusion.inference import classify, predict, predict_batch
@@ -242,8 +242,10 @@ class TestInvariants:
         single = predict(candidate, ds, store)
         assert batch[0] == single
 
-    def test_batch_jobs_consistent(self):
-        # batch large enough to engage the process pool
+    def test_batch_jobs_consistent(self, monkeypatch):
+        # batch large enough to engage the process pool, its threshold
+        # lowered to fit the 330 quaternaries of the universe
+        monkeypatch.setattr(inference, "_POOL_MIN_CANDIDATES", 256)
         ds = random_dataset(40, universe_size=11, seed=9)
         store = planted_group_store(tuple(ds.universe[:5]), tuple(ds.universe[5:]), 0.7)
         taken = {la_.alloy.elements for la_ in ds.alloys}
@@ -252,7 +254,7 @@ class TestInvariants:
         candidates = [
             Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken
         ][:280]
-        assert len(candidates) >= 256
+        assert len(candidates) >= inference._POOL_MIN_CANDIDATES
         serial = predict_batch(candidates, ds, store, jobs=1)
-        parallel = predict_batch(candidates, ds, store, jobs=2)
-        assert serial == parallel
+        for jobs in (2, 3):
+            assert predict_batch(candidates, ds, store, jobs=jobs) == serial, jobs
