@@ -92,7 +92,8 @@ class SourcesConfig:
 
     The dataset-evidence source is extracted from each training partition;
     expert stores are fixed inputs whose reliability is still estimated per
-    partition. gamma_overrides skips estimation for the named sources,
+    partition; an expert store may take the id "md" only without the
+    dataset source. gamma_overrides skips estimation for the named sources,
     each of which must be one of `source_ids`, with a gamma in [0, 1].
     """
 
@@ -106,6 +107,8 @@ class SourcesConfig:
     def __post_init__(self) -> None:
         if self.gamma_folds < 2:
             raise ConfigError(f"gamma_folds must be >= 2, got {self.gamma_folds}")
+        if self.use_md and "md" in self.llm_stores:
+            raise ConfigError("expert store id 'md' names the dataset-evidence source; choose another id")
         unknown = sorted(set(self.gamma_overrides or ()) - set(self.source_ids()))
         if unknown:
             raise ConfigError(f"gamma given for {unknown}, which name no source of {self.source_ids()}")

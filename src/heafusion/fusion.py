@@ -48,6 +48,7 @@ from .md_evidence import (
     element_words,
     informative_pairs,
     key_width,
+    largest_side,
     substitution_limit,
     union_rows,
 )
@@ -108,7 +109,7 @@ def estimate_reliability(
     index = dataset.element_index()
     words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
     aligned = [store.reindexed(dataset.bit_names) for store in stores]
-    sizes = [min(_largest_side(store), max_size) for store in aligned]
+    sizes = [min(largest_side(store), max_size) for store in aligned]
     groups = []
     for size in sorted(set(sizes) - {0}):
         members = [j for j, s in enumerate(sizes) if s == size]
@@ -162,15 +163,6 @@ def _cross_fold_weights(
             code = (labels[hosts] * n + candidates)[:, None] * n_columns + np.asarray(members)
             np.add.at(sums.reshape(-1), code.ravel(), np.tile(table.weights[pos[found]], (2, 1)).ravel())
     return sums[1], sums[0]
-
-
-def _largest_side(store: SimilarityStore) -> int:
-    """Most elements on one side of any key of the store (0 when empty):
-    key word w packs word w of both side masks, 32 bits each."""
-    if not len(store):
-        return 0
-    sides = (store.keys >> np.uint64(32), store.keys & np.uint64(0xFFFFFFFF))
-    return int(max(np.bitwise_count(side).sum(axis=1).max() for side in sides))
 
 
 def fuse(

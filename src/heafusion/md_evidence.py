@@ -44,7 +44,13 @@ sorts the union of its stores' elements. So the alignments of a fold
 that leaves an element of its tuple unused, such as a fold's md store
 without its held-out element, is re-keyed for its hash. No result depends
 on the bit order: sums run in host order, the hash is canonical and
-`write_store` sorts its rows by name.
+`write_store` sorts its rows by name. One pass re-keys a store for every
+key width and bit map (`_remap`): the kept bits move in groups of equal
+(source word, target word, shift), one AND and one shift of the packed
+words per group. Only a map that is not increasing on the kept bits
+re-packs the rows, and only such a map or one that moves a bit to
+another word sorts them. This module alone reads the key layout; other
+modules size keys with `largest_side`.
 
 Store files are read and written a block of rows at a time, with no
 per-row Python loop: `read_store` takes blocks from `alloys.read_blocks`,
@@ -89,6 +95,7 @@ __all__ = [
     "evidence_weight",
     "element_words",
     "key_width",
+    "largest_side",
     "mass_from_counts",
     "pack_keys",
     "read_store",
@@ -350,69 +357,51 @@ class KeyTable:
         return position, hit
 
 
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint64)  # (byte value, bit)
+def _both_halves(bits: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per group, the key word that sets the group's bits in both side
+    masks; each bit is taken at its offset within its 32-bit word."""
+    half = np.zeros(n_groups, dtype=np.uint64)
+    np.bitwise_or.at(half, groups, np.uint64(1) << (bits % _WORD_BITS).astype(np.uint64))
+    return half << _WORD | half
 
 
 def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Key rows with bit i of both sides moved to bit bits[i], at `width`
     words per side, re-packed and sorted, with the source row of each.
 
-    Rows using an element with bits[i] < 0 are dropped. Single-word keys
-    under a map that is strictly increasing on its kept bits, such as one
-    that drops bits no key sets, are only shifted (`_shift_bits`).
-    Otherwise each byte of a side word is mapped through a 256-entry table
-    of target words, so the cost is a few gathers per row, not one pass per
-    bit.
+    Rows using an element with bits[i] < 0 are dropped. The kept bits are
+    grouped by (source word, target word, shift); both halves of a key
+    word hold the same bit offsets, so each group moves with one AND and
+    one shift of the packed words. A map strictly increasing on the kept
+    bits keeps every side comparison, so the smaller side stays high and
+    no row is re-packed; if it also leaves every bit in its word, the rows
+    stay sorted.
     """
     n_src = len(bits)
     if np.array_equal(bits, np.arange(n_src)) and key_width(n_src) <= width:
         return _fit_width(keys, width), np.arange(len(keys))
+    keys = _fit_width(keys, key_width(n_src))
+    dropped = np.flatnonzero(bits < 0)
+    keep = ~(keys & _both_halves(dropped, dropped // _WORD_BITS, keys.shape[1])).any(axis=1)
+    rows = np.flatnonzero(keep)
+    words = keys.take(rows, axis=0)  # faster than a boolean index of 2-D rows
     kept = np.flatnonzero(bits >= 0)
-    if key_width(n_src) == keys.shape[1] == width == 1 and np.all(np.diff(bits[kept]) > 0):
-        return _shift_bits(keys, bits, kept)
-    n_bytes = -(-n_src // 8)
-    target = np.zeros((8 * n_bytes, width), dtype=np.uint64)  # the target bit of each source bit
-    target[kept, bits[kept] // _WORD_BITS] = np.uint64(1) << (bits[kept] % _WORD_BITS).astype(np.uint64)
-    dropped = np.zeros(8 * n_bytes, dtype=np.uint64)
-    dropped[:n_src] = bits < 0
-    # distinct target bits, so a sum over a byte's set bits is their OR
-    tables = np.einsum("vt,ptw->pvw", _BYTE_BITS, target.reshape(n_bytes, 8, width))  # (byte position, value, word)
-    drops = (_BYTE_BITS @ dropped.reshape(n_bytes, 8).T).T > 0  # (byte position, value)
-
-    keep = np.ones(len(keys), dtype=bool)
-    sides = []
-    for side in (keys >> _WORD, keys & _LOW):
-        as_bytes = side.astype("<u4").view(np.uint8).reshape(len(keys), 4 * side.shape[1])
-        out = np.zeros((len(keys), width), dtype=np.uint64)
-        for p in range(min(n_bytes, as_bytes.shape[1])):  # higher bytes of the words are 0
-            out |= tables[p][as_bytes[:, p]]
-            keep &= ~drops[p][as_bytes[:, p]]
-        sides.append(out)
-    remapped = pack_keys(*(side[keep] for side in sides))
-    order = _row_order(remapped)
-    return remapped[order], np.flatnonzero(keep)[order]
-
-
-def _both_halves(bits: np.ndarray) -> np.uint64:
-    """The key word that sets the given bits in both side masks."""
-    mask = int(np.bitwise_or.reduce(np.left_shift(1, bits), initial=0))
-    return np.uint64(mask << _WORD_BITS | mask)
-
-
-def _shift_bits(keys: np.ndarray, bits: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_remap` of single-word keys onto single-word keys under a map that
-    is strictly increasing on the kept bits: the rows that set no dropped
-    bit, each set of kept bits that moves by the same amount shifted
-    there. A monotone map keeps every side comparison, so the smaller side
-    stays high and the rows stay sorted: no re-packing, no sort."""
-    keep = (keys[:, 0] & _both_halves(np.flatnonzero(bits < 0))) == 0
-    words = keys[keep, 0]
-    out = np.zeros_like(words)
-    shifts = bits[kept] - kept
-    for shift in np.unique(shifts).tolist():
-        moved = words & _both_halves(kept[shifts == shift])
-        out |= moved << np.uint64(shift) if shift >= 0 else moved >> np.uint64(-shift)
-    return out[:, None], np.flatnonzero(keep)
+    target = bits[kept]
+    source_word, target_word = kept // _WORD_BITS, target // _WORD_BITS
+    shift = target % _WORD_BITS - kept % _WORD_BITS  # -31..31
+    codes, group = np.unique((source_word * width + target_word) * 64 + shift + 31, return_inverse=True)
+    out = np.zeros((len(words), width), dtype=np.uint64)
+    for code, mask in zip(codes.tolist(), _both_halves(kept, group, len(codes))):
+        (source, to), shift = divmod(code >> 6, width), (code & 63) - 31
+        moved = words[:, source] & mask
+        out[:, to] |= moved << np.uint64(shift) if shift >= 0 else moved >> np.uint64(-shift)
+    increasing = bool(np.all(np.diff(target) > 0))
+    if not increasing:
+        out = pack_keys(out >> _WORD, out & _LOW)
+    elif np.array_equal(source_word, target_word):
+        return out, rows
+    order = _row_order(out)
+    return out[order], rows[order]
 
 
 def _no_keys() -> np.ndarray:
@@ -568,6 +557,13 @@ class SimilarityStore:
         for column in (canonical.w_first, canonical.w_second):
             digest.update(column.astype("<f8").tobytes())
         return digest.hexdigest()
+
+
+def largest_side(store: SimilarityStore) -> int:
+    """Most elements on one side of any key of the store (0 when empty)."""
+    if not len(store):
+        return 0
+    return int(max(np.bitwise_count(side).sum(axis=1).max() for side in (store.keys >> _WORD, store.keys & _LOW)))
 
 
 def union_rows(stores: Sequence[SimilarityStore]) -> tuple[tuple[str, ...], np.ndarray, list[np.ndarray]]:

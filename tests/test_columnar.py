@@ -357,14 +357,41 @@ def _store_over(entries, elements):
     return SimilarityStore(tuple(elements), keys[order], weights[order, 0].copy(), weights[order, 1].copy())
 
 
-@pytest.mark.parametrize("kind", ["drop-used", "drop-unused", "shift-up", "shift-down", "no-kept-bit",
-                                  "mixed", "reversed", "multi-word"])
+def _counting(calls, name):
+    original = getattr(md_evidence, name)
+    return lambda *args: calls.append(name) or original(*args)
+
+
+def _rekey(source, targets):
+    """`source.reindexed(targets)` and whether it re-packed and sorted rows."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("pack_keys", "_row_order"):
+            patch.setattr(md_evidence, name, _counting(calls, name))
+        got = source.reindexed(targets)
+    return got, "pack_keys" in calls, "_row_order" in calls
+
+
+def _assert_direct_build(got, entries, targets):
+    kept = {p: w for p, w in entries.items() if set(p.first + p.second) <= set(targets)}
+    expected = _store_over(kept, targets)
+    assert got.elements == expected.elements
+    for column in ("keys", "w_first", "w_second"):
+        assert getattr(got, column).tobytes() == getattr(expected, column).tobytes(), column
+    assert got.content_hash() == SimilarityStore.from_entries(kept).content_hash()
+    return kept
+
+
+@pytest.mark.parametrize("kind", ["drop-used", "drop-unused", "shift-up", "shift-down", "no-kept-bit", "mixed",
+                                  "reversed", "reversed-drop-used", "multi-word", "multi-word-in-place",
+                                  "multi-word-shuffled"])
 def test_rekey_matches_a_direct_build(kind):
-    # single-word keys under a map increasing on the kept bits are only
-    # shifted; every other map takes the table path; both must give the
-    # store built directly over the target elements
+    # a map strictly increasing on the kept bits keeps each row's smaller
+    # side high, so it re-packs no row, and if it also leaves every bit in
+    # its word, the rows stay sorted; any other map re-packs and sorts.
+    # Every map must give the store built directly over the target elements
     rng = random.Random(kind)
-    symbols = sorted(rng.sample(ELEMENT_SYMBOLS, 60 if kind == "multi-word" else 20))
+    symbols = sorted(rng.sample(ELEMENT_SYMBOLS, 60 if kind.startswith("multi-word") else 20))
     used = symbols[:-4]  # the last four symbols are in the tuple, in no key
     entries = {}
     while len(entries) < 80:
@@ -381,22 +408,59 @@ def test_rekey_matches_a_direct_build(kind):
         "no-kept-bit": outside[:8],
         "mixed": sorted(rng.sample(symbols, 12) + outside[:4]),
         "reversed": symbols[::-1],
-        "multi-word": [e for e in symbols if e != used[5]],
+        "reversed-drop-used": [e for e in symbols[::-1] if e != used[3]],
+        "multi-word": [e for e in symbols if e != used[5]],  # bit 32 moves into word 0
+        "multi-word-in-place": [e for e in symbols if e not in (used[-10], used[-3], symbols[-1])],  # top word only
+        "multi-word-shuffled": rng.sample(symbols + outside[:10], len(symbols) + 10),
     }[kind]
-    monotone = kind not in ("reversed", "multi-word")
-    sorts = []
-    with pytest.MonkeyPatch.context() as patch:
-        row_order = md_evidence._row_order
-        patch.setattr(md_evidence, "_row_order", lambda keys: sorts.append(len(keys)) or row_order(keys))
-        got = source.reindexed(targets)
-    assert bool(sorts) != monotone  # the shift path neither re-packs nor sorts
-    kept = {p: w for p, w in entries.items() if set(p.first + p.second) <= set(targets)}
-    expected = _store_over(kept, targets)
-    assert got.elements == expected.elements
-    for column in ("keys", "w_first", "w_second"):
-        assert getattr(got, column).tobytes() == getattr(expected, column).tobytes(), column
-    assert got.content_hash() == SimilarityStore.from_entries(kept).content_hash()
-    assert (len(kept) < len(entries)) == (kind in ("drop-used", "shift-down", "no-kept-bit", "mixed", "multi-word"))
+    got, repacked, sorted_rows = _rekey(source, targets)
+    repacks = kind in ("reversed", "reversed-drop-used", "multi-word-shuffled")
+    assert (repacked, sorted_rows) == (repacks, repacks or kind == "multi-word")
+    kept = _assert_direct_build(got, entries, targets)
+    assert (len(kept) < len(entries)) == (kind in ("drop-used", "shift-down", "no-kept-bit", "mixed",
+                                                    "reversed-drop-used", "multi-word", "multi-word-in-place"))
+
+
+def test_random_rekeys_match_a_direct_build():
+    # seeded maps between one and four key words on each side: drops,
+    # shifts from inserted symbols and shuffles, over random source bit
+    # orders; each must give the store built directly over the targets
+    rng = random.Random(15)
+    seen = {"source_words": set(), "target_words": set(), "paths": set()}
+    for case in range(240):
+        symbols = rng.sample(ELEMENT_SYMBOLS, rng.randint(2, len(ELEMENT_SYMBOLS)))
+        used = symbols[:max(2, len(symbols) - rng.randint(0, 4))]
+        entries = {}
+        for _ in range(rng.randint(0, 40)):
+            a, b = _subset(rng, used, 1, 3), _subset(rng, used, 1, 3)
+            if not set(a) & set(b):
+                entries[CombinationPair(a, b)] = _random_weights(rng)
+        source = _store_over(entries, symbols)
+        outside = [e for e in ELEMENT_SYMBOLS if e not in symbols]
+        mode = case % 4
+        if mode == 0:  # append: the identity on every source bit
+            targets = symbols + rng.sample(outside, rng.randint(0, len(outside)))
+        elif mode == 1:  # drop bits of the top word only
+            top = (len(symbols) - 1) // 32 * 32
+            targets = symbols[:top] + [e for e in symbols[top:] if rng.random() < 0.7]
+        else:  # drop, insert outside symbols, then shuffle in every other case
+            targets = [e for e in symbols if rng.random() < rng.choice([0.5, 0.9, 1.0])]
+            for e in rng.sample(outside, rng.randint(0, len(outside))):
+                targets.insert(rng.randint(0, len(targets)), e)
+            if mode == 3:
+                rng.shuffle(targets)
+        got, repacked, sorted_rows = _rekey(source, targets)
+        _assert_direct_build(got, entries, targets)
+        bits = [targets.index(e) if e in targets else -1 for e in symbols]
+        kept = [(i, b) for i, b in enumerate(bits) if b >= 0]
+        increasing = all(b < c for (_, b), (_, c) in zip(kept, kept[1:]))
+        in_place = all(i // 32 == b // 32 for i, b in kept)
+        assert (repacked, sorted_rows) == (not increasing, not (increasing and in_place)), case
+        seen["source_words"].add(key_width(len(symbols)))
+        seen["target_words"].add(key_width(len(targets)))
+        seen["paths"].add("identity" if bits == list(range(len(bits))) else (increasing, in_place))
+    assert seen["source_words"] == seen["target_words"] == {1, 2, 3, 4}
+    assert seen["paths"] == {"identity", (True, True), (True, False), (False, False), (False, True)}
 
 
 def test_total_conflict_matches_reference():

@@ -154,6 +154,14 @@ class TestGammaOverrides:
             SourcesConfig(gamma_overrides={"md": gamma})
 
 
+class TestSourceIds:
+    def test_expert_store_may_not_take_the_md_id(self):
+        # two sources named md would share one γ and one store hash
+        with pytest.raises(ConfigError, match="'md'"):
+            SourcesConfig(llm_stores={"md": SimilarityStore()})
+        assert SourcesConfig(use_md=False, llm_stores={"md": SimilarityStore()}).source_ids() == ["md"]
+
+
 class TestAccuracy:
     def test_all_correct(self):
         assert accuracy([True, False], [True, False]) == 1.0

@@ -1,6 +1,7 @@
 """Module hygiene: no module of the package imports another's private
 names, the package's modules import each other without a cycle, every
-import sits at module level, and one module reads CSV."""
+import sits at module level, one module reads CSV and one module knows
+the key layout."""
 
 import ast
 from pathlib import Path
@@ -183,7 +184,7 @@ def test_only_alloys_maps_a_universe_to_bits():
     assert universe_bit_maps(ast.parse("store.reindexed(dataset.bit_names)\nenumerate(elements)\n")) == []
 
 
-_POPCOUNT_CALLERS = {"md_evidence.informative_pairs", "fusion._largest_side"}
+_POPCOUNT_CALLERS = {"md_evidence.informative_pairs", "md_evidence.largest_side"}
 
 
 def popcount_callers(tree: ast.Module, module: str) -> set[str]:
@@ -209,10 +210,45 @@ def popcount_callers(tree: ast.Module, module: str) -> set[str]:
 
 def test_one_informative_pair_predicate():
     """Only the pair generator counts the elements of masks to decide
-    which pairs are informative (`fusion._largest_side` sizes store keys),
+    which pairs are informative (`md_evidence.largest_side` sizes store keys),
     so the scan, the kernel and the γ estimate cannot fork the predicate."""
     callers = set().union(*(popcount_callers(tree, name) for name, tree in _trees().items()))
     assert callers == _POPCOUNT_CALLERS
     source = "def f(m):\n    return np.bitwise_count(m)\nclass K:\n    def g(self):\n        return bitwise_count(1)\n"
     assert popcount_callers(ast.parse(source), "m") == {"m.f", "m.g"}
     assert popcount_callers(ast.parse("n = numpy.bitwise_count(x)\n"), "m") == {"m.<module>"}
+
+
+_HALF_MASK = (1 << 32) - 1
+
+
+def _is_32(node: ast.AST) -> bool:
+    """A literal 32, bare or wrapped in one call such as `np.uint64(32)`."""
+    if isinstance(node, ast.Call) and len(node.args) == 1:
+        node = node.args[0]
+    return isinstance(node, ast.Constant) and node.value == 32
+
+
+def key_layout_literals(tree: ast.Module) -> list[int]:
+    """Lines that spell out the key layout: a shift by a literal 32 or the
+    literal 0xFFFFFFFF, the two halves of a packed key word."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.LShift, ast.RShift))
+        and _is_32(node.right if isinstance(node, ast.BinOp) else node.value)
+        or isinstance(node, ast.Constant) and type(node.value) is int and node.value == _HALF_MASK
+    )
+
+
+def test_only_md_evidence_knows_the_key_layout():
+    """A key word packs word w of both side masks, 32 bits each; only
+    `md_evidence` may split it, through its `_WORD` and `_LOW`, so the
+    layout cannot fork."""
+    offenders = [
+        f"{name}.py:{line}" for name, tree in _trees().items() if name != "md_evidence"
+        for line in key_layout_literals(tree)
+    ]
+    assert offenders == []
+    source = "a = k >> np.uint64(32)\nb = k & np.uint64(0xFFFFFFFF)\nc = 1 << 32\nd <<= 32\ne = k >> 31\n"
+    assert key_layout_literals(ast.parse(source)) == [1, 2, 3, 4]
