@@ -45,7 +45,6 @@ from .inference import (
     accuracy,
     classify,
     macro_f1,
-    predict,
     predict_batch,
     roc_auc,
 )
@@ -65,7 +64,6 @@ from .md_evidence import (
     SimilarityStore,
     extract_all,
     extract_counts,
-    mass_from_counts,
     read_store,
     write_store,
 )

@@ -157,7 +157,8 @@ def _cross_fold_weights(
     for block in informative_pairs(words, top, folds=fold_of) if groups else ():
         for size, members, table in groups:
             fits = slice(None) if size == top else np.flatnonzero(block.larger <= size)
-            pos, found = table.find(block.keys[fits])
+            keys = block.keys if size == top else block.keys.take(fits, axis=0)  # faster than a 2-D fancy index
+            pos, found = table.find(keys)
             first, second = block.first[fits][found], block.second[fits][found]
             candidates, hosts = np.concatenate([second, first]), np.concatenate([first, second])
             code = (labels[hosts] * n + candidates)[:, None] * n_columns + np.asarray(members)

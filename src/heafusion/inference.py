@@ -55,7 +55,6 @@ __all__ = [
     "columns_macro_f1",
     "fold_macro_f1",
     "macro_f1",
-    "predict",
     "predict_batch",
     "roc_auc",
     "youden_threshold_stats",
@@ -211,16 +210,6 @@ def predict_batch(
         mass = BinaryMass(a, b, u)
         out.append(Prediction(candidate, mass, pignistic(mass), k))
     return out
-
-
-def predict(
-    candidate: Alloy,
-    training: Dataset,
-    store: SimilarityStore,
-    max_subst_size: int | None = None,
-) -> Prediction:
-    """Single-candidate convenience wrapper around `predict_batch`."""
-    return predict_batch([candidate], training, store, max_subst_size)[0]
 
 
 def _positive(scores: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -26,9 +26,11 @@ half and word w of the larger side's in its low half, so one layout covers
 every table up to the 103-symbol element table. Rows are distinct and
 sorted lexicographically, word 0 first, which is the order `pair_counts`
 produces, so the scan's arrays become a store without per-entry objects.
-Lookups use `np.searchsorted` (`KeyTable`); combination pairs and element
-strings appear only at the edges: `get`, `weights`, `items`,
-`from_entries`, `write_store` and the error messages of `read_store`.
+Lookups use `np.searchsorted` (`KeyTable`), a block of key rows at a
+time; no lookup takes one pair. Combination pairs and element strings
+appear only at the edges: `from_entries` (which `llm_evidence` builds
+expert stores with), `items`, `write_store` and the error messages of
+`read_store`.
 `content_hash` digests one canonical byte buffer: the used element names
 sorted, the keys re-packed in that bit order and sorted, then the weight
 columns, so it does not depend on bit or insertion order. Store files
@@ -76,7 +78,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .alloys import BLOCK_ROWS, Alloy, Dataset, parse_symbols, read_blocks
-from .belief import BinaryMass, from_weights
 from .errors import AlphaOutOfRange, ConfigError, ParseError
 
 __all__ = [
@@ -96,7 +97,6 @@ __all__ = [
     "element_words",
     "key_width",
     "largest_side",
-    "mass_from_counts",
     "pack_keys",
     "read_store",
     "substitution_limit",
@@ -339,7 +339,7 @@ class KeyTable:
         # searched in order of their first word, which keeps searchsorted's
         # successive probes close together
         order = np.argsort(queries[:, 0])
-        queries = _fit_width(queries, width)[order]
+        queries = _fit_width(queries, width).take(order, axis=0)  # faster than a 2-D fancy index
         found = found[order]
         for level, ((values, codes), column) in enumerate(zip(self._levels, queries.T)):
             rank = np.minimum(np.searchsorted(values, column), len(values) - 1)
@@ -456,46 +456,8 @@ class SimilarityStore:
         return len(self.keys)
 
     @cached_property
-    def _table(self) -> KeyTable:
-        return KeyTable(self.keys)
-
-    @cached_property
     def _analogy_weights(self) -> np.ndarray:
         return analogy_weight(self.w_first, self.w_second)
-
-    @cached_property
-    def _bit(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    def _rows(self, pairs: Sequence[CombinationPair]) -> np.ndarray:
-        """Row of each pair, -1 where the store does not hold it."""
-        bit = self._bit
-        known = [i for i, pair in enumerate(pairs) if all(e in bit for e in pair.first + pair.second)]
-        width = key_width(len(self.elements))
-        pos, found = self._table.find(pack_keys(*(
-            element_words([getattr(pairs[i], side) for i in known], bit, width) for side in ("first", "second")
-        )))
-        rows = np.full(len(pairs), -1, dtype=np.intp)
-        rows[np.array(known, dtype=np.intp)[found]] = pos[found]
-        return rows
-
-    def weights(self, pairs: Sequence[CombinationPair]) -> np.ndarray:
-        """(w_first, w_second) row of each pair, (0, 0) where absent."""
-        rows = self._rows(pairs)
-        out = np.zeros((len(pairs), 2))
-        held = rows >= 0
-        out[held] = np.stack([self.w_first[rows[held]], self.w_second[rows[held]]], axis=1)
-        return out
-
-    def get(self, pair: CombinationPair) -> BinaryMass:
-        """The pair's evidence read out as a mass."""
-        return BinaryMass(*from_weights(*self.weights([pair])[0].tolist()))
-
-    def similarity(self, pair: CombinationPair) -> float:
-        return self.get(pair).m_first
-
-    def __contains__(self, pair: CombinationPair) -> bool:
-        return bool(self._rows([pair])[0] >= 0)
 
     def _named_sides(self) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
         """The distinct sides of the rows as sorted element tuples, in
@@ -701,17 +663,6 @@ def analogy_weight(w_first, w_second) -> np.ndarray:
     far = w1 > _EXP_LIMIT
     weight[far] = np.logaddexp(0.0, w1[far] - w2[far])
     return weight
-
-
-def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
-    """Dempster fold of n_agree agreeing and n_disagree disagreeing pieces.
-
-    Equals combining n_agree copies of (alpha, 0, 1-alpha) with n_disagree
-    copies of (0, alpha, 1-alpha) in any order: the weights of evidence add
-    up to n * -ln(1 - alpha) per side.
-    """
-    weight = evidence_weight(alpha)
-    return BinaryMass(*from_weights(n_agree * weight, n_disagree * weight))
 
 
 def counts_to_store(counts: PairCounts, alpha: float, elements: Sequence[str]) -> SimilarityStore:

@@ -38,7 +38,15 @@ from heafusion.errors import (
 )
 from heafusion.fusion import SourceReliability
 from heafusion.inference import classify, predict_batch
-from heafusion.md_evidence import CombinationPair, PairCounts, analogy_weight, element_words, key_width, pack_keys
+from heafusion.md_evidence import (
+    CombinationPair,
+    PairCounts,
+    analogy_weight,
+    element_words,
+    evidence_weight,
+    key_width,
+    pack_keys,
+)
 
 CONFLICT_LIMIT = 1.0 - 1e-12
 
@@ -358,6 +366,59 @@ def masses_of(store: SimilarityStore) -> dict[CombinationPair, BinaryMass]:
     return {pair: BinaryMass(*mass) for (pair, _), mass in zip(store.items(), masses)}
 
 
+def mass_of(store: SimilarityStore, pair: CombinationPair) -> BinaryMass:
+    """One pair's evidence read out as a mass, vacuous where the store
+    does not hold the pair."""
+    return masses_of(store).get(pair, vacuous())
+
+
+def mass_from_counts(n_agree: int, n_disagree: int, alpha: float) -> BinaryMass:
+    """Dempster fold of n_agree agreeing and n_disagree disagreeing pieces.
+
+    Equals combining n_agree copies of (alpha, 0, 1-alpha) with n_disagree
+    copies of (0, alpha, 1-alpha) in any order: the weights of evidence add
+    up to n * -ln(1 - alpha) per side.
+    """
+    weight = evidence_weight(alpha)
+    return BinaryMass(*from_weights(n_agree * weight, n_disagree * weight))
+
+
+def _pignistic_dissimilarity(masses: Mapping[CombinationPair, BinaryMass], pair: CombinationPair) -> float:
+    mass = masses.get(pair)
+    return 0.5 if mass is None else mass.m_second + mass.m_both / 2.0
+
+
+def element_distance_reference(store: SimilarityStore, universe: Sequence[str]) -> np.ndarray:
+    """`analysis.element_distance_matrix` one pair at a time: the
+    dissimilarity mass plus half the ignorance mass of each
+    single-element pair, 0.5 where absent, 0 on the diagonal."""
+    masses = masses_of(store)
+    n = len(universe)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = _pignistic_dissimilarity(masses, CombinationPair((universe[i],), (universe[j],)))
+    return out
+
+
+def hybrid_distance_reference(alloys: Sequence[Alloy], store: SimilarityStore) -> np.ndarray:
+    """`analysis.hybrid_distance_matrix` one pair at a time: the
+    pignistic dissimilarity of the substitution sides (0.5 where a side is
+    empty or the store lacks the pair) times the Jaccard distance."""
+    masses = masses_of(store)
+    sets = [a.element_set for a in alloys]
+    n = len(alloys)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            ct, cv = sets[i] - sets[j], sets[j] - sets[i]
+            factor = _pignistic_dissimilarity(masses, CombinationPair(ct, cv)) if ct and cv else 0.5
+            union = len(sets[i] | sets[j])
+            jaccard = len(sets[i] & sets[j]) / union if union else 1.0
+            out[i, j] = out[j, i] = factor * (1.0 - jaccard)
+    return out
+
+
 def combine_stores(stores: Iterable[SimilarityStore]) -> dict[CombinationPair, BinaryMass]:
     """Dempster-combine the stores' masses entry-wise over the union of
     their keys with the float reference `combine`.
@@ -422,7 +483,7 @@ def enumerate_analogies(
 def evidence_from_analogy(analogy: Analogy, store: SimilarityStore) -> BinaryMass:
     """Class evidence from one substitution: similarity s backs the host's
     class, the rest stays on the frame. Absent pairs are vacuous."""
-    s = store.similarity(CombinationPair(analogy.replaced, analogy.replacement))
+    s = mass_of(store, CombinationPair(analogy.replaced, analogy.replacement)).m_first
     if analogy.host.label:
         return BinaryMass(s, 0.0, 1.0 - s)
     return BinaryMass(0.0, s, 1.0 - s)

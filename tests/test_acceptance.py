@@ -51,6 +51,7 @@ from oracles import (
     complete_linkage_oracle,
     count_table,
     mann_whitney_auc,
+    mass_of,
     masses_of,
     pairs_of,
     scan_partition,
@@ -76,7 +77,7 @@ def test_criterion_1_supplement_fixture_exact_math():
         single_substitution_alloys(contexts, ("Cu",), ("Zn",), [True, True, True, False])
     )
     store = extract_all(dataset, ExtractionConfig(alpha=0.1))
-    mass = store.get(CombinationPair(("Cu",), ("Zn",)))
+    mass = mass_of(store, CombinationPair(("Cu",), ("Zn",)))
     for got, want in zip(mass.as_tuple(), ORACLE_MASS):
         assert got == pytest.approx(float(want), abs=1e-12)
     # paper-reported rounded triple agrees within 2e-3
@@ -96,7 +97,7 @@ def test_criterion_2_supplement_pipeline_multi_element():
     )
     store = extract_all(evidence_data, ExtractionConfig(alpha=0.1))
     s = float(ORACLE_MASS[0])
-    assert store.similarity(CombinationPair(("Cu",), ("Zn", "Ga"))) == pytest.approx(s, abs=1e-9)
+    assert mass_of(store, CombinationPair(("Cu",), ("Zn", "Ga"))).m_first == pytest.approx(s, abs=1e-9)
 
     observed_host = as_dataset([LabeledAlloy(Alloy(("Ag", "Cd", "In", "Cu")), True)])
     prediction = predict_batch([Alloy(("Ag", "Cd", "In", "Zn", "Ga"))], observed_host, store)[0]

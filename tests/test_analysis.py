@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from heafusion import Alloy, SimilarityStore
+from heafusion import Alloy, SimilarityStore, analysis
+from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES
 from heafusion.analysis import (
     element_distance_matrix,
     hac_complete,
@@ -14,9 +15,10 @@ from heafusion.analysis import (
     write_matrix_csv,
 )
 from heafusion.errors import MatrixMalformed
+from heafusion.md_evidence import CombinationPair
 
 from conftest import mass_store as store_of
-from oracles import complete_linkage_oracle
+from oracles import complete_linkage_oracle, element_distance_reference, hybrid_distance_reference
 
 
 class TestElementDistance:
@@ -94,6 +96,80 @@ class TestHybridDistance:
                 union = len(a.element_set | b.element_set)
                 jaccard = len(a.element_set & b.element_set) / union
                 assert d[i, j] <= 1 - jaccard + 1e-12
+
+
+def _alloys_with_edge_cases(rng: random.Random, symbols, n: int) -> list[Alloy]:
+    """Random alloys of 2 to 5 symbols, plus a nested alloy (one more
+    element), a repeat and a pair of disjoint alloys."""
+    alloys = [Alloy(rng.sample(symbols, rng.randint(2, 5))) for _ in range(n)]
+    extra = next(e for e in symbols if e not in alloys[0].element_set)
+    alloys.append(Alloy(alloys[0].elements + (extra,)))
+    alloys.append(alloys[1])
+    alloys += [Alloy(symbols[:2]), Alloy(symbols[2:4])]
+    rng.shuffle(alloys)
+    return alloys
+
+
+def _store_over(rng: random.Random, alloys: list[Alloy], symbols, lacking) -> SimilarityStore:
+    """Store of random weights over about half the alloys' substitution
+    pairs and their single-element pairs, none naming a symbol of
+    `lacking`, plus a few pairs over symbols no alloy uses; the first
+    entry and about a tenth of the rest hold an infinite weight on one
+    side, and some a zero weight."""
+    candidates = [(a.element_set - b.element_set, b.element_set - a.element_set) for a in alloys for b in alloys]
+    candidates += [({a}, {b}) for a in symbols for b in symbols if a != b]
+    unused = [e for e in ELEMENT_SYMBOLS if e not in symbols]
+    candidates += [(set(unused[i:i + 2]), {unused[i + 2]}) for i in range(0, 9, 3)]
+    entries = {}
+    for first, second in candidates:
+        if first and second and not (first | second) & lacking and rng.random() < 0.5:
+            weights = [rng.choice([0.0, rng.expovariate(1.0), rng.uniform(0.0, 800.0)]) for _ in range(2)]
+            if not entries or rng.random() < 0.1:
+                weights[rng.randrange(2)] = float("inf")
+            entries[CombinationPair(first, second)] = tuple(weights)
+    return SimilarityStore.from_entries(entries)
+
+
+def _bits(matrix: np.ndarray) -> bytes:
+    return np.ascontiguousarray(matrix).tobytes()
+
+
+class TestMatricesMatchReference:
+    """Both matrices equal the per-pair references bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("symbols", [UNIVERSES["E1"], ELEMENT_SYMBOLS[:40]], ids=["E1", "two-words"])
+    def test_random_stores(self, seed, symbols, monkeypatch):
+        if seed % 2:  # 34 rows in blocks of three, the last one short, mirrored below the diagonal
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", 110)
+        rng = random.Random(seed)
+        symbols = list(symbols)
+        alloys = _alloys_with_edge_cases(rng, symbols, 30)
+        lacking = set(rng.sample(symbols, 3))
+        store = _store_over(rng, alloys, symbols, lacking)
+        assert len(symbols) <= 32 or len({e for a in alloys for e in a.elements}) > 32  # keys of two words
+        for universe in (symbols, sorted(symbols), rng.sample(symbols, 7)):
+            got = element_distance_matrix(store, universe)
+            assert _bits(got) == _bits(element_distance_reference(store, universe))
+        got = hybrid_distance_matrix(alloys, store)
+        assert _bits(got) == _bits(hybrid_distance_reference(alloys, store))
+
+    def test_empty_store(self):
+        alloys = _alloys_with_edge_cases(random.Random(0), list(UNIVERSES["E1"]), 20)
+        got = hybrid_distance_matrix(alloys, SimilarityStore())
+        assert _bits(got) == _bits(hybrid_distance_reference(alloys, SimilarityStore()))
+        got = element_distance_matrix(SimilarityStore(), UNIVERSES["E1"])
+        assert _bits(got) == _bits(element_distance_reference(SimilarityStore(), UNIVERSES["E1"]))
+
+    def test_infinite_weight_reads_certain(self):
+        store = SimilarityStore.from_entries({
+            CombinationPair(("Cr",), ("Mn",)): (float("inf"), 0.0),
+            CombinationPair(("Cu",), ("Zn",)): (0.0, float("inf")),
+        })
+        d = element_distance_matrix(store, ("Zn", "Mn", "Cu", "Cr"))
+        assert d[1, 3] == 0.0 and d[0, 2] == 1.0
+        alloys = [Alloy("Fe Co Ni Cr".split()), Alloy("Fe Co Ni Mn".split())]
+        assert hybrid_distance_matrix(alloys, store)[0, 1] == 0.0
 
 
 class TestHacComplete:
@@ -176,13 +252,6 @@ class TestDendrogramExports:
         payload = json.loads(path.read_text())
         assert payload["labels"] == ["A", "B", "C"]
         assert len(payload["merges"]) == 2
-
-    def test_cut_into_clusters(self, dendrogram):
-        assert sorted(dendrogram.cut(2)) == [("A", "B"), ("C",)]
-        assert sorted(dendrogram.cut(3)) == [("A",), ("B",), ("C",)]
-        assert dendrogram.cut(1) == [("A", "B", "C")]
-        with pytest.raises(ValueError):
-            dendrogram.cut(4)
 
 
 class TestMatrixCsv:

@@ -252,3 +252,24 @@ def test_only_md_evidence_knows_the_key_layout():
     assert offenders == []
     source = "a = k >> np.uint64(32)\nb = k & np.uint64(0xFFFFFFFF)\nc = 1 << 32\nd <<= 32\ne = k >> 31\n"
     assert key_layout_literals(ast.parse(source)) == [1, 2, 3, 4]
+
+
+def constructor_calls(tree: ast.Module, name: str) -> list[int]:
+    """Lines that call `name`, bare or as an attribute such as
+    `md_evidence.CombinationPair`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == name
+            or isinstance(node.func, ast.Attribute) and node.func.attr == name
+        )
+    )
+
+
+def test_analysis_builds_no_pair_objects():
+    """The distance matrices look pairs up a block of key rows at a time,
+    so `analysis` constructs no `CombinationPair`."""
+    assert constructor_calls(_trees()["analysis"], "CombinationPair") == []
+    source = "p = CombinationPair(a, b)\nq = md_evidence.CombinationPair(a, b)\nr = pairs(a)\n"
+    assert constructor_calls(ast.parse(source), "CombinationPair") == [1, 2]

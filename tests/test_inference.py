@@ -9,11 +9,19 @@ import pytest
 from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore, inference
 from heafusion.belief import to_weights
 from heafusion.errors import CandidateInTraining, TotalConflict
-from heafusion.inference import classify, predict, predict_batch
-from heafusion.md_evidence import CombinationPair, counts_to_store, mass_from_counts, read_store, write_store
+from heafusion.inference import classify, predict_batch
+from heafusion.md_evidence import CombinationPair, counts_to_store, read_store, write_store
 
 from conftest import as_dataset, mass_store as store_of, planted_group_store, random_dataset
-from oracles import Analogy, count_table, enumerate_analogies, evidence_from_analogy, expand_dempster
+from oracles import (
+    Analogy,
+    count_table,
+    enumerate_analogies,
+    evidence_from_analogy,
+    expand_dempster,
+    mass_from_counts,
+    mass_of,
+)
 
 
 def la(elements, label=True):
@@ -70,14 +78,14 @@ class TestPredict:
     def test_single_positive_analogy(self):
         training = as_dataset([la("Ag Cd In Cu".split(), True)])
         store = store_of({(("Cu",), ("Zn",)): (0.25, 0.075, 0.675)})
-        p = predict(Alloy("Ag Cd In Zn".split()), training, store)
+        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
         assert p.mass == BinaryMass(0.25, 0.0, 0.75)
         assert p.score == pytest.approx(0.625, abs=1e-12)
         assert p.n_analogies == 1
 
     def test_no_analogies_is_vacuous(self):
         training = as_dataset([la("Fe Ni Cr Co".split())])
-        p = predict(Alloy("Ag Cd In Zn".split()), training, SimilarityStore())
+        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, SimilarityStore())[0]
         assert p.mass == BinaryMass(0.0, 0.0, 1.0)
         assert p.score == 0.5
         assert p.n_analogies == 0
@@ -89,7 +97,7 @@ class TestPredict:
         store = store_of(
             {(("Cu",), ("Zn",)): (0.25, 0.0, 0.75), (("Sn",), ("Zn",)): (0.25, 0.0, 0.75)}
         )
-        p = predict(Alloy("Ag Cd In Zn".split()), training, store)
+        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
         assert p.mass.m_first == pytest.approx(0.2, abs=1e-12)
         assert p.mass.m_second == pytest.approx(0.2, abs=1e-12)
         assert p.mass.m_both == pytest.approx(0.6, abs=1e-12)
@@ -109,7 +117,7 @@ class TestPredict:
             CombinationPair(("Cu",), ("Zn",)): to_weights(*saturated.as_tuple()),
             CombinationPair(("Sn",), ("Zn",)): to_weights(*saturated.as_tuple()),
         })
-        p = predict(Alloy("Ag Cd In Zn".split()), training, store)
+        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
         assert p.score == pytest.approx(0.5, abs=1e-12)
         assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
         assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
@@ -128,7 +136,7 @@ class TestPredict:
         store = counts_to_store(count_table(counts), 0.5, universe)
         write_store(store, tmp_path / "store.csv")
         for held in (store, read_store(tmp_path / "store.csv")):
-            p = predict(Alloy("Ag Cd In Zn".split()), training, held)
+            p = predict_batch([Alloy("Ag Cd In Zn".split())], training, held)[0]
             assert p.n_analogies == 2
             assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
             assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
@@ -140,19 +148,19 @@ class TestPredict:
         )
         store = store_of({(("Cu",), ("Zn",)): (1.0, 0.0, 0.0), (("Sn",), ("Zn",)): (1.0, 0.0, 0.0)})
         with pytest.raises(TotalConflict):
-            predict(Alloy("Ag Cd In Zn".split()), training, store)
+            predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
 
     def test_candidate_in_training(self):
         training = as_dataset([la("Ag Cd In Cu".split())])
         with pytest.raises(CandidateInTraining):
-            predict(Alloy("Ag Cd In Cu".split()), training, SimilarityStore())
+            predict_batch([Alloy("Ag Cd In Cu".split())], training, SimilarityStore())[0]
 
 
 class TestClassify:
     def test_above_threshold(self):
         training = as_dataset([la("Ag Cd In Cu".split(), True)])
         store = store_of({(("Cu",), ("Zn",)): (0.25, 0.0, 0.75)})
-        p = predict(Alloy("Ag Cd In Zn".split()), training, store)
+        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
         assert p.score == 0.625
         assert classify([p.score]) == [True]
         assert classify([0.5, np.nextafter(0.5, 1.0), 0.0, 1.0]) == [False, True, False, True]
@@ -160,7 +168,7 @@ class TestClassify:
 
     def test_vacuous_tie_is_negative(self):
         training = as_dataset([la("Fe Ni Cr Co".split())])
-        p = predict(Alloy("Ag Cd In Zn".split()), training, SimilarityStore())
+        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, SimilarityStore())[0]
         assert p.score == 0.5
         assert classify([p.score]) == [False]
 
@@ -196,10 +204,10 @@ class TestInvariants:
         assert len(analogies) <= 12
         pieces = []
         for analogy in analogies:
-            s = Fraction(store.similarity(CombinationPair(analogy.replaced, analogy.replacement)))
+            s = Fraction(mass_of(store, CombinationPair(analogy.replaced, analogy.replacement)).m_first)
             pieces.append((s, 0, 1 - s) if analogy.host.label else (0, s, 1 - s))
         expected = expand_dempster(pieces) if pieces else (Fraction(0), Fraction(0), Fraction(1))
-        got = predict(candidate, ds, store)
+        got = predict_batch([candidate], ds, store)[0]
         for g, w in zip(got.mass.as_tuple(), expected):
             assert g == pytest.approx(float(w), abs=1e-12)
 
@@ -209,8 +217,8 @@ class TestInvariants:
         flipped = ds.with_alloys(
             [LabeledAlloy(la_.alloy, not la_.label) for la_ in ds.alloys]
         )
-        p = predict(candidate, ds, store)
-        q = predict(candidate, flipped, store)
+        p = predict_batch([candidate], ds, store)[0]
+        q = predict_batch([candidate], flipped, store)[0]
         assert q.mass.m_first == pytest.approx(p.mass.m_second, abs=1e-12)
         assert q.mass.m_second == pytest.approx(p.mass.m_first, abs=1e-12)
         assert q.mass.m_both == pytest.approx(p.mass.m_both, abs=1e-12)
@@ -221,8 +229,8 @@ class TestInvariants:
         ds, store, candidate = _random_instance(seed)
         rows = list(ds.alloys)
         random.Random(seed + 100).shuffle(rows)
-        p = predict(candidate, ds, store)
-        q = predict(candidate, ds.with_alloys(rows), store)
+        p = predict_batch([candidate], ds, store)[0]
+        q = predict_batch([candidate], ds.with_alloys(rows), store)[0]
         for g, w in zip(q.mass.as_tuple(), p.mass.as_tuple()):
             assert g == pytest.approx(w, abs=1e-12)
 
@@ -232,15 +240,18 @@ class TestInvariants:
         last = -1.0
         for s in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]:
             store = store_of({(("Cu",), ("Zn",)): (s, 0.0, 1.0 - s)})
-            score = predict(candidate, training, store).score
+            score = predict_batch([candidate], training, store)[0].score
             assert score > last
             last = score
 
     def test_batch_matches_single(self):
-        ds, store, candidate = _random_instance(3)
-        batch = predict_batch([candidate], ds, store)
-        single = predict(candidate, ds, store)
-        assert batch[0] == single
+        ds, store, _ = _random_instance(3)
+        from itertools import combinations
+
+        taken = {la_.alloy.elements for la_ in ds.alloys}
+        candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken]
+        batch = predict_batch(candidates, ds, store)
+        assert batch == [predict_batch([candidate], ds, store)[0] for candidate in candidates]
 
     def test_batch_jobs_consistent(self, monkeypatch):
         # batch large enough to engage the process pool, its threshold

@@ -17,6 +17,8 @@ from heafusion.llm_evidence import (
 )
 from heafusion.md_evidence import CombinationPair
 
+from oracles import mass_of, pairs_of
+
 
 def pair(a="Cu", b="Ag"):
     return CombinationPair((a,), (b,))
@@ -154,8 +156,8 @@ class TestBuildStore:
     def test_single_response(self):
         stores = build_store([LlmResponse(pair("Cu", "Ag"), "Metallurgy", True, "High")], 0.2)
         assert set(stores) == {"Metallurgy"}
-        assert stores["Metallurgy"].weights([pair("Ag", "Cu")]).tolist() == [list(to_weights(0.2, 0.0, 0.8))]
-        got = stores["Metallurgy"].get(pair("Ag", "Cu"))
+        assert dict(stores["Metallurgy"].items())[pair("Ag", "Cu")] == to_weights(0.2, 0.0, 0.8)
+        got = mass_of(stores["Metallurgy"], pair("Ag", "Cu"))
         assert got.as_tuple() == pytest.approx((0.2, 0.0, 0.8), abs=1e-15)
 
     def test_domains_stay_separate(self):
@@ -164,14 +166,14 @@ class TestBuildStore:
             LlmResponse(pair("Fe", "Ni"), "CorrosionScience", True, "Low"),
         ]
         stores = build_store(responses, 0.2)
-        assert pair("Cu", "Ag") in stores["Metallurgy"]
-        assert pair("Cu", "Ag") not in stores["CorrosionScience"]
-        assert pair("Fe", "Ni") in stores["CorrosionScience"]
+        assert pair("Cu", "Ag") in pairs_of(stores["Metallurgy"])
+        assert pair("Cu", "Ag") not in pairs_of(stores["CorrosionScience"])
+        assert pair("Fe", "Ni") in pairs_of(stores["CorrosionScience"])
 
     def test_duplicate_rows_combine(self):
         resp = LlmResponse(pair(), "Metallurgy", True, "Low")
         stores = build_store([resp, resp], 0.2)
-        got = stores["Metallurgy"].get(pair())
+        got = mass_of(stores["Metallurgy"], pair())
         assert got.m_first == pytest.approx(0.0, abs=1e-15)
         assert got.m_second == pytest.approx(0.36, abs=1e-12)
         assert got.m_both == pytest.approx(0.64, abs=1e-12)

@@ -19,7 +19,6 @@ from heafusion.md_evidence import (
     evidence_weight,
     extract_all,
     extract_counts,
-    mass_from_counts,
     read_store,
     write_store,
 )
@@ -31,6 +30,8 @@ from oracles import (
     combine_stores,
     count_table,
     evidence_from_pair,
+    mass_from_counts,
+    mass_of,
     masses_of,
     pair_evidence_oracle,
     pairs_of,
@@ -86,7 +87,7 @@ class TestEvidenceFromPair:
 class TestWorkedExamples:
     def test_example1_store_entry(self, example1_dataset):
         store = extract_all(example1_dataset, ExtractionConfig(alpha=0.1))
-        mass = store.get(CombinationPair(("Cu",), ("Zn",)))
+        mass = mass_of(store, CombinationPair(("Cu",), ("Zn",)))
         for got, want in zip(mass.as_tuple(), EXAMPLE_MASS):
             assert got == pytest.approx(float(want), abs=1e-12)
         # published rounded values within 2e-3
@@ -96,7 +97,7 @@ class TestWorkedExamples:
 
     def test_example2_multi_element_entry(self, example2_dataset):
         store = extract_all(example2_dataset, ExtractionConfig(alpha=0.1))
-        mass = store.get(CombinationPair(("Cu",), ("Zn", "Ga")))
+        mass = mass_of(store, CombinationPair(("Cu",), ("Zn", "Ga")))
         for got, want in zip(mass.as_tuple(), EXAMPLE_MASS):
             assert got == pytest.approx(float(want), abs=1e-12)
 
@@ -108,8 +109,8 @@ class TestWorkedExamples:
 class TestExtraction:
     def test_symmetric_lookup(self, example1_dataset):
         store = extract_all(example1_dataset, ExtractionConfig(alpha=0.1))
-        assert CombinationPair(("Zn",), ("Cu",)) in store
-        assert store.get(CombinationPair(("Cu",), ("Zn",))) == store.get(
+        assert CombinationPair(("Zn",), ("Cu",)) in pairs_of(store)
+        assert mass_of(store, CombinationPair(("Cu",), ("Zn",))) == mass_of(store, 
             CombinationPair(("Zn",), ("Cu",))
         )
 
@@ -121,7 +122,7 @@ class TestExtraction:
         shuffled = extract_all(ds.with_alloys(rows), ExtractionConfig(alpha=0.2))
         assert pairs_of(store) == pairs_of(shuffled)
         for pair, mass in masses_of(store).items():
-            other = shuffled.get(pair)
+            other = mass_of(shuffled, pair)
             for a, b in zip(mass.as_tuple(), other.as_tuple()):
                 assert a == pytest.approx(b, abs=1e-12)
 
@@ -161,7 +162,7 @@ class TestExtraction:
             expected = combine_exact(
                 [(a, 0, 1 - a) if agree else (0, a, 1 - a) for agree in pieces]
             )
-            got = store.get(CombinationPair(first, second))
+            got = mass_of(store, CombinationPair(first, second))
             for g, w in zip(got.as_tuple(), expected):
                 assert g == pytest.approx(float(w), abs=1e-12)
 
@@ -173,7 +174,7 @@ class TestExtraction:
 
     def test_max_subst_size_filters_pairs(self, example2_dataset):
         store = extract_all(example2_dataset, ExtractionConfig(alpha=0.1, max_subst_size=1))
-        assert CombinationPair(("Cu",), ("Zn", "Ga")) not in store
+        assert CombinationPair(("Cu",), ("Zn", "Ga")) not in pairs_of(store)
 
 
 class TestPartitioning:

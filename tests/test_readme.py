@@ -1,0 +1,34 @@
+"""The README's library quickstart runs as written."""
+
+import re
+from itertools import combinations
+from pathlib import Path
+
+from heafusion import Alloy, Dataset, LabeledAlloy, serialize_dataset
+from heafusion.alloys import UNIVERSES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quickstart() -> str:
+    """The first python code block under the "Library quickstart" heading."""
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def test_quickstart_runs(tmp_path, monkeypatch, capsys):
+    # quaternaries over ten E1 symbols, positive iff within one planted
+    # group; the quickstart's candidate Fe-Co-Ni-Zr stays out of training
+    symbols = UNIVERSES["E1"][:5] + UNIVERSES["E1"][-5:]
+    group = set(symbols[:5])
+    alloys = tuple(
+        LabeledAlloy(Alloy(elems), set(elems) <= group or not set(elems) & group)
+        for elems in combinations(symbols, 4)
+        if set(elems) != {"Fe", "Co", "Ni", "Zr"}
+    )
+    serialize_dataset(Dataset("planted", alloys, symbols), tmp_path / "alloys.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(quickstart(), str(README), "exec"), {})
+    mass, score = capsys.readouterr().out.split(") ")
+    assert mass.startswith("BinaryMass(")
+    assert 0.0 <= float(score) <= 1.0
