@@ -96,7 +96,8 @@ class FractionDegenerate(ConfigError):
 
 
 class LengthMismatch(DataError):
-    """Paired label/prediction sequences differ in length or are empty."""
+    """Paired sequences differ in length (labels and predictions, or labels
+    and alloy rows), or labels and predictions are empty."""
 
 
 class SingleClass(DataError):

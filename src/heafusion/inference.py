@@ -96,6 +96,8 @@ def analogy_weights(
     column.
     """
     labels = np.asarray(host_labels, dtype=bool)
+    if len(labels) != len(host_words):
+        raise LengthMismatch(f"{len(labels)} host labels vs {len(host_words)} hosts")
     n_cand = len(cand_words)
     weights = table.weights if table.weights.ndim == 2 else table.weights[:, None]
     k = weights.shape[1]

@@ -345,6 +345,73 @@ def test_pair_counts_do_not_depend_on_block_size():
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), case
 
 
+def test_running_table_merge_matches_one_merge():
+    # with a merge batch of one to four pairs, pending pairs merge into a
+    # non-empty count table again and again; the counts are those of one
+    # merge byte for byte, for one-word keys and for keys over 32 symbols
+    rng = random.Random(33)
+    merge = md_evidence._merge
+    into_table = {1: 0, 2: 0, 4: 0}  # key width -> merges of a batch into a non-empty table
+
+    def counted(table, batch):
+        if len(table[0]) and len(batch[0]):
+            into_table[key_width(len(universe))] += 1
+        return merge(table, batch)
+
+    for case in range(60):
+        universe = tuple(rng.sample(ELEMENT_SYMBOLS, rng.choice([9, 26, 47, 103])))
+        rows = sorted({_subset(rng, universe, 2, 5) for _ in range(rng.randint(2, 60))})
+        labels = [rng.random() < 0.5 for _ in rows]
+        index = {e: i for i, e in enumerate(sorted(universe))}
+        words = element_words(rows, index, key_width(len(index)))
+        limit = rng.randint(1, 4)
+        expected = pair_counts(words, labels, limit)
+        with pytest.MonkeyPatch.context() as patch:
+            _small_blocks(patch, rng, len(rows))
+            patch.setattr(md_evidence, "_MERGE_ROWS", rng.randint(1, 4))
+            patch.setattr(md_evidence, "_merge", counted)
+            got = pair_counts(words, labels, limit)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), case
+    assert min(into_table.values()) >= 10, into_table
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_key_table_find_matches_a_dict(width):
+    # rows drawn from a few word values share prefixes; queries are
+    # present and absent keys, at the table's width, wider (a non-zero
+    # extra word is absent) and narrower (missing words read as 0)
+    rng = np.random.default_rng(width)
+    words = np.r_[np.uint64(0), np.uint64(2**64 - 1), rng.integers(1, 2**64 - 1, size=3, dtype=np.uint64)]
+    seen = {"empty table": 0, "empty queries": 0, "found": 0, "absent": 0, "wider": 0}
+    for case in range(60):
+        n_rows, n_queries = (0 if case % 10 == 0 else int(rng.integers(1, 40)),
+                             0 if case % 10 == 1 else int(rng.integers(1, 50)))
+        rows = sorted({tuple(row) for row in rng.choice(words, size=(n_rows, width)).tolist()})
+        keys = np.array(rows, dtype=np.uint64).reshape(-1, width)
+        table = KeyTable(keys, np.arange(len(keys), dtype=float))
+        position = {row: i for i, row in enumerate(rows)}
+        q_width = int(rng.integers(1, width + 2))
+        queries = rng.choice(words, size=(n_queries, q_width))
+        queries[:, width:] *= rng.random((len(queries), 1)) < 0.3  # most wider queries end in zeros
+        if len(keys) and q_width >= width:  # some queries are the table's own rows
+            queries[::3, :width] = keys[rng.integers(0, len(keys), size=len(queries[::3]))]
+        got, found = table.find(queries)
+        assert got.shape == found.shape == (len(queries),)
+        for row, p, f in zip(queries.tolist(), got.tolist(), found.tolist()):
+            key = tuple(row[:width]) + (0,) * (width - len(row)) if not any(row[width:]) else None
+            assert f == (key in position)
+            if f:
+                assert p == position[key]
+            elif len(keys):
+                assert 0 <= p < len(keys)
+            seen["found" if f else "absent"] += 1
+            seen["wider"] += f and q_width > width
+        seen["empty table"] += not len(keys)
+        seen["empty queries"] += not len(queries)
+    assert min(seen.values()) > 0, seen
+
+
 def _store_over(entries, elements):
     """The store of the entries over the given elements, keyed in their
     bit order, built straight from the element names."""

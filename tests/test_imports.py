@@ -273,3 +273,37 @@ def test_analysis_builds_no_pair_objects():
     assert constructor_calls(_trees()["analysis"], "CombinationPair") == []
     source = "p = CombinationPair(a, b)\nq = md_evidence.CombinationPair(a, b)\nr = pairs(a)\n"
     assert constructor_calls(ast.parse(source), "CombinationPair") == [1, 2]
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    """Names of the calls inside a node: `f(...)` and `x.f(...)` call `f`."""
+    return {
+        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+    }
+
+
+def permutation_sorts(tree: ast.Module, root: str) -> tuple[set[str], set[str]]:
+    """The module-level functions that `root` reaches through calls of
+    module-level functions, and those of them that call `argsort` or
+    `lexsort` (by name or as an attribute)."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo.extend(_called_names(functions[name]))
+    return reached, {name for name in reached if _called_names(functions[name]) & {"argsort", "lexsort"}}
+
+
+def test_pair_counts_sort_by_value():
+    """The scan counts pairs by sorting their key values, never by a
+    permutation, so `pair_counts` and the merge it calls make no `argsort`
+    or `lexsort` call."""
+    reached, sorting = permutation_sorts(_trees()["md_evidence"], "pair_counts")
+    assert {"pair_counts", "informative_pairs", "_batch_counts", "_merge", "_runs"} <= reached
+    assert sorting == set()
+    source = "def f(k):\n    return g(k) + k.h()\ndef g(k):\n    return np.argsort(k)\ndef h(k):\n    return lexsort(k)\n"
+    assert permutation_sorts(ast.parse(source), "f") == ({"f", "g", "h"}, {"g", "h"})

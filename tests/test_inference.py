@@ -8,9 +8,9 @@ import pytest
 
 from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore, inference
 from heafusion.belief import to_weights
-from heafusion.errors import CandidateInTraining, TotalConflict
+from heafusion.errors import CandidateInTraining, LengthMismatch, TotalConflict
 from heafusion.inference import classify, predict_batch
-from heafusion.md_evidence import CombinationPair, counts_to_store, read_store, write_store
+from heafusion.md_evidence import CombinationPair, counts_to_store, element_words, read_store, write_store
 
 from conftest import as_dataset, mass_store as store_of, planted_group_store, random_dataset
 from oracles import (
@@ -149,6 +149,14 @@ class TestPredict:
         store = store_of({(("Cu",), ("Zn",)): (1.0, 0.0, 0.0), (("Sn",), ("Zn",)): (1.0, 0.0, 0.0)})
         with pytest.raises(TotalConflict):
             predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
+
+    @pytest.mark.parametrize("n_labels", [1, 3])
+    def test_host_labels_must_match_the_hosts(self, n_labels):
+        index = {e: i for i, e in enumerate(("Cu", "Fe", "Ni", "Zn"))}
+        hosts = element_words([("Cu", "Fe"), ("Cu", "Ni")], index, 1)
+        table = store_of({(("Fe",), ("Ni",)): (0.5, 0.0, 0.5)}).mask_view(index)
+        with pytest.raises(LengthMismatch, match=f"{n_labels} host labels vs 2 hosts"):
+            inference.analogy_weights(element_words([("Cu", "Zn")], index, 1), hosts, [True] * n_labels, table, 1)
 
     def test_candidate_in_training(self):
         training = as_dataset([la("Ag Cd In Cu".split())])

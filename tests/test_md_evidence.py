@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
 from heafusion.alloys import ELEMENT_SYMBOLS
 from heafusion.belief import from_weights
-from heafusion.errors import AlphaOutOfRange, ParseError
+from heafusion.errors import AlphaOutOfRange, LengthMismatch, ParseError
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
     counts_to_store,
+    element_words,
     evidence_weight,
     extract_all,
     extract_counts,
+    pair_counts,
     read_store,
     write_store,
 )
@@ -234,6 +236,13 @@ class TestPairKernel:
             if got:
                 widest = max(widest, max(hi for _, hi in got).bit_length())
         assert widest > 64  # keys above one 64-bit word were exercised
+
+    @pytest.mark.parametrize("n_labels", [1, 4])
+    def test_labels_must_match_the_rows(self, n_labels):
+        index = {e: i for i, e in enumerate(("Cu", "Fe", "Ni", "Zn"))}
+        words = element_words([("Cu", "Fe"), ("Cu", "Ni"), ("Fe", "Zn")], index, 1)
+        with pytest.raises(LengthMismatch, match=f"{n_labels} labels vs 3 alloys"):
+            pair_counts(words, [True] * n_labels, 1)
 
 
 class TestCountsClosedForm:
