@@ -10,14 +10,17 @@ from explicit seeds.
 from __future__ import annotations
 
 import csv
+import io
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations, compress, islice
+from functools import cached_property
+from itertools import chain, combinations, compress, islice
 from math import comb
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,6 +71,28 @@ UNIVERSES: dict[str, tuple[str, ...]] = {
 
 _TRUE_LABELS = {"1", "true", "hea"}
 _FALSE_LABELS = {"0", "false", "nonhea"}
+
+
+MASK_WORD_BITS = 32  # bits per word of a mask; a store key word packs two such words
+
+
+def key_width(n_bits: int) -> int:
+    """Words per side mask for bit positions below n_bits (at least one)."""
+    return max(1, -(-n_bits // MASK_WORD_BITS))
+
+
+def element_words(combinations: Iterable[Sequence[str]], index: Mapping[str, int], width: int) -> np.ndarray:
+    """(n, width) uint64 array of each element combination's bitmask under
+    index (element -> bit), split into 32-bit words, least significant
+    first: the one mask representation of the library."""
+    combinations = list(combinations)
+    sizes = [len(c) for c in combinations]
+    bits = np.fromiter((index[e] for c in combinations for e in c), dtype=np.int64, count=sum(sizes))
+    words = np.zeros((len(combinations), width), dtype=np.uint64)
+    # a combination's elements are distinct, so adding their bits is OR-ing them
+    np.add.at(words, (np.repeat(np.arange(len(combinations)), sizes), bits // MASK_WORD_BITS),
+              np.uint64(1) << (bits % MASK_WORD_BITS).astype(np.uint64))
+    return words
 
 
 def is_element_symbol(symbol: str) -> bool:
@@ -154,6 +179,17 @@ class Dataset:
         """The symbol of each bit of `element_index`: the universe sorted."""
         return tuple(self.element_index())
 
+    @cached_property
+    def words(self) -> np.ndarray:
+        """The alloys' masks under `element_index`, as read-only
+        `element_words` rows of `key_width(len(universe))` words; built
+        once per dataset, so the scan, the γ estimate and prediction over
+        one training set share them."""
+        words = element_words((la.alloy.elements for la in self.alloys), self.element_index(),
+                              key_width(len(self.universe)))
+        words.flags.writeable = False
+        return words
+
     def with_alloys(self, alloys: Sequence[LabeledAlloy], suffix: str = "") -> "Dataset":
         """Same universe, different rows; used by split/fold machinery."""
         return Dataset(self.name + suffix, tuple(alloys), self.universe)
@@ -205,6 +241,8 @@ def parse_composition(text: str, row: int | None = None) -> Alloy:
 
 
 BLOCK_ROWS = 4096  # rows per block; 65,536-row blocks took the cli-pipeline benchmark from 67 to 83 MB peak RSS
+_READ_CHARS = 1 << 16  # characters per read while a block's lines are gathered
+_ASCII_SPACES = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII white space of `str.isspace` besides line ends
 
 
 class RowBlock(NamedTuple):
@@ -237,11 +275,35 @@ def read_blocks(
     row-at-a-time reader would; in a file with several faults, another of
     them may be reported, such as a width fault before a content fault in
     an earlier row of the same block.
+
+    After the header, the file is read a block of BLOCK_ROWS lines at a
+    time, and the input picks each block's path. A regular block is split
+    as text, with no Python list per row: its lines are joined with a NUL
+    cell between them, one `str.split(",")` lists its cells, and every
+    column is one slice of them. A block is regular when the csv module
+    would read each of its lines as one row of the header's width with no
+    quoting and no blank cell: it holds no `"` and no NUL, its lines end
+    all in `\\n` or all in `\\r\\n` and hold no other `\\r`, every line has
+    the header's width in cells, and no cell is empty, white space or
+    beyond the csv field size limit. Store and dataset files as this
+    library writes them are regular throughout. The first block that is
+    not regular, and the rest of the file after it, go through the csv
+    module, the one reader of quoted, ragged and blank rows: a quoted cell
+    may span lines, so once quotes appear, lines are no longer rows. Both
+    paths yield the same rows and cells and raise the same errors. Bytes
+    that are not UTF-8 raise the error of reading the file line by line,
+    whose message names the byte by its place in that reading.
     """
     path = Path(path)
+    try:
+        yield from _read_blocks(path, columns, optional)
+    except UnicodeDecodeError as exc:
+        raise _decode_fault(path, exc) from None
+
+
+def _read_blocks(path: Path, columns: Sequence[str], optional: Sequence[str]) -> Iterator[RowBlock]:
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _next_rows(reader, 1, path)
+        header = _next_rows(csv.reader(fh), 1, path)
         if not header:
             raise ParseError(f"{path} is empty", 1)
         header = [h.strip().lower() for h in header[0]]
@@ -252,40 +314,114 @@ def read_blocks(
         if repeated:
             raise ParseError(f"header names column {repeated[0]!r} more than once", 1)
         width = len(header)
-        take = [header.index(name) for name in columns]
-        needed = max(take) + 1
         # absent optional columns read index `width`, beyond every row
+        take = [header.index(name) for name in columns]
         take_optional = [header.index(name) if name in header else width for name in optional]
         start = 2
-        while rows := _next_rows(reader, BLOCK_ROWS, path):
-            numbers = np.arange(start, start + len(rows))
-            start += len(rows)
-            filled = list(map(bool, map(str.strip, map("".join, rows))))
-            if not all(filled):
-                rows = list(compress(rows, filled))
-                numbers = numbers[np.array(filled, dtype=bool)]
-                if not rows:
-                    continue
-            lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-            misfit = (lengths < needed) | (lengths > width)
-            if misfit.any():
-                i = int(np.argmax(misfit))
-                if lengths[i] < needed:
-                    raise ParseError(f"expected at least {needed} columns, got {lengths[i]}", int(numbers[i]))
-                raise ParseError(f"expected at most {width} columns, as in the header, got {lengths[i]}",
-                                 int(numbers[i]))
-            cells = [list(map(itemgetter(i), rows)) for i in take]
-            cells += [[row[i] if i < len(row) else "" for row in rows] for i in take_optional]
-            yield RowBlock(numbers, cells)
+        for lines, unread in _line_blocks(fh):
+            cells = _regular_cells(lines, width)
+            if cells is None:
+                # the text from this block on, cut at a line end, then the rest of the file
+                reader = csv.reader(chain(io.StringIO(unread + fh.readline(), newline=""), fh))
+                yield from _csv_blocks(reader, path, start, width, take, take_optional)
+                return
+            n = len(lines)
+            yield RowBlock(np.arange(start, start + n),
+                           [cells[i::width + 1] if i < width else [""] * n for i in (*take, *take_optional)])
+            start += n
+
+
+def _line_blocks(fh) -> Iterator[tuple[list[str], str]]:
+    """The rest of a text file in blocks of BLOCK_ROWS lines (fewer in the
+    last), each with the text not yet yielded, from the block's first line
+    to the end of what was read. A block's lines end as its first line
+    does, with "\\r\\n" or with "\\n", and hold no line end of that kind."""
+    rest = ""
+    while True:
+        pieces, ends = [rest], rest.count("\n")
+        while ends < BLOCK_ROWS and (piece := fh.read(_READ_CHARS)):
+            pieces.append(piece)
+            ends += piece.count("\n")
+        unread = "".join(pieces)
+        if not unread:
+            return
+        first_end = unread.find("\n")
+        lines = unread.split("\r\n" if unread[first_end - 1:first_end] == "\r" else "\n", BLOCK_ROWS)
+        rest = lines.pop()
+        if ends < BLOCK_ROWS and rest:  # the file's last line, with no line end
+            lines.append(rest)
+            rest = ""
+        yield lines, unread
+
+
+def _regular_cells(lines: list[str], width: int) -> list[str] | None:
+    """The cells of a regular block of lines (see `read_blocks`), row by
+    row with a NUL cell after each row but the last, or None."""
+    # with a NUL cell between lines, the lines all hold `width` cells exactly
+    # when every (width + 1)-th cell is one and the text holds no other NUL
+    n = len(lines)
+    text = ",\x00,".join(lines)
+    if '"' in text or "\r" in text or "\n" in text or text.count("\x00") != n - 1:
+        return None  # quotes, a line end of another kind, or a NUL
+    if not text or text[0] == "," or text[-1] == "," or ",," in text:
+        return None  # an empty cell
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    cells = text.split(",")
+    if len(cells) != n * (width + 1) - 1 or cells[width::width + 1].count("\x00") != n - 1:
+        return None
+    if (not text.isascii() or any(map(text.__contains__, _ASCII_SPACES))) and any(map(str.isspace, cells)):
+        return None
+    return cells
+
+
+def _csv_blocks(reader, path: Path, start: int, width: int, take: list[int],
+                take_optional: list[int]) -> Iterator[RowBlock]:
+    """The blocks of the rows of a csv reader, numbered from `start`."""
+    needed = max(take) + 1
+    while rows := _next_rows(reader, BLOCK_ROWS, path):
+        numbers = np.arange(start, start + len(rows))
+        start += len(rows)
+        filled = list(map(bool, map(str.strip, map("".join, rows))))
+        if not all(filled):
+            rows = list(compress(rows, filled))
+            numbers = numbers[np.array(filled, dtype=bool)]
+            if not rows:
+                continue
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        misfit = (lengths < needed) | (lengths > width)
+        if misfit.any():
+            i = int(np.argmax(misfit))
+            if lengths[i] < needed:
+                raise ParseError(f"expected at least {needed} columns, got {lengths[i]}", int(numbers[i]))
+            raise ParseError(f"expected at most {width} columns, as in the header, got {lengths[i]}",
+                             int(numbers[i]))
+        cells = [list(map(itemgetter(i), rows)) for i in take]
+        cells += [[row[i] if i < len(row) else "" for row in rows] for i in take_optional]
+        yield RowBlock(numbers, cells)
 
 
 def _next_rows(reader, n: int, path: Path) -> list[list[str]]:
-    """Up to n more rows of a csv reader; bytes that are not UTF-8 and CSV
-    the csv module rejects raise ParseError."""
+    """Up to n more rows of a csv reader; CSV the csv module rejects
+    raises ParseError."""
     try:
         return list(islice(reader, n))
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except csv.Error as exc:
         raise ParseError(f"{path} is not UTF-8 CSV: {exc}") from None
+
+
+def _decode_fault(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    """ParseError for bytes of `path` that are not UTF-8, with the message
+    of reading the file line by line through the csv module. That message
+    names the byte by its place in the chunk the line reader decoded, and
+    block reads decode other chunks."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            deque(csv.reader(fh), maxlen=0)
+        except (UnicodeDecodeError, csv.Error) as line_exc:
+            exc = line_exc
+    return ParseError(f"{path} is not UTF-8 CSV: {exc}")
 
 
 def parse_dataset(

@@ -23,7 +23,6 @@ above the inputs, against 19.7-20.4 s and 966 MB.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,10 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloys import Alloy
+from .alloys import Alloy, element_words, key_width
 from .belief import from_weights
 from .errors import MatrixMalformed, TooFewAlloys, TooFewElements
-from .md_evidence import KeyTable, SimilarityStore, element_words, key_width, pack_keys
+from .md_evidence import KeyTable, SimilarityStore, pack_keys
 
 __all__ = [
     "Dendrogram",
@@ -45,7 +44,8 @@ __all__ = [
 ]
 
 _VACUOUS_DISTANCE = 0.5  # pignistic dissimilarity of an unobserved pair
-_BLOCK_CELLS = 1 << 17  # pairs compared per block of rows
+_BLOCK_CELLS = 1 << 17  # pairs compared per block of rows, and cells written per block of rows
+_QUOTED = ',"\r\n'  # characters that make csv.writer quote a cell
 
 
 def _distances(combinations: Sequence[Sequence[str]], store: SimilarityStore) -> np.ndarray:
@@ -207,12 +207,24 @@ def hac_complete(distances: np.ndarray, labels: Sequence[str]) -> Dendrogram:
     return Dendrogram(tuple(labels), tuple(merges))
 
 
-def write_matrix_csv(matrix: np.ndarray, labels: Sequence[str], path: str | Path) -> None:
-    """CSV with a leading header row and label column."""
-    matrix = np.asarray(matrix)
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + list(labels))
-        for label, row in zip(labels, matrix):
-            writer.writerow([label] + [f"{v:.17g}" for v in row])
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several cells: quoted,
+    with its quotes doubled, when it holds a comma, a quote or a line end."""
+    if any(c in text for c in _QUOTED):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
+
+def write_matrix_csv(matrix: np.ndarray, labels: Sequence[str], path: str | Path) -> None:
+    """CSV with a leading header row and label column, as csv.writer
+    writes it: each value with 17 significant digits. Each line is one
+    `%` format of its label and values, and a block of lines one write."""
+    matrix = np.asarray(matrix)
+    cells = [_csv_cell(label) for label in labels]
+    line = ",".join(["%s", *["%.17g"] * matrix.shape[-1]]) + "\r\n"
+    step = max(1, _BLOCK_CELLS // max(1, matrix.shape[-1]))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write((",".join(["", *cells]) if cells else '""') + "\r\n")  # csv.writer quotes a lone empty cell
+        for start in range(0, min(len(cells), len(matrix)), step):
+            rows = zip(cells[start:start + step], matrix[start:start + step].tolist())
+            fh.write("".join([line % (label, *row) for label, row in rows]))

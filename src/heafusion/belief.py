@@ -93,17 +93,20 @@ def to_weights(m_first, m_second, m_both):
     one weight 0; a mass with both singletons positive and m_both 0 has no
     weights and raises ValueError. Floats or arrays, as in `from_weights`.
     """
-    first, second, both = (np.asarray(m, dtype=float) for m in (m_first, m_second, m_both))
+    first, second, both = np.broadcast_arrays(*(np.asarray(m, dtype=float) for m in (m_first, m_second, m_both)))
     if np.any((both == 0.0) & (first > 0.0) & (second > 0.0)):
         raise ValueError("a mass with both singletons positive and no ignorance has no weights of evidence")
     weights = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for m in (first, second):
-            w = np.log1p(m / both)
+            w = np.log1p(m / both, out=np.empty(both.shape))
             # m / m_both overflows only for a subnormal m_both, where m dwarfs it
-            w = np.where(np.isinf(w) & (both > 0.0), np.log(m) - np.log(both), w)
-            weights.append(np.where(m == 0.0, 0.0, w))
-    return _scalar_or_array(tuple(weights), np.ndim(weights[0]))
+            over = np.isinf(w) & (both > 0.0)
+            if over.any():
+                w[over] = np.log(m[over]) - np.log(both[over])
+            w[m == 0.0] = 0.0
+            weights.append(w)
+    return _scalar_or_array(tuple(weights), both.ndim)
 
 
 def discount_weights(w_first, w_second, gamma: float):

@@ -28,10 +28,8 @@ from .md_evidence import (
     KeyTable,
     SimilarityStore,
     analogy_weight,
-    element_words,
     evidence_weight,
     extract_all,
-    key_width,
     pair_counts,
     substitution_limit,
 )
@@ -67,10 +65,8 @@ def grid_search_alpha(
     alphas = sorted(set(grid))
     weights = [evidence_weight(alpha) for alpha in alphas]
     labels = dataset.labels()
-    index = dataset.element_index()
-    alloys = [la.alloy for la in dataset.alloys]
-    words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
-    max_subst_size = substitution_limit(alloys, max_subst_size)
+    words = dataset.words
+    max_subst_size = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
     totals = np.zeros(len(alphas))
     for rep in range(repeats):
         for train_idx, test_idx in kfold_indices(labels, folds, seed + rep):

@@ -45,9 +45,7 @@ from .md_evidence import (
     KeyTable,
     SimilarityStore,
     analogy_weight,
-    element_words,
     informative_pairs,
-    key_width,
     largest_side,
     substitution_limit,
     union_rows,
@@ -104,10 +102,7 @@ def estimate_reliability(
     fold_of = np.empty(len(labels), dtype=np.intp)
     for f, (_, test) in enumerate(splits):
         fold_of[test] = f
-    alloys = [la.alloy for la in dataset.alloys]
-    max_size = substitution_limit(alloys, max_subst_size)
-    index = dataset.element_index()
-    words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
+    max_size = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
     aligned = [store.reindexed(dataset.bit_names) for store in stores]
     sizes = [min(largest_side(store), max_size) for store in aligned]
     groups = []
@@ -121,7 +116,7 @@ def estimate_reliability(
         for c, (j, rows) in enumerate(zip(members, positions)):
             columns[rows, c] = analogy_weight(aligned[j].w_first, aligned[j].w_second)
         groups.append((size, members, KeyTable(keys, columns)))
-    w_pos, w_neg = _cross_fold_weights(words, labels, fold_of, groups, len(stores))
+    w_pos, w_neg = _cross_fold_weights(dataset.words, labels, fold_of, groups, len(stores))
     totals = np.zeros(len(stores))
     for scores in columns_macro_f1(labels, w_pos, w_neg, fold_of, len(splits)):
         totals += scores

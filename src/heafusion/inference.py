@@ -42,10 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .alloys import Alloy, Dataset
+from .alloys import Alloy, Dataset, element_words, key_width
 from .belief import BinaryMass, from_weights, pignistic
 from .errors import CandidateInTraining, LengthMismatch, SingleClass
-from .md_evidence import KeyTable, SimilarityStore, element_words, informative_pairs, key_width, substitution_limit
+from .md_evidence import KeyTable, SimilarityStore, informative_pairs, substitution_limit
 
 __all__ = [
     "Prediction",
@@ -88,7 +88,7 @@ def analogy_weights(
     number of analogies.
 
     Candidates and hosts are (n, W) arrays of 32-bit mask words
-    (`md_evidence.element_words`). A candidate's analogies are its
+    (`alloys.element_words`). A candidate's analogies are its
     `informative_pairs` with the hosts, at most max_size elements a side;
     each adds its pair's weight from `table` (a `SimilarityStore.mask_view`;
     absent pairs weigh 0) to its host's class. With a (keys, k) weight
@@ -178,7 +178,9 @@ def predict_batch(
     for offset, e in enumerate(extra):
         index[e] = len(training.universe) + offset
     width = key_width(len(index))
-    host_words = element_words((la.alloy.elements for la in training.alloys), index, width)
+    host_words = training.words
+    if width > host_words.shape[1]:  # the candidates' elements add a mask word
+        host_words = np.pad(host_words, ((0, 0), (0, width - host_words.shape[1])))
     host_labels = [la.label for la in training.alloys]
     table = store.mask_view(index)
     for c in candidates:

@@ -66,29 +66,47 @@ another word sorts them. This module alone reads the key layout; other
 modules size keys with `largest_side`.
 
 Store files are read and written a block of rows at a time, with no
-per-row Python loop: `read_store` takes blocks from `alloys.read_blocks`,
-parses each distinct side text and converts each distinct weight text
-once, and `write_store` formats each distinct side and weight bit pattern
-once, then writes each block of lines with one call. The benchmark's md
-store (66,063 rows, 8 distinct weights; 2-core Intel Xeon, Python 3.11,
-numpy 2.4, median of 9) reads in 0.15 s, against 0.22 s row by row, and
-writes in 0.10 s, against 0.18 s; a read's tracemalloc peak went from
-19.4 to 6.0 MB and a write's from 11.3 to 8.2 MB.
+Python list per row. `read_store` takes blocks from `alloys.read_blocks`,
+which splits a block of plain lines as text; per block, one lookup pass
+numbers the side texts and one the weight texts, each new side text is
+parsed once and each distinct weight text converted once per block.
+`write_store` orders the rows with one `argsort`, formats each distinct
+side with its comma and each distinct pair of weight bit patterns as a
+line tail once, and writes each block of lines as one join of those
+texts. On a 2-core Intel Xeon (Python 3.11, numpy 2.4; medians of 9), the
+benchmark's md store (66,063 rows) reads in 77-91 ms, against 154-166 ms
+with a `csv` list per row, and writes in 36-44 ms, against 94-98 ms; its
+fused store reads in 91-92 ms (128-166 ms) and writes in 45-47 ms (79-100
+ms). The full-scale Fe-fold md store (1,809,250 rows, 103 MB) is written
+byte-identical in 0.9-1.1 s, against 1.9-2.4 s, and reads back to the
+same `content_hash` in 2.2-3.0 s, against 3.7-4.7 s; the process's peak
+RSS is 180 MB after the read (192 MB) and 344 MB after a write that
+follows it (330 MB).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .alloys import BLOCK_ROWS, Alloy, Dataset, parse_symbols, read_blocks
+from .alloys import (
+    BLOCK_ROWS,
+    MASK_WORD_BITS,
+    Alloy,
+    Dataset,
+    element_words,
+    key_width,
+    parse_symbols,
+    read_blocks,
+)
 from .errors import AlphaOutOfRange, ConfigError, LengthMismatch, ParseError
 
 __all__ = [
@@ -105,8 +123,6 @@ __all__ = [
     "pair_counts",
     "counts_to_store",
     "evidence_weight",
-    "element_words",
-    "key_width",
     "largest_side",
     "pack_keys",
     "read_store",
@@ -172,38 +188,18 @@ def substitution_limit(alloys: Iterable[Alloy], max_subst_size: int | None) -> i
 # A pair key packs one 32-bit word of each side into a uint64, so masks are
 # split into W 32-bit words: one word for E1 and E2, at most four for the
 # 103-symbol element table.
-_WORD_BITS = 32
-_WORD = np.uint64(_WORD_BITS)
-_LOW = np.uint64((1 << _WORD_BITS) - 1)
+_WORD = np.uint64(MASK_WORD_BITS)
+_LOW = np.uint64((1 << MASK_WORD_BITS) - 1)
 _BLOCK_PAIRS = 1 << 17  # alloy pairs compared per block of first rows (`informative_pairs`)
 _MERGE_ROWS = 1 << 22  # pending pair rows before they are merged into the running counts
 _DICT_ROWS = 1 << 16  # keys converted to Python ints at a time
-
-
-def key_width(n_bits: int) -> int:
-    """Words per side mask for bit positions below n_bits (at least one)."""
-    return max(1, -(-n_bits // _WORD_BITS))
-
-
-def element_words(combinations: Iterable[Sequence[str]], index: Mapping[str, int], width: int) -> np.ndarray:
-    """(n, width) uint64 array of each element combination's bitmask under
-    index (element -> bit), split into 32-bit words, least significant
-    first: the one mask representation of the library."""
-    combinations = list(combinations)
-    sizes = [len(c) for c in combinations]
-    bits = np.fromiter((index[e] for c in combinations for e in c), dtype=np.int64, count=sum(sizes))
-    words = np.zeros((len(combinations), width), dtype=np.uint64)
-    # a combination's elements are distinct, so adding their bits is OR-ing them
-    np.add.at(words, (np.repeat(np.arange(len(combinations)), sizes), bits // _WORD_BITS),
-              np.uint64(1) << (bits % _WORD_BITS).astype(np.uint64))
-    return words
 
 
 def _words_to_ints(words: np.ndarray) -> list[int]:
     """Inverse of `element_words`: one mask as a Python int per row."""
     ints = words[:, -1].tolist()
     for w in range(words.shape[1] - 2, -1, -1):
-        ints = [hi << _WORD_BITS | lo for hi, lo in zip(ints, words[:, w].tolist())]
+        ints = [hi << MASK_WORD_BITS | lo for hi, lo in zip(ints, words[:, w].tolist())]
     return ints
 
 
@@ -387,7 +383,7 @@ def _both_halves(bits: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndar
     """Per group, the key word that sets the group's bits in both side
     masks; each bit is taken at its offset within its 32-bit word."""
     half = np.zeros(n_groups, dtype=np.uint64)
-    np.bitwise_or.at(half, groups, np.uint64(1) << (bits % _WORD_BITS).astype(np.uint64))
+    np.bitwise_or.at(half, groups, np.uint64(1) << (bits % MASK_WORD_BITS).astype(np.uint64))
     return half << _WORD | half
 
 
@@ -408,13 +404,13 @@ def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, 
         return _fit_width(keys, width), np.arange(len(keys))
     keys = _fit_width(keys, key_width(n_src))
     dropped = np.flatnonzero(bits < 0)
-    keep = ~(keys & _both_halves(dropped, dropped // _WORD_BITS, keys.shape[1])).any(axis=1)
+    keep = ~(keys & _both_halves(dropped, dropped // MASK_WORD_BITS, keys.shape[1])).any(axis=1)
     rows = np.flatnonzero(keep)
     words = keys.take(rows, axis=0)  # faster than a boolean index of 2-D rows
     kept = np.flatnonzero(bits >= 0)
     target = bits[kept]
-    source_word, target_word = kept // _WORD_BITS, target // _WORD_BITS
-    shift = target % _WORD_BITS - kept % _WORD_BITS  # -31..31
+    source_word, target_word = kept // MASK_WORD_BITS, target // MASK_WORD_BITS
+    shift = target % MASK_WORD_BITS - kept % MASK_WORD_BITS  # -31..31
     codes, group = np.unique((source_word * width + target_word) * 64 + shift + 31, return_inverse=True)
     out = np.zeros((len(words), width), dtype=np.uint64)
     for code, mask in zip(codes.tolist(), _both_halves(kept, group, len(codes))):
@@ -693,10 +689,8 @@ def pair_counts(words: np.ndarray, labels: Sequence[bool], max_size: int) -> Pai
 
 
 def _dataset_counts(dataset: Dataset, max_subst_size: int | None) -> PairCounts:
-    alloys = [la.alloy for la in dataset.alloys]
-    index = dataset.element_index()
-    words = element_words((alloy.elements for alloy in alloys), index, key_width(len(index)))
-    return pair_counts(words, dataset.labels(), substitution_limit(alloys, max_subst_size))
+    limit = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
+    return pair_counts(dataset.words, dataset.labels(), limit)
 
 
 def extract_counts(
@@ -759,36 +753,43 @@ def extract_all(dataset: Dataset, config: ExtractionConfig) -> SimilarityStore:
 
 
 _HEADER = ["combo_a", "combo_b", "w_similar", "w_dissimilar"]
-_LINE = "{},{},{},{}\r\n"  # a store row as csv.writer writes it: no cell needs quoting
+# Blocks whose columns `read_store` joins into one chunk as it reads. A
+# chunk's arrays (about 10 MB) are mapped apart from the heap and go back to
+# the OS once joined; block arrays stay in a heap that the reader's text has
+# fragmented. On the full-scale Fe-fold md store (1,809,250 rows) the
+# process's peak RSS after the read is 180 MB in chunks and 237 MB without.
+_CHUNK_BLOCKS = 64
+_END = "\r\n"  # a store row ends as csv.writer ends it; no cell of a store needs quoting
 
 
 def write_store(store: SimilarityStore, path: str | Path) -> None:
     """Serialize a store as CSV, rows sorted by combination pair; weights
     are written with 17 significant digits, or as `inf`, so the round-trip
-    is bit-exact. Each distinct side and each distinct weight bit pattern
-    (so -0.0 apart from 0.0) is formatted once, and lines are written a
-    block of rows at a time."""
+    is bit-exact. Each distinct side is formatted once with its comma, and
+    each distinct pair of weight bit patterns (so -0.0 apart from 0.0) once
+    as the tail of its lines; a block of lines is one join of those texts."""
     path = Path(path)
     names, first, second = store._named_sides()
-    order = np.lexsort((second, first))
+    order = np.argsort(first * len(names) + second)  # the keys are distinct, so are these codes
+    n = len(store)
     weights = np.concatenate((store.w_first[order], store.w_second[order])).astype(float, copy=False)
     patterns, weight_ids = np.unique(weights.view(np.uint64), return_inverse=True)
-    side_text = ["-".join(name) for name in names]
+    tail_codes, tail_ids = np.unique(weight_ids[:n] * len(patterns) + weight_ids[n:], return_inverse=True)
     weight_text = [f"{w:.17g}" for w in patterns.view(float).tolist()]
-    n = len(store)
-    columns = ((side_text, first[order]), (side_text, second[order]),
-               (weight_text, weight_ids[:n]), (weight_text, weight_ids[n:]))
+    tails = [f"{weight_text[c // len(patterns)]},{weight_text[c % len(patterns)]}{_END}" for c in tail_codes.tolist()]
+    side_text = np.array([f"{'-'.join(name)}," for name in names], dtype=object)
+    columns = (side_text, first[order]), (side_text, second[order]), (np.array(tails, dtype=object), tail_ids)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(_LINE.format(*_HEADER))
+        fh.write(",".join(_HEADER) + _END)
         for start in range(0, n, BLOCK_ROWS):
-            fh.write("".join(map(_LINE.format, *(
-                map(text.__getitem__, ids[start:start + BLOCK_ROWS].tolist()) for text, ids in columns
-            ))))
+            part = slice(start, start + BLOCK_ROWS)
+            fh.write("".join(np.stack([text[ids[part]] for text, ids in columns], axis=1).ravel().tolist()))
 
 
-def _first_holding(text: str, columns: Sequence[list[str]]) -> int:
-    """Index of the first row that holds text in one of the columns."""
-    return min(column.index(text) for column in columns if text in column)
+def _first_row(ids: np.ndarray, n: int, target: int) -> int:
+    """Position in a block's rows of the first row holding id `target` in
+    `ids`, the ids of two columns of n rows, one column after the other."""
+    return int(np.argmax((ids[:n] == target) | (ids[n:] == target)))
 
 
 def read_store(path: str | Path) -> SimilarityStore:
@@ -796,42 +797,45 @@ def read_store(path: str | Path) -> SimilarityStore:
     that are negative, NaN or both infinite, sides that overlap and a
     repeated pair raise ParseError with the row number.
 
-    A store repeats few distinct sides and weights over many rows, so each
-    distinct side text is parsed and each distinct weight text converted
-    once, and the rows' ids and weights are gathered a block at a time.
+    A store repeats few distinct sides and weights over many rows. Per
+    block, one lookup pass numbers the side texts and one the weight
+    texts, each new text taking the next number; each new side text is
+    parsed once per file, each distinct weight text converted once per
+    block, and the numbers index the block's columns.
     """
     path = Path(path)
-    side_ids: dict[str, int] = {}
+    side_ids: defaultdict[str, int] = defaultdict(count().__next__)
     sides: list[list[str]] = []
-    values: dict[str, float] = {}
-    blocks: list[tuple[np.ndarray, ...]] = [
+    blocks: list[tuple[np.ndarray, ...]] = []
+    chunks: list[tuple[np.ndarray, ...]] = [
         (np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),) * 2  # the columns of an empty store
     ]
     for block in read_blocks(path, _HEADER):
         combo_a, combo_b, w_similar, w_dissimilar = block.columns
-        for side in dict.fromkeys(chain(combo_a, combo_b)):
-            if side not in side_ids:
-                try:
-                    sides.append(parse_symbols(side))
-                except ParseError as exc:
-                    i = _first_holding(side, (combo_a, combo_b))
-                    raise ParseError(str(exc), int(block.rows[i])) from None
-                side_ids[side] = len(side_ids)
-        for text in dict.fromkeys(chain(w_similar, w_dissimilar)):
-            if text not in values:
-                try:
-                    values[text] = float(text)
-                except ValueError:
-                    i = _first_holding(text, (w_similar, w_dissimilar))
-                    raise ParseError(f"weights must be numbers, got {w_similar[i]!r} and {w_dissimilar[i]!r}",
-                                     int(block.rows[i])) from None
         n = len(combo_a)
-        ids = [np.fromiter(map(side_ids.__getitem__, column), dtype=np.intp, count=n) for column in (combo_a, combo_b)]
-        weights = [np.fromiter(map(values.__getitem__, column), dtype=float, count=n)
-                   for column in (w_similar, w_dissimilar)]
-        blocks.append((block.rows, *ids, *weights))
-    linenos, first, second, w_first, w_second = map(np.concatenate, zip(*blocks))
-    del blocks  # copied into the columns above
+        side_of = np.fromiter(map(side_ids.__getitem__, chain(combo_a, combo_b)), dtype=np.intp, count=2 * n)
+        for side in islice(side_ids, len(sides), None):
+            try:
+                sides.append(parse_symbols(side))
+            except ParseError as exc:
+                raise ParseError(str(exc), int(block.rows[_first_row(side_of, n, len(sides))])) from None
+        value_ids: defaultdict[str, int] = defaultdict(count().__next__)
+        value_of = np.fromiter(map(value_ids.__getitem__, chain(w_similar, w_dissimilar)), dtype=np.intp, count=2 * n)
+        values = []
+        for text in value_ids:
+            try:
+                values.append(float(text))
+            except ValueError:
+                i = _first_row(value_of, n, len(values))
+                raise ParseError(f"weights must be numbers, got {w_similar[i]!r} and {w_dissimilar[i]!r}",
+                                 int(block.rows[i])) from None
+        weights = np.array(values, dtype=float)[value_of]
+        blocks.append((block.rows, side_of[:n], side_of[n:], weights[:n], weights[n:]))
+        if len(blocks) == _CHUNK_BLOCKS:
+            chunks.append(tuple(map(np.concatenate, zip(*blocks))))
+            blocks.clear()
+    linenos, first, second, w_first, w_second = map(np.concatenate, zip(*chunks, *blocks))
+    del chunks, blocks  # copied into the columns above
     w_first += 0.0  # -0.0 reads as 0.0
     w_second += 0.0
     elements = tuple(sorted({e for side in sides for e in side}))

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import kfold_indices, parse_symbols
+from heafusion.alloys import element_words, key_width, kfold_indices, parse_symbols
 from heafusion.belief import discount_weights, from_weights, pignistic
 from heafusion.errors import (
     AlphaOutOfRange,
@@ -42,9 +42,7 @@ from heafusion.md_evidence import (
     CombinationPair,
     PairCounts,
     analogy_weight,
-    element_words,
     evidence_weight,
-    key_width,
     pack_keys,
 )
 
@@ -108,6 +106,20 @@ def discount(m: BinaryMass, gamma: float) -> BinaryMass:
     return BinaryMass(*discount_masses(m.as_tuple(), gamma))
 
 
+def to_weights_reference(m_first, m_second, m_both):
+    """`belief.to_weights` on arrays with its fallback for an overflowing
+    m / m_both computed for every entry: w = ln(1 + m / m_both), or
+    ln m - ln m_both where that overflows, and 0 where m is 0."""
+    first, second, both = (np.asarray(m, dtype=float) for m in (m_first, m_second, m_both))
+    weights = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in (first, second):
+            w = np.log1p(m / both)
+            w = np.where(np.isinf(w) & (both > 0.0), np.log(m) - np.log(both), w)
+            weights.append(np.where(m == 0.0, 0.0, w))
+    return tuple(weights)
+
+
 def support_weight(m_rest):
     """Weight of evidence -ln(1 - s) of the support s = m_first of a mass,
     given m_rest = m_second + m_both: clipped at 0 for masses whose
@@ -130,7 +142,7 @@ def alloy_masks(alloys: Iterable[Alloy], index: Mapping[str, int]) -> list[int]:
 
 def mask_words(masks: Sequence[int], width: int | None = None) -> np.ndarray:
     """(n, W) uint64 array of each integer mask's 32-bit words, least
-    significant first, as `md_evidence.element_words` lays masks out; W
+    significant first, as `alloys.element_words` lays masks out; W
     defaults to the words the highest set bit needs."""
     if width is None:
         width = key_width(max(masks, default=0).bit_length())
@@ -676,6 +688,15 @@ def write_store_reference(store: SimilarityStore, path: str | Path) -> None:
         writer.writerow(STORE_HEADER)
         for pair, (w1, w2) in sorted(store.items()):
             writer.writerow(["-".join(pair.first), "-".join(pair.second), f"{w1:.17g}", f"{w2:.17g}"])
+
+
+def write_matrix_csv_reference(matrix: np.ndarray, labels: Sequence[str], path: str | Path) -> None:
+    """`analysis.write_matrix_csv` one row at a time through `csv.writer`."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([""] + list(labels))
+        for label, row in zip(labels, np.asarray(matrix)):
+            writer.writerow([label] + [f"{v:.17g}" for v in row])
 
 
 def read_rows_reference(path: str | Path, columns: Sequence[str]) -> Iterable[tuple[int, list[str]]]:

@@ -1,11 +1,16 @@
 """Alloy representation, dataset parsing, and combination enumeration."""
 
+import csv
+import tempfile
 from math import comb
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heafusion import alloys
 from heafusion.alloys import (
     ELEMENT_SYMBOLS,
     UNIVERSES,
@@ -18,6 +23,8 @@ from heafusion.alloys import (
     serialize_dataset,
 )
 from heafusion.errors import EmptyDataset, KTooLarge, ParseError
+
+from oracles import read_rows_reference
 
 
 class TestAlloy:
@@ -172,6 +179,127 @@ class TestReadRows:
         with pytest.raises(ParseError, match=message) as info:
             read_rows(f, ("a", "b"))
         assert info.value.row == row
+
+
+_PLAIN_CELLS = st.text(alphabet="ab01.-", min_size=1, max_size=4)
+# cells that send a block to the csv module: empty, white space, quoted
+# (with a comma, a doubled quote or a line break inside), NUL, a lone CR
+# and a stray quote; and some that do not: non-ASCII text that is not
+# white space, and white space beside other text
+_ODD_CELLS = st.sampled_from([
+    "", " ", "\t", "\u2003", "\x1c", "\x85", '"q,uoted"', '"say ""hi"""', '"line\nbreak"', '"two\r\nlines"',
+    '"cr\rin"', '""', "nul\x00", "\x00", "cr\rsplit", 'mid"quote', "\u00e9t\u00e9", "\ufeffx", "x y", " x",
+])
+_BLANK_ROWS = st.sampled_from(["", ",,", " , ,\t", "\t,, ", " ,\u2003, ", "\x1c, , ", " ", ",,,"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text of a header and rows of three plain cells with one line
+    end, with a few faults put in: odd cells, blank rows, rows of another
+    width, a cell moved to the next row, lines with another line end; a
+    byte-order mark or not, a final line end or not."""
+    header = draw(st.sampled_from(["a,b,c", " A ,b,C", "c,b,a", "a,b,c,d", "a,c", '"a",b,"c"']))
+    rows = [[draw(_PLAIN_CELLS) for _ in range(3)] for _ in range(draw(st.integers(0, 14)))]
+    style = draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]))
+    ends = [style] * (len(rows) + 1)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["cell", "blank", "width", "shift", "end"]))
+        if fault == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_ODD_CELLS)
+        elif fault == "blank":
+            rows[i] = [draw(_BLANK_ROWS)]
+        elif fault == "width":
+            rows[i] = rows[i][:draw(st.integers(0, 2))] or [draw(_PLAIN_CELLS)] * 4
+        elif fault == "shift" and len(rows[i]) > 1:
+            rows[i - 1].append(rows[i].pop())  # row -1 is the last when i is 0
+        elif fault == "end":
+            ends[i + 1] = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [header, *(",".join(row) for row in rows)]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def outcome(read):
+    """The rows a reader returns, or the type, row and message of the
+    ParseError it raises."""
+    try:
+        return read(), None
+    except ParseError as exc:
+        return None, (type(exc), exc.row, str(exc))
+
+
+class TestReaderPaths:
+    @settings(max_examples=1000, deadline=None)
+    @given(text=csv_texts(), block_rows=st.integers(1, 5), read_chars=st.integers(1, 7),
+           columns=st.sampled_from([("a", "c"), ("c", "a", "b"), ("b",)]))
+    def test_blocks_match_row_reference(self, text, block_rows, read_chars, columns):
+        """Small blocks and reads switch from text-split to csv blocks at
+        any row; the rows, cells and errors stay those of reading the file
+        one row at a time."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(alloys, "BLOCK_ROWS", block_rows), \
+                 mock.patch.object(alloys, "_READ_CHARS", read_chars):
+                got = outcome(lambda: read_rows(path, columns))
+            want = outcome(lambda: [(row, cells) for row, cells in read_rows_reference(path, columns)])
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "a,b,c\nx,y,z\n,,\np,q,r\n",  # a blank row of empty cells
+        "a,b,c\nx,y,z\n , ,\t\np,q,r\n",  # a blank row of white space
+        "a,b\n,\nx,y\n",  # a blank first row
+        "a,b\nx,y\n,\n",  # a blank last row
+        "a\n\nb\n",  # a blank first row of one cell
+        "a\nb\n\n",  # a blank last row of one cell
+        "a,b,c\nx,y\nz,w,v,u\n",  # rows short and long by one cell
+        "a,b,c\nx,y\n\x00,z,w,v\n",  # the same, with a NUL cell where a row would end
+        'a,b,c\nx,"y,z",w\np,q,r\n',  # a quoted comma
+        'a,b,c\nx,"y\nz",w\np,q,r\n',  # a quoted line end
+        "a,b,c\nx,y\rz,w\np,q,r\n",  # a lone CR
+        "a,b,c\r\nx,y,z\np,q,r\r\n",  # mixed line ends
+    ])
+    def test_near_regular_blocks_match_row_reference(self, tmp_path, text):
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        columns = ("a",) if text.startswith("a\n") else ("a", "b")
+        want = outcome(lambda: [(row, cells) for row, cells in read_rows_reference(path, columns)])
+        assert outcome(lambda: read_rows(path, columns)) == want
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n"])
+    def test_regular_file_is_split_as_text(self, tmp_path, ends):
+        """A file of plain rows never reaches the csv module past its header."""
+        lines = ["composition,label", *(f"Fe-Co-X{i},{i % 2}" for i in range(10))]
+        path = tmp_path / "r.csv"
+        path.write_text(ends.join(lines) + ends, encoding="utf-8", newline="")
+        with mock.patch.object(alloys, "BLOCK_ROWS", 3), \
+             mock.patch.object(alloys, "_csv_blocks", side_effect=AssertionError("csv path taken")):
+            assert read_rows(path, ("label",)) == [(i + 2, [str(i % 2)]) for i in range(10)]
+
+    def test_cell_beyond_the_csv_field_limit_is_refused(self, tmp_path):
+        """A plain block with a cell longer than the csv module allows is
+        refused as that module refuses it."""
+        path = tmp_path / "r.csv"
+        path.write_text("a,b\n1,2\n3," + "x" * 300 + "\n")
+        limit = csv.field_size_limit(200)
+        try:
+            with pytest.raises(ParseError, match=r"field larger than field limit \(200\)"):
+                read_rows(path, ("a", "b"))
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_bytes_not_utf8_report_as_line_reading_does(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xff\n")
+        with pytest.raises(ParseError) as info:
+            read_rows(path, ("a", "b"))
+        with pytest.raises(UnicodeDecodeError) as reference:
+            list(read_rows_reference(path, ("a", "b")))
+        assert str(info.value) == f"{path} is not UTF-8 CSV: {reference.value}"
 
 
 class TestEnumeration:

@@ -18,7 +18,12 @@ from heafusion.errors import MatrixMalformed
 from heafusion.md_evidence import CombinationPair
 
 from conftest import mass_store as store_of
-from oracles import complete_linkage_oracle, element_distance_reference, hybrid_distance_reference
+from oracles import (
+    complete_linkage_oracle,
+    element_distance_reference,
+    hybrid_distance_reference,
+    write_matrix_csv_reference,
+)
 
 
 class TestElementDistance:
@@ -255,6 +260,28 @@ class TestDendrogramExports:
 
 
 class TestMatrixCsv:
+    @pytest.mark.parametrize("labels", [
+        ("Cu", "Zn", "Fe", "Ni"),
+        ("a,b", 'say "x"', "line\nend", "cr\rx"),  # labels csv.writer quotes
+        ("", " ", "'", "%s"),
+    ])
+    @pytest.mark.parametrize("block_cells", [1, 5, 1 << 17])
+    def test_bytes_match_csv_writer(self, tmp_path, monkeypatch, labels, block_cells):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(block_cells)
+        matrix = rng.random((4, 4)) * 10.0 ** rng.integers(-300, 300, (4, 4))
+        matrix[0, 1], matrix[1, 2], matrix[2, 0], matrix[1, 1], matrix[3, 3] = -0.0, np.inf, np.nan, 5e-324, 0.5
+        written, reference = tmp_path / "m.csv", tmp_path / "reference.csv"
+        write_matrix_csv(matrix, labels, written)
+        write_matrix_csv_reference(matrix, labels, reference)
+        assert written.read_bytes() == reference.read_bytes()
+
+    def test_empty_matrix_matches_csv_writer(self, tmp_path):
+        written, reference = tmp_path / "m.csv", tmp_path / "reference.csv"
+        write_matrix_csv(np.zeros((0, 0)), (), written)
+        write_matrix_csv_reference(np.zeros((0, 0)), (), reference)
+        assert written.read_bytes() == reference.read_bytes() == b'""\r\n'
+
     def test_labeled_round_trip(self, tmp_path):
         matrix = np.array([[0.0, 0.25], [0.25, 0.0]])
         path = tmp_path / "m.csv"

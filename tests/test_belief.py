@@ -17,7 +17,7 @@ from heafusion.errors import GammaOutOfRange, TotalConflict
 from heafusion.md_evidence import analogy_weight
 
 from conftest import combine_weights as combine, masses
-from oracles import combine_exact, conflict, discount, support_weight, vacuous
+from oracles import combine_exact, conflict, discount, support_weight, to_weights_reference, vacuous
 
 
 def combine_all(ms):
@@ -166,6 +166,32 @@ class TestToWeights:
     def test_round_trip(self, m):
         assume(has_weights(m))
         approx_mass(BinaryMass(*from_weights(*to_weights(*m.as_tuple()))), m.as_tuple(), tol=1e-12)
+
+    @pytest.mark.parametrize("seed, kind", enumerate(["zeros", "subnormal-both", "inf", "random"]))
+    def test_bits_match_the_everywhere_fallback(self, seed, kind):
+        """The overflow fallback, computed only where m / m_both
+        overflows, gives the same bits as computing it for every entry."""
+        rng = np.random.default_rng(seed)
+        n = 1000
+        m = rng.dirichlet((1.0, 1.0, 1.0), n)
+        if kind == "zeros":
+            m[rng.random(n) < 0.3, 0] = 0.0
+            m[rng.random(n) < 0.3, 1] = 0.0
+            m[rng.random(n) < 0.1, 2] = 0.0
+            m[m[:, 2] == 0.0, 1] = 0.0  # no ignorance leaves one singleton at most
+        elif kind == "subnormal-both":
+            m[: n // 2, 2] = rng.choice([5e-324, 1e-320, 2.2e-308, 1e-300], n // 2)
+            m[rng.random(n) < 0.2, 0] = 0.0
+        elif kind == "inf":
+            m[rng.random(n) < 0.3, 2] = 0.0
+            m[m[:, 2] == 0.0, 1] = 0.0
+            m[rng.random(n) < 0.2, 0] = np.inf
+        got, want = to_weights(*m.T), to_weights_reference(*m.T)
+        for g, w in zip(got, want):
+            assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+        for i in rng.choice(n, 20, replace=False).tolist():  # scalars take the same path
+            scalar = to_weights(*m[i].tolist())
+            assert [np.float64(x).view(np.uint64) for x in scalar] == [w[i].view(np.uint64) for w in want]
 
 
 class TestConflict:

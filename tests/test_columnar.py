@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
-from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, kfold_indices
+from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words, key_width, kfold_indices
 from heafusion.belief import to_weights
 from heafusion.errors import DegenerateDataset, TotalConflict
 from heafusion.fusion import SourceReliability, _cross_fold_weights, estimate_reliability, fuse
@@ -18,10 +18,8 @@ from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
     KeyTable,
-    element_words,
     evidence_weight,
     extract_all,
-    key_width,
     pack_keys,
     pair_counts,
     read_store,
@@ -119,7 +117,7 @@ def _case(rng, case):
 def test_kernels_match_reference_implementations(tmp_path):
     rng = random.Random(4242)
     path = tmp_path / "store.csv"
-    seen = {"wide": 0, "extra_candidates": 0, "outside_store": 0, "partial_keys": 0, "gammas": set()}
+    seen = {"wide": 0, "extra_candidates": 0, "widened": 0, "outside_store": 0, "partial_keys": 0, "gammas": set()}
     for case in range(1000):
         dataset, extra, candidates = _case(rng, case)
         alpha = rng.uniform(0.01, 0.9)
@@ -153,11 +151,15 @@ def test_kernels_match_reference_implementations(tmp_path):
 
         seen["wide"] += len(dataset.universe) > 64
         seen["extra_candidates"] += any(set(c.elements) - set(dataset.universe) for c in candidates)
+        # the candidates' extra elements add a mask word to the hosts' `Dataset.words`
+        seen["widened"] += key_width(len(set(dataset.universe).union(*(c.elements for c in candidates)))) > \
+            key_width(len(dataset.universe))
         seen["outside_store"] += any(set(s.elements) - set(dataset.universe) for s in experts)
         keys = [{p for p, _ in s.items()} for _, s in stores]
         seen["partial_keys"] += any(len(set.union(*keys)) > len(k) for k in keys if k)
         seen["gammas"].update(gammas.values())
-    assert seen["wide"] and seen["extra_candidates"] and seen["outside_store"] and seen["partial_keys"]
+    assert seen["wide"] and seen["extra_candidates"] and seen["widened"] and seen["outside_store"]
+    assert seen["partial_keys"]
     assert {0.0, 1.0} <= seen["gammas"] and len(seen["gammas"]) > 2
 
 

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore, inference
+from heafusion.alloys import element_words
 from heafusion.belief import to_weights
 from heafusion.errors import CandidateInTraining, LengthMismatch, TotalConflict
 from heafusion.inference import classify, predict_batch
-from heafusion.md_evidence import CombinationPair, counts_to_store, element_words, read_store, write_store
+from heafusion.md_evidence import CombinationPair, counts_to_store, read_store, write_store
 
 from conftest import as_dataset, mass_store as store_of, planted_group_store, random_dataset
 from oracles import (

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
-from heafusion.alloys import ELEMENT_SYMBOLS
+from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore, md_evidence
+from heafusion.alloys import ELEMENT_SYMBOLS, element_words
 from heafusion.belief import from_weights
 from heafusion.errors import AlphaOutOfRange, LengthMismatch, ParseError
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
     counts_to_store,
-    element_words,
     evidence_weight,
     extract_all,
     extract_counts,
@@ -320,18 +319,23 @@ def store_text_with(line, row):
 def reference_store(kind, rng):
     """A seeded store of one kind: `extremes` holds inf, subnormal, huge
     and signed-zero weights, `distinct` a different weight in every cell,
-    `multi-word` sides over the whole 103-symbol table (four key words),
-    `many-rows` more rows than one reader block."""
+    `weight-pairs` many distinct pairs of 30 weights that include signed
+    zeros, subnormals and inf, `multi-word` sides over the whole 103-symbol
+    table (four key words), `many-rows` more rows than one reader block."""
     symbols = list(ELEMENT_SYMBOLS[:12] if kind == "extremes" else ELEMENT_SYMBOLS)
     unit = evidence_weight(0.1)
+    pool = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1 + 0.2, 1 / 3, 1e300, math.inf,
+            *(k * unit for k in range(1, 22))]
+    pairs = [(a, b) for a in pool for b in pool if not a == b == math.inf]
     weights = {
         "extremes": lambda: rng.choice([(math.inf, 0.0), (0.0, math.inf), (5e-324, 1e308), (-0.0, 0.5),
                                         (0.1 + 0.2, 0.0), (1100 * evidence_weight(0.5), 5e-324)]),
         "distinct": lambda: (rng.random() * 10 ** rng.randint(-300, 300), rng.random()),
+        "weight-pairs": lambda: rng.choice(pairs),
         "multi-word": lambda: (rng.randint(0, 9) * unit, rng.randint(0, 9) * unit),
         "many-rows": lambda: (rng.randint(0, 30) * unit, rng.randint(0, 30) * unit),
     }[kind]
-    size = {"extremes": 300, "distinct": 3_000, "multi-word": 3_000, "many-rows": 9_000}[kind]
+    size = {"extremes": 300, "distinct": 3_000, "weight-pairs": 3_000, "multi-word": 3_000, "many-rows": 9_000}[kind]
     entries = {}
     while len(entries) < size:
         chosen = rng.sample(symbols, rng.randint(2, 6))
@@ -423,8 +427,9 @@ class TestSerialization:
             read_store_reference(path)
         assert (type(info.value), str(info.value)) == (type(reference.value), str(reference.value))
 
-    @pytest.mark.parametrize("kind", ["extremes", "distinct", "multi-word", "many-rows"])
-    def test_block_io_matches_row_reference(self, tmp_path, kind):
+    @pytest.mark.parametrize("kind", ["extremes", "distinct", "weight-pairs", "multi-word", "many-rows"])
+    def test_block_io_matches_row_reference(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(md_evidence, "_CHUNK_BLOCKS", 2)  # the 9,000-row store reads as a chunk and a block
         store = reference_store(kind, random.Random(f"store-io:{kind}"))
         written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
         write_store(store, written)
