@@ -529,13 +529,15 @@ def _cmd_tune_alpha(args: argparse.Namespace) -> None:
     grid = (
         [_number(a, "grid") for a in args.grid.split(",")] if args.grid else list(DEFAULT_ALPHA_GRID)
     )
+    scores: dict[float, float] = {}
     best = grid_search_alpha(
         dataset, grid=grid, folds=args.folds, repeats=args.repeats, seed=args.seed,
-        max_subst_size=args.max_subst_size,
+        max_subst_size=args.max_subst_size, scores=scores,
     )
     out = _out_path(args, args.out)
     out.write_text(json.dumps({"alpha": best, "grid": grid}, indent=2) + "\n", encoding="utf-8")
-    _write_metadata(args, [out.name], {"alpha": best})
+    alpha_scores = [{"alpha": alpha, "mean_macro_f1": score} for alpha, score in scores.items()]
+    _write_metadata(args, [out.name], {"alpha": best, "alpha_scores": alpha_scores})
 
 
 def _cmd_cluster(args: argparse.Namespace) -> None:

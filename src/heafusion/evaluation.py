@@ -45,16 +45,12 @@ def grid_search_alpha(
     repeats: int = 3,
     seed: int = 42,
     max_subst_size: int | None = None,
+    scores: dict[float, float] | None = None,
 ) -> float:
     """Pick the evidence weight alpha maximizing mean CV macro-F1 of the
     dataset-evidence-only predictor; ties break toward the smallest alpha,
-    and each distinct alpha of the grid is scored once.
-
-    The fold pair scan is alpha-independent (it only counts agreeing and
-    disagreeing evidence), so each fold is scanned once; every grid point
-    turns the counts into analogy weights as `extract_all` and
-    `predict_batch` would, one weight column per alpha, and one
-    `inference.fold_macro_f1` call scores all columns.
+    and each distinct alpha of the grid is scored once. A `scores` dict
+    receives every distinct alpha's mean macro-F1, in ascending alpha.
     """
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
@@ -63,6 +59,31 @@ def grid_search_alpha(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     alphas = sorted(set(grid))
+    means = _alpha_scores(dataset, alphas, folds, repeats, seed, max_subst_size)
+    if scores is not None:
+        scores.update(zip(alphas, means.tolist()))
+    # argmax takes the first of equal means, the smallest alpha
+    return alphas[int(np.argmax(means))]
+
+
+def _alpha_scores(
+    dataset: Dataset,
+    alphas: Sequence[float],
+    folds: int,
+    repeats: int,
+    seed: int,
+    max_subst_size: int | None,
+) -> np.ndarray:
+    """Mean macro-F1 of each alpha over `repeats` rounds of `folds`-fold CV.
+
+    The fold pair scan is alpha-independent (it only counts agreeing and
+    disagreeing evidence), so each fold is scanned once. A key's analogy
+    weight depends only on its (agree, disagree) counts, so each distinct
+    count pair is weighted once per alpha, as `extract_all` and
+    `predict_batch` would weigh its keys, into a (count pairs, alpha)
+    palette; the fold's key table holds each key's palette row, and one
+    `inference.fold_macro_f1` call scores every alpha.
+    """
     weights = [evidence_weight(alpha) for alpha in alphas]
     labels = dataset.labels()
     words = dataset.words
@@ -73,13 +94,29 @@ def grid_search_alpha(
             train_labels = [labels[i] for i in train_idx]
             test_labels = [labels[i] for i in test_idx]
             counts = pair_counts(words[train_idx], train_labels, max_subst_size)
-            columns = [analogy_weight(weight * counts.agree, weight * counts.disagree) for weight in weights]
-            table = KeyTable(counts.keys, np.stack(columns, axis=1))
+            first, ids = _count_pair_ids(counts.agree, counts.disagree)
+            agree, disagree = counts.agree[first], counts.disagree[first]
+            palette = np.stack([analogy_weight(weight * agree, weight * disagree) for weight in weights], axis=1)
             totals += inference.fold_macro_f1(
-                words[test_idx], words[train_idx], train_labels, test_labels, table, max_subst_size
+                words[test_idx], words[train_idx], train_labels, test_labels,
+                KeyTable(counts.keys, ids), palette, max_subst_size,
             )
-    # argmax takes the first of equal means, the smallest alpha
-    return alphas[int(np.argmax(totals / (repeats * folds)))]
+    return totals / (repeats * folds)
+
+
+def _count_pair_ids(agree: np.ndarray, disagree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, ids) of non-negative count columns: the first row of each
+    distinct (agree, disagree) pair, in ascending pair order, and each
+    row's pair number. Pairs are told apart by one int64 code, agree *
+    (max disagree + 1) + disagree, or, where that code would overflow, by
+    the rows of both columns."""
+    span = int(disagree.max(initial=0)) + 1
+    if int(agree.max(initial=0)) * span + span - 1 <= np.iinfo(np.int64).max:
+        _, first, ids = np.unique(agree * span + disagree, return_index=True, return_inverse=True)
+    else:
+        rows = np.stack((agree, disagree), axis=1)
+        _, first, ids = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, ids
 
 
 @dataclass(frozen=True)

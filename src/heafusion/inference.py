@@ -21,10 +21,13 @@ similar, which counts never give.
 of candidates x hosts a block of whole candidates at a time, with the
 replaced and replacement masks packed into store keys, which are looked
 up with `np.searchsorted` in the `mask_view` key table. One `np.bincount`
-per block sums every candidate's weights per class and weight column over
-a combined (class, candidate, column) code, its analogies in host order.
-bincount adds in input order, so every weight sum is the one a sequential
-loop over the hosts gives, to the bit. The cross-validated γ estimate
+per block sums every candidate's weights per class over a combined
+(class, candidate) code, its analogies in host order. bincount adds in
+input order, so every weight sum is the one a sequential loop over the
+hosts gives, to the bit. The α grid search (`fold_macro_f1`) scores every
+grid point in one call: its key table holds, per key, the row of a
+(distinct count pairs × α) palette, and each analogy adds that row, one
+sum per (class, candidate, α) code. The cross-validated γ estimate
 (`fusion`) walks the upper triangle of the same generator instead and
 adds each pair's weight both ways in the same host order.
 
@@ -83,6 +86,7 @@ def analogy_weights(
     host_labels: Sequence[bool],
     table: KeyTable,
     max_size: int,
+    palette: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per candidate: summed positive weight, summed negative weight and
     number of analogies.
@@ -91,16 +95,16 @@ def analogy_weights(
     (`alloys.element_words`). A candidate's analogies are its
     `informative_pairs` with the hosts, at most max_size elements a side;
     each adds its pair's weight from `table` (a `SimilarityStore.mask_view`;
-    absent pairs weigh 0) to its host's class. With a (keys, k) weight
-    table the sums are (candidates, k) arrays, one column per weight
+    absent pairs weigh 0) to its host's class. With a (rows, k) palette,
+    `table` holds a palette row number per key, each analogy adds that
+    row, and the sums are (candidates, k) arrays, one column per palette
     column.
     """
     labels = np.asarray(host_labels, dtype=bool)
     if len(labels) != len(host_words):
         raise LengthMismatch(f"{len(labels)} host labels vs {len(host_words)} hosts")
     n_cand = len(cand_words)
-    weights = table.weights if table.weights.ndim == 2 else table.weights[:, None]
-    k = weights.shape[1]
+    k = 1 if palette is None else palette.shape[1]
     sums = np.zeros((2, n_cand, k))  # [host positive, candidate, column]
     n = np.zeros(n_cand, dtype=np.int64)
     for block in informative_pairs(cand_words, max_size, host_words):
@@ -112,11 +116,12 @@ def analogy_weights(
         pos, found = table.find(block.keys)
         # an absent pair adds +0.0, which leaves a sum of non-negative weights as it is
         rows, cols, pos = rows[found], block.second[found], pos[found]
+        weights = table.weights[pos] if palette is None else palette[table.weights[pos]]
         code = (labels[cols] * size + rows)[:, None] * k + np.arange(k)
         sums[:, low:low + size] = np.bincount(
-            code.ravel(), weights=weights[pos].ravel(), minlength=2 * size * k
+            code.ravel(), weights=weights.ravel(), minlength=2 * size * k
         ).reshape(2, size, k)
-    shape = (n_cand,) + table.weights.shape[1:]
+    shape = (n_cand,) if palette is None else (n_cand, k)
     return sums[1].reshape(shape), sums[0].reshape(shape), n
 
 
@@ -143,12 +148,14 @@ def fold_macro_f1(
     train_labels: Sequence[bool],
     test_labels: Sequence[bool],
     table: KeyTable,
+    palette: np.ndarray,
     max_size: int,
 ) -> list[float]:
-    """Macro-F1 of every weight column of a (keys, k) table on one fold:
-    one `analogy_weights` call predicts the test rows from the training
-    rows, and `columns_macro_f1` scores each column."""
-    w_pos, w_neg, _ = analogy_weights(test_words, train_words, train_labels, table, max_size)
+    """Macro-F1 of every column of a (rows, k) weight palette on one fold,
+    `table` holding each key's palette row: one `analogy_weights` call
+    predicts the test rows from the training rows, and `columns_macro_f1`
+    scores each column."""
+    w_pos, w_neg, _ = analogy_weights(test_words, train_words, train_labels, table, max_size, palette)
     return columns_macro_f1(test_labels, w_pos, w_neg)[0].tolist()
 
 

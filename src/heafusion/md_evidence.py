@@ -322,7 +322,7 @@ def _fit_width(keys: np.ndarray, width: int) -> np.ndarray:
 
 class KeyTable:
     """Distinct key rows, sorted lexicographically (first word first), with
-    one weight (or one row of weights) per key.
+    one weight, row of weights or weight palette row number per key.
 
     `find` locates query rows with one `np.searchsorted` per word: the
     first word's distinct values give each row a rank, and every further

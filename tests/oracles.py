@@ -40,9 +40,11 @@ from heafusion.fusion import SourceReliability
 from heafusion.inference import classify, predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
+    ExtractionConfig,
     PairCounts,
     analogy_weight,
     evidence_weight,
+    extract_all,
     pack_keys,
 )
 
@@ -658,6 +660,33 @@ def estimate_reliability_reference(
         gammas.append(min(1.0, max(0.0, total / len(splits))))
     return gammas
 
+
+
+def alpha_scores_reference(
+    dataset: Dataset,
+    alphas: Sequence[float],
+    folds: int,
+    repeats: int,
+    seed: int,
+    max_subst_size: int | None = None,
+) -> list[float]:
+    """Per alpha, the mean over `repeats` rounds of `kfold_splits` of the
+    test rows' macro-F1 (`macro_f1_loop`) when each fold's training rows
+    are extracted at that alpha (`extract_all`) and the test rows
+    predicted from them (`predict_batch`), both at the dataset's
+    substitution limit; fold scores are added in repeat and fold order."""
+    if max_subst_size is None:
+        max_subst_size = max(len(la.alloy.elements) for la in dataset.alloys) - 1
+    means = []
+    for alpha in alphas:
+        total = 0.0
+        for rep in range(repeats):
+            for training, test in kfold_splits(dataset, folds, seed + rep):
+                store = extract_all(training, ExtractionConfig(alpha, max_subst_size))
+                predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
+                total += macro_f1_loop(test.labels(), classify([p.score for p in predictions]))
+        means.append(total / (repeats * folds))
+    return means
 
 def read_gammas(path: str | Path) -> list[SourceReliability]:
     """Load a sidecar written by `fusion.write_gammas`: a JSON object

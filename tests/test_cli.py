@@ -423,6 +423,26 @@ class TestTuneAlpha:
         assert code == 0
         assert json.loads((out / "alpha.json").read_text())["alpha"] == 0.1
 
+    def test_metadata_lists_every_alpha_score(self, tmp_path, planted_csv):
+        from heafusion.alloys import parse_dataset
+        from heafusion.evaluation import grid_search_alpha
+
+        out = tmp_path / "run"
+        code = run(["tune-alpha", "--dataset", planted_csv, "--grid", "0.3,0.02,0.3,0.1", "--folds", "3",
+                    "--repeats", "2", "--seed", "4", "--out-dir", out])
+        assert code == 0
+        alpha = json.loads((out / "alpha.json").read_text())["alpha"]
+        # alpha.json keeps its form: the choice and the grid as given
+        assert (out / "alpha.json").read_text() == json.dumps(
+            {"alpha": alpha, "grid": [0.3, 0.02, 0.3, 0.1]}, indent=2) + "\n"
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["alpha"] == alpha
+        expected: dict[float, float] = {}
+        assert grid_search_alpha(parse_dataset(planted_csv), [0.3, 0.02, 0.1], 3, 2, 4, scores=expected) == alpha
+        assert meta["alpha_scores"] == [{"alpha": a, "mean_macro_f1": s} for a, s in expected.items()]
+        assert [row["alpha"] for row in meta["alpha_scores"]] == [0.02, 0.1, 0.3]
+        best = max(row["mean_macro_f1"] for row in meta["alpha_scores"])
+        assert alpha == next(row["alpha"] for row in meta["alpha_scores"] if row["mean_macro_f1"] == best)
 
     def test_tie_ignores_grid_order_and_repeats(self, tmp_path):
         data = tmp_path / "toy.csv"

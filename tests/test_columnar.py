@@ -321,7 +321,11 @@ def test_triangle_pass_matches_per_fold_calls():
             _small_blocks(patch, rng, len(dataset))  # the rectangle's blocks of candidates, too
             for train, test in splits:
                 for size, members, table in groups:
-                    got = analogy_weights(words[test], words[train], [labels[i] for i in train], table, size)
+                    # the group's (keys, k) weights as a palette with one row per key
+                    rows = KeyTable(table.keys, np.arange(len(table.keys)))
+                    got = analogy_weights(
+                        words[test], words[train], [labels[i] for i in train], rows, size, table.weights
+                    )
                     for one_pass, per_fold in zip((w_pos, w_neg), got):
                         assert one_pass[np.ix_(test, members)].tobytes() == per_fold.tobytes(), case
         seen["leave_one_out"] += folds == len(dataset)

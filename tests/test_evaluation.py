@@ -1,5 +1,6 @@
 """Splits, metrics, alpha tuning, and the two experiment protocols."""
 
+import random
 import traceback
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
-from heafusion.alloys import UNIVERSES, element_split, enumerate_combinations, fraction_split
+from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_split, enumerate_combinations, fraction_split
 from heafusion.errors import (
     ConfigError,
     ElementAbsent,
@@ -22,6 +23,8 @@ from heafusion.evaluation import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_FRACTIONS,
     SourcesConfig,
+    _alpha_scores,
+    _count_pair_ids,
     grid_search_alpha,
     run_cv_experiment,
     run_extrapolation_experiment,
@@ -46,7 +49,14 @@ from conftest import (
     planted_group_store,
     random_dataset,
 )
-from oracles import accuracy_loop, kfold_splits, macro_f1_loop, macro_f1_oracle, mann_whitney_auc
+from oracles import (
+    accuracy_loop,
+    alpha_scores_reference,
+    kfold_splits,
+    macro_f1_loop,
+    macro_f1_oracle,
+    mann_whitney_auc,
+)
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +323,84 @@ class TestYouden:
         assert acc == pytest.approx(2 / 3)
 
 
+def _noisy_planted(
+    universe: tuple[str, ...], pool: tuple[str, ...], n: int, sizes: tuple[int, ...], seed: int
+) -> Dataset:
+    """Up to n distinct alloys over the pool of symbols, sizes drawn from
+    sizes, positive iff all elements lie in the first half of the pool or
+    all in the second, with a fifth of the labels flipped."""
+    rng = random.Random(seed)
+    half = set(pool[: len(pool) // 2])
+    rows = {tuple(sorted(rng.sample(pool, rng.choice(sizes)))) for _ in range(n)}
+    alloys = []
+    for elements in sorted(rows):
+        label = set(elements) <= half or not set(elements) & half
+        alloys.append(LabeledAlloy(Alloy(elements), label != (rng.random() < 0.2)))
+    return Dataset("noisy", tuple(alloys), universe)
+
+
 class TestGridSearchAlpha:
+    @pytest.mark.parametrize("max_size", [None, 1])
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            _noisy_planted(UNIVERSES["E1"], UNIVERSES["E1"][:10], 90, (3, 4), seed=1),  # one key word
+            # two key words, with alloys on both sides of the word boundary
+            _noisy_planted(ELEMENT_SYMBOLS[:40], ELEMENT_SYMBOLS[28:38], 110, (2, 3, 4), seed=3),
+        ],
+        ids=["E1", "40-symbols"],
+    )
+    def test_alpha_scores_match_per_alpha_reference(self, dataset, max_size):
+        # each alpha's mean macro-F1 is the one that extracting and
+        # predicting at that alpha alone gives, to the bit
+        alphas = [0.01, 0.05, 0.2, 0.45, 0.9]
+        got = _alpha_scores(dataset, alphas, 4, 2, 3, max_size)
+        expected = alpha_scores_reference(dataset, alphas, 4, 2, 3, max_size)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in expected]
+        assert len(set(expected)) > 1  # the grid points are told apart
+        scores: dict[float, float] = {}
+        best = grid_search_alpha(dataset, alphas, 4, 2, 3, max_size, scores)
+        assert scores == dict(zip(alphas, expected))
+        assert best == alphas[expected.index(max(expected))]
+
+    def test_folds_without_informative_pairs(self):
+        # the one informative pair, Ni for Cu in Fe-Co, lies in the training
+        # rows of some folds only; the others yield no key and a zero-row
+        # palette. No test row has an analogy, so every alpha scores the
+        # same and the smallest wins
+        ds = as_dataset([
+            LabeledAlloy(Alloy(elements.split()), label)
+            for elements, label in (("Fe Co Ni", True), ("Fe Co Cu", False), ("H He Li", True),
+                                    ("B C N", False), ("O F Ne", True), ("Na Mg Al", False))
+        ])
+        keys = [
+            len(extract_all(train, ExtractionConfig(0.1))) for seed in (1, 2) for train, _ in kfold_splits(ds, 3, seed)
+        ]
+        assert 0 in keys and 1 in keys
+        grid = [0.3, 0.05, 0.2]
+        expected = alpha_scores_reference(ds, sorted(grid), 3, 2, 1)
+        assert _alpha_scores(ds, sorted(grid), 3, 2, 1, None).tolist() == expected
+        assert len(set(expected)) == 1
+        assert grid_search_alpha(ds, grid=grid, folds=3, repeats=2, seed=1) == 0.05
+
+    def test_count_pair_ids(self):
+        rng = np.random.default_rng(5)
+        big = 2**62
+        cases = [
+            (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),  # no keys
+            (rng.integers(0, 6, 300), rng.integers(0, 4, 300)),
+            # agree * (max disagree + 1) would overflow int64
+            (np.array([big, 0, big, 7, big]), np.array([3, big, 3, 0, big])),
+        ]
+        for agree, disagree in cases:
+            first, ids = _count_pair_ids(agree, disagree)
+            pairs = list(zip(agree[first].tolist(), disagree[first].tolist()))
+            assert pairs == sorted(set(zip(agree.tolist(), disagree.tolist())))
+            assert ids.shape == agree.shape
+            assert (agree[first][ids] == agree).all() and (disagree[first][ids] == disagree).all()
+            for i, row in enumerate(first.tolist()):  # the first row of its pair
+                assert ids[row] == i and (ids[:row] != i).all()
+
     def test_singleton_grid(self):
         ds = random_dataset(40, universe_size=10, seed=6)
         assert grid_search_alpha(ds, grid=[0.1], folds=4, repeats=1, seed=0) == 0.1
