@@ -38,6 +38,7 @@ The metrics count (label, prediction) outcomes with one `np.bincount`
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -176,7 +177,7 @@ def predict_batch(
     """Predict many candidates against one training set and store.
 
     Pure in its inputs; candidates are processed independently, so the
-    batch may be chunked across worker processes.
+    batch may be chunked across worker processes, one per core at most.
     """
     max_subst_size = substitution_limit(chain((la.alloy for la in training.alloys), candidates), max_subst_size)
     training_sets = {la.alloy.elements for la in training.alloys}
@@ -195,7 +196,7 @@ def predict_batch(
             raise CandidateInTraining(f"candidate {c} is in the training set")
     cand_words = element_words((c.elements for c in candidates), index, width)
 
-    jobs = max(1, jobs)
+    jobs = min(max(1, jobs), os.cpu_count() or 1)
     if jobs == 1 or len(candidates) < _POOL_MIN_CANDIDATES:
         w_pos, w_neg, n = analogy_weights(cand_words, host_words, host_labels, table, max_subst_size)
     else:

@@ -37,11 +37,13 @@ half and word w of the larger side's in its low half, so one layout covers
 every table up to the 103-symbol element table. Rows are distinct and
 sorted lexicographically, word 0 first, which is the order `pair_counts`
 produces, so the scan's arrays become a store without per-entry objects.
-Lookups use `np.searchsorted` (`KeyTable`), a block of key rows at a
-time; no lookup takes one pair. Combination pairs and element strings
-appear only at the edges: `from_entries` (which `llm_evidence` builds
-expert stores with), `items`, `write_store` and the error messages of
-`read_store`.
+A key row is one sortable value everywhere (`_row_values`, as in the
+scan): every sort, search and de-duplication of key rows is one `argsort`,
+`np.unique` or `np.searchsorted` of row values, and `KeyTable` looks up a
+block of key rows with one `np.searchsorted`; no lookup takes one pair.
+Combination pairs and element strings appear only at the edges:
+`from_entries` (which `llm_evidence` builds expert stores with), `items`,
+`write_store` and the error messages of `read_store`.
 `content_hash` digests one canonical byte buffer: the used element names
 sorted, the keys re-packed in that bit order and sorted, then the weight
 columns, so it does not depend on bit or insertion order. Store files
@@ -295,22 +297,24 @@ def informative_pairs(
         yield PairBlock(first, second, pack_keys(first_side, second_side), larger)
 
 
-def _row_code(keys: np.ndarray) -> np.ndarray:
-    """One integer per key row, ordered and equal as the rows are
-    (lexicographically, first word first): the first word itself, with
-    each further word folded in through dense ranks, which stay below
-    rows**2 and so fit in int64."""
-    code = keys[:, 0]
-    for w in range(1, keys.shape[1]):
-        _, code = np.unique(code, return_inverse=True)
-        values, rank = np.unique(keys[:, w], return_inverse=True)
-        code = code * len(values) + rank
-    return code
+def _row_values(keys: np.ndarray) -> np.ndarray:
+    """One value per key row that sorts, compares and searches as the rows
+    do (lexicographically, first word first): the word of a one-word row,
+    else the row's words as one big-endian byte string. A view of one-word
+    rows, a new array otherwise."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
+
+
+def _value_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of `_row_values`: (n, width) uint64 key rows."""
+    return values.view(">u8" if width > 1 else np.uint64).reshape(-1, width).astype(np.uint64, copy=False)
 
 
 def _row_order(keys: np.ndarray) -> np.ndarray:
     """Permutation sorting key rows lexicographically, first word first."""
-    return np.argsort(_row_code(keys), kind="stable")
+    return np.argsort(_row_values(keys), kind="stable")
 
 
 def _fit_width(keys: np.ndarray, width: int) -> np.ndarray:
@@ -324,30 +328,16 @@ class KeyTable:
     """Distinct key rows, sorted lexicographically (first word first), with
     one weight, row of weights or weight palette row number per key.
 
-    `find` locates query rows with one `np.searchsorted` per word: the
-    first word's distinct values give each row a rank, and every further
-    word refines that rank into the distinct (prefix rank, word rank)
-    codes, so a row's final rank is its position. The table ranks its own
-    rows' prefixes only where a further word refines them, so a one-word
-    table (every E1 and E2 store) keeps just its sorted words. Rows
-    compare as integers: a word beyond a row's width is 0.
+    A key row is one sortable value (`_row_values`), so the table holds its
+    rows' values and `find` locates a block of query rows with one
+    `np.searchsorted` of theirs. Rows compare as integers: a word beyond a
+    row's width is 0.
     """
 
     def __init__(self, keys: np.ndarray, weights: np.ndarray | None = None):
         self.keys = keys
         self.weights = weights
-        self._levels: list[tuple[np.ndarray, np.ndarray]] = []
-        if len(keys):
-            code = keys[:, 0]  # sorted, as the rows are
-            codes = code[np.r_[True, code[1:] != code[:-1]]]
-            self._levels.append((codes, codes))
-            for column in keys.T[1:]:
-                # each row's prefix rank is needed only where a further word refines it
-                prefix = np.searchsorted(codes, code)
-                values, rank = np.unique(column, return_inverse=True)
-                code = prefix * len(values) + rank
-                codes = code[np.r_[True, code[1:] != code[:-1]]]  # sorted, as the rows are
-                self._levels.append((values, codes))
+        self._values = _row_values(keys)
 
     def find(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(row position, found) of each (q, W') query row; positions of
@@ -361,22 +351,12 @@ class KeyTable:
         # searched in order of their first word, which keeps searchsorted's
         # successive probes close together
         order = np.argsort(queries[:, 0])
-        queries = _fit_width(queries, width).take(order, axis=0)  # faster than a 2-D fancy index
-        found = found[order]
-        for level, ((values, codes), column) in enumerate(zip(self._levels, queries.T)):
-            rank = np.minimum(np.searchsorted(values, column), len(values) - 1)
-            found &= values[rank] == column
-            if level == 0:
-                prefix = rank
-            else:
-                code = prefix * len(values) + rank
-                prefix = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-                found &= codes[prefix] == code
-        position = np.empty_like(prefix)
-        position[order] = prefix
-        hit = np.empty_like(found)
-        hit[order] = found
-        return position, hit
+        values = _row_values(_fit_width(queries, width).take(order, axis=0))  # faster than a 2-D fancy index
+        rank = np.minimum(np.searchsorted(self._values, values), len(self._values) - 1)
+        found[order] &= self._values[rank] == values
+        position = np.empty_like(rank)
+        position[order] = rank
+        return position, found
 
 
 def _both_halves(bits: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -488,7 +468,7 @@ class SimilarityStore:
         Each distinct side mask is named once: one `np.nonzero` over its
         bits, taken in element name order, lists every side's symbols."""
         halves = np.concatenate([self.keys >> _WORD, self.keys & _LOW])
-        _, first_seen, inverse = np.unique(_row_code(halves), return_index=True, return_inverse=True)
+        _, first_seen, inverse = np.unique(_row_values(halves), return_index=True, return_inverse=True)
         bits = np.unpackbits(halves[first_seen].astype("<u4").view(np.uint8), axis=1, bitorder="little")
         by_name = np.argsort(np.array(self.elements, dtype=str))  # bit of each element, in name order
         sides, columns = np.nonzero(bits[:, by_name])  # row-major: each side's symbols in name order
@@ -564,34 +544,15 @@ def union_rows(stores: Sequence[SimilarityStore]) -> tuple[tuple[str, ...], np.n
         keys, rows = _remap(store.keys, np.array([target[e] for e in store.elements], dtype=np.int64), width)
         parts.append(keys)
         sources.append(rows)
-    keys = np.concatenate(parts) if parts else np.zeros((0, width), dtype=np.uint64)
-    order = _row_order(keys)
-    ordered = keys[order]
-    starts = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)] if len(keys) else np.zeros(0, dtype=bool)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
+    keys = np.concatenate([np.zeros((0, width), dtype=np.uint64), *parts])
+    distinct, inverse = np.unique(_row_values(keys), return_inverse=True)
     positions, offset = [], 0
     for rows in sources:
         at = np.empty(len(rows), dtype=np.intp)
         at[rows] = inverse[offset:offset + len(rows)]
         positions.append(at)
         offset += len(rows)
-    return elements, ordered[starts], positions
-
-
-def _row_values(keys: np.ndarray) -> np.ndarray:
-    """One value per key row that sorts, compares and searches as the rows
-    do (lexicographically, first word first): the word of a one-word row,
-    else the row's words as one big-endian byte string. A view of one-word
-    rows, a new array otherwise."""
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return np.ascontiguousarray(keys, dtype=">u8").view(f"V{8 * keys.shape[1]}")[:, 0]
-
-
-def _value_rows(values: np.ndarray, width: int) -> np.ndarray:
-    """Inverse of `_row_values`: (n, width) uint64 key rows."""
-    return values.view(">u8" if width > 1 else np.uint64).reshape(-1, width).astype(np.uint64, copy=False)
+    return elements, _value_rows(distinct, width), positions
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -853,7 +814,8 @@ def read_store(path: str | Path) -> SimilarityStore:
     keys = pack_keys(words[first], words[second])
     order = _row_order(keys)  # stable: equal keys keep their file order
     keys = keys[order]
-    repeat = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+    values = _row_values(keys)
+    repeat = np.flatnonzero(values[1:] == values[:-1])
     if len(repeat):
         earlier, later = order[repeat], order[repeat + 1]
         j = int(np.argmin(later))

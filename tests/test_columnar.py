@@ -382,7 +382,7 @@ def test_running_table_merge_matches_one_merge():
     assert min(into_table.values()) >= 10, into_table
 
 
-@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_key_table_find_matches_a_dict(width):
     # rows drawn from a few word values share prefixes; queries are
     # present and absent keys, at the table's width, wider (a non-zero
@@ -416,6 +416,61 @@ def test_key_table_find_matches_a_dict(width):
         seen["empty table"] += not len(keys)
         seen["empty queries"] += not len(queries)
     assert min(seen.values()) > 0, seen
+
+
+
+def _random_pair(rng, symbols):
+    chosen = rng.sample(symbols, rng.randint(2, min(6, len(symbols))))
+    cut = rng.randint(1, len(chosen) - 1)
+    return CombinationPair(chosen[:cut], chosen[cut:])
+
+
+def _key_row(pair, bit, width):
+    """The store key row of a pair as Python ints, from its element names."""
+    low, high = sorted(sum(1 << bit[e] for e in side) for side in (pair.first, pair.second))
+    mask = (1 << 32) - 1
+    return tuple((low >> 32 * w & mask) << 32 | high >> 32 * w & mask for w in range(width))
+
+
+@pytest.mark.parametrize("n_symbols", [20, 60, 103])
+def test_union_rows_match_a_dict(n_symbols):
+    # stores over different element tuples share some pairs; some stores
+    # are empty, some name their bits in another order, and some calls
+    # take no store
+    rng = random.Random(n_symbols)
+    seen = {"no stores": 0, "empty store": 0, "shared key": 0, "other bit order": 0}
+    widths = set()
+    for case in range(40):
+        symbols = rng.sample(ELEMENT_SYMBOLS, n_symbols)
+        shared = [_random_pair(rng, symbols) for _ in range(8)]
+        stores = []
+        for _ in range(0 if case % 10 == 0 else rng.randint(1, 4)):
+            pairs = [] if rng.random() < 0.15 else rng.sample(shared, rng.randint(0, len(shared)))
+            pairs += [_random_pair(rng, symbols) for _ in range(rng.randint(0, 20) if pairs else 0)]
+            held = {pair: _random_weights(rng) for pair in pairs}
+            store = SimilarityStore.from_entries(held)
+            if rng.random() < 0.3:  # a shuffled tuple, with elements no key uses
+                store = store.reindexed(rng.sample(symbols, n_symbols))
+                seen["other bit order"] += 1
+            assert {pair for pair, _ in store.items()} == set(held)
+            stores.append(store)
+            seen["empty store"] += not held
+        elements, keys, positions = md_evidence.union_rows(stores)
+        assert elements == tuple(sorted({e for store in stores for e in store.elements}))
+        bit = {e: i for i, e in enumerate(elements)}
+        width = key_width(len(elements))
+        rows = [[_key_row(pair, bit, width) for pair, _ in store.items()] for store in stores]
+        distinct = sorted({row for store_rows in rows for row in store_rows})
+        assert keys.dtype == np.uint64 and keys.shape == (len(distinct), width)
+        assert list(map(tuple, keys.tolist())) == distinct
+        at = {row: i for i, row in enumerate(distinct)}
+        assert len(positions) == len(stores)
+        for got, store_rows in zip(positions, rows):
+            assert got.dtype == np.intp and got.tolist() == [at[row] for row in store_rows]
+        seen["no stores"] += not stores
+        seen["shared key"] += len(distinct) < sum(map(len, rows))
+        widths.add(width)
+    assert min(seen.values()) > 0 and key_width(n_symbols) in widths, (seen, widths)
 
 
 def _store_over(entries, elements):

@@ -278,3 +278,36 @@ class TestInvariants:
         serial = predict_batch(candidates, ds, store, jobs=1)
         for jobs in (2, 3):
             assert predict_batch(candidates, ds, store, jobs=jobs) == serial, jobs
+
+    def test_pool_has_one_lane_per_core_at_most(self, monkeypatch):
+        # a fake pool records its size and maps in this process, so no
+        # worker process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(inference, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(inference, "_POOL_MIN_CANDIDATES", 1)
+        ds = random_dataset(40, universe_size=11, seed=9)
+        store = planted_group_store(tuple(ds.universe[:5]), tuple(ds.universe[5:]), 0.7)
+        taken = {la_.alloy.elements for la_ in ds.alloys}
+        from itertools import combinations
+
+        candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken][:50]
+        serial = predict_batch(candidates, ds, store, jobs=1)
+        for cores, jobs, pools in [(3, 5000, [3]), (4, 2, [2]), (1, 5000, []), (None, 5000, [])]:
+            sizes.clear()
+            monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
+            assert predict_batch(candidates, ds, store, jobs=jobs) == serial, (cores, jobs)
+            assert sizes == pools, (cores, jobs)

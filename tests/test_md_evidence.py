@@ -463,3 +463,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match=r"pair \(Co, Fe\) repeats row 2") as info:
             read_store(path)
         assert info.value.row == 4
+
+    def test_repeated_multi_word_pair_names_both_rows(self, tmp_path):
+        # 40 elements, so keys of two words; the last four rows use only
+        # symbols past bit 32, so their keys differ in the second word alone
+        symbols = sorted(ELEMENT_SYMBOLS)[:40]
+        early, late = symbols[:32], symbols[32:]
+        rows = [f"{a},{b},1,1" for a, b in zip(early[::2], early[1::2])]
+        rows += [f"{late[0]},{late[1]}-{late[2]},0.5,0", f"{late[3]},{late[1]},1,0",
+                 f"{late[1]}-{late[2]},{late[0]},0,0.9", f"{late[1]},{late[3]},1,1"]
+        path = tmp_path / "store.csv"
+        path.write_text("combo_a,combo_b,w_similar,w_dissimilar\n" + "".join(row + "\n" for row in rows))
+        first = len(early) // 2 + 2  # the row number of the first repeated pair
+        with pytest.raises(ParseError, match=rf"pair \({late[0]}, {late[1]}-{late[2]}\) repeats row {first}$") as info:
+            read_store(path)
+        assert info.value.row == first + 2
