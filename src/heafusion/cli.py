@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -55,7 +54,7 @@ from .evaluation import (
     summarize_reports,
 )
 from .fusion import SourceReliability, estimate_reliability, fuse, write_gammas
-from .inference import classify, predict_batch
+from .inference import classify, predict_batch, usable_cpus
 from .llm_evidence import (
     DEFAULT_DOMAINS,
     build_store,
@@ -106,8 +105,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                     help="worker-pool cap for batch prediction, at least 1 (default: all cores)")
+    sub.add_argument("--jobs", type=_positive_int, default=usable_cpus(),
+                     help="worker-pool cap for batch prediction, at least 1 (default: the CPUs this process may use)")
     sub.add_argument("--out-dir", default=".", help="directory for outputs and run metadata")
 
 

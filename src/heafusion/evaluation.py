@@ -94,7 +94,7 @@ def _alpha_scores(
             train_labels = [labels[i] for i in train_idx]
             test_labels = [labels[i] for i in test_idx]
             counts = pair_counts(words[train_idx], train_labels, max_subst_size)
-            first, ids = _count_pair_ids(counts.agree, counts.disagree)
+            first, ids = counts.count_pair_ids()
             agree, disagree = counts.agree[first], counts.disagree[first]
             palette = np.stack([analogy_weight(weight * agree, weight * disagree) for weight in weights], axis=1)
             totals += inference.fold_macro_f1(
@@ -102,21 +102,6 @@ def _alpha_scores(
                 KeyTable(counts.keys, ids), palette, max_subst_size,
             )
     return totals / (repeats * folds)
-
-
-def _count_pair_ids(agree: np.ndarray, disagree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, ids) of non-negative count columns: the first row of each
-    distinct (agree, disagree) pair, in ascending pair order, and each
-    row's pair number. Pairs are told apart by one int64 code, agree *
-    (max disagree + 1) + disagree, or, where that code would overflow, by
-    the rows of both columns."""
-    span = int(disagree.max(initial=0)) + 1
-    if int(agree.max(initial=0)) * span + span - 1 <= np.iinfo(np.int64).max:
-        _, first, ids = np.unique(agree * span + disagree, return_index=True, return_inverse=True)
-    else:
-        rows = np.stack((agree, disagree), axis=1)
-        _, first, ids = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first, ids
 
 
 @dataclass(frozen=True)

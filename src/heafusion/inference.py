@@ -61,6 +61,7 @@ __all__ = [
     "macro_f1",
     "predict_batch",
     "roc_auc",
+    "usable_cpus",
     "youden_threshold_stats",
 ]
 
@@ -167,6 +168,14 @@ def fold_macro_f1(
 _POOL_MIN_CANDIDATES = 2000
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict_batch(
     candidates: Sequence[Alloy],
     training: Dataset,
@@ -177,7 +186,7 @@ def predict_batch(
     """Predict many candidates against one training set and store.
 
     Pure in its inputs; candidates are processed independently, so the
-    batch may be chunked across worker processes, one per core at most.
+    batch may be chunked across worker processes, one per usable CPU at most.
     """
     max_subst_size = substitution_limit(chain((la.alloy for la in training.alloys), candidates), max_subst_size)
     training_sets = {la.alloy.elements for la in training.alloys}
@@ -196,7 +205,7 @@ def predict_batch(
             raise CandidateInTraining(f"candidate {c} is in the training set")
     cand_words = element_words((c.elements for c in candidates), index, width)
 
-    jobs = min(max(1, jobs), os.cpu_count() or 1)
+    jobs = min(max(1, jobs), usable_cpus())
     if jobs == 1 or len(candidates) < _POOL_MIN_CANDIDATES:
         w_pos, w_neg, n = analogy_weights(cand_words, host_words, host_labels, table, max_subst_size)
     else:

@@ -194,7 +194,7 @@ _WORD = np.uint64(MASK_WORD_BITS)
 _LOW = np.uint64((1 << MASK_WORD_BITS) - 1)
 _BLOCK_PAIRS = 1 << 17  # alloy pairs compared per block of first rows (`informative_pairs`)
 _MERGE_ROWS = 1 << 22  # pending pair rows before they are merged into the running counts
-_DICT_ROWS = 1 << 16  # keys converted to Python ints at a time
+_DICT_ROWS = 1 << 16  # keys added to the `extract_counts` dict at a time
 
 
 def _words_to_ints(words: np.ndarray) -> list[int]:
@@ -489,8 +489,11 @@ class SimilarityStore:
 
     def reindexed(self, elements: Sequence[str]) -> "SimilarityStore":
         """The entries over the given elements, keyed in their bit order;
-        entries naming other elements are dropped."""
+        entries naming other elements are dropped. The store itself when
+        the elements are its own."""
         elements = tuple(elements)
+        if elements == self.elements:
+            return self
         target = {e: i for i, e in enumerate(elements)}
         bits = np.array([target.get(e, -1) for e in self.elements], dtype=np.int64)
         keys, rows = _remap(self.keys, bits, key_width(len(elements)))
@@ -510,7 +513,12 @@ class SimilarityStore:
     def content_hash(self) -> str:
         """SHA-256 of the canonical form: the used element names sorted,
         then the key rows packed in that bit order and sorted, then the
-        w_first and w_second columns in that row order."""
+        w_first and w_second columns in that row order. Computed once per
+        store."""
+        return self._content_hash
+
+    @cached_property
+    def _content_hash(self) -> str:
         used = np.bitwise_or.reduce(self.keys, axis=0) if len(self) else np.zeros(1, dtype=np.uint64)
         side_bits = np.unpackbits(((used >> _WORD) | (used & _LOW)).astype("<u4").view(np.uint8), bitorder="little")
         names = sorted(self.elements[i] for i in np.flatnonzero(side_bits))
@@ -617,6 +625,21 @@ class PairCounts(NamedTuple):
     agree: np.ndarray
     disagree: np.ndarray
 
+    def count_pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, ids): the first row of each distinct (agree, disagree)
+        pair, in ascending pair order, and each row's pair number. Pairs
+        are told apart by one int64 code, agree * (max disagree + 1) +
+        disagree, or, where that code would overflow, by the rows of both
+        columns."""
+        agree, disagree = self.agree, self.disagree
+        span = int(disagree.max(initial=0)) + 1
+        if int(agree.max(initial=0)) * span + span - 1 <= np.iinfo(np.int64).max:
+            _, first, ids = np.unique(agree * span + disagree, return_index=True, return_inverse=True)
+        else:
+            rows = np.stack((agree, disagree), axis=1)
+            _, first, ids = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        return first, ids
+
 
 def pair_counts(words: np.ndarray, labels: Sequence[bool], max_size: int) -> PairCounts:
     """(agree, disagree) counts of every informative alloy pair, keyed by
@@ -665,13 +688,27 @@ def extract_counts(
     alpha, which is what makes the alpha grid search affordable. Bit i
     is element i of the sorted universe (`Dataset.element_index`);
     max_subst_size resolves through `substitution_limit`.
+
+    Keys share few side masks and fewer count pairs, so each distinct
+    side mask becomes one int and each distinct count pair one tuple, and
+    every key holding it shares that object: one `np.unique` of both key
+    halves gives the masks, `PairCounts.count_pair_ids` the count pairs,
+    and the dict is filled a block of keys at a time by object-array
+    gathers of them.
     """
-    keys, agree, disagree = _dataset_counts(dataset, max_subst_size)
+    counts = _dataset_counts(dataset, max_subst_size)
+    first, ids = counts.count_pair_ids()
+    pairs = np.fromiter(zip(counts.agree[first].tolist(), counts.disagree[first].tolist()),
+                        dtype=object, count=len(first))
+    keys = counts.keys
+    sides = np.unique(_row_values(np.concatenate([keys >> _WORD, keys & _LOW])))
+    masks = np.array(_words_to_ints(_value_rows(sides, keys.shape[1])), dtype=object)
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for start in range(0, len(keys), _DICT_ROWS):
-        part = slice(start, start + _DICT_ROWS)
-        lo, hi = _words_to_ints(keys[part] >> _WORD), _words_to_ints(keys[part] & _LOW)
-        out.update(zip(zip(lo, hi), zip(agree[part].tolist(), disagree[part].tolist())))
+        part = keys[start:start + _DICT_ROWS]
+        smaller, larger = (masks.take(np.searchsorted(sides, _row_values(half))).tolist()
+                           for half in (part >> _WORD, part & _LOW))
+        out.update(zip(zip(smaller, larger), pairs.take(ids[start:start + _DICT_ROWS]).tolist()))
     return out
 
 

@@ -520,6 +520,25 @@ def count_table(counts: Mapping[tuple[int, int], tuple[int, int]]) -> PairCounts
     return PairCounts(keys[order], values[order, 0], values[order, 1])
 
 
+def fresh_counts_dict(counts: PairCounts) -> dict[tuple[int, int], tuple[int, int]]:
+    """The `extract_counts` dict of a count table built with fresh objects:
+    two new side-mask ints and one new (agree, disagree) tuple per key,
+    added a block of 65,536 keys at a time."""
+    block = 1 << 16
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for start in range(0, len(counts.keys), block):
+        keys = counts.keys[start:start + block]
+        sides = []
+        for half in (keys >> np.uint64(32), keys & np.uint64(0xFFFFFFFF)):
+            ints = half[:, -1].tolist()  # the highest word first
+            for w in range(half.shape[1] - 2, -1, -1):
+                ints = [high << 32 | low for high, low in zip(ints, half[:, w].tolist())]
+            sides.append(ints)
+        values = zip(counts.agree[start:start + block].tolist(), counts.disagree[start:start + block].tolist())
+        out.update(zip(zip(*sides), values))
+    return out
+
+
 def fuse_reference(
     stores: Sequence[tuple[str, SimilarityStore]], gammas: Mapping[str, float]
 ) -> dict[CombinationPair, tuple[float, float]]:

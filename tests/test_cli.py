@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion.cli import main
+from heafusion.cli import build_parser, main
 from heafusion.md_evidence import read_store
 
 from conftest import planted_group_dataset, random_dataset
@@ -602,6 +603,12 @@ class TestConfigFile:
         assert run(["extract", "--config", config, "--dataset", dataset_csv, "--out-dir", tmp_path / "a"]) == 0
         assert run(["extract", "--dataset", dataset_csv, "--out-dir", tmp_path / "b"]) == 0
         assert (tmp_path / "a" / "md_store.csv").read_bytes() == (tmp_path / "b" / "md_store.csv").read_bytes()
+
+    def test_jobs_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        parser = build_parser()
+        assert all(sub.get_default("jobs") == 1 for sub in parser.commands.values())
 
     def test_jobs_below_one_rejected_on_command_line(self, tmp_path, dataset_csv, capsys):
         assert run(["extract", "--dataset", dataset_csv, "--jobs", "0", "--out-dir", tmp_path]) == 2

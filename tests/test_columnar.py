@@ -634,3 +634,20 @@ class TestContentHash:
     def test_empty_stores_agree(self):
         ds = random_dataset(1, universe_size=5, seed=1)
         assert extract_all(ds, ExtractionConfig()).content_hash() == SimilarityStore().content_hash()
+
+    def test_computed_once_per_store(self, monkeypatch):
+        ds = random_dataset(40, universe_size=12, seed=9)
+        store = extract_all(ds, ExtractionConfig(alpha=0.2))
+        assert store.reindexed(store.elements) is store
+        assert store.reindexed(list(store.elements)) is store
+        sha256, made = md_evidence.hashlib.sha256, []
+
+        def counting(*args):
+            made.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(md_evidence.hashlib, "sha256", counting)
+        digest = store.content_hash()
+        assert store.content_hash() == digest and len(made) == 1
+        fresh = SimilarityStore(store.elements, store.keys.copy(), store.w_first.copy(), store.w_second.copy())
+        assert fresh.content_hash() == digest and len(made) == 2

@@ -24,7 +24,6 @@ from heafusion.evaluation import (
     DEFAULT_FRACTIONS,
     SourcesConfig,
     _alpha_scores,
-    _count_pair_ids,
     grid_search_alpha,
     run_cv_experiment,
     run_extrapolation_experiment,
@@ -393,7 +392,8 @@ class TestGridSearchAlpha:
             (np.array([big, 0, big, 7, big]), np.array([3, big, 3, 0, big])),
         ]
         for agree, disagree in cases:
-            first, ids = _count_pair_ids(agree, disagree)
+            counts = md_evidence.PairCounts(np.zeros((len(agree), 1), dtype=np.uint64), agree, disagree)
+            first, ids = counts.count_pair_ids()
             pairs = list(zip(agree[first].tolist(), disagree[first].tolist()))
             assert pairs == sorted(set(zip(agree.tolist(), disagree.tolist())))
             assert ids.shape == agree.shape
@@ -569,7 +569,7 @@ class TestExtrapolationExperiment:
         training, _ = element_split(ds, "Fe")
         md = extract_all(training, ExtractionConfig(0.1))
         assert reports[0].config["store_hashes"]["md"] == md.content_hash()
-        assert rekeyed == [(["content_hash", "reindexed"], len(md))]
+        assert rekeyed == [(["_content_hash", "reindexed"], len(md))]
 
 
 class TestSummaries:

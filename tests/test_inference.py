@@ -306,8 +306,23 @@ class TestInvariants:
 
         candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken][:50]
         serial = predict_batch(candidates, ds, store, jobs=1)
+        # a process pinned to one CPU of eight starts no pool
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert predict_batch(candidates, ds, store, jobs=5000) == serial
+        assert sizes == []
+        monkeypatch.delattr(inference.os, "sched_getaffinity", raising=False)
         for cores, jobs, pools in [(3, 5000, [3]), (4, 2, [2]), (1, 5000, []), (None, 5000, [])]:
             sizes.clear()
             monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
             assert predict_batch(candidates, ds, store, jobs=jobs) == serial, (cores, jobs)
             assert sizes == pools, (cores, jobs)
+
+    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert inference.usable_cpus() == 2
+        monkeypatch.delattr(inference.os, "sched_getaffinity")
+        assert inference.usable_cpus() == 8
+        monkeypatch.setattr(inference.os, "cpu_count", lambda: None)
+        assert inference.usable_cpus() == 1

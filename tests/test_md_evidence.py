@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore, md_evidence
-from heafusion.alloys import ELEMENT_SYMBOLS, element_words
+from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words
 from heafusion.belief import from_weights
 from heafusion.errors import AlphaOutOfRange, LengthMismatch, ParseError
 from heafusion.md_evidence import (
@@ -31,6 +32,7 @@ from oracles import (
     combine_stores,
     count_table,
     evidence_from_pair,
+    fresh_counts_dict,
     mass_from_counts,
     mass_of,
     masses_of,
@@ -235,6 +237,36 @@ class TestPairKernel:
             if got:
                 widest = max(widest, max(hi for _, hi in got).bit_length())
         assert widest > 64  # keys above one 64-bit word were exercised
+
+    def test_equal_masks_and_count_pairs_are_one_object(self):
+        rng = random.Random(7)
+        universe = tuple(rng.sample(ELEMENT_SYMBOLS, 80))
+        rows = {tuple(sorted(rng.sample(universe[:12] + universe[-12:], 4))) for _ in range(300)}
+        ds = Dataset("wide", tuple(LabeledAlloy(Alloy(e), rng.random() < 0.5) for e in sorted(rows)), universe)
+        got = extract_counts(ds)
+        assert got == fresh_counts_dict(pair_counts(ds.words, ds.labels(), 3))
+        assert max(hi for _, hi in got).bit_length() > 64
+        masks, pairs = {}, {}
+        for (lo, hi), counts in got.items():
+            assert masks.setdefault(lo, lo) is lo and masks.setdefault(hi, hi) is hi
+            assert pairs.setdefault(counts, counts) is counts
+        assert len(masks) < len(got) and len(pairs) < len(got)  # objects were shared
+
+    def test_peak_memory_below_fresh_objects(self):
+        rng = random.Random(3)
+        universe = UNIVERSES["E1"]
+        rows = sorted({tuple(sorted(rng.sample(universe, 4))) for _ in range(900)})
+        ds = Dataset("e1", tuple(LabeledAlloy(Alloy(e), rng.random() < 0.5) for e in rows), universe)
+        peaks = []
+        for build in (extract_counts, lambda d: fresh_counts_dict(pair_counts(d.words, d.labels(), 3))):
+            tracemalloc.start()
+            counts = build(ds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert len(counts) > 50_000
+            del counts
+        shared, fresh = peaks
+        assert shared < 0.75 * fresh, peaks
 
     @pytest.mark.parametrize("n_labels", [1, 4])
     def test_labels_must_match_the_rows(self, n_labels):
