@@ -27,7 +27,7 @@ from .analysis import (
     hybrid_distance_matrix,
     write_matrix_csv,
 )
-from .belief import BinaryMass, discount_weights, from_weights, pignistic, to_weights
+from .belief import discount_weights, from_weights, pignistic, to_weights
 from .errors import HeafusionError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
@@ -41,7 +41,7 @@ from .evaluation import (
 )
 from .fusion import SourceReliability, estimate_reliability, fuse, write_gammas
 from .inference import (
-    Prediction,
+    Predictions,
     accuracy,
     classify,
     macro_f1,

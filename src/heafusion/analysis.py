@@ -11,7 +11,7 @@ combinations become `element_words` rows over their sorted symbols, the
 store is taken over the same bits (`reindexed`) and its two weight
 columns held in one `KeyTable`. A block of rows at a time, each pair's
 substitution sides are its masks minus their shared bits, looked up with
-`pack_keys` and `KeyTable.find` and read out by one `from_weights`; the
+`pack_keys` and `KeyTable.find` and read out by one `pignistic`; the
 Jaccard term counts shared elements with one product of the 0/1
 incidence matrix per block. No pair object is built, and only the
 n-by-n result grows with n**2. With the md store of a full-scale E1 Fe
@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .alloys import Alloy, element_words, key_width
-from .belief import from_weights
-from .errors import MatrixMalformed, TooFewAlloys, TooFewElements
+from .belief import pignistic
+from .errors import LengthMismatch, MatrixMalformed, TooFewAlloys, TooFewElements
 from .md_evidence import KeyTable, SimilarityStore, pack_keys
 
 __all__ = [
@@ -79,8 +79,8 @@ def _distances(combinations: Sequence[Sequence[str]], store: SimilarityStore) ->
         factor = np.full(len(first), _VACUOUS_DISTANCE)
         cells = np.flatnonzero(first.any(axis=1) & second.any(axis=1))
         pos, found = table.find(pack_keys(first.take(cells, axis=0), second.take(cells, axis=0)))
-        _, m_second, m_both = from_weights(*table.weights[pos[found]].T)
-        factor[cells[found]] = m_second + m_both / 2.0
+        w_similar, w_dissimilar = table.weights[pos[found]].T
+        factor[cells[found]] = pignistic(w_dissimilar, w_similar)
         n_shared = incidence[start:stop] @ incidence[start:].T
         union = sizes[start:stop, None] + sizes[start:] - n_shared
         out[start:stop, start:] = factor.reshape(union.shape) * (1.0 - n_shared / union)
@@ -218,13 +218,17 @@ def _csv_cell(text: str) -> str:
 def write_matrix_csv(matrix: np.ndarray, labels: Sequence[str], path: str | Path) -> None:
     """CSV with a leading header row and label column, as csv.writer
     writes it: each value with 17 significant digits. Each line is one
-    `%` format of its label and values, and a block of lines one write."""
+    `%` format of its label and values, and a block of lines one write.
+    Raises LengthMismatch, before the file is opened, unless there is one
+    label per row and per column of the matrix."""
     matrix = np.asarray(matrix)
+    if matrix.shape != (len(labels), len(labels)):
+        raise LengthMismatch(f"{len(labels)} labels for a {'x'.join(map(str, matrix.shape))} matrix")
     cells = [_csv_cell(label) for label in labels]
-    line = ",".join(["%s", *["%.17g"] * matrix.shape[-1]]) + "\r\n"
-    step = max(1, _BLOCK_CELLS // max(1, matrix.shape[-1]))
+    line = ",".join(["%s", *["%.17g"] * len(cells)]) + "\r\n"
+    step = max(1, _BLOCK_CELLS // max(1, len(cells)))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write((",".join(["", *cells]) if cells else '""') + "\r\n")  # csv.writer quotes a lone empty cell
-        for start in range(0, min(len(cells), len(matrix)), step):
+        for start in range(0, len(cells), step):
             rows = zip(cells[start:start + step], matrix[start:start + step].tolist())
             fh.write("".join([line % (label, *row) for label, row in rows]))

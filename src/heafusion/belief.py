@@ -1,58 +1,32 @@
-"""Dempster-Shafer algebra over two-element frames of discernment.
+"""Dempster-Shafer algebra over two-element frames of discernment, held
+as weights of evidence.
 
-A :class:`BinaryMass` distributes unit probability mass over the three
-non-empty subsets of a two-outcome frame: the first singleton, the second
-singleton, and the full frame (ignorance). The same type serves both frames
-used in this package: {similar, dissimilar} for substitutability evidence and
-{positive, negative} for phase predictions; the frame semantics live at the
-call site.
+A mass on a two-outcome frame is a triple (m_first, m_second, m_both) of
+non-negative floats summing to 1: the first singleton, the second
+singleton, and the full frame (ignorance). The same triples serve both
+frames used in this package: {similar, dissimilar} for substitutability
+evidence and {positive, negative} for phase predictions; the frame
+semantics live at the call site.
 
 Simple support on one outcome with strength s carries the weight of
 evidence w = -ln(1 - s), and every mass with m_both > 0 is the Dempster
 combination of simple support on each outcome (Smets 1995; Denoeux 2019).
 Dempster's rule therefore adds the weights of evidence for the same
 outcome, so the library holds evidence as one weight per outcome, pools it
-by addition, and reads the sums out once with `from_weights`; `to_weights`
-is its inverse and `discount_weights` applies reliability discounting to
-weights.
+by addition, and reads the sums out once: `from_weights` gives the mass,
+`pignistic` the point probability of the first outcome. `to_weights` is
+the inverse of `from_weights` and `discount_weights` applies reliability
+discounting to weights. Every function takes floats or arrays.
 
-All values are immutable and all operations are pure functions, so they are
-safe to share across threads.
+All operations are pure functions, so they are safe to share across
+threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GammaOutOfRange, TotalConflict
-
-SUM_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BinaryMass:
-    """Mass assignment (m_first, m_second, m_both) with components summing to 1."""
-
-    m_first: float
-    m_second: float
-    m_both: float
-
-    def __post_init__(self) -> None:
-        for name, value in (
-            ("m_first", self.m_first),
-            ("m_second", self.m_second),
-            ("m_both", self.m_both),
-        ):
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
-        total = self.m_first + self.m_second + self.m_both
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"mass components must sum to 1, got {total!r}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.m_first, self.m_second, self.m_both)
 
 
 def _scalar_or_array(values: tuple, ndim: int) -> tuple:
@@ -122,6 +96,11 @@ def discount_weights(w_first, w_second, gamma: float):
     return to_weights(gamma * m_first, gamma * m_second, 1.0 - gamma + gamma * m_both)
 
 
-def pignistic(m: BinaryMass) -> float:
-    """Point probability of the first outcome: split ignorance mass evenly."""
-    return m.m_first + m.m_both / 2.0
+def pignistic(w_first, w_second):
+    """Pignistic probability of the first outcome under weights w_first and
+    w_second: the first mass of their `from_weights` readout plus half its
+    ignorance. Swapping the arguments gives the second outcome's, exactly,
+    as `from_weights` swaps its masses. Floats or arrays, as in
+    `from_weights`."""
+    m_first, _, m_both = from_weights(w_first, w_second)
+    return m_first + m_both / 2.0

@@ -22,6 +22,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .alloys import (
+    BLOCK_ROWS,
     ELEMENT_SYMBOLS,
     UNIVERSES,
     Alloy,
@@ -43,6 +45,7 @@ from .analysis import (
     hybrid_distance_matrix,
     write_matrix_csv,
 )
+from .belief import from_weights
 from .errors import ConfigError, DataError, EmptySourceList, HeafusionError, NumericError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
@@ -482,15 +485,18 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     predictions = predict_batch(
         candidates, training, store, max_subst_size=args.max_subst_size, jobs=args.jobs
     )
+    masses = from_weights(predictions.w_pos, predictions.w_neg)
+    # the lines csv.writer writes: a composition joins element symbols with "-" and needs no quoting
+    rows = zip(
+        [c.composition() for c in candidates], *(m.tolist() for m in masses), predictions.score.tolist(),
+        classify(predictions.score), predictions.n_analogies.tolist(),
+    )
+    line = "%s,%.17g,%.17g,%.17g,%.17g,%d,%d\r\n"
     out = _out_path(args, args.out)
     with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5", "n_analogies"])
-        for p, positive in zip(predictions, classify([p.score for p in predictions])):
-            writer.writerow(
-                [p.candidate.composition(), f"{p.mass.m_first:.17g}", f"{p.mass.m_second:.17g}",
-                 f"{p.mass.m_both:.17g}", f"{p.score:.17g}", int(positive), p.n_analogies]
-            )
+        fh.write("composition,m_hea,m_not_hea,m_uncertain,score,label_at_0.5,n_analogies\r\n")
+        while block := list(islice(rows, BLOCK_ROWS)):
+            fh.write("".join([line % row for row in block]))
     _write_metadata(args, [out.name], {"n_candidates": len(candidates)})
 
 

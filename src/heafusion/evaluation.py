@@ -165,7 +165,7 @@ def _evaluate_split(
     sources: SourcesConfig,
     seed: int,
     jobs: int = 1,
-) -> tuple[list[float], list[bool], dict[str, float], dict[str, str]]:
+) -> tuple[np.ndarray, list[bool], dict[str, float], dict[str, str]]:
     """Run the full pipeline on one split: extract, weight, fuse, predict.
 
     Returns (scores, labels, gammas, store hashes). Everything the test
@@ -190,11 +190,10 @@ def _evaluate_split(
     gamma_of = {**overrides, **dict(zip(estimated, estimates))}
     gammas = [fusion.SourceReliability(source_id, gamma_of[source_id]) for source_id in held]
     fused = fusion.fuse(stores, gammas)
-    predictions = inference.predict_batch(
+    scores = inference.predict_batch(
         [la.alloy for la in test.alloys], training, fused,
         max_subst_size=sources.max_subst_size, jobs=jobs,
-    )
-    scores = [p.score for p in predictions]
+    ).score
     hashes = {source_id: store.content_hash() for source_id, store in stores}
     hashes["fused"] = fused.content_hash()
     return scores, test.labels(), {g.source_id: g.gamma for g in gammas}, hashes

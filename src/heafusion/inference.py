@@ -7,9 +7,10 @@ missing from the candidate with the candidate elements missing from the
 host. The store's belief s that those two combinations are substitutable
 is simple support for the host's class (host positive) or the other class
 (host negative), with weight of evidence -ln(1 - s). Dempster's rule adds
-weights, so the analogy pool is one sum of weights per class, read out
-once by `belief.from_weights` and scored by the pignistic probability of
-the positive class.
+weights, so the analogy pool is one sum of weights per class, scored once
+by `belief.pignistic`, the pignistic probability of the positive class.
+`predict_batch` returns the columns of a batch as one `Predictions`
+result, with no object per candidate.
 
 The weights come from `SimilarityStore.mask_view`, finite for
 similarities that round to 1. TotalConflict means infinite weight on both
@@ -42,17 +43,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .alloys import Alloy, Dataset, element_words, key_width
-from .belief import BinaryMass, from_weights, pignistic
+from .belief import pignistic
 from .errors import CandidateInTraining, LengthMismatch, SingleClass
 from .md_evidence import KeyTable, SimilarityStore, informative_pairs, substitution_limit
 
 __all__ = [
-    "Prediction",
+    "Predictions",
     "accuracy",
     "analogy_weights",
     "classify",
@@ -66,20 +67,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Combined class mass for a candidate with its pignistic score."""
-
+class _Row(NamedTuple):
     candidate: Alloy
-    mass: BinaryMass
     score: float
     n_analogies: int
 
-    def __post_init__(self) -> None:
-        if abs(self.score - pignistic(self.mass)) > 1e-12:
-            raise ValueError("score must equal the pignistic probability of the mass")
-        if self.n_analogies < 0:
-            raise ValueError("n_analogies must be non-negative")
+
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """The columns of one `predict_batch` call, one entry per candidate in
+    order: the summed weights of evidence of the positive and negative
+    class (`w_pos`, `w_neg`; `belief.from_weights` reads them out as the
+    combined class mass), the number of analogies and the pignistic score
+    of the positive class."""
+
+    candidates: tuple[Alloy, ...]
+    w_pos: np.ndarray
+    w_neg: np.ndarray
+    n_analogies: np.ndarray
+    score: np.ndarray
+
+    # A row view, (candidate, score, n_analogies) per candidate, for callers
+    # that read a batch one candidate at a time: the benchmark harness under
+    # perfbench/ takes len(), p.score and p.n_analogies from the result.
+    def __len__(self) -> int:
+        return len(self.candidates)
+
+    def __getitem__(self, i: int) -> _Row:
+        return _Row(self.candidates[i], float(self.score[i]), int(self.n_analogies[i]))
+
+    def __iter__(self) -> Iterator[_Row]:
+        return map(_Row, self.candidates, self.score.tolist(), self.n_analogies.tolist())
 
 
 def analogy_weights(
@@ -136,12 +154,10 @@ def columns_macro_f1(
 ) -> np.ndarray:
     """(groups, k) macro-F1 of every column of (rows, k) class-weight sums
     within each group of rows (all rows in group 0 without `groups`): the
-    sums are read out by `belief.from_weights`, scored by the pignistic
-    probability and classified by `classify`, as `predict_batch` would with
-    that column alone, and each group's rows scored as `macro_f1` scores
-    them."""
-    m_pos, _, m_unc = from_weights(w_pos, w_neg)
-    return _macro_f1(_outcomes(labels, _positive(m_pos + m_unc / 2.0), groups, n_groups))
+    sums are scored by `belief.pignistic` and classified by `classify`, as
+    `predict_batch` would with that column alone, and each group's rows
+    scored as `macro_f1` scores them."""
+    return _macro_f1(_outcomes(labels, _positive(pignistic(w_pos, w_neg)), groups, n_groups))
 
 
 def fold_macro_f1(
@@ -182,8 +198,9 @@ def predict_batch(
     store: SimilarityStore,
     max_subst_size: int | None = None,
     jobs: int = 1,
-) -> list[Prediction]:
-    """Predict many candidates against one training set and store.
+) -> Predictions:
+    """Predict many candidates against one training set and store: the
+    columns of their analogy weights, analogy counts and scores.
 
     Pure in its inputs; candidates are processed independently, so the
     batch may be chunked across worker processes, one per usable CPU at most.
@@ -225,12 +242,7 @@ def predict_batch(
         n = np.empty(len(candidates), dtype=np.int64)
         for lane, (lane_pos, lane_neg, lane_n) in enumerate(parts):
             w_pos[lane::jobs], w_neg[lane::jobs], n[lane::jobs] = lane_pos, lane_neg, lane_n
-    m_first, m_second, m_both = (m.tolist() for m in from_weights(w_pos, w_neg))
-    out = []
-    for candidate, a, b, u, k in zip(candidates, m_first, m_second, m_both, n.tolist()):
-        mass = BinaryMass(a, b, u)
-        out.append(Prediction(candidate, mass, pignistic(mass), k))
-    return out
+    return Predictions(tuple(candidates), w_pos, w_neg, n, pignistic(w_pos, w_neg))
 
 
 def _positive(scores: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .alloys import parse_symbols, read_blocks
-from .belief import BinaryMass, to_weights
+from .belief import to_weights
 from .errors import BetaOutOfRange, ParseError
 from .md_evidence import CombinationPair, SimilarityStore
 
@@ -140,18 +140,19 @@ def parse_responses(path: str | Path) -> list[LlmResponse]:
     return responses
 
 
-def mass_from_response(resp: LlmResponse, beta: float) -> BinaryMass:
-    """Map an answer to its mass: No is ignorance; High/Medium/Low commit
-    beta toward similar, split, or dissimilar."""
+def mass_from_response(resp: LlmResponse, beta: float) -> tuple[float, float, float]:
+    """Map an answer to its mass (m_similar, m_dissimilar, m_both): No is
+    ignorance; High/Medium/Low commit beta toward similar, split, or
+    dissimilar."""
     if not 0.0 < beta < 1.0:
         raise BetaOutOfRange(f"beta must lie in (0, 1), got {beta!r}")
     if not resp.q1:
-        return BinaryMass(0.0, 0.0, 1.0)
+        return (0.0, 0.0, 1.0)
     if resp.q2 == "High":
-        return BinaryMass(beta, 0.0, 1.0 - beta)
+        return (beta, 0.0, 1.0 - beta)
     if resp.q2 == "Medium":
-        return BinaryMass(beta / 2.0, beta / 2.0, 1.0 - beta)
-    return BinaryMass(0.0, beta, 1.0 - beta)
+        return (beta / 2.0, beta / 2.0, 1.0 - beta)
+    return (0.0, beta, 1.0 - beta)
 
 
 def build_store(
@@ -161,7 +162,7 @@ def build_store(
     within a domain are Dempster-combined: their weights of evidence are
     summed in file order."""
     responses = list(responses)
-    masses = np.array([mass_from_response(resp, beta).as_tuple() for resp in responses]).reshape(-1, 3)
+    masses = np.array([mass_from_response(resp, beta) for resp in responses]).reshape(-1, 3)
     by_domain: dict[str, dict[CombinationPair, list[float]]] = {}
     for resp, w_first, w_second in zip(responses, *(w.tolist() for w in to_weights(*masses.T))):
         held = by_domain.setdefault(resp.domain, {}).setdefault(resp.pair, [0.0, 0.0])

@@ -6,9 +6,10 @@ The oracles deliberately avoid the package's computational paths: exact
 rational arithmetic over explicit power-set expansions, quadratic pair
 counting, and from-scratch linkage recomputation. The reference
 implementations spell out one pair, one analogy or one store merge at a
-time with the package's value types. The float Dempster reference
-(`combine`, `discount` and their helpers) folds masses pairwise with the
-textbook rule, where the package adds weights of evidence.
+time. The package holds evidence as weights and reads it out as mass
+triples; here a mass is a validated `BinaryMass`, and the float Dempster
+reference (`combine`, `discount` and their helpers) folds masses pairwise
+with the textbook rule, where the package adds weights of evidence.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
 from heafusion.alloys import element_words, key_width, kfold_indices, parse_symbols
-from heafusion.belief import discount_weights, from_weights, pignistic
+from heafusion.belief import discount_weights, from_weights
 from heafusion.errors import (
     AlphaOutOfRange,
     CandidateInTraining,
@@ -37,7 +38,7 @@ from heafusion.errors import (
     TotalConflict,
 )
 from heafusion.fusion import SourceReliability
-from heafusion.inference import classify, predict_batch
+from heafusion.inference import Predictions, classify, predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
     ExtractionConfig,
@@ -49,6 +50,48 @@ from heafusion.md_evidence import (
 )
 
 CONFLICT_LIMIT = 1.0 - 1e-12
+SUM_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class BinaryMass:
+    """Mass assignment (m_first, m_second, m_both) with components summing to 1."""
+
+    m_first: float
+    m_second: float
+    m_both: float
+
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("m_first", self.m_first),
+            ("m_second", self.m_second),
+            ("m_both", self.m_both),
+        ):
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        total = self.m_first + self.m_second + self.m_both
+        if abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"mass components must sum to 1, got {total!r}")
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.m_first, self.m_second, self.m_both)
+
+
+def mass_pignistic(m: BinaryMass) -> float:
+    """Point probability of the first outcome: split ignorance mass evenly."""
+    return m.m_first + m.m_both / 2.0
+
+
+def predicted_mass(predictions: Predictions, i: int = 0) -> BinaryMass:
+    """The combined class mass of candidate i of `predict_batch`'s columns."""
+    return BinaryMass(*from_weights(float(predictions.w_pos[i]), float(predictions.w_neg[i])))
+
+
+def predicted_rows(predictions: Predictions) -> list[tuple[tuple[float, float, float], float, int]]:
+    """(mass, score, analogies) per candidate of `predict_batch`'s columns,
+    in the form of `predict_reference`."""
+    masses = zip(*(m.tolist() for m in from_weights(predictions.w_pos, predictions.w_neg)))
+    return list(zip(masses, predictions.score.tolist(), predictions.n_analogies.tolist()))
 
 
 def vacuous() -> BinaryMass:
@@ -643,7 +686,7 @@ def predict_reference(
     masses = zip(*(m.tolist() for m in from_weights(table[:, 0], table[:, 1])))
     out = []
     for mass, n in zip(masses, table[:, 2].astype(int).tolist()):
-        out.append((mass, pignistic(BinaryMass(*mass)), n))
+        out.append((mass, mass_pignistic(BinaryMass(*mass)), n))
     return out
 
 
@@ -675,7 +718,7 @@ def estimate_reliability_reference(
         splits = kfold_splits(dataset, folds, seed)
         for training, test in splits:
             predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
-            total += macro_f1_loop(test.labels(), classify([p.score for p in predictions]))
+            total += macro_f1_loop(test.labels(), classify(predictions.score))
         gammas.append(min(1.0, max(0.0, total / len(splits))))
     return gammas
 
@@ -703,7 +746,7 @@ def alpha_scores_reference(
             for training, test in kfold_splits(dataset, folds, seed + rep):
                 store = extract_all(training, ExtractionConfig(alpha, max_subst_size))
                 predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
-                total += macro_f1_loop(test.labels(), classify([p.score for p in predictions]))
+                total += macro_f1_loop(test.labels(), classify(predictions.score))
         means.append(total / (repeats * folds))
     return means
 

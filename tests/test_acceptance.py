@@ -17,7 +17,6 @@ import pytest
 
 from heafusion import (
     Alloy,
-    BinaryMass,
     Dataset,
     LabeledAlloy,
     UNIVERSES,
@@ -45,6 +44,7 @@ from conftest import (
     single_substitution_alloys,
 )
 from oracles import (
+    BinaryMass,
     alloy_masks,
     combine_exact,
     combine_stores,
@@ -54,6 +54,8 @@ from oracles import (
     mass_of,
     masses_of,
     pairs_of,
+    predicted_mass,
+    predicted_rows,
     scan_partition,
 )
 
@@ -100,11 +102,12 @@ def test_criterion_2_supplement_pipeline_multi_element():
     assert mass_of(store, CombinationPair(("Cu",), ("Zn", "Ga"))).m_first == pytest.approx(s, abs=1e-9)
 
     observed_host = as_dataset([LabeledAlloy(Alloy(("Ag", "Cd", "In", "Cu")), True)])
-    prediction = predict_batch([Alloy(("Ag", "Cd", "In", "Zn", "Ga"))], observed_host, store)[0]
-    assert prediction.n_analogies == 1
-    assert prediction.mass.m_first == pytest.approx(s, abs=1e-9)
-    assert prediction.mass.m_second == pytest.approx(0.0, abs=1e-9)
-    assert prediction.mass.m_both == pytest.approx(1.0 - s, abs=1e-9)
+    predictions = predict_batch([Alloy(("Ag", "Cd", "In", "Zn", "Ga"))], observed_host, store)
+    mass = predicted_mass(predictions)
+    assert predictions.n_analogies.tolist() == [1]
+    assert mass.m_first == pytest.approx(s, abs=1e-9)
+    assert mass.m_second == pytest.approx(0.0, abs=1e-9)
+    assert mass.m_both == pytest.approx(1.0 - s, abs=1e-9)
     report(2, "supplement pipeline, multi-element substitution", t0)
 
 
@@ -119,7 +122,7 @@ def test_criterion_3_outcome_table_exact():
             (LlmResponse(pair, "Metallurgy", True, "Low"), (0.0, beta, 1.0 - beta)),
         ]
         for resp, expected in rows:
-            assert mass_from_response(resp, beta) == BinaryMass(*expected)
+            assert mass_from_response(resp, beta) == expected
     report(3, "expert outcome table exact for beta grid", t0)
 
 
@@ -181,7 +184,7 @@ def _suite_discount(rng):
 def _suite_pignistic(rng):
     for _ in range(1000):
         m = _random_mass(rng)
-        p = pignistic(m)
+        p = pignistic(*to_weights(*m.as_tuple()))
         assert m.m_first - 1e-12 <= p <= m.m_first + m.m_both + 1e-12
 
 
@@ -213,13 +216,13 @@ def _suite_label_flip():
     while checked < 1000:
         ds, flipped, store, candidates = _label_flip_cases(seed)
         seed += 1
-        base = predict_batch(candidates, ds, store)
-        mirrored = predict_batch(candidates, flipped, store)
-        for p, q in zip(base, mirrored):
-            assert abs(q.mass.m_first - p.mass.m_second) <= 1e-12
-            assert abs(q.mass.m_second - p.mass.m_first) <= 1e-12
-            assert abs(q.mass.m_both - p.mass.m_both) <= 1e-12
-            assert abs(q.score - (1.0 - p.score)) <= 1e-12
+        base = predicted_rows(predict_batch(candidates, ds, store))
+        mirrored = predicted_rows(predict_batch(candidates, flipped, store))
+        for (p_mass, p_score, _), (q_mass, q_score, _) in zip(base, mirrored):
+            assert abs(q_mass[0] - p_mass[1]) <= 1e-12
+            assert abs(q_mass[1] - p_mass[0]) <= 1e-12
+            assert abs(q_mass[2] - p_mass[2]) <= 1e-12
+            assert abs(q_score - (1.0 - p_score)) <= 1e-12
             checked += 1
 
 

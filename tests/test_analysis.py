@@ -14,7 +14,7 @@ from heafusion.analysis import (
     hybrid_distance_matrix,
     write_matrix_csv,
 )
-from heafusion.errors import MatrixMalformed
+from heafusion.errors import LengthMismatch, MatrixMalformed
 from heafusion.md_evidence import CombinationPair
 
 from conftest import mass_store as store_of
@@ -281,6 +281,13 @@ class TestMatrixCsv:
         write_matrix_csv(np.zeros((0, 0)), (), written)
         write_matrix_csv_reference(np.zeros((0, 0)), (), reference)
         assert written.read_bytes() == reference.read_bytes() == b'""\r\n'
+
+    @pytest.mark.parametrize("shape,n_labels", [((3, 3), 2), ((3, 3), 4), ((2, 3), 2), ((3,), 3), ((0, 0), 1)])
+    def test_labels_must_match_both_dimensions(self, tmp_path, shape, n_labels):
+        path = tmp_path / "m.csv"
+        with pytest.raises(LengthMismatch, match=f"{n_labels} labels for a"):
+            write_matrix_csv(np.zeros(shape), ["Cu", "Zn", "Fe", "Ni"][:n_labels], path)
+        assert not path.exists()
 
     def test_labeled_round_trip(self, tmp_path):
         matrix = np.array([[0.0, 0.25], [0.25, 0.0]])

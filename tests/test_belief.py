@@ -12,12 +12,23 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from heafusion.belief import BinaryMass, discount_weights, from_weights, pignistic, to_weights
+from heafusion.belief import discount_weights, from_weights, pignistic, to_weights
 from heafusion.errors import GammaOutOfRange, TotalConflict
 from heafusion.md_evidence import analogy_weight
 
 from conftest import combine_weights as combine, masses
-from oracles import combine_exact, conflict, discount, support_weight, to_weights_reference, vacuous
+from oracles import (
+    BinaryMass,
+    combine_exact,
+    conflict,
+    discount,
+    mass_pignistic,
+    support_weight,
+    to_weights_reference,
+    vacuous,
+)
+
+weights = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 
 def combine_all(ms):
@@ -57,7 +68,8 @@ class TestVacuous:
         approx_mass(combine(vacuous(), x), x.as_tuple(), tol=1e-12)
 
     def test_pignistic_is_half(self):
-        assert pignistic(vacuous()) == 0.5
+        assert pignistic(*to_weights(*vacuous().as_tuple())) == 0.5
+        assert mass_pignistic(vacuous()) == 0.5
 
 
 class TestCombine:
@@ -212,7 +224,27 @@ class TestPignistic:
         [((0, 0, 1), 0.5), ((1, 0, 0), 1.0), ((0.25, 0.075, 0.675), 0.5875)],
     )
     def test_values(self, mass, expected):
-        assert pignistic(BinaryMass(*mass)) == pytest.approx(expected, abs=1e-12)
+        assert pignistic(*to_weights(*mass)) == pytest.approx(expected, abs=1e-12)
+        assert mass_pignistic(BinaryMass(*mass)) == pytest.approx(expected, abs=1e-12)
+
+    @given(weights, weights)
+    def test_is_the_readout_of_the_mass(self, w1, w2):
+        m_first, m_second, m_both = from_weights(w1, w2)
+        assert pignistic(w1, w2) == mass_pignistic(BinaryMass(m_first, m_second, m_both))
+        # swapped weights give the second outcome's, to the bit
+        assert pignistic(w2, w1) == m_second + m_both / 2.0
+
+    def test_arrays_match_scalars(self):
+        w1 = np.array([0.0, 0.3, 5.0, 800.0, math.inf, 0.0])
+        w2 = np.array([0.0, 1.2, 5.0, 2.0, 3.0, math.inf])
+        got = pignistic(w1, w2)
+        assert got.tolist() == [pignistic(a, b) for a, b in zip(w1.tolist(), w2.tolist())]
+        assert got.tolist()[-2:] == [1.0, 0.0]
+        assert pignistic(np.zeros(0), np.zeros(0)).shape == (0,)
+
+    def test_both_infinite_is_total_conflict(self):
+        with pytest.raises(TotalConflict):
+            pignistic(math.inf, math.inf)
 
 
 class TestProperties:
@@ -248,15 +280,14 @@ class TestProperties:
 
     @given(masses())
     def test_pignistic_between_belief_and_plausibility(self, m):
-        assert m.m_first - 1e-12 <= pignistic(m) <= m.m_first + m.m_both + 1e-12
+        assert m.m_first - 1e-12 <= mass_pignistic(m) <= m.m_first + m.m_both + 1e-12
+        assume(has_weights(m))
+        assert m.m_first - 1e-12 <= pignistic(*to_weights(*m.as_tuple())) <= m.m_first + m.m_both + 1e-12
 
     @given(masses(min_both=0.001), masses(min_both=0.001))
     def test_matches_exact_oracle(self, x, y):
         expected = combine_exact([x.as_tuple(), y.as_tuple()])
         approx_mass(combine(x, y), expected, tol=1e-12)
-
-
-weights = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 
 class TestFromWeights:

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from heafusion.cli import build_parser, main
 from heafusion.md_evidence import read_store
 
-from conftest import planted_group_dataset, random_dataset
+from conftest import as_dataset, mass_store, planted_group_dataset, random_dataset
+from oracles import predict_reference
 
 GROUP_A = ("Fe", "Co", "Ni", "Mn")
 GROUP_B = ("Cu", "Ag", "Au", "Zn")
@@ -254,6 +255,81 @@ class TestPredict:
             float(rows[0]["m_hea"]) + float(rows[0]["m_not_hea"]) + float(rows[0]["m_uncertain"])
         )
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @staticmethod
+    def expected_csv(candidates, training, store):
+        """predictions.csv as csv.writer renders `predict_reference`."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["composition", "m_hea", "m_not_hea", "m_uncertain", "score", "label_at_0.5", "n_analogies"])
+        for candidate, (mass, score, n) in zip(candidates, predict_reference(candidates, training, store)):
+            writer.writerow([candidate.composition(), *(f"{m:.17g}" for m in mass), f"{score:.17g}", int(score > 0.5), n])
+        return buf.getvalue().encode()
+
+    def predict_bytes(self, tmp_path, candidates, training, store):
+        """The predictions.csv of `predict` with candidates, training set and
+        store written to files."""
+        from heafusion.alloys import serialize_dataset
+        from heafusion.md_evidence import write_store
+
+        serialize_dataset(training, tmp_path / "training.csv")
+        write_store(store, tmp_path / "store.csv")
+        cands = tmp_path / "candidates.csv"
+        cands.write_text("composition\n" + "".join(f"{c.composition()}\n" for c in candidates))
+        code = run(
+            ["predict", "--store", tmp_path / "store.csv", "--training", tmp_path / "training.csv",
+             "--candidates", cands, "--out-dir", tmp_path / "out", "--jobs", 1]
+        )
+        assert code == 0
+        return (tmp_path / "out" / "predictions.csv").read_bytes()
+
+    def test_csv_bytes_match_the_reference(self, tmp_path):
+        from heafusion.alloys import Alloy, LabeledAlloy
+
+        training = as_dataset([
+            LabeledAlloy(Alloy(("Ag", "Cd", "In", "Cu")), True),
+            LabeledAlloy(Alloy(("Ag", "Cd", "In", "Sn")), False),
+            LabeledAlloy(Alloy(("Fe", "Co", "Ni", "Cr")), False),
+        ])
+        store = mass_store({
+            (("Cu",), ("Zn",)): (1.0, 0.0, 0.0),  # certain: infinite weight on similar
+            (("Sn",), ("Zn",)): (0.0, 0.0, 1.0),
+            (("Cu",), ("Ga",)): (0.3, 0.1, 0.6),
+            (("Sn",), ("Ga",)): (0.2, 0.05, 0.75),
+            (("Cr",), ("Mn",)): (0.6, 0.0, 0.4),
+        })
+        candidates = [Alloy(e) for e in (
+            ("Ag", "Cd", "In", "Zn"), ("Mo", "Nb", "Ta", "W"), ("Ag", "Cd", "In", "Ga"), ("Co", "Fe", "Mn", "Ni"),
+        )]
+        got = self.predict_bytes(tmp_path, candidates, training, store)
+        assert got == self.expected_csv(candidates, training, store)
+        rows = list(csv.reader(io.StringIO(got.decode())))[1:]
+        assert rows[0][1:] == ["1", "0", "0", "1", "1", "2"]  # certain
+        assert rows[1][1:] == ["0", "0", "1", "0.5", "0", "0"]  # vacuous, a tie labeled negative
+
+    def test_csv_bytes_of_a_planted_store(self, tmp_path, planted_csv):
+        from itertools import combinations
+
+        from heafusion.alloys import Alloy, parse_dataset
+        from heafusion.md_evidence import ExtractionConfig, extract_all
+
+        training = parse_dataset(planted_csv)
+        taken = {la.alloy.elements for la in training.alloys}
+        candidates = [Alloy(e) for e in combinations(training.universe, 4) if Alloy(e).elements not in taken]
+        store = extract_all(training, ExtractionConfig(0.1))
+        got = self.predict_bytes(tmp_path, candidates, training, store)
+        assert got == self.expected_csv(candidates, training, store)
+        assert got.count(b"\r\n") == len(candidates) + 1 > 2
+
+    def test_header_only_candidates_give_a_header_only_file(self, tmp_path, planted_csv):
+        from heafusion.alloys import parse_dataset
+        from heafusion.md_evidence import ExtractionConfig, extract_all
+
+        training = parse_dataset(planted_csv)
+        store = extract_all(training, ExtractionConfig(0.1))
+        got = self.predict_bytes(tmp_path, [], training, store)
+        assert got == self.expected_csv([], training, store)
+        assert got == b"composition,m_hea,m_not_hea,m_uncertain,score,label_at_0.5,n_analogies\r\n"
 
     def test_pipeline_composition_matches_eval(self, tmp_path, planted_csv, responses_csv):
         """extract + ingest + fuse + predict equals the eval pipeline's

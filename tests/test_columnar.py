@@ -34,6 +34,7 @@ from oracles import (
     fuse_reference,
     masses_of,
     predict_reference,
+    predicted_rows,
     scan_partition,
 )
 
@@ -147,7 +148,7 @@ def test_kernels_match_reference_implementations(tmp_path):
                 break
             got = predict_batch(candidates, dataset, store, max_subst_size=max_size)
             expected = predict_reference(candidates, dataset, store, max_size)
-            assert [(p.mass.as_tuple(), p.score, p.n_analogies) for p in got] == expected, case
+            assert predicted_rows(got) == expected, case
 
         seen["wide"] += len(dataset.universe) > 64
         seen["extra_candidates"] += any(set(c.elements) - set(dataset.universe) for c in candidates)
@@ -241,7 +242,7 @@ def _layout_results(stores, training, candidates, path):
     predictions, files = [], []
     for store in (*stores, fused):
         got = predict_batch(candidates, training, store)
-        predictions.append([(p.mass.as_tuple(), p.score, p.n_analogies) for p in got])
+        predictions.append(predicted_rows(got))
         write_store(store, path)
         files.append(path.read_bytes())
     return [store.content_hash() for store in (*stores, fused)], gammas, predictions, files

@@ -275,6 +275,32 @@ def test_analysis_builds_no_pair_objects():
     assert constructor_calls(ast.parse(source), "CombinationPair") == [1, 2]
 
 
+def name_uses(tree: ast.Module, name: str) -> list[int]:
+    """Lines that name `name`: as a variable, an attribute, an import, or
+    the name of a function or class."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, (ast.ImportFrom, ast.Import)) and any(a.name.split(".")[-1] == name for a in node.names)
+        or isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    )
+
+
+def test_library_names_no_mass_objects():
+    """Evidence is held as weights and predictions as columns, so no module
+    names the mass type, which lives with the oracles in tests/, nor a
+    per-candidate prediction type."""
+    for name in ("BinaryMass", "Prediction"):
+        assert {stem: name_uses(tree, name) for stem, tree in _trees().items() if name_uses(tree, name)} == {}
+    source = (
+        "from .belief import BinaryMass\nclass BinaryMass: pass\nm = belief.BinaryMass(a)\n"
+        "x = BinaryMass\ny = BinaryMasses\n"
+    )
+    assert name_uses(ast.parse(source), "BinaryMass") == [1, 2, 3, 4]
+
+
 def _called_names(node: ast.AST) -> set[str]:
     """Names of the calls inside a node: `f(...)` and `x.f(...)` call `f`."""
     return {

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heafusion import Alloy, BinaryMass, LabeledAlloy, SimilarityStore, inference
+from heafusion import Alloy, LabeledAlloy, SimilarityStore, inference
 from heafusion.alloys import element_words
 from heafusion.belief import to_weights
 from heafusion.errors import CandidateInTraining, LengthMismatch, TotalConflict
@@ -16,17 +16,27 @@ from heafusion.md_evidence import CombinationPair, counts_to_store, read_store, 
 from conftest import as_dataset, mass_store as store_of, planted_group_store, random_dataset
 from oracles import (
     Analogy,
+    BinaryMass,
     count_table,
     enumerate_analogies,
     evidence_from_analogy,
     expand_dempster,
     mass_from_counts,
     mass_of,
+    predicted_mass,
 )
+
+
+COLUMNS = ("w_pos", "w_neg", "n_analogies", "score")
 
 
 def la(elements, label=True):
     return LabeledAlloy(Alloy(elements), label)
+
+
+def same_predictions(a, b) -> bool:
+    """The same candidates and, bit for bit, the same columns."""
+    return a.candidates == b.candidates and all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
 
 
 class TestEnumerateAnalogies:
@@ -79,15 +89,17 @@ class TestPredict:
     def test_single_positive_analogy(self):
         training = as_dataset([la("Ag Cd In Cu".split(), True)])
         store = store_of({(("Cu",), ("Zn",)): (0.25, 0.075, 0.675)})
-        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
-        assert p.mass == BinaryMass(0.25, 0.0, 0.75)
+        predictions = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)
+        p = predictions[0]
+        assert predicted_mass(predictions) == BinaryMass(0.25, 0.0, 0.75)
         assert p.score == pytest.approx(0.625, abs=1e-12)
         assert p.n_analogies == 1
 
     def test_no_analogies_is_vacuous(self):
         training = as_dataset([la("Fe Ni Cr Co".split())])
-        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, SimilarityStore())[0]
-        assert p.mass == BinaryMass(0.0, 0.0, 1.0)
+        predictions = predict_batch([Alloy("Ag Cd In Zn".split())], training, SimilarityStore())
+        p = predictions[0]
+        assert predicted_mass(predictions) == BinaryMass(0.0, 0.0, 1.0)
         assert p.score == 0.5
         assert p.n_analogies == 0
 
@@ -98,11 +110,12 @@ class TestPredict:
         store = store_of(
             {(("Cu",), ("Zn",)): (0.25, 0.0, 0.75), (("Sn",), ("Zn",)): (0.25, 0.0, 0.75)}
         )
-        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
-        assert p.mass.m_first == pytest.approx(0.2, abs=1e-12)
-        assert p.mass.m_second == pytest.approx(0.2, abs=1e-12)
-        assert p.mass.m_both == pytest.approx(0.6, abs=1e-12)
-        assert p.score == pytest.approx(0.5, abs=1e-12)
+        predictions = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)
+        mass = predicted_mass(predictions)
+        assert mass.m_first == pytest.approx(0.2, abs=1e-12)
+        assert mass.m_second == pytest.approx(0.2, abs=1e-12)
+        assert mass.m_both == pytest.approx(0.6, abs=1e-12)
+        assert predictions[0].score == pytest.approx(0.5, abs=1e-12)
 
     def test_saturated_opposite_hosts_cancel(self):
         # 400 agreeing pieces at alpha 0.1 give a similarity that rounds to
@@ -118,10 +131,11 @@ class TestPredict:
             CombinationPair(("Cu",), ("Zn",)): to_weights(*saturated.as_tuple()),
             CombinationPair(("Sn",), ("Zn",)): to_weights(*saturated.as_tuple()),
         })
-        p = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
-        assert p.score == pytest.approx(0.5, abs=1e-12)
-        assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
-        assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
+        predictions = predict_batch([Alloy("Ag Cd In Zn".split())], training, store)
+        mass = predicted_mass(predictions)
+        assert predictions[0].score == pytest.approx(0.5, abs=1e-12)
+        assert mass.m_first == pytest.approx(0.5, abs=1e-12)
+        assert mass.m_second == pytest.approx(0.5, abs=1e-12)
 
     def test_stored_counts_beyond_mass_precision_cancel(self, tmp_path):
         # 1,100 agreeing pieces at alpha 0.5 read out as the mass (1, 0, 0):
@@ -137,10 +151,11 @@ class TestPredict:
         store = counts_to_store(count_table(counts), 0.5, universe)
         write_store(store, tmp_path / "store.csv")
         for held in (store, read_store(tmp_path / "store.csv")):
-            p = predict_batch([Alloy("Ag Cd In Zn".split())], training, held)[0]
+            predictions = predict_batch([Alloy("Ag Cd In Zn".split())], training, held)
+            p, mass = predictions[0], predicted_mass(predictions)
             assert p.n_analogies == 2
-            assert p.mass.m_first == pytest.approx(0.5, abs=1e-12)
-            assert p.mass.m_second == pytest.approx(0.5, abs=1e-12)
+            assert mass.m_first == pytest.approx(0.5, abs=1e-12)
+            assert mass.m_second == pytest.approx(0.5, abs=1e-12)
             assert p.score == pytest.approx(0.5, abs=1e-12)
 
     def test_certain_opposite_hosts_are_total_conflict(self):
@@ -149,7 +164,7 @@ class TestPredict:
         )
         store = store_of({(("Cu",), ("Zn",)): (1.0, 0.0, 0.0), (("Sn",), ("Zn",)): (1.0, 0.0, 0.0)})
         with pytest.raises(TotalConflict):
-            predict_batch([Alloy("Ag Cd In Zn".split())], training, store)[0]
+            predict_batch([Alloy("Ag Cd In Zn".split())], training, store)
 
     @pytest.mark.parametrize("n_labels", [1, 3])
     def test_host_labels_must_match_the_hosts(self, n_labels):
@@ -162,7 +177,7 @@ class TestPredict:
     def test_candidate_in_training(self):
         training = as_dataset([la("Ag Cd In Cu".split())])
         with pytest.raises(CandidateInTraining):
-            predict_batch([Alloy("Ag Cd In Cu".split())], training, SimilarityStore())[0]
+            predict_batch([Alloy("Ag Cd In Cu".split())], training, SimilarityStore())
 
 
 class TestClassify:
@@ -216,8 +231,8 @@ class TestInvariants:
             s = Fraction(mass_of(store, CombinationPair(analogy.replaced, analogy.replacement)).m_first)
             pieces.append((s, 0, 1 - s) if analogy.host.label else (0, s, 1 - s))
         expected = expand_dempster(pieces) if pieces else (Fraction(0), Fraction(0), Fraction(1))
-        got = predict_batch([candidate], ds, store)[0]
-        for g, w in zip(got.mass.as_tuple(), expected):
+        got = predicted_mass(predict_batch([candidate], ds, store))
+        for g, w in zip(got.as_tuple(), expected):
             assert g == pytest.approx(float(w), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -226,21 +241,22 @@ class TestInvariants:
         flipped = ds.with_alloys(
             [LabeledAlloy(la_.alloy, not la_.label) for la_ in ds.alloys]
         )
-        p = predict_batch([candidate], ds, store)[0]
-        q = predict_batch([candidate], flipped, store)[0]
-        assert q.mass.m_first == pytest.approx(p.mass.m_second, abs=1e-12)
-        assert q.mass.m_second == pytest.approx(p.mass.m_first, abs=1e-12)
-        assert q.mass.m_both == pytest.approx(p.mass.m_both, abs=1e-12)
-        assert q.score == pytest.approx(1.0 - p.score, abs=1e-12)
+        p = predict_batch([candidate], ds, store)
+        q = predict_batch([candidate], flipped, store)
+        p_mass, q_mass = predicted_mass(p), predicted_mass(q)
+        assert q_mass.m_first == pytest.approx(p_mass.m_second, abs=1e-12)
+        assert q_mass.m_second == pytest.approx(p_mass.m_first, abs=1e-12)
+        assert q_mass.m_both == pytest.approx(p_mass.m_both, abs=1e-12)
+        assert q[0].score == pytest.approx(1.0 - p[0].score, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_training_order_invariance(self, seed):
         ds, store, candidate = _random_instance(seed)
         rows = list(ds.alloys)
         random.Random(seed + 100).shuffle(rows)
-        p = predict_batch([candidate], ds, store)[0]
-        q = predict_batch([candidate], ds.with_alloys(rows), store)[0]
-        for g, w in zip(q.mass.as_tuple(), p.mass.as_tuple()):
+        p = predicted_mass(predict_batch([candidate], ds, store))
+        q = predicted_mass(predict_batch([candidate], ds.with_alloys(rows), store))
+        for g, w in zip(q.as_tuple(), p.as_tuple()):
             assert g == pytest.approx(w, abs=1e-12)
 
     def test_score_monotone_in_similarity(self):
@@ -260,7 +276,34 @@ class TestInvariants:
         taken = {la_.alloy.elements for la_ in ds.alloys}
         candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken]
         batch = predict_batch(candidates, ds, store)
-        assert batch == [predict_batch([candidate], ds, store)[0] for candidate in candidates]
+        singles = [predict_batch([candidate], ds, store) for candidate in candidates]
+        for column in COLUMNS:
+            assert np.array_equal(getattr(batch, column), np.concatenate([getattr(s, column) for s in singles]))
+
+    def test_rows_equal_the_columns(self):
+        ds, store, _ = _random_instance(3)
+        from itertools import combinations
+
+        taken = {la_.alloy.elements for la_ in ds.alloys}
+        candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken]
+        predictions = predict_batch(candidates, ds, store)
+        assert predictions.candidates == tuple(candidates)
+        rows = list(zip(candidates, predictions.score.tolist(), predictions.n_analogies.tolist()))
+        assert len(predictions) == len(rows) > 1
+        assert list(predictions) == [predictions[i] for i in range(len(rows))] == rows
+        assert predictions[-1] == rows[-1]
+        for p, (candidate, score, n) in zip(predictions, rows):
+            assert (p.candidate, p.score, p.n_analogies) == (candidate, score, n)
+            assert type(p.score) is float and type(p.n_analogies) is int
+        with pytest.raises(IndexError):
+            predictions[len(rows)]
+
+    def test_empty_batch(self):
+        ds, store, _ = _random_instance(3)
+        predictions = predict_batch([], ds, store)
+        assert len(predictions) == 0 and list(predictions) == []
+        for column in COLUMNS:
+            assert getattr(predictions, column).shape == (0,)
 
     def test_batch_jobs_consistent(self, monkeypatch):
         # batch large enough to engage the process pool, its threshold
@@ -277,7 +320,7 @@ class TestInvariants:
         assert len(candidates) >= inference._POOL_MIN_CANDIDATES
         serial = predict_batch(candidates, ds, store, jobs=1)
         for jobs in (2, 3):
-            assert predict_batch(candidates, ds, store, jobs=jobs) == serial, jobs
+            assert same_predictions(predict_batch(candidates, ds, store, jobs=jobs), serial), jobs
 
     def test_pool_has_one_lane_per_core_at_most(self, monkeypatch):
         # a fake pool records its size and maps in this process, so no
@@ -309,13 +352,13 @@ class TestInvariants:
         # a process pinned to one CPU of eight starts no pool
         monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {5}, raising=False)
-        assert predict_batch(candidates, ds, store, jobs=5000) == serial
+        assert same_predictions(predict_batch(candidates, ds, store, jobs=5000), serial)
         assert sizes == []
         monkeypatch.delattr(inference.os, "sched_getaffinity", raising=False)
         for cores, jobs, pools in [(3, 5000, [3]), (4, 2, [2]), (1, 5000, []), (None, 5000, [])]:
             sizes.clear()
             monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
-            assert predict_batch(candidates, ds, store, jobs=jobs) == serial, (cores, jobs)
+            assert same_predictions(predict_batch(candidates, ds, store, jobs=jobs), serial), (cores, jobs)
             assert sizes == pools, (cores, jobs)
 
     def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):

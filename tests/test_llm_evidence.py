@@ -2,7 +2,6 @@
 
 import pytest
 
-from heafusion import BinaryMass
 from heafusion.belief import to_weights
 from heafusion.errors import BetaOutOfRange, ParseError
 from heafusion.llm_evidence import (
@@ -17,7 +16,7 @@ from heafusion.llm_evidence import (
 )
 from heafusion.md_evidence import CombinationPair
 
-from oracles import mass_of, pairs_of
+from oracles import BinaryMass, mass_of, pairs_of
 
 
 def pair(a="Cu", b="Ag"):
@@ -34,12 +33,12 @@ class TestOutcomeTable:
             (LlmResponse(pair(), "Metallurgy", True, "Low"), (0.0, beta, 1.0 - beta)),
         ]
         for resp, expected in cases:
-            assert mass_from_response(resp, beta) == BinaryMass(*expected)
+            assert mass_from_response(resp, beta) == expected
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_committed_mass_is_beta_when_yes(self, beta):
         for rating in ("High", "Medium", "Low"):
-            m = mass_from_response(LlmResponse(pair(), "d", True, rating), beta)
+            m = BinaryMass(*mass_from_response(LlmResponse(pair(), "d", True, rating), beta))
             assert m.m_both == pytest.approx(1.0 - beta, abs=1e-15)
             assert m.m_first + m.m_second == pytest.approx(beta, abs=1e-15)
 
@@ -64,9 +63,7 @@ class TestResponseInvariants:
 
     def test_default_beta_single_domain_stays_valid(self):
         assert default_beta(1) == 0.5
-        assert mass_from_response(LlmResponse(pair(), "Metallurgy", True, "High"), default_beta(1)) == BinaryMass(
-            0.5, 0.0, 0.5
-        )
+        assert mass_from_response(LlmResponse(pair(), "Metallurgy", True, "High"), default_beta(1)) == (0.5, 0.0, 0.5)
 
 
 class TestPrompts:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, BinaryMass, Dataset, LabeledAlloy, SimilarityStore, md_evidence
+from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
 from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words
 from heafusion.belief import from_weights
 from heafusion.errors import AlphaOutOfRange, LengthMismatch, ParseError
@@ -27,6 +27,7 @@ from heafusion.md_evidence import (
 
 from conftest import EXAMPLE_MASS, as_dataset, random_dataset
 from oracles import (
+    BinaryMass,
     alloy_masks,
     combine_exact,
     combine_stores,

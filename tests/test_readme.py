@@ -29,6 +29,6 @@ def test_quickstart_runs(tmp_path, monkeypatch, capsys):
     serialize_dataset(Dataset("planted", alloys, symbols), tmp_path / "alloys.csv")
     monkeypatch.chdir(tmp_path)
     exec(compile(quickstart(), str(README), "exec"), {})
-    mass, score = capsys.readouterr().out.split(") ")
-    assert mass.startswith("BinaryMass(")
+    score, n_analogies = capsys.readouterr().out.split()
     assert 0.0 <= float(score) <= 1.0
+    assert int(n_analogies) > 0
