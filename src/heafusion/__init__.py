@@ -13,7 +13,6 @@ from .alloys import (
     UNIVERSES,
     Alloy,
     Dataset,
-    LabeledAlloy,
     element_split,
     enumerate_combinations,
     fraction_split,
@@ -39,7 +38,7 @@ from .evaluation import (
     run_extrapolation_experiment,
     summarize_reports,
 )
-from .fusion import SourceReliability, estimate_reliability, fuse, write_gammas
+from .fusion import estimate_reliability, fuse, write_gammas
 from .inference import (
     Predictions,
     accuracy,

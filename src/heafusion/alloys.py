@@ -2,9 +2,10 @@
 and dataset splits.
 
 Alloys are equiatomic element sets; labels are booleans with True as the
-positive class (phase forms / property present). Datasets are immutable
-after load and safe to share between threads. Splits draw all randomness
-from explicit seeds.
+positive class (phase forms / property present), held by a dataset as one
+bool array. Datasets are immutable after load and safe to share between
+threads. Splits take their rows with `Dataset.take` and draw all
+randomness from explicit seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import random
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, islice
 from math import comb
@@ -128,23 +129,25 @@ class Alloy:
         return self.composition()
 
 
-@dataclass(frozen=True)
-class LabeledAlloy:
-    """Alloy plus boolean class label (True = positive class)."""
-
-    alloy: Alloy
-    label: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of labeled alloys over a declared universe."""
+    """Immutable labeled alloys over a declared universe: a tuple of alloys
+    and a read-only bool array of their labels, row for row (True = positive
+    class). Compared by identity, as `SimilarityStore` is; a label column of
+    another length than the alloys raises ValueError."""
 
     name: str
-    alloys: tuple[LabeledAlloy, ...] = field(default=())
-    universe: tuple[str, ...] = field(default=())
+    alloys: tuple[Alloy, ...]
+    labels: np.ndarray
+    universe: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alloys", tuple(self.alloys))
+        labels = np.array(self.labels, dtype=bool)
+        if labels.shape != (len(self.alloys),):
+            raise ValueError(f"label column of shape {labels.shape} for {len(self.alloys)} alloys")
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
         universe_set = set(self.universe)
         if len(universe_set) != len(self.universe):
             raise ValueError("universe contains duplicate symbols")
@@ -152,20 +155,20 @@ class Dataset:
         if unknown:
             raise ValueError(f"universe symbols not in element table: {sorted(unknown)}")
         seen: set[tuple[str, ...]] = set()
-        for la in self.alloys:
-            if la.alloy.elements in seen:
-                raise ValueError(f"duplicate alloy {la.alloy}")
-            seen.add(la.alloy.elements)
-            outside = set(la.alloy.elements) - universe_set
+        for alloy in self.alloys:
+            if alloy.elements in seen:
+                raise ValueError(f"duplicate alloy {alloy}")
+            seen.add(alloy.elements)
+            outside = set(alloy.elements) - universe_set
             if outside:
-                raise ValueError(f"alloy {la.alloy} uses elements outside universe: {sorted(outside)}")
+                raise ValueError(f"alloy {alloy} uses elements outside universe: {sorted(outside)}")
 
     def __len__(self) -> int:
         return len(self.alloys)
 
     @property
     def n_positive(self) -> int:
-        return sum(1 for la in self.alloys if la.label)
+        return int(np.count_nonzero(self.labels))
 
     def element_index(self) -> dict[str, int]:
         """Universe symbol -> bit position, the one bit order of the
@@ -185,17 +188,22 @@ class Dataset:
         `element_words` rows of `key_width(len(universe))` words; built
         once per dataset, so the scan, the γ estimate and prediction over
         one training set share them."""
-        words = element_words((la.alloy.elements for la in self.alloys), self.element_index(),
+        words = element_words((a.elements for a in self.alloys), self.element_index(),
                               key_width(len(self.universe)))
         words.flags.writeable = False
         return words
 
-    def with_alloys(self, alloys: Sequence[LabeledAlloy], suffix: str = "") -> "Dataset":
-        """Same universe, different rows; used by split/fold machinery."""
-        return Dataset(self.name + suffix, tuple(alloys), self.universe)
-
-    def labels(self) -> list[bool]:
-        return [la.label for la in self.alloys]
+    def take(self, indices: Sequence[int] | np.ndarray, suffix: str = "") -> "Dataset":
+        """The rows at `indices`, in that order, over the same universe and
+        named with `suffix`: every split and fold. Its masks are the
+        parent's rows `words[indices]`, not rebuilt."""
+        indices = np.asarray(indices, dtype=np.intp)
+        subset = Dataset(self.name + suffix, tuple(map(self.alloys.__getitem__, indices.tolist())),
+                         self.labels[indices], self.universe)
+        words = self.words[indices]
+        words.flags.writeable = False
+        subset.__dict__["words"] = words  # where `cached_property` keeps its value
+        return subset
 
 
 def _resolve_universe(universe: Sequence[str] | str | None, elements_seen: Iterable[str]) -> tuple[str, ...]:
@@ -437,7 +445,8 @@ def parse_dataset(
     or None to derive the universe from the file contents.
     """
     path = Path(path)
-    rows: list[LabeledAlloy] = []
+    alloys: list[Alloy] = []
+    labels: list[bool] = []
     seen: dict[tuple[str, ...], int] = {}
     elements_seen: set[str] = set()
     for block in read_blocks(path, ("composition", "label")):
@@ -447,14 +456,15 @@ def parse_dataset(
                 raise ParseError(f"duplicate alloy {alloy} (first at row {seen[alloy.elements]})", lineno)
             seen[alloy.elements] = lineno
             elements_seen.update(alloy.elements)
-            rows.append(LabeledAlloy(alloy, parse_label(label, lineno)))
-    if not rows:
+            alloys.append(alloy)
+            labels.append(parse_label(label, lineno))
+    if not alloys:
         raise EmptyDataset(f"{path} contains no alloy rows")
     resolved = _resolve_universe(universe, elements_seen)
     missing = elements_seen - set(resolved)
     if missing:
         raise ParseError(f"elements {sorted(missing)} not in declared universe")
-    return Dataset(name or path.stem, tuple(rows), resolved)
+    return Dataset(name or path.stem, tuple(alloys), labels, resolved)
 
 
 def serialize_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -463,8 +473,8 @@ def serialize_dataset(dataset: Dataset, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["composition", "label"])
-        for la in dataset.alloys:
-            writer.writerow([la.alloy.composition(), "1" if la.label else "0"])
+        for alloy, label in zip(dataset.alloys, dataset.labels.tolist()):
+            writer.writerow([alloy.composition(), "1" if label else "0"])
 
 
 def enumerate_combinations(universe: Sequence[str], k: int) -> list[Alloy]:
@@ -480,16 +490,12 @@ def enumerate_combinations(universe: Sequence[str], k: int) -> list[Alloy]:
 
 
 def _stratified_indices(labels: Sequence[bool], seed: int) -> tuple[list[int], list[int]]:
-    pos = [i for i, y in enumerate(labels) if y]
-    neg = [i for i, y in enumerate(labels) if not y]
+    labels = np.asarray(labels, dtype=bool)
+    pos, neg = np.flatnonzero(labels).tolist(), np.flatnonzero(~labels).tolist()
     rng = random.Random(seed)
     rng.shuffle(pos)
     rng.shuffle(neg)
     return pos, neg
-
-
-def _take(dataset: Dataset, indices: Sequence[int], suffix: str) -> Dataset:
-    return dataset.with_alloys([dataset.alloys[i] for i in indices], suffix)
 
 
 def fraction_split(
@@ -499,7 +505,7 @@ def fraction_split(
     drawn per class by default; fraction must lie in (0, 1)."""
     if not 0.0 < fraction < 1.0:
         raise FractionOutOfRange(f"fraction must lie in (0, 1), got {fraction!r}")
-    labels = dataset.labels()
+    labels = dataset.labels
     n = len(labels)
     n_train = round(fraction * n)
     if n_train <= 0 or n_train >= n:
@@ -520,7 +526,7 @@ def fraction_split(
         random.Random(seed).shuffle(order)
         train = set(order[:n_train])
     test_idx = [i for i in range(n) if i not in train]
-    return _take(dataset, sorted(train), "[train]"), _take(dataset, test_idx, "[test]")
+    return dataset.take(sorted(train), "[train]"), dataset.take(test_idx, "[test]")
 
 
 def kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
@@ -549,9 +555,8 @@ def kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[
 
 def element_split(dataset: Dataset, element: str) -> tuple[Dataset, Dataset]:
     """(training, test) with every alloy containing element held out."""
-    test_idx = [i for i, la in enumerate(dataset.alloys) if element in la.alloy.elements]
-    if not test_idx:
+    held = np.array([element in alloy.elements for alloy in dataset.alloys], dtype=bool)
+    if not held.any():
         raise ElementAbsent(f"no alloy in {dataset.name} contains {element!r}")
-    test_set = set(test_idx)
-    train_idx = [i for i in range(len(dataset)) if i not in test_set]
-    return _take(dataset, train_idx, f"[no-{element}]"), _take(dataset, test_idx, f"[{element}]")
+    return (dataset.take(np.flatnonzero(~held), f"[no-{element}]"),
+            dataset.take(np.flatnonzero(held), f"[{element}]"))

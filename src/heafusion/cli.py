@@ -46,7 +46,7 @@ from .analysis import (
     write_matrix_csv,
 )
 from .belief import from_weights
-from .errors import ConfigError, DataError, EmptySourceList, HeafusionError, NumericError
+from .errors import ConfigError, DataError, EmptySourceList, GammaOutOfRange, HeafusionError, NumericError
 from .evaluation import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_FRACTIONS,
@@ -56,7 +56,8 @@ from .evaluation import (
     run_extrapolation_experiment,
     summarize_reports,
 )
-from .fusion import SourceReliability, estimate_reliability, fuse, write_gammas
+# estimate_reliability is unused here; it stays while the benchmark's tracer wraps heafusion.cli.estimate_reliability
+from .fusion import estimate_reliability, fuse, source_gammas, write_gammas  # noqa: F401
 from .inference import classify, predict_batch, usable_cpus
 from .llm_evidence import (
     DEFAULT_DOMAINS,
@@ -274,7 +275,7 @@ def _element_list(text: str) -> tuple[str, ...]:
 
 def _universe_symbols(args: argparse.Namespace) -> tuple[str, ...]:
     """The --elements symbols, else the --universe preset."""
-    if args.elements:
+    if args.elements is not None:
         return _element_list(args.elements)
     if args.universe:
         return UNIVERSES[args.universe]
@@ -303,8 +304,12 @@ def _number(text: str, option: str) -> float:
 
 
 def _gammas(args: argparse.Namespace) -> dict[str, float]:
-    """Source ID -> reliability of the --gamma options."""
-    return {sid: _number(v, "gamma") for sid, v in _parse_assignments(args.gamma, "gamma").items()}
+    """Source ID -> reliability of the --gamma options, each in [0, 1]."""
+    gammas = {sid: _number(v, "gamma") for sid, v in _parse_assignments(args.gamma, "gamma").items()}
+    for sid, gamma in gammas.items():
+        if not 0.0 <= gamma <= 1.0:
+            raise GammaOutOfRange(f"gamma for {sid!r} must lie in [0, 1], got {gamma!r}")
+    return gammas
 
 
 def _expert_stores(args: argparse.Namespace) -> tuple[float, dict[str, SimilarityStore]]:
@@ -361,6 +366,8 @@ def _sources_from_args(args: argparse.Namespace) -> SourcesConfig:
         if not args.responses:
             raise ConfigError("--responses is required when llm is among the sources")
         llm_stores = {f"llm:{d}": s for d, s in _expert_stores(args)[1].items()}
+        if not llm_stores:
+            raise EmptySourceList(f"--responses {args.responses} yields no expert store")
     overrides = _gammas(args)
     return SourcesConfig(
         use_md="md" in wanted,
@@ -444,31 +451,22 @@ def _cmd_fuse(args: argparse.Namespace) -> None:
     assignments = _parse_assignments(args.store, "store")
     if not assignments:
         raise EmptySourceList("fuse requires at least one --store ID=PATH")
-    explicit = {sid: SourceReliability(sid, gamma) for sid, gamma in _gammas(args).items()}
-    unknown = sorted(set(explicit) - set(assignments))
+    given = _gammas(args)
+    unknown = sorted(set(given) - set(assignments))
     if unknown:
         raise ConfigError(f"--gamma given for {unknown}, which name no --store")
-    estimated = [sid for sid in assignments if sid not in explicit]
+    estimated = [sid for sid in assignments if sid not in given]
     if estimated and args.dataset is None:
         raise ConfigError(f"no --gamma for {estimated[0]!r} and no --dataset to estimate from")
     stores = [(sid, read_store(path)) for sid, path in assignments.items()]
-    if estimated:
-        dataset = parse_dataset(args.dataset, universe=args.universe)
-        held = dict(stores)
-        estimates = estimate_reliability(
-            [held[sid] for sid in estimated], dataset, folds=args.folds, seed=args.seed
-        )
-        explicit.update((sid, SourceReliability(sid, gamma)) for sid, gamma in zip(estimated, estimates))
-    gammas = [explicit[sid] for sid, _ in stores]
+    dataset = parse_dataset(args.dataset, universe=args.universe) if estimated else None
+    gammas = source_gammas(stores, given, dataset, folds=args.folds, seed=args.seed)
     fused = fuse(stores, gammas)
     out = _out_path(args, args.out)
     write_store(fused, out)
     gamma_path = out.with_suffix(".gammas.json")
     write_gammas(gammas, gamma_path)
-    _write_metadata(
-        args, [out.name, gamma_path.name],
-        {"gammas": {g.source_id: g.gamma for g in gammas}, "store_hash": fused.content_hash()},
-    )
+    _write_metadata(args, [out.name, gamma_path.name], {"gammas": gammas, "store_hash": fused.content_hash()})
 
 
 def _cmd_predict(args: argparse.Namespace) -> None:
@@ -477,7 +475,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
     if args.candidates:
         candidates = _read_candidates(args.candidates)
     else:
-        training_sets = {la.alloy.elements for la in training.alloys}
+        training_sets = {a.elements for a in training.alloys}
         candidates = [
             a for a in enumerate_combinations(training.universe, args.enumerate)
             if a.elements not in training_sets
@@ -521,7 +519,7 @@ def _cmd_eval_extrapolate(args: argparse.Namespace) -> None:
     sources = _sources_from_args(args)
     if args.elements == "all":
         elements = [e for e in dataset.universe
-                    if any(e in la.alloy.elements for la in dataset.alloys)]
+                    if any(e in a.elements for a in dataset.alloys)]
     else:
         elements = list(_element_list(args.elements))
     reports = run_extrapolation_experiment(dataset, sources, elements, seed=args.seed, jobs=args.jobs)
@@ -531,9 +529,7 @@ def _cmd_eval_extrapolate(args: argparse.Namespace) -> None:
 
 def _cmd_tune_alpha(args: argparse.Namespace) -> None:
     dataset = parse_dataset(args.dataset, universe=args.universe)
-    grid = (
-        [_number(a, "grid") for a in args.grid.split(",")] if args.grid else list(DEFAULT_ALPHA_GRID)
-    )
+    grid = list(DEFAULT_ALPHA_GRID) if args.grid is None else [_number(a, "grid") for a in args.grid.split(",")]
     scores: dict[float, float] = {}
     best = grid_search_alpha(
         dataset, grid=grid, folds=args.folds, repeats=args.repeats, seed=args.seed,
@@ -562,7 +558,7 @@ def _cmd_export_distances(args: argparse.Namespace) -> None:
     symbols = _universe_symbols(args)
     matrices = [("element_distances.csv", element_distance_matrix(store, symbols), symbols)]
     if args.alloys:
-        alloys = [la.alloy for la in parse_dataset(args.alloys, universe=args.universe).alloys]
+        alloys = parse_dataset(args.alloys, universe=args.universe).alloys
         matrices.append(("hybrid_distances.csv", hybrid_distance_matrix(alloys, store),
                          [a.composition() for a in alloys]))
     for name, matrix, labels in matrices:

@@ -85,20 +85,17 @@ def _alpha_scores(
     `inference.fold_macro_f1` call scores every alpha.
     """
     weights = [evidence_weight(alpha) for alpha in alphas]
-    labels = dataset.labels()
-    words = dataset.words
-    max_subst_size = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
+    max_subst_size = substitution_limit(dataset.alloys, max_subst_size)
     totals = np.zeros(len(alphas))
     for rep in range(repeats):
-        for train_idx, test_idx in kfold_indices(labels, folds, seed + rep):
-            train_labels = [labels[i] for i in train_idx]
-            test_labels = [labels[i] for i in test_idx]
-            counts = pair_counts(words[train_idx], train_labels, max_subst_size)
+        for train_idx, test_idx in kfold_indices(dataset.labels, folds, seed + rep):
+            train, test = dataset.take(train_idx), dataset.take(test_idx)
+            counts = pair_counts(train.words, train.labels, max_subst_size)
             first, ids = counts.count_pair_ids()
             agree, disagree = counts.agree[first], counts.disagree[first]
             palette = np.stack([analogy_weight(weight * agree, weight * disagree) for weight in weights], axis=1)
             totals += inference.fold_macro_f1(
-                words[test_idx], words[train_idx], train_labels, test_labels,
+                test.words, train.words, train.labels, test.labels,
                 KeyTable(counts.keys, ids), palette, max_subst_size,
             )
     return totals / (repeats * folds)
@@ -165,38 +162,30 @@ def _evaluate_split(
     sources: SourcesConfig,
     seed: int,
     jobs: int = 1,
-) -> tuple[np.ndarray, list[bool], dict[str, float], dict[str, str]]:
+) -> tuple[np.ndarray, dict[str, float], dict[str, str]]:
     """Run the full pipeline on one split: extract, weight, fuse, predict.
 
-    Returns (scores, labels, gammas, store hashes). Everything the test
-    side sees is derived from the training partition alone.
+    Returns (the test rows' scores, gammas, store hashes). Everything the
+    test side sees is derived from the training partition alone.
     """
     stores: list[tuple[str, SimilarityStore]] = []
     if sources.use_md:
         config = ExtractionConfig(sources.md_alpha, sources.max_subst_size)
         stores.append(("md", extract_all(training, config)))
-    for source_id, store in sources.llm_stores.items():
-        stores.append((source_id, store))
+    stores.extend(sources.llm_stores.items())
     if not stores:
         raise EmptySourceList("experiment configured with no evidence sources")
-
-    overrides = sources.gamma_overrides or {}
-    held = dict(stores)
-    estimated = [source_id for source_id in held if source_id not in overrides]
-    estimates = fusion.estimate_reliability(
-        [held[source_id] for source_id in estimated], training,
+    gammas = fusion.source_gammas(
+        stores, sources.gamma_overrides or {}, training,
         folds=min(sources.gamma_folds, len(training)), seed=seed, max_subst_size=sources.max_subst_size,
     )
-    gamma_of = {**overrides, **dict(zip(estimated, estimates))}
-    gammas = [fusion.SourceReliability(source_id, gamma_of[source_id]) for source_id in held]
     fused = fusion.fuse(stores, gammas)
     scores = inference.predict_batch(
-        [la.alloy for la in test.alloys], training, fused,
-        max_subst_size=sources.max_subst_size, jobs=jobs,
+        test.alloys, training, fused, max_subst_size=sources.max_subst_size, jobs=jobs,
     ).score
     hashes = {source_id: store.content_hash() for source_id, store in stores}
     hashes["fused"] = fused.content_hash()
-    return scores, test.labels(), {g.source_id: g.gamma for g in gammas}, hashes
+    return scores, gammas, hashes
 
 
 def _report(
@@ -213,7 +202,8 @@ def _report(
     """Evaluate one split of dataset; the report's config echo holds the
     sources, the seed, the split's params and the store hashes."""
     training, test = split
-    scores, labels, gammas, hashes = _evaluate_split(training, test, sources, seed, jobs)
+    scores, gammas, hashes = _evaluate_split(training, test, sources, seed, jobs)
+    labels = test.labels
     config = {
         "use_md": sources.use_md,
         "md_alpha": sources.md_alpha,

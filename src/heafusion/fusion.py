@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .alloys import Dataset, kfold_indices
 from .belief import discount_weights
-from .errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, TotalConflict
+from .errors import ConfigError, DegenerateDataset, EmptySourceList, TotalConflict
 # predict_batch is unused here; it stays while the benchmark's tracer wraps heafusion.fusion.predict_batch
 from .inference import columns_macro_f1, predict_batch  # noqa: F401
 from .md_evidence import (
@@ -51,19 +50,7 @@ from .md_evidence import (
     union_rows,
 )
 
-__all__ = ["SourceReliability", "estimate_reliability", "fuse", "write_gammas"]
-
-
-@dataclass(frozen=True)
-class SourceReliability:
-    """Per-source discount factor."""
-
-    source_id: str
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise GammaOutOfRange(f"gamma must lie in [0, 1], got {self.gamma!r}")
+__all__ = ["estimate_reliability", "fuse", "source_gammas", "write_gammas"]
 
 
 def estimate_reliability(
@@ -97,12 +84,12 @@ def estimate_reliability(
     n_pos = dataset.n_positive
     if n_pos == 0 or n_pos == len(dataset):
         raise DegenerateDataset(f"{dataset.name} has a single class; reliability undefined")
-    labels = dataset.labels()
+    labels = dataset.labels
     splits = kfold_indices(labels, folds, seed)
     fold_of = np.empty(len(labels), dtype=np.intp)
     for f, (_, test) in enumerate(splits):
         fold_of[test] = f
-    max_size = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
+    max_size = substitution_limit(dataset.alloys, max_subst_size)
     aligned = [store.reindexed(dataset.bit_names) for store in stores]
     sizes = [min(largest_side(store), max_size) for store in aligned]
     groups = []
@@ -161,29 +148,47 @@ def _cross_fold_weights(
     return sums[1], sums[0]
 
 
+def source_gammas(
+    stores: Sequence[tuple[str, SimilarityStore]],
+    gammas: Mapping[str, float],
+    dataset: Dataset | None,
+    folds: int = 10,
+    seed: int = 42,
+    max_subst_size: int | None = None,
+) -> dict[str, float]:
+    """Source id -> γ of every (id, store) source, in store order: the γ
+    given in `gammas`, else one `estimate_reliability` call over the
+    dataset for all the others (the dataset may be None when every source
+    has a γ)."""
+    estimated = [(sid, store) for sid, store in stores if sid not in gammas]
+    estimates = estimate_reliability([store for _, store in estimated], dataset, folds=folds, seed=seed,
+                                     max_subst_size=max_subst_size)
+    given = {**gammas, **dict(zip((sid for sid, _ in estimated), estimates))}
+    return {sid: given[sid] for sid, _ in stores}
+
+
 def fuse(
     stores: Sequence[tuple[str, SimilarityStore]],
-    gammas: Sequence[SourceReliability],
+    gammas: Mapping[str, float],
 ) -> SimilarityStore:
-    """Discount every source by its reliability and Dempster-combine the
-    stores over the union of their pairs: the sum of the discounted
-    weights.
+    """Discount every source by its reliability, source id -> γ in [0, 1],
+    and Dempster-combine the stores over the union of their pairs: the sum
+    of the discounted weights.
 
-    Sources missing a pair contribute weight 0 there. Every store must
-    have a matching reliability entry. Raises TotalConflict for a pair
+    Sources missing a pair contribute weight 0 there. A store whose id has
+    no γ raises ConfigError naming the ids. Raises TotalConflict for a pair
     whose fused weights are infinite on both outcomes.
     """
     if not stores:
         raise EmptySourceList("no stores to fuse")
-    gamma_by_id = {g.source_id: g.gamma for g in gammas}
-    missing = [sid for sid, _ in stores if sid not in gamma_by_id]
+    missing = [sid for sid, _ in stores if sid not in gammas]
     if missing:
-        raise ValueError(f"no reliability given for sources {missing}")
+        raise ConfigError(f"no reliability given for sources {missing}")
 
     elements, keys, positions = union_rows([store for _, store in stores])
     w_first, w_second = np.zeros(len(keys)), np.zeros(len(keys))
     for (sid, store), rows in zip(stores, positions):
-        d_first, d_second = discount_weights(store.w_first, store.w_second, gamma_by_id[sid])
+        d_first, d_second = discount_weights(store.w_first, store.w_second, gammas[sid])
         w_first[rows] += d_first  # a store's rows are distinct
         w_second[rows] += d_second
     fused = SimilarityStore(elements, keys, w_first, w_second)
@@ -193,9 +198,6 @@ def fuse(
     return fused
 
 
-def write_gammas(gammas: Sequence[SourceReliability], path: str | Path) -> None:
-    """Sidecar JSON mapping source id to reliability."""
-    Path(path).write_text(
-        json.dumps({g.source_id: g.gamma for g in gammas}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+def write_gammas(gammas: Mapping[str, float], path: str | Path) -> None:
+    """Sidecar JSON of the source id -> reliability mapping."""
+    Path(path).write_text(json.dumps(dict(gammas), indent=2, sort_keys=True) + "\n", encoding="utf-8")

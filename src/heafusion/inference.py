@@ -205,8 +205,8 @@ def predict_batch(
     Pure in its inputs; candidates are processed independently, so the
     batch may be chunked across worker processes, one per usable CPU at most.
     """
-    max_subst_size = substitution_limit(chain((la.alloy for la in training.alloys), candidates), max_subst_size)
-    training_sets = {la.alloy.elements for la in training.alloys}
+    max_subst_size = substitution_limit(chain(training.alloys, candidates), max_subst_size)
+    training_sets = {a.elements for a in training.alloys}
     index = training.element_index()
     extra = sorted({e for c in candidates for e in c.elements} - set(training.universe))
     for offset, e in enumerate(extra):
@@ -215,7 +215,6 @@ def predict_batch(
     host_words = training.words
     if width > host_words.shape[1]:  # the candidates' elements add a mask word
         host_words = np.pad(host_words, ((0, 0), (0, width - host_words.shape[1])))
-    host_labels = [la.label for la in training.alloys]
     table = store.mask_view(index)
     for c in candidates:
         if c.elements in training_sets:
@@ -224,7 +223,7 @@ def predict_batch(
 
     jobs = min(max(1, jobs), usable_cpus())
     if jobs == 1 or len(candidates) < _POOL_MIN_CANDIDATES:
-        w_pos, w_neg, n = analogy_weights(cand_words, host_words, host_labels, table, max_subst_size)
+        w_pos, w_neg, n = analogy_weights(cand_words, host_words, training.labels, table, max_subst_size)
     else:
         lanes = [cand_words[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -233,7 +232,7 @@ def predict_batch(
                     analogy_weights,
                     lanes,
                     [host_words] * jobs,
-                    [host_labels] * jobs,
+                    [training.labels] * jobs,
                     [table] * jobs,
                     [max_subst_size] * jobs,
                 )

@@ -673,8 +673,8 @@ def pair_counts(words: np.ndarray, labels: Sequence[bool], max_size: int) -> Pai
 
 
 def _dataset_counts(dataset: Dataset, max_subst_size: int | None) -> PairCounts:
-    limit = substitution_limit((la.alloy for la in dataset.alloys), max_subst_size)
-    return pair_counts(dataset.words, dataset.labels(), limit)
+    limit = substitution_limit(dataset.alloys, max_subst_size)
+    return pair_counts(dataset.words, dataset.labels, limit)
 
 
 def extract_counts(

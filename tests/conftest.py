@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, Dataset, SimilarityStore
 from heafusion.belief import from_weights, to_weights
 from heafusion.md_evidence import CombinationPair
 
@@ -46,20 +46,22 @@ def single_substitution_alloys(
     left: tuple[str, ...],
     right: tuple[str, ...],
     right_labels: list[bool],
-) -> list[LabeledAlloy]:
+) -> list[tuple[Alloy, bool]]:
     """One alloy pair per context: (context+left, True) and
     (context+right, right_labels[i]); mirrors the supplement's worked
     evidence construction."""
-    alloys = []
+    rows = []
     for ctx, right_label in zip(contexts, right_labels):
-        alloys.append(LabeledAlloy(Alloy(ctx + left), True))
-        alloys.append(LabeledAlloy(Alloy(ctx + right), right_label))
-    return alloys
+        rows.append((Alloy(ctx + left), True))
+        rows.append((Alloy(ctx + right), right_label))
+    return rows
 
 
-def as_dataset(alloys: list[LabeledAlloy], name: str = "fixture") -> Dataset:
-    universe = tuple(sorted({e for la in alloys for e in la.alloy.elements}))
-    return Dataset(name, tuple(alloys), universe)
+def as_dataset(rows: list[tuple[Alloy, bool]], name: str = "fixture") -> Dataset:
+    """The dataset of (alloy, label) rows over the elements they use."""
+    alloys = tuple(alloy for alloy, _ in rows)
+    universe = tuple(sorted({e for alloy in alloys for e in alloy.elements}))
+    return Dataset(name, alloys, [label for _, label in rows], universe)
 
 
 @pytest.fixture
@@ -95,10 +97,8 @@ def random_dataset(
     pool = list(combinations(universe, k))
     rng.shuffle(pool)
     chosen = pool[: min(n, len(pool))]
-    alloys = tuple(
-        LabeledAlloy(Alloy(elems), rng.random() < positive_rate) for elems in chosen
-    )
-    return Dataset(name, alloys, tuple(universe))
+    labels = [rng.random() < positive_rate for _ in chosen]
+    return Dataset(name, tuple(map(Alloy, chosen)), labels, tuple(universe))
 
 
 def planted_group_dataset(
@@ -119,11 +119,8 @@ def planted_group_dataset(
         rng = random.Random(seed)
         rng.shuffle(pool)
         pool = pool[:subsample]
-    alloys = tuple(
-        LabeledAlloy(Alloy(elems), set(elems) <= group_a_set or set(elems) <= group_b_set)
-        for elems in pool
-    )
-    return Dataset(name, alloys, universe)
+    labels = [set(elems) <= group_a_set or set(elems) <= group_b_set for elems in pool]
+    return Dataset(name, tuple(map(Alloy, pool)), labels, universe)
 
 
 def dense_noisy_dataset() -> Dataset:
@@ -135,11 +132,9 @@ def dense_noisy_dataset() -> Dataset:
     universe = UNIVERSES["E1"][:12]
     group_a, group_b = set(universe[:6]), set(universe[6:])
     rng = random.Random(0)
-    alloys = []
-    for elems in combinations(universe, 4):
-        label = set(elems) <= group_a or set(elems) <= group_b
-        alloys.append(LabeledAlloy(Alloy(elems), label != (rng.random() < 0.1)))
-    return Dataset("dense", tuple(alloys), universe)
+    pool = list(combinations(universe, 4))
+    labels = [(set(elems) <= group_a or set(elems) <= group_b) != (rng.random() < 0.1) for elems in pool]
+    return Dataset("dense", tuple(map(Alloy, pool)), labels, universe)
 
 
 def combine_weights(*ms: BinaryMass) -> BinaryMass:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore
+from heafusion import Alloy, Dataset, SimilarityStore
 from heafusion.alloys import element_words, key_width, kfold_indices, parse_symbols
 from heafusion.belief import discount_weights, from_weights
 from heafusion.errors import (
@@ -37,7 +37,6 @@ from heafusion.errors import (
     ParseError,
     TotalConflict,
 )
-from heafusion.fusion import SourceReliability
 from heafusion.inference import Predictions, classify, predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
@@ -395,16 +394,18 @@ def complete_linkage_oracle(
 
 
 def evidence_from_pair(
-    a: LabeledAlloy, b: LabeledAlloy, alpha: float
+    a: tuple[Alloy, bool], b: tuple[Alloy, bool], alpha: float
 ) -> tuple[CombinationPair, BinaryMass] | None:
-    """Single-pair evidence, or None when the pair carries no information.
+    """Single-pair evidence of two (alloy, label) rows, or None when the
+    pair carries no information.
 
     None cases: the alloys share no element (no context), are the same set,
     or one contains the other (an empty substitution side).
     """
     if not 0.0 < alpha < 1.0:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    sa, sb = a.alloy.element_set, b.alloy.element_set
+    (alloy_a, label_a), (alloy_b, label_b) = a, b
+    sa, sb = alloy_a.element_set, alloy_b.element_set
     if not sa & sb:
         return None
     ct = sa - sb
@@ -412,7 +413,7 @@ def evidence_from_pair(
     if not ct or not cv:
         return None
     pair = CombinationPair(ct, cv)
-    if a.label == b.label:
+    if label_a == label_b:
         return pair, BinaryMass(alpha, 0.0, 1.0 - alpha)
     return pair, BinaryMass(0.0, alpha, 1.0 - alpha)
 
@@ -493,10 +494,11 @@ def combine_stores(stores: Iterable[SimilarityStore]) -> dict[CombinationPair, B
 
 @dataclass(frozen=True)
 class Analogy:
-    """Host alloy plus the substitution (replaced <- replacement) that
-    turns it into the candidate."""
+    """Host alloy and its label, plus the substitution (replaced <-
+    replacement) that turns it into the candidate."""
 
-    host: LabeledAlloy
+    host: Alloy
+    host_label: bool
     replaced: tuple[str, ...]
     replacement: tuple[str, ...]
 
@@ -505,7 +507,7 @@ class Analogy:
             raise ValueError("substitution sides must be non-empty")
         if set(self.replaced) & set(self.replacement):
             raise ValueError("substitution sides must be disjoint")
-        if not set(self.replaced) <= self.host.alloy.element_set:
+        if not set(self.replaced) <= self.host.element_set:
             raise ValueError("replaced combination must be part of the host")
 
 
@@ -517,12 +519,12 @@ def enumerate_analogies(
     containing the other) cannot express a substitution and yield nothing.
     max_subst_size defaults to the largest alloy size minus one."""
     if max_subst_size is None:
-        sizes = [len(la.alloy.elements) for la in training.alloys] + [len(candidate.elements)]
+        sizes = [len(a.elements) for a in training.alloys] + [len(candidate.elements)]
         max_subst_size = max(sizes) - 1
     cand = candidate.element_set
     out: list[Analogy] = []
-    for la in training.alloys:
-        host = la.alloy.element_set
+    for alloy, label in zip(training.alloys, training.labels.tolist()):
+        host = alloy.element_set
         if host == cand:
             raise CandidateInTraining(f"candidate {candidate} is in the training set")
         if not host & cand:
@@ -533,7 +535,7 @@ def enumerate_analogies(
             continue
         if max(len(replaced), len(replacement)) > max_subst_size:
             continue
-        out.append(Analogy(la, tuple(sorted(replaced)), tuple(sorted(replacement))))
+        out.append(Analogy(alloy, label, tuple(sorted(replaced)), tuple(sorted(replacement))))
     return out
 
 
@@ -541,7 +543,7 @@ def evidence_from_analogy(analogy: Analogy, store: SimilarityStore) -> BinaryMas
     """Class evidence from one substitution: similarity s backs the host's
     class, the rest stays on the frame. Absent pairs are vacuous."""
     s = mass_of(store, CombinationPair(analogy.replaced, analogy.replacement)).m_first
-    if analogy.host.label:
+    if analogy.host_label:
         return BinaryMass(s, 0.0, 1.0 - s)
     return BinaryMass(0.0, s, 1.0 - s)
 
@@ -670,14 +672,14 @@ def predict_reference(
     """(mass, score, analogies) per candidate from `fold_masked` over a
     `weight_view`, read out with `from_weights` as `predict_batch` does."""
     if max_size is None:
-        sizes = [len(la.alloy.elements) for la in training.alloys] + [len(c.elements) for c in candidates]
+        sizes = [len(a.elements) for a in training.alloys] + [len(c.elements) for c in candidates]
         max_size = max(sizes, default=2) - 1
     index = training.element_index()
     extra = sorted({e for c in candidates for e in c.elements} - set(training.universe))
     for offset, e in enumerate(extra):
         index[e] = len(training.universe) + offset
-    train_masks = alloy_masks((la.alloy for la in training.alloys), index)
-    labels = training.labels()
+    train_masks = alloy_masks(training.alloys, index)
+    labels = training.labels.tolist()
     weights = weight_view(store, index)
     table = np.array(
         [fold_masked(c, train_masks, labels, weights, max_size) for c in alloy_masks(candidates, index)],
@@ -691,12 +693,20 @@ def predict_reference(
 
 
 def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    """The (train, test) datasets of `kfold_indices`' folds."""
+    """The (train, test) datasets of `kfold_indices`' folds, each built
+    from its rows."""
     return [
-        (dataset.with_alloys([dataset.alloys[i] for i in tr], f"[fold{f}-train]"),
-         dataset.with_alloys([dataset.alloys[i] for i in te], f"[fold{f}-test]"))
-        for f, (tr, te) in enumerate(kfold_indices(dataset.labels(), k, seed))
+        (rows_dataset(dataset, tr, f"[fold{f}-train]"), rows_dataset(dataset, te, f"[fold{f}-test]"))
+        for f, (tr, te) in enumerate(kfold_indices(dataset.labels, k, seed))
     ]
+
+
+def rows_dataset(dataset: Dataset, indices: Sequence[int], suffix: str = "") -> Dataset:
+    """A new dataset of the rows at `indices` over the same universe, built
+    from its alloys and labels as a file's rows are: the reference of
+    `Dataset.take`."""
+    return Dataset(dataset.name + suffix, tuple(dataset.alloys[i] for i in indices),
+                   [bool(dataset.labels[i]) for i in indices], dataset.universe)
 
 
 def estimate_reliability_reference(
@@ -717,8 +727,8 @@ def estimate_reliability_reference(
         total = 0.0
         splits = kfold_splits(dataset, folds, seed)
         for training, test in splits:
-            predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
-            total += macro_f1_loop(test.labels(), classify(predictions.score))
+            predictions = predict_batch(test.alloys, training, store, max_subst_size)
+            total += macro_f1_loop(test.labels.tolist(), classify(predictions.score))
         gammas.append(min(1.0, max(0.0, total / len(splits))))
     return gammas
 
@@ -738,19 +748,19 @@ def alpha_scores_reference(
     predicted from them (`predict_batch`), both at the dataset's
     substitution limit; fold scores are added in repeat and fold order."""
     if max_subst_size is None:
-        max_subst_size = max(len(la.alloy.elements) for la in dataset.alloys) - 1
+        max_subst_size = max(len(a.elements) for a in dataset.alloys) - 1
     means = []
     for alpha in alphas:
         total = 0.0
         for rep in range(repeats):
             for training, test in kfold_splits(dataset, folds, seed + rep):
                 store = extract_all(training, ExtractionConfig(alpha, max_subst_size))
-                predictions = predict_batch([la.alloy for la in test.alloys], training, store, max_subst_size)
-                total += macro_f1_loop(test.labels(), classify(predictions.score))
+                predictions = predict_batch(test.alloys, training, store, max_subst_size)
+                total += macro_f1_loop(test.labels.tolist(), classify(predictions.score))
         means.append(total / (repeats * folds))
     return means
 
-def read_gammas(path: str | Path) -> list[SourceReliability]:
+def read_gammas(path: str | Path) -> dict[str, float]:
     """Load a sidecar written by `fusion.write_gammas`: a JSON object
     mapping source ids to finite numbers in [0, 1]; anything else raises
     ParseError."""
@@ -765,7 +775,7 @@ def read_gammas(path: str | Path) -> list[SourceReliability]:
             raise ParseError(f"gamma for {sid!r} must be a number, got {gamma!r}")
         if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
             raise ParseError(f"gamma for {sid!r} must lie in [0, 1], got {gamma!r}")
-    return [SourceReliability(sid, float(g)) for sid, g in sorted(data.items())]
+    return {sid: float(g) for sid, g in sorted(data.items())}
 
 
 STORE_HEADER = ["combo_a", "combo_b", "w_similar", "w_dissimilar"]

@@ -18,7 +18,6 @@ import pytest
 from heafusion import (
     Alloy,
     Dataset,
-    LabeledAlloy,
     UNIVERSES,
     SimilarityStore,
 )
@@ -101,7 +100,7 @@ def test_criterion_2_supplement_pipeline_multi_element():
     s = float(ORACLE_MASS[0])
     assert mass_of(store, CombinationPair(("Cu",), ("Zn", "Ga"))).m_first == pytest.approx(s, abs=1e-9)
 
-    observed_host = as_dataset([LabeledAlloy(Alloy(("Ag", "Cd", "In", "Cu")), True)])
+    observed_host = as_dataset([(Alloy(("Ag", "Cd", "In", "Cu")), True)])
     predictions = predict_batch([Alloy(("Ag", "Cd", "In", "Zn", "Ga"))], observed_host, store)
     mass = predicted_mass(predictions)
     assert predictions.n_analogies.tolist() == [1]
@@ -141,11 +140,11 @@ def test_criterion_4_md_extrapolation_vacuity():
     # the same vacuity holds for any reliability, so the raw scores can be
     # checked on the cheaper fixed-gamma path
     training, test = element_split(dataset, element)
-    scores, labels, _, _ = _evaluate_split(
+    scores, _, _ = _evaluate_split(
         training, test, SourcesConfig(md_alpha=0.1, gamma_overrides={"md": 0.5}), seed=7
     )
     assert all(s == 0.5 for s in scores)
-    auc, _ = roc_auc(labels, scores)
+    auc, _ = roc_auc(test.labels, scores)
     assert auc == 0.5
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -191,7 +190,7 @@ def _suite_pignistic(rng):
 def _label_flip_cases(seed):
     rng = random.Random(seed)
     ds = random_dataset(10, universe_size=8, k=3, seed=seed)
-    taken = {la.alloy.elements for la in ds.alloys}
+    taken = {a.elements for a in ds.alloys}
     candidates = [
         Alloy(e)
         for e in combinations(sorted(ds.universe), 3)
@@ -200,13 +199,13 @@ def _label_flip_cases(seed):
     entries = {}
     for cand in candidates:
         for host in ds.alloys:
-            ct = host.alloy.element_set - cand.element_set
-            cv = cand.element_set - host.alloy.element_set
+            ct = host.element_set - cand.element_set
+            cv = cand.element_set - host.element_set
             if ct and cv and len(ct | cv) < 6 and rng.random() < 0.8:
                 s = rng.uniform(0, 0.9)
                 entries[CombinationPair(ct, cv)] = to_weights(s, 0.0, 1.0 - s)
     store = SimilarityStore.from_entries(entries)
-    flipped = ds.with_alloys([LabeledAlloy(la.alloy, not la.label) for la in ds.alloys])
+    flipped = Dataset(ds.name, ds.alloys, ~ds.labels, ds.universe)
     return ds, flipped, store, candidates
 
 
@@ -233,8 +232,8 @@ def _suite_partition_independence():
         ds = random_dataset(40, universe_size=10, k=4, seed=seed, positive_rate=0.45)
         seed += 1
         index = ds.element_index()
-        masks = alloy_masks((la.alloy for la in ds.alloys), index)
-        labels = [la.label for la in ds.alloys]
+        masks = alloy_masks(ds.alloys, index)
+        labels = ds.labels.tolist()
         whole = extract_all(ds, ExtractionConfig(alpha=0.1))
         for parts in (2, 3, 5, 8):
             partials = [
@@ -285,10 +284,8 @@ def _synthetic21():
     rng = random.Random(17)
     rng.shuffle(pool)
     pool = pool[:1200]
-    alloys = tuple(
-        LabeledAlloy(Alloy(e), len({group_of[x] for x in e}) == 1) for e in pool
-    )
-    dataset = Dataset("synthetic21", alloys, universe)
+    labels = [len({group_of[x] for x in e}) == 1 for e in pool]
+    dataset = Dataset("synthetic21", tuple(map(Alloy, pool)), labels, universe)
     responses = [
         LlmResponse(
             CombinationPair((a,), (b,)),

@@ -1,12 +1,14 @@
 """Alloy representation, dataset parsing, and combination enumeration."""
 
 import csv
+import random
 import tempfile
 from math import comb
 from pathlib import Path
 from unittest import mock
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,6 @@ from heafusion.alloys import (
     UNIVERSES,
     Alloy,
     Dataset,
-    LabeledAlloy,
     enumerate_combinations,
     parse_dataset,
     read_blocks,
@@ -24,7 +25,8 @@ from heafusion.alloys import (
 )
 from heafusion.errors import EmptyDataset, KTooLarge, ParseError
 
-from oracles import read_rows_reference
+from conftest import random_dataset
+from oracles import read_rows_reference, rows_dataset
 
 
 class TestAlloy:
@@ -48,15 +50,48 @@ class TestAlloy:
 class TestDataset:
     def test_universe_must_cover_alloys(self):
         with pytest.raises(ValueError):
-            Dataset("d", (LabeledAlloy(Alloy(["Fe", "Ni"]), True),), ("Fe",))
+            Dataset("d", (Alloy(["Fe", "Ni"]),), [True], ("Fe",))
 
     def test_duplicate_alloys_rejected(self):
-        rows = (
-            LabeledAlloy(Alloy(["Fe", "Ni"]), True),
-            LabeledAlloy(Alloy(["Ni", "Fe"]), False),
-        )
         with pytest.raises(ValueError):
-            Dataset("d", rows, ("Fe", "Ni"))
+            Dataset("d", (Alloy(["Fe", "Ni"]), Alloy(["Ni", "Fe"])), [True, False], ("Fe", "Ni"))
+
+    def test_labels_are_one_read_only_bool_array(self):
+        labels = [True, False]
+        ds = Dataset("d", (Alloy(["Fe", "Ni"]), Alloy(["Co", "Ni"])), labels, ("Co", "Fe", "Ni"))
+        assert ds.labels.dtype == bool and ds.labels.tolist() == [True, False]
+        with pytest.raises(ValueError, match="read-only"):
+            ds.labels[0] = False
+        labels[0] = False  # the dataset holds its own copy
+        assert ds.labels.tolist() == [True, False]
+
+    @pytest.mark.parametrize("labels", [[True], [True, False, True], [[True, False]], True])
+    def test_label_column_of_another_length_rejected(self, labels):
+        with pytest.raises(ValueError, match="label column"):
+            Dataset("d", (Alloy(["Fe", "Ni"]), Alloy(["Co", "Ni"])), labels, ("Co", "Fe", "Ni"))
+
+    def test_compared_by_identity(self):
+        ds = random_dataset(5, seed=1)
+        assert ds == ds
+        assert ds != Dataset(ds.name, ds.alloys, ds.labels, ds.universe)
+
+
+class TestTake:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_dataset_of_those_rows(self, seed):
+        rng = random.Random(seed)
+        ds = random_dataset(rng.randint(1, 60), universe_size=rng.choice([5, 12, 40]), seed=seed)
+        indices = rng.sample(range(len(ds)), rng.randint(0, len(ds)))  # any subset, in any order
+        if seed % 2:  # the parent's masks built before the split, or by it
+            _ = ds.words
+        got = ds.take(np.array(indices, dtype=np.intp) if seed % 3 else indices, "[part]")
+        expected = rows_dataset(ds, indices, "[part]")
+        assert got.name == expected.name and got.universe == ds.universe
+        assert got.alloys == expected.alloys
+        assert np.array_equal(got.labels, expected.labels) and got.labels.dtype == bool
+        assert not got.labels.flags.writeable
+        assert got.words.dtype == expected.words.dtype and np.array_equal(got.words, expected.words)
+        assert got.words.shape == expected.words.shape and not got.words.flags.writeable
 
 
 class TestParsing:
@@ -64,7 +99,8 @@ class TestParsing:
         f = tmp_path / "d.csv"
         f.write_text("composition,label\nFe-Co-Ni-Cr,1\n")
         ds = parse_dataset(f)
-        assert ds.alloys[0] == LabeledAlloy(Alloy(["Co", "Cr", "Fe", "Ni"]), True)
+        assert ds.alloys[0] == Alloy(["Co", "Cr", "Fe", "Ni"])
+        assert ds.labels.tolist() == [True]
 
     @pytest.mark.parametrize(
         "label,expected",
@@ -74,7 +110,7 @@ class TestParsing:
     def test_label_spellings(self, tmp_path, label, expected):
         f = tmp_path / "d.csv"
         f.write_text(f"composition,label\nFe-Ni,{label}\n")
-        assert parse_dataset(f).alloys[0].label is expected
+        assert parse_dataset(f).labels.tolist() == [expected]
 
     def test_duplicate_element_row(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -142,6 +178,7 @@ class TestParsing:
         serialize_dataset(ds, out)
         again = parse_dataset(out, universe="E1", name=ds.name)
         assert again.alloys == ds.alloys
+        assert again.labels.tolist() == ds.labels.tolist() == [True, False]
         assert again.universe == ds.universe
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -234,7 +235,7 @@ class TestPredict:
         from heafusion.alloys import Alloy, parse_dataset
 
         ds = parse_dataset(dataset_csv)
-        taken = {la.alloy.elements for la in ds.alloys}
+        taken = {a.elements for a in ds.alloys}
         free = next(
             Alloy(e) for e in combinations(sorted(ds.universe), 4) if e not in taken
         )
@@ -284,12 +285,12 @@ class TestPredict:
         return (tmp_path / "out" / "predictions.csv").read_bytes()
 
     def test_csv_bytes_match_the_reference(self, tmp_path):
-        from heafusion.alloys import Alloy, LabeledAlloy
+        from heafusion.alloys import Alloy
 
         training = as_dataset([
-            LabeledAlloy(Alloy(("Ag", "Cd", "In", "Cu")), True),
-            LabeledAlloy(Alloy(("Ag", "Cd", "In", "Sn")), False),
-            LabeledAlloy(Alloy(("Fe", "Co", "Ni", "Cr")), False),
+            (Alloy(("Ag", "Cd", "In", "Cu")), True),
+            (Alloy(("Ag", "Cd", "In", "Sn")), False),
+            (Alloy(("Fe", "Co", "Ni", "Cr")), False),
         ])
         store = mass_store({
             (("Cu",), ("Zn",)): (1.0, 0.0, 0.0),  # certain: infinite weight on similar
@@ -314,7 +315,7 @@ class TestPredict:
         from heafusion.md_evidence import ExtractionConfig, extract_all
 
         training = parse_dataset(planted_csv)
-        taken = {la.alloy.elements for la in training.alloys}
+        taken = {a.elements for a in training.alloys}
         candidates = [Alloy(e) for e in combinations(training.universe, 4) if Alloy(e).elements not in taken]
         store = extract_all(training, ExtractionConfig(0.1))
         got = self.predict_bytes(tmp_path, candidates, training, store)
@@ -352,7 +353,7 @@ class TestPredict:
         )
         assert code == 0
         cands = tmp_path / "cands.csv"
-        cands.write_text("composition\n" + "\n".join(la.alloy.composition() for la in test.alloys) + "\n")
+        cands.write_text("composition\n" + "\n".join(a.composition() for a in test.alloys) + "\n")
         run(
             ["predict", "--store", out / "fused_store.csv", "--training", train_csv,
              "--candidates", cands, "--out-dir", out]
@@ -365,7 +366,7 @@ class TestPredict:
             f"llm:{d}": s for d, s in build_store(parse_responses(responses_csv), 0.2).items()
         }
         sources = SourcesConfig(md_alpha=0.1, llm_stores=llm_stores, gamma_folds=3)
-        scores, labels, gammas, hashes = _evaluate_split(training, test, sources, seed=9)
+        scores, gammas, hashes = _evaluate_split(training, test, sources, seed=9)
 
         with (out / "predictions.csv").open() as fh:
             cli_scores = [float(r["score"]) for r in csv.DictReader(fh)]
@@ -488,6 +489,58 @@ class TestEvaluationCommands:
         reports = json.loads((out / "reports.json").read_text())
         assert set(reports[0]["gammas"]) == {"md", "llm:Metallurgy"}
         assert reports[0]["auc"] >= 0.9
+
+
+class TestEmptyLists:
+    """An empty list option is a configuration error, as an empty
+    --fractions is, whether it comes from the command line or --config;
+    each of these ran the default grid or the whole universe and exited 0."""
+
+    COMMANDS = {
+        "tune-grid": (["tune-alpha", "--dataset", "{data}", "--folds", "3", "--repeats", "1", "--seed", "1"],
+                      "grid"),
+        "cluster-elements": (["cluster", "--store", "{store}", "--universe", "E2"], "elements"),
+        "prompts-elements": (["prompts", "--universe", "E2"], "elements"),
+        "distances-elements": (["export-distances", "--store", "{store}", "--universe", "E2"], "elements"),
+    }
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["", " "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_is_config_error(self, tmp_path, dataset_csv, capsys, name, value, via):
+        argv, key = self.COMMANDS[name]
+        store = tmp_path / "store.csv"
+        store.write_text("combo_a,combo_b,w_similar,w_dissimilar\nFe,Co,0.5,0\n")
+        args = [a.format(data=dataset_csv, store=store) for a in argv] + ["--jobs", "1", "--out-dir", tmp_path / "run"]
+        assert run(args) == 0  # valid without the option
+        shutil.rmtree(tmp_path / "run")
+        if via == "flag":
+            args += [f"--{key}={value}"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            args += ["--config", config]
+        assert run(args) == 2
+        err = one_error(capsys.readouterr().err)
+        assert (err["error"], err["command"]) == ("ConfigError", argv[0])
+        assert f"--{key}" in err["message"]
+        assert not (tmp_path / "run").exists()
+
+
+class TestExpertSourceWithoutStores:
+    @pytest.mark.parametrize("command,option", [("eval-cv", ["--fractions", "0.3"]),
+                                                ("eval-extrapolate", ["--elements", "H"])])
+    def test_header_only_responses_are_an_empty_source_list(self, tmp_path, dataset_csv, capsys, command, option):
+        # llm named among the sources with no expert store used to run md alone and exit 0
+        responses = tmp_path / "responses.csv"
+        responses.write_text("element_a,element_b,domain,q1,q2\n")
+        code = run([command, "--dataset", dataset_csv, *option, "--sources", "md,llm", "--responses", responses,
+                    "--gamma-folds", "3", "--seed", "5", "--out-dir", tmp_path / "run"])
+        assert code == 2
+        err = one_error(capsys.readouterr().err)
+        assert (err["error"], err["command"]) == ("EmptySourceList", command)
+        assert str(responses) in err["message"]
+        assert not (tmp_path / "run").exists()
 
 
 class TestTuneAlpha:
@@ -813,7 +866,7 @@ def valid_inputs(tmp_path_factory):
     ds = planted_group_dataset(GROUP_A, GROUP_B, subsample=14, seed=32)
     serialize_dataset(ds, root / "train.csv")
     assert run(["extract", "--dataset", root / "train.csv", "--out-dir", root]) == 0
-    taken = {la.alloy.composition() for la in ds.alloys}
+    taken = {a.composition() for a in ds.alloys}
     free = [c for c in ("Ag-Au-Co-Fe", "Cu-Fe-Mn-Ni", "Ag-Au-Cu-Zn") if c not in taken]
     return {
         "dataset": (root / "train.csv").read_text(),

@@ -8,11 +8,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
+from heafusion import Alloy, Dataset, SimilarityStore, md_evidence
 from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words, key_width, kfold_indices
 from heafusion.belief import to_weights
 from heafusion.errors import DegenerateDataset, TotalConflict
-from heafusion.fusion import SourceReliability, _cross_fold_weights, estimate_reliability, fuse
+from heafusion.fusion import _cross_fold_weights, estimate_reliability, fuse
 from heafusion.inference import analogy_weights, predict_batch
 from heafusion.md_evidence import (
     CombinationPair,
@@ -70,9 +70,9 @@ def _expert_store(rng, symbols, shared_pairs):
 
 
 def _reference_extract(dataset, alpha, max_size):
-    masks = alloy_masks((la.alloy for la in dataset.alloys), dataset.element_index())
+    masks = alloy_masks(dataset.alloys, dataset.element_index())
     if max_size is None:
-        max_size = max((len(la.alloy.elements) for la in dataset.alloys), default=2) - 1
+        max_size = max((len(a.elements) for a in dataset.alloys), default=2) - 1
     names = dataset.bit_names
     weight = evidence_weight(alpha)
 
@@ -81,7 +81,7 @@ def _reference_extract(dataset, alpha, max_size):
 
     return {
         CombinationPair(side(lo), side(hi)): (agree * weight, disagree * weight)
-        for (lo, hi), (agree, disagree) in scan_partition(masks, dataset.labels(), max_size).items()
+        for (lo, hi), (agree, disagree) in scan_partition(masks, dataset.labels.tolist(), max_size).items()
     }
 
 
@@ -102,10 +102,9 @@ def _case(rng, case):
     for _ in range(rng.randint(2, 24)):
         rows.add(_subset(rng, universe, 2, 5))
     single_class = rng.choice([True, False]) if case % 6 == 0 else None
-    alloys = tuple(
-        LabeledAlloy(Alloy(r), rng.random() < 0.5 if single_class is None else single_class) for r in sorted(rows)
-    )
-    dataset = Dataset("case", alloys, universe)
+    rows = sorted(rows)
+    labels = [rng.random() < 0.5 if single_class is None else single_class for _ in rows]
+    dataset = Dataset("case", tuple(map(Alloy, rows)), labels, universe)
     candidates = []
     for _ in range(rng.randint(1, 8)):
         symbols = list(universe) + (extra if rng.random() < 0.3 else [])
@@ -137,7 +136,7 @@ def test_kernels_match_reference_implementations(tmp_path):
         experts = [_expert_store(rng, symbols, shared) for _ in range(rng.randint(1, 2))]
         stores = [("md", md)] + [(f"llm:{i}", s) for i, s in enumerate(experts)]
         gammas = {sid: rng.choice([0.0, 1.0, rng.random()]) for sid, _ in stores}
-        fused = fuse(stores, [SourceReliability(sid, g) for sid, g in gammas.items()])
+        fused = fuse(stores, gammas)
         assert dict(fused.items()) == fuse_reference(stores, gammas), case
         reference = fuse_masses_reference(stores, gammas)
         for pair, mass in masses_of(fused).items():
@@ -182,7 +181,7 @@ def test_reliability_matches_reference():
         folds = rng.randint(2, max(2, len(dataset)))
         symbols = list(dataset.universe) + extra
         half = len(symbols) // 2
-        used = sorted({e for la in dataset.alloys for e in la.alloy.elements})
+        used = sorted({e for a in dataset.alloys for e in a.elements})
         certain = SimilarityStore.from_entries(
             {CombinationPair((a,), (b,)): (math.inf, 0.0) for a, b in combinations(used, 2)}
         )
@@ -207,7 +206,7 @@ def test_reliability_matches_reference():
             extract_all(dataset, ExtractionConfig(alpha)),  # keys of analogies beyond a set substitution limit
         ]
         stores = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
-        limit = max(len(la.alloy.elements) for la in dataset.alloys) - 1 if max_size is None else max_size
+        limit = max(len(a.elements) for a in dataset.alloys) - 1 if max_size is None else max_size
         outcomes = []
         for estimate in (estimate_reliability, estimate_reliability_reference):
             try:
@@ -238,7 +237,7 @@ def _layout_results(stores, training, candidates, path):
     the store files."""
     ids = [f"s{i}" for i in range(len(stores))]
     gammas = estimate_reliability(stores, training, folds=5, seed=3)
-    fused = fuse(list(zip(ids, stores)), [SourceReliability(sid, g) for sid, g in zip(ids, gammas)])
+    fused = fuse(list(zip(ids, stores)), dict(zip(ids, gammas)))
     predictions, files = [], []
     for store in (*stores, fused):
         got = predict_batch(candidates, training, store)
@@ -257,9 +256,9 @@ def test_results_do_not_depend_on_bit_order(table, tmp_path):
     universe = UNIVERSES["E1"] if table == "E1" else ELEMENT_SYMBOLS
     symbols = list(universe) if table == "E1" else rng.sample(universe, 40)  # spread over every word
     rows = sorted({_subset(rng, symbols, 3, 4) for _ in range(220)})
-    alloys = [LabeledAlloy(Alloy(r), rng.random() < 0.5) for r in rows]
-    training = Dataset(table, tuple(alloys[:180]), universe)
-    candidates = [la.alloy for la in alloys[180:]]
+    labels = [rng.random() < 0.5 for _ in rows]
+    training = Dataset(table, tuple(map(Alloy, rows[:180])), labels[:180], universe)
+    candidates = [Alloy(r) for r in rows[180:]]
     if table == "E1":  # a candidate naming an element outside the universe
         candidates.append(Alloy(rows[0][:2] + ("H",)))
     md = extract_all(training, ExtractionConfig(0.2))
@@ -292,15 +291,14 @@ def test_triangle_pass_matches_per_fold_calls():
         if case % 5 >= 3:  # the E1 universe itself, or a dense dataset over a few of its symbols
             symbols = list(UNIVERSES["E1"]) if case % 5 == 4 else rng.sample(UNIVERSES["E1"], 8)
             rows = sorted({_subset(rng, symbols, 2, 5) for _ in range(rng.randint(2, 80))})
-            alloys = tuple(LabeledAlloy(Alloy(r), rng.random() < 0.5) for r in rows)
-            dataset = Dataset("E1", alloys, UNIVERSES["E1"])
+            dataset = Dataset("E1", tuple(map(Alloy, rows)), [rng.random() < 0.5 for _ in rows], UNIVERSES["E1"])
         if len(dataset) < 2:
             continue
         max_size = rng.choice([None, 1, 2, 3])
-        limit = max(len(la.alloy.elements) for la in dataset.alloys) - 1 if max_size is None else max_size
+        limit = max(len(a.elements) for a in dataset.alloys) - 1 if max_size is None else max_size
         index = dataset.element_index()
-        words = element_words((la.alloy.elements for la in dataset.alloys), index, key_width(len(index)))
-        labels = dataset.labels()
+        words = element_words((a.elements for a in dataset.alloys), index, key_width(len(index)))
+        labels = dataset.labels
         md = extract_all(dataset, ExtractionConfig(rng.uniform(0.01, 0.9), max_size)).mask_view(index)
         groups, n_columns = [], 0
         for size in sorted(rng.sample(range(1, limit + 1), rng.randint(1, min(3, limit)))):
@@ -342,12 +340,12 @@ def test_pair_counts_do_not_depend_on_block_size():
     for case in range(60):
         dataset, _, _ = _case(rng, case)
         index = dataset.element_index()
-        words = element_words((la.alloy.elements for la in dataset.alloys), index, key_width(len(index)))
+        words = element_words((a.elements for a in dataset.alloys), index, key_width(len(index)))
         limit = rng.randint(1, 4)
-        expected = pair_counts(words, dataset.labels(), limit)
+        expected = pair_counts(words, dataset.labels, limit)
         with pytest.MonkeyPatch.context() as patch:
             _small_blocks(patch, rng, len(dataset))
-            got = pair_counts(words, dataset.labels(), limit)
+            got = pair_counts(words, dataset.labels, limit)
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), case
 
@@ -603,16 +601,16 @@ def test_total_conflict_matches_reference():
         with pytest.raises(TotalConflict):
             reference(stores, gammas)
     with pytest.raises(TotalConflict, match=r"pair \(Co, Fe\)"):
-        fuse(stores, [SourceReliability(sid, g) for sid, g in gammas.items()])
+        fuse(stores, gammas)
     # any discount leaves the certain masses a readout
-    fuse(stores, [SourceReliability("a", 1.0), SourceReliability("b", 0.999)])
+    fuse(stores, {"a": 1.0, "b": 0.999})
 
 
 class TestContentHash:
     def test_independent_of_bit_and_insertion_order(self):
         ds = random_dataset(40, universe_size=12, seed=9)
         store = extract_all(ds, ExtractionConfig(alpha=0.2))
-        reordered = Dataset(ds.name, ds.alloys, tuple(reversed(ds.universe)) + ("Lr",))
+        reordered = Dataset(ds.name, ds.alloys, ds.labels, tuple(reversed(ds.universe)) + ("Lr",))
         other_bits = extract_all(reordered, ExtractionConfig(alpha=0.2))
         assert not np.array_equal(other_bits.keys, store.keys)
         entries = list(store.items())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
+from heafusion import Alloy, Dataset, SimilarityStore, md_evidence
 from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_split, enumerate_combinations, fraction_split
 from heafusion.errors import (
     ConfigError,
@@ -60,10 +60,8 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def e1_quaternary() -> Dataset:
-    alloys = tuple(
-        LabeledAlloy(a, "Fe" in a.elements) for a in enumerate_combinations(UNIVERSES["E1"], 4)
-    )
-    return Dataset("e1-full", alloys, UNIVERSES["E1"])
+    alloys = tuple(enumerate_combinations(UNIVERSES["E1"], 4))
+    return Dataset("e1-full", alloys, ["Fe" in a.elements for a in alloys], UNIVERSES["E1"])
 
 
 class TestMakeSplit:
@@ -71,8 +69,8 @@ class TestMakeSplit:
         training, test = element_split(e1_quaternary, "Os")
         assert len(test) == 2300  # all Os-containing quaternaries: C(25,3)
         assert len(training) == 14950 - 2300
-        assert all("Os" in la.alloy.elements for la in test.alloys)
-        assert all("Os" not in la.alloy.elements for la in training.alloys)
+        assert all("Os" in a.elements for a in test.alloys)
+        assert all("Os" not in a.elements for a in training.alloys)
         assert training.universe == e1_quaternary.universe
 
     def test_fraction_training_size(self, e1_quaternary):
@@ -108,17 +106,13 @@ class TestKFold:
         seen = []
         for training, test in folds:
             assert len(training) + len(test) == len(ds)
-            seen.extend(la.alloy.elements for la in test.alloys)
-        assert sorted(seen) == sorted(la.alloy.elements for la in ds.alloys)
+            seen.extend(a.elements for a in test.alloys)
+        assert sorted(seen) == sorted(a.elements for a in ds.alloys)
 
     def test_every_fold_nonempty_even_when_tiny(self):
         ds = random_dataset(2, universe_size=8, seed=1, positive_rate=0.5)
         if ds.n_positive in (0, 2):  # reroll would defeat determinism; construct directly
-            rows = [
-                LabeledAlloy(ds.alloys[0].alloy, True),
-                LabeledAlloy(ds.alloys[1].alloy, False),
-            ]
-            ds = ds.with_alloys(rows)
+            ds = Dataset(ds.name, ds.alloys, [True, False], ds.universe)
         folds = kfold_splits(ds, 2, seed=0)
         for training, test in folds:
             assert len(training) == 1 and len(test) == 1
@@ -331,11 +325,9 @@ def _noisy_planted(
     rng = random.Random(seed)
     half = set(pool[: len(pool) // 2])
     rows = {tuple(sorted(rng.sample(pool, rng.choice(sizes)))) for _ in range(n)}
-    alloys = []
-    for elements in sorted(rows):
-        label = set(elements) <= half or not set(elements) & half
-        alloys.append(LabeledAlloy(Alloy(elements), label != (rng.random() < 0.2)))
-    return Dataset("noisy", tuple(alloys), universe)
+    rows = sorted(rows)
+    labels = [(set(elements) <= half or not set(elements) & half) != (rng.random() < 0.2) for elements in rows]
+    return Dataset("noisy", tuple(map(Alloy, rows)), labels, universe)
 
 
 class TestGridSearchAlpha:
@@ -368,7 +360,7 @@ class TestGridSearchAlpha:
         # palette. No test row has an analogy, so every alpha scores the
         # same and the smallest wins
         ds = as_dataset([
-            LabeledAlloy(Alloy(elements.split()), label)
+            (Alloy(elements.split()), label)
             for elements, label in (("Fe Co Ni", True), ("Fe Co Cu", False), ("H He Li", True),
                                     ("B C N", False), ("O F Ne", True), ("Na Mg Al", False))
         ])
@@ -409,10 +401,10 @@ class TestGridSearchAlpha:
         # disjoint alloys generate no evidence and no analogies, so every
         # alpha scores identically
         rows = [
-            LabeledAlloy(Alloy(("H", "He", "Li", "Be")), True),
-            LabeledAlloy(Alloy(("B", "C", "N", "O")), False),
-            LabeledAlloy(Alloy(("F", "Ne", "Na", "Mg")), True),
-            LabeledAlloy(Alloy(("Al", "Si", "P", "S")), False),
+            (Alloy(("H", "He", "Li", "Be")), True),
+            (Alloy(("B", "C", "N", "O")), False),
+            (Alloy(("F", "Ne", "Na", "Mg")), True),
+            (Alloy(("Al", "Si", "P", "S")), False),
         ]
         ds = as_dataset(rows)
         assert grid_search_alpha(ds, grid=[0.05, 0.1, 0.2], folds=2, repeats=1, seed=1) == 0.05
@@ -421,7 +413,7 @@ class TestGridSearchAlpha:
         # every alpha scores the same on these six alloys, so the smallest
         # wins whatever the grid order, and a repeated alpha counts once
         ds = as_dataset([
-            LabeledAlloy(Alloy(elements.split()), label)
+            (Alloy(elements.split()), label)
             for elements, label in (("Co Ni Cr", True), ("Ni Cr Mn", False), ("Fe Co Ni", True),
                                     ("Fe Co Mn", True), ("Fe Ni Mn", False), ("Fe Ni Cr", False))
         ])
@@ -552,7 +544,7 @@ class TestExtrapolationExperiment:
         # tuple names the held-out element it never uses
         universe = UNIVERSES["E1"]
         planted = planted_group_dataset(universe[:13], universe[13:], subsample=220, seed=3)
-        ds = Dataset("e1", planted.alloys, universe)
+        ds = Dataset("e1", planted.alloys, planted.labels, universe)
         experts = {f"llm:{s}": planted_group_store(universe[:13], universe[13:], strength=s) for s in (0.6, 0.8)}
         sources = SourcesConfig(md_alpha=0.1, gamma_folds=5, llm_stores=experts)
         remap = md_evidence._remap

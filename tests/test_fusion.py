@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from heafusion import SimilarityStore
-from heafusion.errors import DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
+from heafusion import SimilarityStore, fusion
+from heafusion.errors import ConfigError, DegenerateDataset, EmptySourceList, GammaOutOfRange, ParseError
 from heafusion.fusion import (
-    SourceReliability,
     estimate_reliability,
     fuse,
+    source_gammas,
     write_gammas,
 )
 from heafusion.md_evidence import CombinationPair, ExtractionConfig, extract_all
@@ -38,12 +38,6 @@ GROUP_A = ("Fe", "Co", "Ni", "Mn", "Cr")
 GROUP_B = ("Cu", "Ag", "Au", "Zn", "Cd")
 
 
-class TestSourceReliability:
-    def test_gamma_range(self):
-        with pytest.raises(GammaOutOfRange):
-            SourceReliability("md", 1.2)
-
-
 class TestEstimateReliability:
     def test_planted_store_is_fully_reliable(self):
         dataset = planted_group_dataset(GROUP_A, GROUP_B)
@@ -56,7 +50,7 @@ class TestEstimateReliability:
         gamma = estimate_reliability([SimilarityStore()], dataset, folds=10, seed=7)[0]
         expected = 0.0
         for _, test in kfold_splits(dataset, 10, seed=7):
-            expected += macro_f1_oracle(test.labels(), [False] * len(test))
+            expected += macro_f1_oracle(test.labels.tolist(), [False] * len(test))
         expected /= 10
         assert gamma == pytest.approx(expected, abs=1e-12)
 
@@ -96,7 +90,7 @@ class TestFuse:
         llm = store_of({(("Cu",), ("Zn",)): (0.2, 0.0, 0.8)})
         fused = fuse(
             [("md", md), ("llm", llm)],
-            [SourceReliability("md", 0.8), SourceReliability("llm", 0.5)],
+            {"md": 0.8, "llm": 0.5},
         )
         # discounted masses per the reliability equations
         d_md = discount(mass_of(md, CombinationPair(("Cu",), ("Zn",))), 0.8)
@@ -118,7 +112,7 @@ class TestFuse:
         b = store_of({(("Fe",), ("Ni",)): (0.2, 0.2, 0.6)})
         fused = fuse(
             [("a", a), ("b", b)],
-            [SourceReliability("a", 1.0), SourceReliability("b", 1.0)],
+            {"a": 1.0, "b": 1.0},
         )
         assert len(fused) == 2
         assert fused.elements == ("Cu", "Fe", "Ni", "Zn")  # sorted symbols, not in order of first appearance
@@ -130,9 +124,9 @@ class TestFuse:
         b = store_of({(("Cu",), ("Zn",)): (0.9, 0.0, 0.1), (("Fe",), ("Ni",)): (0.5, 0.0, 0.5)})
         with_b = fuse(
             [("a", a), ("b", b)],
-            [SourceReliability("a", 0.7), SourceReliability("b", 0.0)],
+            {"a": 0.7, "b": 0.0},
         )
-        without_b = fuse([("a", a)], [SourceReliability("a", 0.7)])
+        without_b = fuse([("a", a)], {"a": 0.7})
         pair = CombinationPair(("Cu",), ("Zn",))
         for g, w in zip(mass_of(with_b, pair).as_tuple(), mass_of(without_b, pair).as_tuple()):
             assert g == pytest.approx(w, abs=1e-15)
@@ -144,9 +138,9 @@ class TestFuse:
         b = store_of({(("Cu",), ("Zn",)): (0.0, 0.0, 1.0)})
         fused = fuse(
             [("a", a), ("b", b)],
-            [SourceReliability("a", 0.7), SourceReliability("b", 0.9)],
+            {"a": 0.7, "b": 0.9},
         )
-        base = fuse([("a", a)], [SourceReliability("a", 0.7)])
+        base = fuse([("a", a)], {"a": 0.7})
         pair = CombinationPair(("Cu",), ("Zn",))
         for g, w in zip(mass_of(fused, pair).as_tuple(), mass_of(base, pair).as_tuple()):
             assert g == pytest.approx(w, abs=1e-15)
@@ -165,10 +159,10 @@ class TestFuse:
                     s = rng.uniform(0, 0.6 - f * 0.5)
                     entries[pair_key] = (f, s, 1 - f - s)
             stores.append((sid, store_of(entries)))
-        gammas = [SourceReliability(sid, rng.uniform(0.1, 1.0)) for sid, _ in stores]
+        gammas = {sid: rng.uniform(0.1, 1.0) for sid, _ in stores}
         base = fuse(stores, gammas)
         order = [2, 0, 1]
-        permuted = fuse([stores[i] for i in order], [gammas[i] for i in order])
+        permuted = fuse([stores[i] for i in order], {stores[i][0]: gammas[stores[i][0]] for i in order})
         assert pairs_of(base) == pairs_of(permuted)
         for pair, mass in masses_of(base).items():
             for g, w in zip(mass_of(permuted, pair).as_tuple(), mass.as_tuple()):
@@ -182,7 +176,7 @@ class TestFuse:
 
         rng = random.Random(seed + 50)
         keys = [(("Cu",), ("Zn",)), (("Fe",), ("Ni",)), (("Cu", "Fe"), ("Ag", "Zn"))]
-        stores, gammas = [], []
+        stores, gammas = [], {}
         for sid in "xyz":
             entries = {}
             for key in keys:
@@ -191,9 +185,9 @@ class TestFuse:
                     s = rng.uniform(0, 0.5 - f * 0.3)
                     entries[key] = (f, s, 1 - f - s)
             stores.append((sid, store_of(entries)))
-            gammas.append(SourceReliability(sid, rng.uniform(0, 1)))
+            gammas[sid] = rng.uniform(0, 1)
         fused = fuse(stores, gammas)
-        gamma_of = {g.source_id: g.gamma for g in gammas}
+        gamma_of = gammas
         for key in keys:
             pair = CombinationPair(*key)
             pieces = [
@@ -206,22 +200,53 @@ class TestFuse:
                 assert g == pytest.approx(w, abs=1e-12)
 
     def test_requires_gamma_for_every_store(self):
+        # a configuration fault the library's error hierarchy catches, naming every id without a γ
         a = store_of({(("Cu",), ("Zn",)): (0.3, 0.1, 0.6)})
-        with pytest.raises(ValueError, match="no reliability"):
-            fuse([("a", a)], [])
+        with pytest.raises(ConfigError, match=r"no reliability given for sources \['a', 'c'\]"):
+            fuse([("a", a), ("b", a), ("c", a)], {"b": 0.5})
+
+    @pytest.mark.parametrize("gamma", [1.2, -0.1, float("nan")])
+    def test_gamma_range(self, gamma):
+        a = store_of({(("Cu",), ("Zn",)): (0.3, 0.1, 0.6)})
+        with pytest.raises(GammaOutOfRange):
+            fuse([("a", a)], {"a": gamma})
 
     def test_empty_source_list(self):
         with pytest.raises(EmptySourceList):
-            fuse([], [])
+            fuse([], {})
+
+
+class TestSourceGammas:
+    def test_given_gammas_and_one_estimate_in_store_order(self, monkeypatch):
+        dataset = planted_group_dataset(GROUP_A, GROUP_B)
+        planted = planted_group_store(GROUP_A, GROUP_B, strength=0.95)
+        stores = [("x", SimilarityStore()), ("md", planted), ("y", planted), ("z", SimilarityStore())]
+        calls = []
+
+        def estimate(estimated, *args, **kwargs):  # the module attribute, which tracing wraps
+            calls.append(estimated)
+            return estimate_reliability(estimated, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "estimate_reliability", estimate)
+        got = source_gammas(stores, {"y": 0.25, "x": 0.5}, dataset, folds=5, seed=3)
+        assert list(got.items()) == [
+            ("x", 0.5), ("md", estimate_reliability([planted], dataset, folds=5, seed=3)[0]), ("y", 0.25),
+            ("z", estimate_reliability([SimilarityStore()], dataset, folds=5, seed=3)[0]),
+        ]
+        assert len(calls) == 1 and [len(store) for store in calls[0]] == [len(planted), 0]
+
+    def test_every_gamma_given_needs_no_dataset(self):
+        store = planted_group_store(GROUP_A, GROUP_B)
+        assert source_gammas([("b", store), ("a", store)], {"a": 1.0, "b": 0.0}, None) == {"b": 0.0, "a": 1.0}
 
 
 class TestGammaSidecar:
     def test_round_trip(self, tmp_path):
-        gammas = [SourceReliability("md", 0.8125), SourceReliability("llm:Metallurgy", 0.5)]
+        gammas = {"md": 0.8125, "llm:Metallurgy": 0.5}
         path = tmp_path / "gammas.json"
         write_gammas(gammas, path)
-        again = read_gammas(path)
-        assert again == sorted(gammas, key=lambda g: g.source_id)
+        assert read_gammas(path) == gammas
+        assert path.read_text() == '{\n  "llm:Metallurgy": 0.5,\n  "md": 0.8125\n}\n'  # sorted ids
 
     @pytest.mark.parametrize(
         "text",

@@ -6,6 +6,8 @@ the key layout."""
 import ast
 from pathlib import Path
 
+import heafusion
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heafusion"
 
 
@@ -299,6 +301,24 @@ def test_library_names_no_mass_objects():
         "x = BinaryMass\ny = BinaryMasses\n"
     )
     assert name_uses(ast.parse(source), "BinaryMass") == [1, 2, 3, 4]
+
+
+def test_rows_labels_and_gammas_have_one_form():
+    """A dataset is a tuple of alloys and one label array, and reliabilities
+    are one source id -> γ mapping, so neither the library, its exports nor
+    the README names the per-row and per-source types these replaced, and no
+    module calls a `labels()` method."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    for name in ("LabeledAlloy", "SourceReliability", "with_alloys"):
+        assert {stem: name_uses(tree, name) for stem, tree in _trees().items() if name_uses(tree, name)} == {}
+        assert not hasattr(heafusion, name) and name not in readme
+    calls = {
+        stem: [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "labels"]
+        for stem, tree in _trees().items()
+    }
+    assert {stem: lines for stem, lines in calls.items() if lines} == {}
+    assert ".labels()" not in readme
 
 
 def _called_names(node: ast.AST) -> set[str]:

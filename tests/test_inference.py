@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heafusion import Alloy, LabeledAlloy, SimilarityStore, inference
+from heafusion import Alloy, Dataset, SimilarityStore, inference
 from heafusion.alloys import element_words
 from heafusion.belief import to_weights
 from heafusion.errors import CandidateInTraining, LengthMismatch, TotalConflict
@@ -31,7 +31,8 @@ COLUMNS = ("w_pos", "w_neg", "n_analogies", "score")
 
 
 def la(elements, label=True):
-    return LabeledAlloy(Alloy(elements), label)
+    """One (alloy, label) row."""
+    return Alloy(elements), label
 
 
 def same_predictions(a, b) -> bool:
@@ -43,12 +44,12 @@ class TestEnumerateAnalogies:
     def test_single_element_substitution(self):
         training = as_dataset([la("Ag Cd In Cu".split())])
         got = enumerate_analogies(Alloy("Ag Cd In Zn".split()), training)
-        assert got == [Analogy(training.alloys[0], ("Cu",), ("Zn",))]
+        assert got == [Analogy(training.alloys[0], True, ("Cu",), ("Zn",))]
 
     def test_multi_element_substitution(self):
         training = as_dataset([la("Ag Cd In Cu".split())])
         got = enumerate_analogies(Alloy("Ag Cd In Zn Ga".split()), training)
-        assert got == [Analogy(training.alloys[0], ("Cu",), ("Ga", "Zn"))]
+        assert got == [Analogy(training.alloys[0], True, ("Cu",), ("Ga", "Zn"))]
 
     def test_disjoint_training_yields_nothing(self):
         training = as_dataset([la("Fe Ni Cr Co".split())])
@@ -71,17 +72,17 @@ class TestEnumerateAnalogies:
 
 class TestEvidenceFromAnalogy:
     def test_positive_host(self):
-        analogy = Analogy(la("Ag Cd In Cu".split(), True), ("Cu",), ("Zn",))
+        analogy = Analogy(*la("Ag Cd In Cu".split(), True), ("Cu",), ("Zn",))
         store = store_of({(("Cu",), ("Zn",)): (0.25, 0.075, 0.675)})
         assert evidence_from_analogy(analogy, store) == BinaryMass(0.25, 0.0, 0.75)
 
     def test_negative_host(self):
-        analogy = Analogy(la("Ag Cd In Cu".split(), False), ("Cu",), ("Zn",))
+        analogy = Analogy(*la("Ag Cd In Cu".split(), False), ("Cu",), ("Zn",))
         store = store_of({(("Cu",), ("Zn",)): (0.25, 0.075, 0.675)})
         assert evidence_from_analogy(analogy, store) == BinaryMass(0.0, 0.25, 0.75)
 
     def test_absent_pair_is_vacuous(self):
-        analogy = Analogy(la("Ag Cd In Cu".split(), True), ("Cu",), ("Zn",))
+        analogy = Analogy(*la("Ag Cd In Cu".split(), True), ("Cu",), ("Zn",))
         assert evidence_from_analogy(analogy, SimilarityStore()) == BinaryMass(0.0, 0.0, 1.0)
 
 
@@ -202,7 +203,7 @@ def _random_instance(seed):
     rng = random.Random(seed)
     ds = random_dataset(12, universe_size=8, k=4, seed=seed)
     candidate = None
-    taken = {la_.alloy.elements for la_ in ds.alloys}
+    taken = {a.elements for a in ds.alloys}
     from itertools import combinations
 
     for elems in combinations(ds.universe, 4):
@@ -229,7 +230,7 @@ class TestInvariants:
         pieces = []
         for analogy in analogies:
             s = Fraction(mass_of(store, CombinationPair(analogy.replaced, analogy.replacement)).m_first)
-            pieces.append((s, 0, 1 - s) if analogy.host.label else (0, s, 1 - s))
+            pieces.append((s, 0, 1 - s) if analogy.host_label else (0, s, 1 - s))
         expected = expand_dempster(pieces) if pieces else (Fraction(0), Fraction(0), Fraction(1))
         got = predicted_mass(predict_batch([candidate], ds, store))
         for g, w in zip(got.as_tuple(), expected):
@@ -238,9 +239,7 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(4))
     def test_label_flip_antisymmetry(self, seed):
         ds, store, candidate = _random_instance(seed)
-        flipped = ds.with_alloys(
-            [LabeledAlloy(la_.alloy, not la_.label) for la_ in ds.alloys]
-        )
+        flipped = Dataset(ds.name, ds.alloys, ~ds.labels, ds.universe)
         p = predict_batch([candidate], ds, store)
         q = predict_batch([candidate], flipped, store)
         p_mass, q_mass = predicted_mass(p), predicted_mass(q)
@@ -252,10 +251,10 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(4))
     def test_training_order_invariance(self, seed):
         ds, store, candidate = _random_instance(seed)
-        rows = list(ds.alloys)
+        rows = list(range(len(ds)))
         random.Random(seed + 100).shuffle(rows)
         p = predicted_mass(predict_batch([candidate], ds, store))
-        q = predicted_mass(predict_batch([candidate], ds.with_alloys(rows), store))
+        q = predicted_mass(predict_batch([candidate], ds.take(rows), store))
         for g, w in zip(q.as_tuple(), p.as_tuple()):
             assert g == pytest.approx(w, abs=1e-12)
 
@@ -273,7 +272,7 @@ class TestInvariants:
         ds, store, _ = _random_instance(3)
         from itertools import combinations
 
-        taken = {la_.alloy.elements for la_ in ds.alloys}
+        taken = {a.elements for a in ds.alloys}
         candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken]
         batch = predict_batch(candidates, ds, store)
         singles = [predict_batch([candidate], ds, store) for candidate in candidates]
@@ -284,7 +283,7 @@ class TestInvariants:
         ds, store, _ = _random_instance(3)
         from itertools import combinations
 
-        taken = {la_.alloy.elements for la_ in ds.alloys}
+        taken = {a.elements for a in ds.alloys}
         candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken]
         predictions = predict_batch(candidates, ds, store)
         assert predictions.candidates == tuple(candidates)
@@ -311,7 +310,7 @@ class TestInvariants:
         monkeypatch.setattr(inference, "_POOL_MIN_CANDIDATES", 256)
         ds = random_dataset(40, universe_size=11, seed=9)
         store = planted_group_store(tuple(ds.universe[:5]), tuple(ds.universe[5:]), 0.7)
-        taken = {la_.alloy.elements for la_ in ds.alloys}
+        taken = {a.elements for a in ds.alloys}
         from itertools import combinations
 
         candidates = [
@@ -344,7 +343,7 @@ class TestInvariants:
         monkeypatch.setattr(inference, "_POOL_MIN_CANDIDATES", 1)
         ds = random_dataset(40, universe_size=11, seed=9)
         store = planted_group_store(tuple(ds.universe[:5]), tuple(ds.universe[5:]), 0.7)
-        taken = {la_.alloy.elements for la_ in ds.alloys}
+        taken = {a.elements for a in ds.alloys}
         from itertools import combinations
 
         candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken][:50]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heafusion import Alloy, Dataset, LabeledAlloy, SimilarityStore, md_evidence
+from heafusion import Alloy, Dataset, SimilarityStore, md_evidence
 from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words
 from heafusion.belief import from_weights
 from heafusion.errors import AlphaOutOfRange, LengthMismatch, ParseError
@@ -46,7 +46,8 @@ from oracles import (
 
 
 def la(elements, label=True):
-    return LabeledAlloy(Alloy(elements), label)
+    """One (alloy, label) row."""
+    return Alloy(elements), label
 
 
 class TestCombinationPair:
@@ -121,9 +122,9 @@ class TestExtraction:
     def test_row_order_invariance(self):
         ds = random_dataset(60, universe_size=10, seed=3)
         store = extract_all(ds, ExtractionConfig(alpha=0.2))
-        rows = list(ds.alloys)
+        rows = list(range(len(ds)))
         random.Random(7).shuffle(rows)
-        shuffled = extract_all(ds.with_alloys(rows), ExtractionConfig(alpha=0.2))
+        shuffled = extract_all(ds.take(rows), ExtractionConfig(alpha=0.2))
         assert pairs_of(store) == pairs_of(shuffled)
         for pair, mass in masses_of(store).items():
             other = mass_of(shuffled, pair)
@@ -146,7 +147,7 @@ class TestExtraction:
             )
             by_sides[(sides[0], sides[1])] = (agree, disagree)
         oracle = pair_evidence_oracle(
-            [(la.alloy.element_set, la.label) for la in ds.alloys], max_size
+            [(a.element_set, label) for a, label in zip(ds.alloys, ds.labels.tolist())], max_size
         )
         assert set(by_sides) == set(oracle)
         for key, pieces in oracle.items():
@@ -159,7 +160,7 @@ class TestExtraction:
         alpha = 0.17
         store = extract_all(ds, ExtractionConfig(alpha=alpha))
         oracle = pair_evidence_oracle(
-            [(la.alloy.element_set, la.label) for la in ds.alloys], 3
+            [(a.element_set, label) for a, label in zip(ds.alloys, ds.labels.tolist())], 3
         )
         a = Fraction(alpha)
         for (first, second), pieces in oracle.items():
@@ -186,10 +187,9 @@ class TestPartitioning:
         # partial stores built from disjoint row slices, merged pairwise
         ds = random_dataset(80, universe_size=9, seed=13)
         whole = extract_all(ds, ExtractionConfig(alpha=0.1))
-        rows = list(ds.alloys)
         # partition the *pair* space: slice i keeps pairs whose first index mod 2 == i
-        masks = alloy_masks((r.alloy for r in rows), ds.element_index())
-        labels = [r.label for r in rows]
+        masks = alloy_masks(ds.alloys, ds.element_index())
+        labels = ds.labels.tolist()
         partials = [
             counts_to_store(count_table(scan_partition(masks, labels, 3, 2, part)), 0.1, ds.bit_names)
             for part in range(2)
@@ -213,11 +213,9 @@ def _random_scan_case(rng: random.Random, case: int) -> tuple[Dataset, int | Non
             break
         seen.add(tuple(sorted(rng.sample(universe, rng.randint(2, min(5, n_universe))))))
     single_class = (True, False)[case % 2] if case % 5 == 0 else None
-    alloys = tuple(
-        LabeledAlloy(Alloy(elements), rng.random() < 0.5 if single_class is None else single_class)
-        for elements in sorted(seen)
-    )
-    return Dataset("case", alloys, universe), rng.choice([1, 2, 3, 4, None])
+    rows = sorted(seen)
+    labels = [rng.random() < 0.5 if single_class is None else single_class for _ in rows]
+    return Dataset("case", tuple(map(Alloy, rows)), labels, universe), rng.choice([1, 2, 3, 4, None])
 
 
 class TestPairKernel:
@@ -226,12 +224,12 @@ class TestPairKernel:
         widest = 0
         for case in range(1200):
             ds, max_size = _random_scan_case(rng, case)
-            masks = alloy_masks((la.alloy for la in ds.alloys), ds.element_index())
+            masks = alloy_masks(ds.alloys, ds.element_index())
             limit = max_size
             if limit is None:
-                limit = max((len(la.alloy.elements) for la in ds.alloys), default=2) - 1
+                limit = max((len(a.elements) for a in ds.alloys), default=2) - 1
             got = extract_counts(ds, max_subst_size=max_size)
-            assert got == scan_partition(masks, ds.labels(), limit), (case, len(ds.universe))
+            assert got == scan_partition(masks, ds.labels.tolist(), limit), (case, len(ds.universe))
             for (lo, hi), (agree, disagree) in got.items():
                 assert type(lo) is type(hi) is type(agree) is type(disagree) is int
                 assert lo < hi
@@ -243,9 +241,10 @@ class TestPairKernel:
         rng = random.Random(7)
         universe = tuple(rng.sample(ELEMENT_SYMBOLS, 80))
         rows = {tuple(sorted(rng.sample(universe[:12] + universe[-12:], 4))) for _ in range(300)}
-        ds = Dataset("wide", tuple(LabeledAlloy(Alloy(e), rng.random() < 0.5) for e in sorted(rows)), universe)
+        rows = sorted(rows)
+        ds = Dataset("wide", tuple(map(Alloy, rows)), [rng.random() < 0.5 for _ in rows], universe)
         got = extract_counts(ds)
-        assert got == fresh_counts_dict(pair_counts(ds.words, ds.labels(), 3))
+        assert got == fresh_counts_dict(pair_counts(ds.words, ds.labels, 3))
         assert max(hi for _, hi in got).bit_length() > 64
         masks, pairs = {}, {}
         for (lo, hi), counts in got.items():
@@ -257,9 +256,9 @@ class TestPairKernel:
         rng = random.Random(3)
         universe = UNIVERSES["E1"]
         rows = sorted({tuple(sorted(rng.sample(universe, 4))) for _ in range(900)})
-        ds = Dataset("e1", tuple(LabeledAlloy(Alloy(e), rng.random() < 0.5) for e in rows), universe)
+        ds = Dataset("e1", tuple(map(Alloy, rows)), [rng.random() < 0.5 for _ in rows], universe)
         peaks = []
-        for build in (extract_counts, lambda d: fresh_counts_dict(pair_counts(d.words, d.labels(), 3))):
+        for build in (extract_counts, lambda d: fresh_counts_dict(pair_counts(d.words, d.labels, 3))):
             tracemalloc.start()
             counts = build(ds)
             peaks.append(tracemalloc.get_traced_memory()[1])
