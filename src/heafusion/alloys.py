@@ -4,8 +4,9 @@ and dataset splits.
 Alloys are equiatomic element sets; labels are booleans with True as the
 positive class (phase forms / property present), held by a dataset as one
 bool array. Datasets are immutable after load and safe to share between
-threads. Splits take their rows with `Dataset.take` and draw all
-randomness from explicit seeds.
+threads. Splits take their rows with `Dataset.take`, cross-validation
+folds are one fold-id array (`fold_ids`), and both draw all randomness
+from explicit seeds.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ class Dataset:
 
     def take(self, indices: Sequence[int] | np.ndarray, suffix: str = "") -> "Dataset":
         """The rows at `indices`, in that order, over the same universe and
-        named with `suffix`: every split and fold. Its masks are the
-        parent's rows `words[indices]`, not rebuilt."""
+        named with `suffix`: every split. Its masks are the parent's rows
+        `words[indices]`, not rebuilt."""
         indices = np.asarray(indices, dtype=np.intp)
         subset = Dataset(self.name + suffix, tuple(map(self.alloys.__getitem__, indices.tolist())),
                          self.labels[indices], self.universe)
@@ -529,28 +530,21 @@ def fraction_split(
     return dataset.take(sorted(train), "[train]"), dataset.take(test_idx, "[test]")
 
 
-def kfold_indices(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
-    """(train, test) row indices of k label-stratified, seeded folds that
-    partition the rows."""
+def fold_ids(labels: Sequence[bool], k: int, seed: int) -> np.ndarray:
+    """The fold, 0 to k - 1, of each row of k label-stratified, seeded
+    folds, as one read-only int array. The seeded shuffles of the positive
+    rows, then of the negative rows, are dealt to the folds in turn, so
+    fold sizes differ by at most one even when a class is smaller than k."""
     n = len(labels)
     if k < 2:
         raise FoldsOutOfRange(f"folds must be >= 2, got {k}")
     if k > n:
         raise FoldsOutOfRange(f"{k} folds exceed the dataset's {n} rows")
     pos, neg = _stratified_indices(labels, seed)
-    # continuous round-robin across classes keeps fold sizes within one
-    # of each other even when a class is smaller than k
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    for slot, idx in enumerate(pos + neg):
-        buckets[slot % k].append(idx)
-    folds = [sorted(b) for b in buckets]
-    out = []
-    for f in range(k):
-        test = folds[f]
-        test_set = set(test)
-        train = [i for i in range(n) if i not in test_set]
-        out.append((train, test))
-    return out
+    ids = np.empty(n, dtype=np.intp)
+    ids[pos + neg] = np.arange(n) % k
+    ids.flags.writeable = False
+    return ids
 
 
 def element_split(dataset: Dataset, element: str) -> tuple[Dataset, Dataset]:

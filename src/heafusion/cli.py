@@ -431,6 +431,8 @@ def _cmd_prompts(args: argparse.Namespace) -> None:
         for b in sorted(symbols)[i + 1:]
     ]
     domains = [d.strip() for d in args.domains.split(",") if d.strip()]
+    if not domains:
+        raise ConfigError(f"--domains names no domain: {args.domains!r}")
     records = generate_prompts(pairs, domains)
     out = _out_path(args, args.out)
     write_prompts(records, out)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import fusion, inference
-from .alloys import Dataset, element_split, fraction_split, kfold_indices
+from .alloys import Dataset, element_split, fold_ids, fraction_split
 from .errors import ConfigError, EmptySourceList, GammaOutOfRange
 from .inference import accuracy, classify, macro_f1, roc_auc, youden_threshold_stats
 from .md_evidence import (
@@ -82,20 +82,24 @@ def _alpha_scores(
     count pair is weighted once per alpha, as `extract_all` and
     `predict_batch` would weigh its keys, into a (count pairs, alpha)
     palette; the fold's key table holds each key's palette row, and one
-    `inference.fold_macro_f1` call scores every alpha.
+    `inference.fold_macro_f1` call scores every alpha. A fold's training
+    and test rows are the dataset's mask and label rows outside and inside
+    it, in row order; no dataset is built per fold.
     """
     weights = [evidence_weight(alpha) for alpha in alphas]
     max_subst_size = substitution_limit(dataset.alloys, max_subst_size)
     totals = np.zeros(len(alphas))
     for rep in range(repeats):
-        for train_idx, test_idx in kfold_indices(dataset.labels, folds, seed + rep):
-            train, test = dataset.take(train_idx), dataset.take(test_idx)
-            counts = pair_counts(train.words, train.labels, max_subst_size)
+        fold_of = fold_ids(dataset.labels, folds, seed + rep)
+        for f in range(folds):
+            train, test = fold_of != f, fold_of == f
+            train_words, train_labels = dataset.words[train], dataset.labels[train]
+            counts = pair_counts(train_words, train_labels, max_subst_size)
             first, ids = counts.count_pair_ids()
             agree, disagree = counts.agree[first], counts.disagree[first]
             palette = np.stack([analogy_weight(weight * agree, weight * disagree) for weight in weights], axis=1)
             totals += inference.fold_macro_f1(
-                test.words, train.words, train.labels, test.labels,
+                dataset.words[test], train_words, train_labels, dataset.labels[test],
                 KeyTable(counts.keys, ids), palette, max_subst_size,
             )
     return totals / (repeats * folds)
@@ -249,16 +253,18 @@ def run_cv_experiment(
     """Fraction-CV protocol: one report per (fraction, repeat).
 
     Each repeat reseeds the split with seed + repeat; evidence and
-    reliabilities are recomputed from each training slice.
+    reliabilities are recomputed from each training slice. Every split is
+    drawn before the first is evaluated, so a bad fraction fails before
+    any work.
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    splits = [(fraction, repeat, fraction_split(dataset, fraction, seed + repeat, stratified))
+              for fraction in fractions for repeat in range(repeats)]
     return [
-        _report("cv", f"fraction={fraction}", repeat, dataset,
-                fraction_split(dataset, fraction, seed + repeat, stratified), sources, seed + repeat, jobs,
+        _report("cv", f"fraction={fraction}", repeat, dataset, split, sources, seed + repeat, jobs,
                 {"fraction": fraction, "stratified": stratified})
-        for fraction in fractions
-        for repeat in range(repeats)
+        for fraction, repeat, split in splits
     ]
 
 
@@ -269,11 +275,14 @@ def run_extrapolation_experiment(
     seed: int = 42,
     jobs: int = 1,
 ) -> list[MetricsReport]:
-    """Leave-element-out protocol: one report per held-out element."""
+    """Leave-element-out protocol: one report per held-out element. Every
+    split is drawn before the first is evaluated, so an absent element
+    fails before any work."""
+    splits = [(element, element_split(dataset, element)) for element in elements]
     return [
-        _report("extrapolation", f"element={element}", 0, dataset, element_split(dataset, element),
-                sources, seed, jobs, {"element": element})
-        for element in elements
+        _report("extrapolation", f"element={element}", 0, dataset, split, sources, seed, jobs,
+                {"element": element})
+        for element, split in splits
     ]
 
 

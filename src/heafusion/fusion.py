@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alloys import Dataset, kfold_indices
+from .alloys import Dataset, fold_ids
 from .belief import discount_weights
 from .errors import ConfigError, DegenerateDataset, EmptySourceList, TotalConflict
 # predict_batch is unused here; it stays while the benchmark's tracer wraps heafusion.fusion.predict_batch
@@ -85,10 +85,7 @@ def estimate_reliability(
     if n_pos == 0 or n_pos == len(dataset):
         raise DegenerateDataset(f"{dataset.name} has a single class; reliability undefined")
     labels = dataset.labels
-    splits = kfold_indices(labels, folds, seed)
-    fold_of = np.empty(len(labels), dtype=np.intp)
-    for f, (_, test) in enumerate(splits):
-        fold_of[test] = f
+    fold_of = fold_ids(labels, folds, seed)
     max_size = substitution_limit(dataset.alloys, max_subst_size)
     aligned = [store.reindexed(dataset.bit_names) for store in stores]
     sizes = [min(largest_side(store), max_size) for store in aligned]
@@ -105,9 +102,9 @@ def estimate_reliability(
         groups.append((size, members, KeyTable(keys, columns)))
     w_pos, w_neg = _cross_fold_weights(dataset.words, labels, fold_of, groups, len(stores))
     totals = np.zeros(len(stores))
-    for scores in columns_macro_f1(labels, w_pos, w_neg, fold_of, len(splits)):
+    for scores in columns_macro_f1(labels, w_pos, w_neg, fold_of, folds):
         totals += scores
-    return np.clip(totals / len(splits), 0.0, 1.0).tolist()
+    return np.clip(totals / folds, 0.0, 1.0).tolist()
 
 
 def _cross_fold_weights(

@@ -25,9 +25,7 @@ sorted values and of its sorted disagreeing values, and the batch's
 distinct keys are merged into a running sorted table. On the full-scale
 Fe fold of the E1 enumeration (12,650 alloys, 42,149,800 informative pairs,
 1,809,250 keys; 2-core Intel Xeon, Python 3.11, numpy 2.4) `extract_all`
-took 4.7 s in two runs against 11.3 and 12.0 s with an `argsort` count
-and 2-D gathers in the generator, and the process's peak RSS after it was
-257 MB against 476 MB.
+took 4.7 s in two runs, and the process's peak RSS after it was 257 MB.
 
 Stores are columnar. A `SimilarityStore` holds its element tuple (bit i of
 a side mask is element i), one row of packed key words per entry and two
@@ -76,14 +74,12 @@ parsed once and each distinct weight text converted once per block.
 side with its comma and each distinct pair of weight bit patterns as a
 line tail once, and writes each block of lines as one join of those
 texts. On a 2-core Intel Xeon (Python 3.11, numpy 2.4; medians of 9), the
-benchmark's md store (66,063 rows) reads in 77-91 ms, against 154-166 ms
-with a `csv` list per row, and writes in 36-44 ms, against 94-98 ms; its
-fused store reads in 91-92 ms (128-166 ms) and writes in 45-47 ms (79-100
-ms). The full-scale Fe-fold md store (1,809,250 rows, 103 MB) is written
-byte-identical in 0.9-1.1 s, against 1.9-2.4 s, and reads back to the
-same `content_hash` in 2.2-3.0 s, against 3.7-4.7 s; the process's peak
-RSS is 180 MB after the read (192 MB) and 344 MB after a write that
-follows it (330 MB).
+benchmark's md store (66,063 rows) reads in 77-91 ms and writes in 36-44
+ms; its fused store reads in 91-92 ms and writes in 45-47 ms. The
+full-scale Fe-fold md store (1,809,250 rows, 103 MB) is written in
+0.9-1.1 s and reads back to the same `content_hash` in 2.2-3.0 s; the
+process's peak RSS is 180 MB after the read and 344 MB after a write that
+follows it.
 """
 
 from __future__ import annotations
@@ -172,8 +168,7 @@ class ExtractionConfig:
     max_subst_size: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        evidence_weight(self.alpha)  # raises AlphaOutOfRange outside (0, 1)
 
 
 def substitution_limit(alloys: Iterable[Alloy], max_subst_size: int | None) -> int:

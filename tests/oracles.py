@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from heafusion import Alloy, Dataset, SimilarityStore
-from heafusion.alloys import element_words, key_width, kfold_indices, parse_symbols
+from heafusion.alloys import element_words, key_width, parse_symbols
 from heafusion.belief import discount_weights, from_weights
 from heafusion.errors import (
     AlphaOutOfRange,
@@ -692,12 +693,36 @@ def predict_reference(
     return out
 
 
+def kfold_indices_reference(labels: Sequence[bool], k: int, seed: int) -> list[tuple[list[int], list[int]]]:
+    """(train, test) ascending row lists of k label-stratified, seeded
+    folds, built a row at a time: the reference of `alloys.fold_ids`. The
+    positive rows, then the negative rows, each shuffled by one
+    `random.Random(seed)` (positives first), are dealt to the folds in
+    turn, so a class smaller than k still leaves fold sizes within one."""
+    labels = [bool(label) for label in labels]
+    n = len(labels)
+    pos = [i for i in range(n) if labels[i]]
+    neg = [i for i in range(n) if not labels[i]]
+    rng = random.Random(seed)
+    rng.shuffle(pos)
+    rng.shuffle(neg)
+    buckets: list[list[int]] = [[] for _ in range(k)]
+    for slot, idx in enumerate(pos + neg):
+        buckets[slot % k].append(idx)
+    out = []
+    for bucket in buckets:
+        test = sorted(bucket)
+        test_set = set(test)
+        out.append(([i for i in range(n) if i not in test_set], test))
+    return out
+
+
 def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dataset]]:
-    """The (train, test) datasets of `kfold_indices`' folds, each built
-    from its rows."""
+    """The (train, test) datasets of `kfold_indices_reference`'s folds,
+    each built from its rows."""
     return [
         (rows_dataset(dataset, tr, f"[fold{f}-train]"), rows_dataset(dataset, te, f"[fold{f}-test]"))
-        for f, (tr, te) in enumerate(kfold_indices(dataset.labels, k, seed))
+        for f, (tr, te) in enumerate(kfold_indices_reference(dataset.labels, k, seed))
     ]
 
 

@@ -23,7 +23,7 @@ from heafusion.alloys import (
     read_blocks,
     serialize_dataset,
 )
-from heafusion.errors import EmptyDataset, KTooLarge, ParseError
+from heafusion.errors import ConfigError, EmptyDataset, KTooLarge, ParseError
 
 from conftest import random_dataset
 from oracles import read_rows_reference, rows_dataset
@@ -160,6 +160,12 @@ class TestParsing:
         f.write_text("composition,label\nFe-Ni-H-O,1\n")
         with pytest.raises(ParseError, match="universe"):
             parse_dataset(f, universe="E1")
+
+    def test_unknown_universe_preset(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("composition,label\nFe-Ni,1\n")
+        with pytest.raises(ConfigError, match="unknown universe preset 'E3'"):
+            parse_dataset(f, universe="E3")
 
     def test_full_quaternary_enumeration_file(self, tmp_path):
         # every 4-subset of the 26-element universe: C(26,4) = 14,950 rows

@@ -8,11 +8,13 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heafusion import evaluation
 from heafusion.cli import build_parser, main
 from heafusion.md_evidence import read_store
 
@@ -478,6 +480,33 @@ class TestEvaluationCommands:
         assert (err["error"], err["command"]) == ("ConfigError", command)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,option,error,code", [
+        ("eval-cv", ["--fractions", "0.2,0.3,1.5"], "FractionOutOfRange", 2),
+        ("eval-cv", ["--fractions", "0.2,0.005"], "FractionDegenerate", 2),
+        ("eval-extrapolate", ["--elements", "H,He,Fe"], "ElementAbsent", 3),
+    ], ids=["fraction-out-of-range", "fraction-degenerate", "element-absent"])
+    def test_bad_split_fails_before_any_split_runs(self, tmp_path, dataset_csv, capsys, command, option,
+                                                   error, code):
+        # the good fractions or elements before the bad one each ran a split first
+        with mock.patch.object(evaluation, "_evaluate_split", side_effect=evaluation._evaluate_split) as split:
+            assert run([command, "--dataset", dataset_csv, *option, "--gamma-folds", "3", "--seed", "5",
+                        "--out-dir", tmp_path / "run"]) == code
+        assert split.call_count == 0
+        err = one_error(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"], err["command"]) == (error, code, command)
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_extrapolate_defaults_to_every_element(self, tmp_path, dataset_csv):
+        # --elements all: one fold per universe symbol some alloy holds, in universe order
+        out = tmp_path / "run"
+        assert run(["eval-extrapolate", "--dataset", dataset_csv, "--gamma-folds", "3", "--seed", "5",
+                    "--out-dir", out]) == 0
+        with dataset_csv.open() as fh:
+            held = {e for row in csv.DictReader(fh) for e in row["composition"].split("-")}
+        reports = json.loads((out / "reports.json").read_text())
+        assert [r["key"] for r in reports] == [f"element={e}" for e in sorted(held)]
+        assert json.loads((out / "summary.json").read_text())["auc"]["n"] == len(held)
+
     def test_multi_source_eval(self, tmp_path, planted_csv, responses_csv):
         out = tmp_path / "run"
         code = run(
@@ -502,10 +531,11 @@ class TestEmptyLists:
         "cluster-elements": (["cluster", "--store", "{store}", "--universe", "E2"], "elements"),
         "prompts-elements": (["prompts", "--universe", "E2"], "elements"),
         "distances-elements": (["export-distances", "--store", "{store}", "--universe", "E2"], "elements"),
+        "prompts-domains": (["prompts", "--universe", "E2"], "domains"),
     }
 
     @pytest.mark.parametrize("via", ["flag", "config"])
-    @pytest.mark.parametrize("value", ["", " "], ids=["empty", "blank"])
+    @pytest.mark.parametrize("value", ["", " ", " , "], ids=["empty", "blank", "commas"])
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_is_config_error(self, tmp_path, dataset_csv, capsys, name, value, via):
         argv, key = self.COMMANDS[name]
@@ -803,6 +833,16 @@ INPUT_ERRORS = {
          "--enumerate", "4"], 2, "ConfigError"),
     "dataset-not-utf8": (["extract", "--dataset", "{binary}"], 3, "ParseError"),
     "config-not-utf8": (["extract", "--dataset", "{dataset}", "--config", "{binary}"], 2, "ConfigError"),
+    "config-list": (["extract", "--dataset", "{dataset}", "--config", "{json_list}"], 2, "ConfigError"),
+    "one-element-row": (["extract", "--dataset", "{single}"], 3, "ParseError"),
+    "unknown-source": (
+        ["eval-cv", "--dataset", "{dataset}", "--sources", "md,xyz", "--seed", "1"], 2, "ConfigError"),
+    "no-source": (["eval-cv", "--dataset", "{dataset}", "--sources", ",", "--seed", "1"], 2, "EmptySourceList"),
+    "llm-without-responses": (
+        ["eval-extrapolate", "--dataset", "{dataset}", "--sources", "llm", "--seed", "1"], 2, "ConfigError"),
+    "store-without-id": (["fuse", "--store", "{store}", "--gamma", "md=1", "--seed", "1"], 2, "ConfigError"),
+    "gamma-without-value": (["fuse", "--store", "md={store}", "--gamma", "md", "--seed", "1"], 2, "ConfigError"),
+    "cluster-without-symbols": (["cluster", "--store", "{store}"], 2, "ConfigError"),
 }
 
 
@@ -813,6 +853,8 @@ class TestInputErrors:
             **valid_inputs,
             "four": "composition,label\nFe-Co-Ni,1\nFe-Co-Mn,0\nCo-Ni-Mn,1\nFe-Ni-Mn,0\n",
             "one": "composition,label\nFe-Co-Ni,1\n",
+            "single": "composition,label\nFe-Co-Ni,1\nFe,0\n",
+            "json_list": '[{"alpha": 0.2}]',
         })
         files["binary"] = tmp_path / "binary.csv"
         files["binary"].write_bytes(b"\xff\xfe\x00composition")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heafusion import Alloy, Dataset, SimilarityStore, md_evidence
-from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words, key_width, kfold_indices
+from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_words, fold_ids, key_width
 from heafusion.belief import to_weights
 from heafusion.errors import DegenerateDataset, TotalConflict
 from heafusion.fusion import _cross_fold_weights, estimate_reliability, fuse
@@ -310,10 +310,8 @@ def test_triangle_pass_matches_per_fold_calls():
             seen["columns"].add(k)
             seen["partial_tables"] += len(held) < len(md.keys)
         folds = len(dataset) if case % 3 == 0 else rng.randint(2, len(dataset))
-        fold_of = np.empty(len(dataset), dtype=np.intp)
-        splits = kfold_indices(labels, folds, case)
-        for f, (_, test) in enumerate(splits):
-            fold_of[test] = f
+        fold_of = fold_ids(labels, folds, case)
+        splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
         with pytest.MonkeyPatch.context() as patch:
             _small_blocks(patch, rng, len(dataset))
             w_pos, w_neg = _cross_fold_weights(words, labels, fold_of, groups, n_columns)
@@ -323,7 +321,7 @@ def test_triangle_pass_matches_per_fold_calls():
                     # the group's (keys, k) weights as a palette with one row per key
                     rows = KeyTable(table.keys, np.arange(len(table.keys)))
                     got = analogy_weights(
-                        words[test], words[train], [labels[i] for i in train], rows, size, table.weights
+                        words[test], words[train], labels[train], rows, size, table.weights
                     )
                     for one_pass, per_fold in zip((w_pos, w_neg), got):
                         assert one_pass[np.ix_(test, members)].tobytes() == per_fold.tobytes(), case

@@ -2,6 +2,7 @@
 
 import random
 import traceback
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import Alloy, Dataset, SimilarityStore, md_evidence
-from heafusion.alloys import ELEMENT_SYMBOLS, UNIVERSES, element_split, enumerate_combinations, fraction_split
+from heafusion.alloys import (
+    ELEMENT_SYMBOLS,
+    UNIVERSES,
+    element_split,
+    enumerate_combinations,
+    fold_ids,
+    fraction_split,
+)
 from heafusion.errors import (
     ConfigError,
     ElementAbsent,
     EmptySourceList,
+    FoldsOutOfRange,
     FractionDegenerate,
     GammaOutOfRange,
     LengthMismatch,
@@ -51,6 +60,7 @@ from conftest import (
 from oracles import (
     accuracy_loop,
     alpha_scores_reference,
+    kfold_indices_reference,
     kfold_splits,
     macro_f1_loop,
     macro_f1_oracle,
@@ -102,26 +112,49 @@ class TestMakeSplit:
 class TestKFold:
     def test_folds_partition_dataset(self):
         ds = random_dataset(53, universe_size=10, seed=7)
-        folds = kfold_splits(ds, 5, seed=3)
-        seen = []
-        for training, test in folds:
-            assert len(training) + len(test) == len(ds)
-            seen.extend(a.elements for a in test.alloys)
-        assert sorted(seen) == sorted(a.elements for a in ds.alloys)
+        ids = fold_ids(ds.labels, 5, seed=3)
+        assert ids.shape == (len(ds),) and ids.dtype == np.intp
+        sizes = np.bincount(ids, minlength=5)
+        assert len(sizes) == 5 and sizes.min() >= sizes.max() - 1
 
     def test_every_fold_nonempty_even_when_tiny(self):
-        ds = random_dataset(2, universe_size=8, seed=1, positive_rate=0.5)
-        if ds.n_positive in (0, 2):  # reroll would defeat determinism; construct directly
-            ds = Dataset(ds.name, ds.alloys, [True, False], ds.universe)
-        folds = kfold_splits(ds, 2, seed=0)
-        for training, test in folds:
-            assert len(training) == 1 and len(test) == 1
+        assert sorted(fold_ids([True, False], 2, seed=0).tolist()) == [0, 1]
 
     def test_deterministic(self):
         ds = random_dataset(30, universe_size=9, seed=4)
-        a = kfold_splits(ds, 3, seed=5)
-        b = kfold_splits(ds, 3, seed=5)
-        assert [(t.alloys, s.alloys) for t, s in a] == [(t.alloys, s.alloys) for t, s in b]
+        assert fold_ids(ds.labels, 3, seed=5).tolist() == fold_ids(ds.labels, 3, seed=5).tolist()
+
+    def test_read_only(self):
+        ids = fold_ids([True, False, True, False], 2, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 1
+
+    @pytest.mark.parametrize("k, message", [(1, "folds must be >= 2, got 1"),
+                                            (5, "5 folds exceed the dataset's 4 rows")])
+    def test_fold_count_out_of_range(self, k, message):
+        with pytest.raises(FoldsOutOfRange, match=message):
+            fold_ids([True, False, True, False], k, seed=0)
+
+    def test_matches_list_reference(self):
+        # every fold's rows, in ascending order, are the reference's test
+        # list, and the other rows its training list
+        rng = random.Random(11)
+        seen = {"small_class": 0, "two": 0, "leave_one_out": 0}
+        for case in range(600):
+            n = rng.randint(2, 60)
+            rate = rng.choice([0.0, 0.05, 0.5, 0.9, 1.0, rng.random()])
+            labels = [rng.random() < rate for _ in range(n)]
+            k = rng.choice([2, n, rng.randint(2, n)])
+            ids = fold_ids(np.array(labels), k, case)
+            reference = kfold_indices_reference(labels, k, case)
+            assert len(reference) == k
+            for f, (train, test) in enumerate(reference):
+                assert np.flatnonzero(ids == f).tolist() == test, case
+                assert np.flatnonzero(ids != f).tolist() == train, case
+            seen["small_class"] += min(sum(labels), n - sum(labels)) < k
+            seen["two"] += k == 2
+            seen["leave_one_out"] += k == n
+        assert min(seen.values()) >= 50, seen
 
 
 class TestCountChecks:
@@ -353,6 +386,15 @@ class TestGridSearchAlpha:
         best = grid_search_alpha(dataset, alphas, 4, 2, 3, max_size, scores)
         assert scores == dict(zip(alphas, expected))
         assert best == alphas[expected.index(max(expected))]
+
+    def test_builds_no_dataset_per_fold(self):
+        # the folds are read from the dataset's mask and label rows; no
+        # `Dataset.take` copy re-runs the dataset checks
+        ds = random_dataset(40, universe_size=10, seed=6)
+        with (mock.patch.object(Dataset, "take", autospec=True, side_effect=Dataset.take) as take,
+              mock.patch.object(Dataset, "__post_init__", autospec=True, side_effect=Dataset.__post_init__) as built):
+            grid_search_alpha(ds, grid=[0.1, 0.3], folds=4, repeats=2, seed=0)
+        assert take.call_count == 0 and built.call_count == 0
 
     def test_folds_without_informative_pairs(self):
         # the one informative pair, Ni for Cu in Fe-Co, lies in the training

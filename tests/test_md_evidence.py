@@ -319,6 +319,11 @@ class TestCountsClosedForm:
         with pytest.raises(AlphaOutOfRange):
             counts_to_store({}, 1.0, ())
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, float("nan")])
+    def test_config_alpha_range(self, alpha):
+        with pytest.raises(AlphaOutOfRange, match=r"alpha must lie in \(0, 1\)"):
+            ExtractionConfig(alpha=alpha)
+
 
 STORE_FAULTS = {
     "short-row": "Fe,Co,0.5",
