@@ -196,14 +196,24 @@ class Dataset:
 
     def take(self, indices: Sequence[int] | np.ndarray, suffix: str = "") -> "Dataset":
         """The rows at `indices`, in that order, over the same universe and
-        named with `suffix`: every split. Its masks are the parent's rows
-        `words[indices]`, not rebuilt."""
+        named with `suffix`: every split. The parent's rows passed the
+        constructor's checks, so only a repeated index is checked (it
+        raises the constructor's duplicate-alloy ValueError). Its masks are
+        the parent's rows `words[indices]`, not rebuilt."""
         indices = np.asarray(indices, dtype=np.intp)
-        subset = Dataset(self.name + suffix, tuple(map(self.alloys.__getitem__, indices.tolist())),
-                         self.labels[indices], self.universe)
+        labels = self.labels[indices]  # an index out of range raises IndexError
+        rows = np.where(indices < 0, indices + len(self), indices)
+        if len(rows) and np.bincount(rows).max() > 1:
+            repeated = np.ones(len(rows), dtype=bool)
+            repeated[np.unique(rows, return_index=True)[1]] = False
+            raise ValueError(f"duplicate alloy {self.alloys[rows[np.argmax(repeated)]]}")
+        labels.flags.writeable = False
         words = self.words[indices]
         words.flags.writeable = False
-        subset.__dict__["words"] = words  # where `cached_property` keeps its value
+        subset = object.__new__(Dataset)
+        # the fields and the value `cached_property` keeps for `words`
+        subset.__dict__.update(name=self.name + suffix, alloys=tuple(map(self.alloys.__getitem__, rows.tolist())),
+                               labels=labels, universe=self.universe, words=words)
         return subset
 
 
@@ -548,8 +558,12 @@ def fold_ids(labels: Sequence[bool], k: int, seed: int) -> np.ndarray:
 
 
 def element_split(dataset: Dataset, element: str) -> tuple[Dataset, Dataset]:
-    """(training, test) with every alloy containing element held out."""
-    held = np.array([element in alloy.elements for alloy in dataset.alloys], dtype=bool)
+    """(training, test) with every alloy containing element held out: the
+    rows whose mask has the element's bit."""
+    bit = dataset.element_index().get(element)
+    held = np.zeros(len(dataset), dtype=bool)  # an element outside the universe is in no alloy
+    if bit is not None:
+        held = (dataset.words[:, bit // MASK_WORD_BITS] & np.uint64(1 << bit % MASK_WORD_BITS)) != 0
     if not held.any():
         raise ElementAbsent(f"no alloy in {dataset.name} contains {element!r}")
     return (dataset.take(np.flatnonzero(~held), f"[no-{element}]"),

@@ -433,6 +433,8 @@ def _cmd_prompts(args: argparse.Namespace) -> None:
     domains = [d.strip() for d in args.domains.split(",") if d.strip()]
     if not domains:
         raise ConfigError(f"--domains names no domain: {args.domains!r}")
+    if len(set(domains)) != len(domains):
+        raise ConfigError(f"--domains names a domain twice: {args.domains!r}")
     records = generate_prompts(pairs, domains)
     out = _out_path(args, args.out)
     write_prompts(records, out)

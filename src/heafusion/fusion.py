@@ -14,12 +14,16 @@ stores keyed by it are aligned without re-keying. `estimate_reliability`
 groups the stores by the size of their largest substitution side, since
 a store only meets analogies whose sides fit its own. Per group it holds
 every source's analogy weights in one key table, one column per source
-and 0 where a source lacks the key. One upper-triangle pass of
-`md_evidence.informative_pairs` over all rows, skipping the pairs within a
-fold, serves every group: each unordered pair is looked up once per group
-its larger side fits and credited to both of its rows, in host order, so
-every sum is the one a candidates x hosts kernel gives, to the bit
-(`inference.columns_macro_f1` reads out the folds). Stores hold weights
+and 0 where a source lacks the key; a group of one store looks up that
+store's own cached column (`SimilarityStore.analogy_weights`). One
+upper-triangle pass of `md_evidence.informative_pairs` over all rows,
+skipping the pairs within a fold, serves every group: each unordered pair
+is looked up once per group its larger side fits and credited to both of
+its rows by two `np.add.at` calls, in host order, so every sum is the one
+a candidates x hosts kernel gives, to the bit
+(`inference.columns_macro_f1` reads out the folds). A key the table lacks
+adds +0.0, which leaves a sum of non-negative weights as it is, so no pair
+is filtered out of the pass. Stores hold weights
 of evidence, and Dempster's rule adds them,
 so fusion is one sum: each source's weight columns, discounted by
 `belief.discount_weights`, are added into the fused columns in source
@@ -43,7 +47,6 @@ from .inference import columns_macro_f1, predict_batch  # noqa: F401
 from .md_evidence import (
     KeyTable,
     SimilarityStore,
-    analogy_weight,
     informative_pairs,
     largest_side,
     substitution_limit,
@@ -93,13 +96,15 @@ def estimate_reliability(
     for size in sorted(set(sizes) - {0}):
         members = [j for j, s in enumerate(sizes) if s == size]
         if len(members) == 1:  # a store's own keys are distinct and sorted: no union to build
-            keys, positions = aligned[members[0]].keys, [slice(None)]
+            store = aligned[members[0]]
+            table = KeyTable(store.keys, store.analogy_weights[:, None])
         else:
             _, keys, positions = union_rows([aligned[j] for j in members])
-        columns = np.zeros((len(keys), len(members)))
-        for c, (j, rows) in enumerate(zip(members, positions)):
-            columns[rows, c] = analogy_weight(aligned[j].w_first, aligned[j].w_second)
-        groups.append((size, members, KeyTable(keys, columns)))
+            columns = np.zeros((len(keys), len(members)))
+            for c, (j, rows) in enumerate(zip(members, positions)):
+                columns[rows, c] = aligned[j].analogy_weights
+            table = KeyTable(keys, columns)
+        groups.append((size, members, table))
     w_pos, w_neg = _cross_fold_weights(dataset.words, labels, fold_of, groups, len(stores))
     totals = np.zeros(len(stores))
     for scores in columns_macro_f1(labels, w_pos, w_neg, fold_of, folds):
@@ -119,29 +124,36 @@ def _cross_fold_weights(
     (side size, columns, key table of those columns).
 
     One upper-triangle pass of `informative_pairs` at the largest size
-    serves every group; a group looks up the pairs whose larger side fits
-    its size. A pair (i, j), i < j, is looked up once and credited both
-    ways: to candidate j with host i's label, then to candidate i with
-    host j's label. Within a block the (j, i) entries are added first, then
-    the (i, j) entries, each in row-major order, with `np.add.at`, which
-    adds in input order. So candidate c receives its hosts i < c in
-    increasing order (from earlier blocks, then its own), then its hosts
-    j > c: host order, the order a rectangle of candidates x hosts adds
-    them in, so every sum is that rectangle's to the bit.
+    serves every group with a key; a group looks up the pairs whose larger
+    side fits its size, and a key its table lacks weighs 0.0. Every weight
+    is at least +0.0 and every sum starts at +0.0, so adding that 0.0
+    leaves each partial sum's bits as they are. A pair (i, j), i < j, is
+    looked up once and credited both ways: to candidate j with host i's
+    label, then to candidate i with host j's label. Within a block one
+    `np.add.at` call adds the (j, i) entries, then a second adds the (i, j)
+    entries, each in row-major order; `np.add.at` adds in input order. So
+    candidate c receives its hosts i < c in increasing order (from earlier
+    blocks, then its own), then its hosts j > c: host order, the order a
+    rectangle of candidates x hosts adds them in, so every sum is that
+    rectangle's to the bit.
     """
     labels = np.asarray(labels, dtype=bool)
     n = len(words)
     sums = np.zeros((2, n, n_columns))  # [host positive, row, column]
+    flat = sums.reshape(-1)
+    groups = [(size, np.asarray(members), table) for size, members, table in groups if len(table.keys)]
     top = max((size for size, _, _ in groups), default=0)
     for block in informative_pairs(words, top, folds=fold_of) if groups else ():
         for size, members, table in groups:
             fits = slice(None) if size == top else np.flatnonzero(block.larger <= size)
             keys = block.keys if size == top else block.keys.take(fits, axis=0)  # faster than a 2-D fancy index
             pos, found = table.find(keys)
-            first, second = block.first[fits][found], block.second[fits][found]
-            candidates, hosts = np.concatenate([second, first]), np.concatenate([first, second])
-            code = (labels[hosts] * n + candidates)[:, None] * n_columns + np.asarray(members)
-            np.add.at(sums.reshape(-1), code.ravel(), np.tile(table.weights[pos[found]], (2, 1)).ravel())
+            weights = table.weights.take(pos, axis=0)
+            weights[~found] = 0.0  # adds +0.0: a sum of non-negative weights keeps its bits
+            first, second = block.first[fits], block.second[fits]
+            for candidates, hosts in ((second, first), (first, second)):
+                code = (labels.take(hosts) * n + candidates)[:, None] * n_columns + members
+                np.add.at(flat, code.ravel(), weights.ravel())  # 1-D indices take add.at's fast path
     return sums[1], sums[0]
 
 

@@ -62,8 +62,11 @@ key width and bit map (`_remap`): the kept bits move in groups of equal
 (source word, target word, shift), one AND and one shift of the packed
 words per group. Only a map that is not increasing on the kept bits
 re-packs the rows, and only such a map or one that moves a bit to
-another word sorts them. This module alone reads the key layout; other
-modules size keys with `largest_side`.
+another word sorts them. A map that keeps every row in its place gives
+the rows as `slice(None)`, so the re-keyed store's weight columns, the
+key table's weights and the hash's canonical columns are views of the
+store's own. This module alone reads the key layout; other modules size
+keys with `largest_side`.
 
 Store files are read and written a block of rows at a time, with no
 Python list per row. `read_store` takes blocks from `alloys.read_blocks`,
@@ -265,8 +268,7 @@ def informative_pairs(
         low = start + 1 if others is None else 0  # the block's first second row
         a = words[start:stop, None]  # (b, 1, W) against the second rows (m, W)
         b = seconds[low:]
-        shared = a & b
-        n_shared = np.bitwise_count(shared).sum(axis=2, dtype=np.uint8)
+        n_shared = np.bitwise_count(a & b).sum(axis=2, dtype=np.uint8)
         informative = n_shared > 0
         informative &= first_less_one[start:stop, None] - n_shared < limit
         informative &= second_less_one[low:] - n_shared < limit
@@ -282,11 +284,11 @@ def informative_pairs(
         first, second = np.divmod(cells, informative.shape[1])
         first += start
         second += low
-        shared = shared.reshape(-1, shared.shape[2]).take(cells, axis=0)
         larger = np.maximum(first_less_one.take(first), second_less_one.take(second))
         larger -= n_shared.take(cells)
         larger += np.uint8(1)
         first_side, second_side = words.take(first, axis=0), seconds.take(second, axis=0)
+        shared = first_side & second_side
         first_side ^= shared  # the difference masks
         second_side ^= shared
         yield PairBlock(first, second, pack_keys(first_side, second_side), larger)
@@ -338,17 +340,20 @@ class KeyTable:
         """(row position, found) of each (q, W') query row; positions of
         rows not found are arbitrary valid indices."""
         width = self.keys.shape[1]
-        found = np.ones(len(queries), dtype=bool)
+        # the flags come before the search's temporaries; allocated after
+        # them, they raised the process's peak RSS (heap layout)
+        found = np.zeros(len(queries), dtype=bool)
         if not len(self.keys):
-            return np.zeros(len(queries), dtype=np.intp), ~found
-        if queries.shape[1] > width:
-            found &= ~queries[:, width:].any(axis=1)
+            return np.zeros(len(queries), dtype=np.intp), found
         # searched in order of their first word, which keeps searchsorted's
         # successive probes close together
         order = np.argsort(queries[:, 0])
         values = _row_values(_fit_width(queries, width).take(order, axis=0))  # faster than a 2-D fancy index
-        rank = np.minimum(np.searchsorted(self._values, values), len(self._values) - 1)
-        found[order] &= self._values[rank] == values
+        rank = np.searchsorted(self._values, values)
+        np.minimum(rank, len(self._values) - 1, out=rank)
+        found[order] = self._values[rank] == values
+        if queries.shape[1] > width:  # a word the table's rows lack must be 0
+            found &= ~queries[:, width:].any(axis=1)
         position = np.empty_like(rank)
         position[order] = rank
         return position, found
@@ -362,9 +367,11 @@ def _both_halves(bits: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndar
     return half << _WORD | half
 
 
-def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | slice]:
     """Key rows with bit i of both sides moved to bit bits[i], at `width`
-    words per side, re-packed and sorted, with the source row of each.
+    words per side, re-packed and sorted, with the source row of each:
+    `slice(None)` when every row is kept in place, so that the caller's
+    gathers of its columns are views, not copies.
 
     Rows using an element with bits[i] < 0 are dropped. The kept bits are
     grouped by (source word, target word, shift); both halves of a key
@@ -376,12 +383,15 @@ def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, 
     """
     n_src = len(bits)
     if np.array_equal(bits, np.arange(n_src)) and key_width(n_src) <= width:
-        return _fit_width(keys, width), np.arange(len(keys))
+        return _fit_width(keys, width), slice(None)
     keys = _fit_width(keys, key_width(n_src))
     dropped = np.flatnonzero(bits < 0)
-    keep = ~(keys & _both_halves(dropped, dropped // MASK_WORD_BITS, keys.shape[1])).any(axis=1)
-    rows = np.flatnonzero(keep)
-    words = keys.take(rows, axis=0)  # faster than a boolean index of 2-D rows
+    rows, words = slice(None), keys
+    if len(dropped):
+        used = (keys & _both_halves(dropped, dropped // MASK_WORD_BITS, keys.shape[1])).any(axis=1)
+        if used.any():
+            rows = np.flatnonzero(~used)
+            words = keys.take(rows, axis=0)  # faster than a boolean index of 2-D rows
     kept = np.flatnonzero(bits >= 0)
     target = bits[kept]
     source_word, target_word = kept // MASK_WORD_BITS, target // MASK_WORD_BITS
@@ -398,7 +408,7 @@ def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, 
     elif np.array_equal(source_word, target_word):
         return out, rows
     order = _row_order(out)
-    return out[order], rows[order]
+    return out[order], order if isinstance(rows, slice) else rows[order]
 
 
 def _no_keys() -> np.ndarray:
@@ -453,7 +463,9 @@ class SimilarityStore:
         return len(self.keys)
 
     @cached_property
-    def _analogy_weights(self) -> np.ndarray:
+    def analogy_weights(self) -> np.ndarray:
+        """`analogy_weight` of each row, computed once per store: the
+        column that `mask_view` and the γ estimate look keys up in."""
         return analogy_weight(self.w_first, self.w_second)
 
     def _named_sides(self) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
@@ -503,13 +515,16 @@ class SimilarityStore:
         """
         bits = np.array([index.get(e, -1) for e in self.elements], dtype=np.int64)
         keys, rows = _remap(self.keys, bits, key_width(max(index.values(), default=-1) + 1))
-        return KeyTable(keys, self._analogy_weights[rows])
+        return KeyTable(keys, self.analogy_weights[rows])
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical form: the used element names sorted,
         then the key rows packed in that bit order and sorted, then the
-        w_first and w_second columns in that row order. Computed once per
-        store."""
+        w_first and w_second columns in that row order, each array as its
+        little-endian bytes. Computed once per store. The canonical form
+        keeps every row (no key names an unused element), so its weight
+        columns are views of the store's (`_remap`); the digest reads each
+        array's buffer, and only a big-endian or strided array is copied."""
         return self._content_hash
 
     @cached_property
@@ -520,9 +535,9 @@ class SimilarityStore:
         canonical = self.reindexed(names)
         digest = hashlib.sha256()
         digest.update(f"heafusion-store-3\n{','.join(names)}\n{canonical.keys.shape}\n".encode())
-        digest.update(canonical.keys.astype("<u8").tobytes())
+        digest.update(np.ascontiguousarray(canonical.keys, dtype="<u8"))
         for column in (canonical.w_first, canonical.w_second):
-            digest.update(column.astype("<f8").tobytes())
+            digest.update(np.ascontiguousarray(column, dtype="<f8"))
         return digest.hexdigest()
 
 
@@ -542,19 +557,18 @@ def union_rows(stores: Sequence[SimilarityStore]) -> tuple[tuple[str, ...], np.n
     elements = tuple(sorted({e for store in stores for e in store.elements}))
     width = key_width(len(elements))
     target = {e: i for i, e in enumerate(elements)}
-    parts, sources = [], []
-    for store in stores:
-        keys, rows = _remap(store.keys, np.array([target[e] for e in store.elements], dtype=np.int64), width)
-        parts.append(keys)
-        sources.append(rows)
-    keys = np.concatenate([np.zeros((0, width), dtype=np.uint64), *parts])
+    parts = [_remap(store.keys, np.array([target[e] for e in store.elements], dtype=np.int64), width)
+             for store in stores]
+    keys = np.concatenate([np.zeros((0, width), dtype=np.uint64), *(keys for keys, _ in parts)])
     distinct, inverse = np.unique(_row_values(keys), return_inverse=True)
     positions, offset = [], 0
-    for rows in sources:
-        at = np.empty(len(rows), dtype=np.intp)
-        at[rows] = inverse[offset:offset + len(rows)]
+    for rekeyed, rows in parts:
+        at = inverse[offset:offset + len(rekeyed)]
+        if not isinstance(rows, slice):  # the rows moved: place each at its source row
+            at = np.empty_like(at)
+            at[rows] = inverse[offset:offset + len(rekeyed)]
         positions.append(at)
-        offset += len(rows)
+        offset += len(rekeyed)
     return elements, _value_rows(distinct, width), positions
 
 

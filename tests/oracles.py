@@ -15,6 +15,7 @@ with the textbook rule, where the package adds weights of evidence.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import random
@@ -724,6 +725,19 @@ def kfold_splits(dataset: Dataset, k: int, seed: int) -> list[tuple[Dataset, Dat
         (rows_dataset(dataset, tr, f"[fold{f}-train]"), rows_dataset(dataset, te, f"[fold{f}-test]"))
         for f, (tr, te) in enumerate(kfold_indices_reference(dataset.labels, k, seed))
     ]
+
+
+def content_hash_reference(store: SimilarityStore) -> str:
+    """`SimilarityStore.content_hash` from a store built afresh from the
+    entries (over the used elements, sorted), each array digested as a
+    `tobytes()` copy in little-endian order."""
+    canonical = SimilarityStore.from_entries(dict(store.items()))
+    digest = hashlib.sha256()
+    digest.update(f"heafusion-store-3\n{','.join(canonical.elements)}\n{canonical.keys.shape}\n".encode())
+    digest.update(canonical.keys.astype("<u8").tobytes())
+    for column in (canonical.w_first, canonical.w_second):
+        digest.update(column.astype("<f8").tobytes())
+    return digest.hexdigest()
 
 
 def rows_dataset(dataset: Dataset, indices: Sequence[int], suffix: str = "") -> Dataset:

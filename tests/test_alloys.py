@@ -18,12 +18,13 @@ from heafusion.alloys import (
     UNIVERSES,
     Alloy,
     Dataset,
+    element_split,
     enumerate_combinations,
     parse_dataset,
     read_blocks,
     serialize_dataset,
 )
-from heafusion.errors import ConfigError, EmptyDataset, KTooLarge, ParseError
+from heafusion.errors import ConfigError, ElementAbsent, EmptyDataset, KTooLarge, ParseError
 
 from conftest import random_dataset
 from oracles import read_rows_reference, rows_dataset
@@ -92,6 +93,40 @@ class TestTake:
         assert not got.labels.flags.writeable
         assert got.words.dtype == expected.words.dtype and np.array_equal(got.words, expected.words)
         assert got.words.shape == expected.words.shape and not got.words.flags.writeable
+
+    @pytest.mark.parametrize("indices", [[0, 2, 0], [1, -3, 3], [3, 3], [2, 0, 1, 0, 2]])
+    def test_a_repeated_index_raises_as_the_constructor(self, indices):
+        ds = random_dataset(4, seed=3)
+        with pytest.raises(ValueError, match="duplicate alloy") as expected:
+            rows_dataset(ds, indices)
+        with pytest.raises(ValueError, match="duplicate alloy") as got:
+            ds.take(np.array(indices))
+        assert str(got.value) == str(expected.value)
+
+    def test_an_index_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            random_dataset(4, seed=3).take([0, 4])
+
+
+class TestElementSplit:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_datasets_of_the_rows_without_and_with_it(self, seed):
+        rng = random.Random(seed)
+        ds = random_dataset(rng.randint(2, 60), universe_size=rng.choice([5, 12, 40]), seed=seed)
+        element = rng.choice(sorted({e for a in ds.alloys for e in a.elements}))
+        held = [i for i, a in enumerate(ds.alloys) if element in a.elements]
+        kept = [i for i in range(len(ds)) if i not in held]
+        expected = rows_dataset(ds, kept, f"[no-{element}]"), rows_dataset(ds, held, f"[{element}]")
+        for got, want in zip(element_split(ds, element), expected):
+            assert got.name == want.name and got.universe == ds.universe and got.alloys == want.alloys
+            assert np.array_equal(got.labels, want.labels) and np.array_equal(got.words, want.words)
+
+    @pytest.mark.parametrize("element", ["Xe", "Mn", "Fe-Co", ""])
+    def test_an_element_in_no_alloy_is_absent(self, element):
+        # Mn is in the universe but in no alloy; the others are outside it
+        ds = Dataset("d", (Alloy(["Fe", "Ni"]), Alloy(["Co", "Ni"])), [True, False], ("Co", "Fe", "Mn", "Ni"))
+        with pytest.raises(ElementAbsent, match="no alloy in d contains"):
+            element_split(ds, element)
 
 
 class TestParsing:

@@ -825,6 +825,10 @@ INPUT_ERRORS = {
     "cluster-unknown-element": (["cluster", "--store", "{store}", "--elements", "Fe,Xx"], 2, "ConfigError"),
     "prompts-unknown-element": (["prompts", "--elements", "Fe,Qq"], 2, "ConfigError"),
     "prompts-repeated-element": (["prompts", "--elements", "Fe,Fe"], 2, "ConfigError"),
+    "prompts-repeated-domain": (
+        ["prompts", "--elements", "Fe,Co", "--domains", "Metallurgy,Metallurgy"], 2, "ConfigError"),
+    "prompts-repeated-domain-config": (
+        ["prompts", "--elements", "Fe,Co", "--config", "{repeated_domains}"], 2, "ConfigError"),
     "distances-repeated-element": (
         ["export-distances", "--store", "{store}", "--elements", "Co,Fe,Co"], 2, "ConfigError"),
     "predict-no-candidates": (["predict", "--store", "{store}", "--training", "{dataset}"], 2, "ConfigError"),
@@ -855,6 +859,7 @@ class TestInputErrors:
             "one": "composition,label\nFe-Co-Ni,1\n",
             "single": "composition,label\nFe-Co-Ni,1\nFe,0\n",
             "json_list": '[{"alpha": 0.2}]',
+            "repeated_domains": '{"domains": "Metallurgy, Metallurgy"}',
         })
         files["binary"] = tmp_path / "binary.csv"
         files["binary"].write_bytes(b"\xff\xfe\x00composition")

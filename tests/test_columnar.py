@@ -29,6 +29,7 @@ from heafusion.md_evidence import (
 from conftest import random_dataset
 from oracles import (
     alloy_masks,
+    content_hash_reference,
     estimate_reliability_reference,
     fuse_masses_reference,
     fuse_reference,
@@ -285,7 +286,8 @@ def test_triangle_pass_matches_per_fold_calls():
     # sizes, and leave-one-out folds (folds = n), over one- and multi-word
     # keys
     rng = random.Random(31)
-    seen = {"leave_one_out": 0, "columns": set(), "mixed_sizes": 0, "partial_tables": 0, "universes": set()}
+    seen = {"leave_one_out": 0, "columns": set(), "mixed_sizes": 0, "partial_tables": 0, "empty_tables": 0,
+            "universes": set()}
     for case in range(150):
         dataset, _, _ = _case(rng, case)
         if case % 5 >= 3:  # the E1 universe itself, or a dense dataset over a few of its symbols
@@ -304,11 +306,14 @@ def test_triangle_pass_matches_per_fold_calls():
         for size in sorted(rng.sample(range(1, limit + 1), rng.randint(1, min(3, limit)))):
             k = rng.choice([1, 3])
             held = np.flatnonzero([rng.random() < 0.8 for _ in range(len(md.keys))])  # a table may lack keys
+            if (case + size) % 7 == 0:  # or hold none
+                held = held[:0]
             weights = np.random.default_rng(case).random((len(held), k))  # the order of a sum shows in its bits
             groups.append((size, list(range(n_columns, n_columns + k)), KeyTable(md.keys[held], weights)))
             n_columns += k
             seen["columns"].add(k)
             seen["partial_tables"] += len(held) < len(md.keys)
+            seen["empty_tables"] += not len(held)
         folds = len(dataset) if case % 3 == 0 else rng.randint(2, len(dataset))
         fold_of = fold_ids(labels, folds, case)
         splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
@@ -328,7 +333,7 @@ def test_triangle_pass_matches_per_fold_calls():
         seen["leave_one_out"] += folds == len(dataset)
         seen["mixed_sizes"] += len(groups) > 1
         seen["universes"].add("E1" if dataset.universe == UNIVERSES["E1"] else len(dataset.universe))
-    assert seen["leave_one_out"] and seen["mixed_sizes"] and seen["partial_tables"]
+    assert seen["leave_one_out"] and seen["mixed_sizes"] and seen["partial_tables"] and seen["empty_tables"]
     assert {"E1", len(ELEMENT_SYMBOLS)} <= seen["universes"]  # one key word and four
     assert seen["columns"] == {1, 3}
 
@@ -546,6 +551,41 @@ def test_rekey_matches_a_direct_build(kind):
                                                     "reversed-drop-used", "multi-word", "multi-word-in-place"))
 
 
+@pytest.mark.parametrize("kind", ["append", "drop-unused", "shift-up", "drop-used", "reversed"])
+def test_rekeys_keeping_every_row_in_place_share_the_weight_columns(kind):
+    # a map that keeps every row where it is (the identity on the source
+    # bits, or one that drops unused bits or moves bits within their word)
+    # gathers nothing: the re-keyed store's columns and the key table's
+    # weights are views of the store's own columns. A map that drops a used
+    # row or sorts the rows copies them. Either way the result is the store
+    # built directly over the targets
+    rng = random.Random(kind)
+    symbols = sorted(rng.sample(ELEMENT_SYMBOLS, 20))
+    used = symbols[:-4]
+    entries = {}
+    while len(entries) < 80:
+        a, b = _subset(rng, used, 1, 3), _subset(rng, used, 1, 3)
+        if not set(a) & set(b):
+            entries[CombinationPair(a, b)] = _random_weights(rng)
+    source = _store_over(entries, symbols)
+    outside = sorted(set(ELEMENT_SYMBOLS) - set(symbols))
+    targets = {
+        "append": symbols + outside[:3],
+        "drop-unused": symbols[:-2],
+        "shift-up": sorted(symbols + outside[:5]),
+        "drop-used": [e for e in symbols if e != used[3]],
+        "reversed": symbols[::-1],
+    }[kind]
+    shared = kind in ("append", "drop-unused", "shift-up")
+    got = source.reindexed(targets)
+    _assert_direct_build(got, entries, targets)
+    assert np.shares_memory(got.w_first, source.w_first) == np.shares_memory(got.w_second, source.w_second) == shared
+    table = source.mask_view({e: i for i, e in enumerate(targets)})
+    assert np.shares_memory(table.weights, source.analogy_weights) == shared
+    assert table.keys.tobytes() == got.keys.tobytes()
+    assert table.weights.tobytes() == md_evidence.analogy_weight(got.w_first, got.w_second).tobytes()
+
+
 def test_random_rekeys_match_a_direct_build():
     # seeded maps between one and four key words on each side: drops,
     # shifts from inserted symbols and shuffles, over random source bit
@@ -618,6 +658,27 @@ class TestContentHash:
         assert other_bits.content_hash() == digest
         assert inserted.content_hash() == digest
         assert store.reindexed(("Lr",) + ds.universe).content_hash() == digest
+
+    @pytest.mark.parametrize("unused", [False, True])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "big-endian", "strided-big-endian"])
+    def test_matches_a_tobytes_reference(self, layout, unused):
+        # the digest reads the arrays' buffers: columns that are strided
+        # views or big-endian digest as their little-endian bytes; a store
+        # with an unused element hashes a re-keyed view of its columns
+        ds = random_dataset(60, universe_size=40, seed=4)  # two key words
+        store = extract_all(ds, ExtractionConfig(alpha=0.3))
+        keys, columns = store.keys, (store.w_first, store.w_second)
+        if layout.endswith("big-endian"):
+            columns = tuple(column.astype(">f8") for column in columns)
+        if layout.startswith("strided"):
+            keys = np.repeat(keys, 2, axis=1)[:, ::2]
+            columns = tuple(np.repeat(column, 2)[::2] for column in columns)
+        elements = store.elements + (("Lr",) if unused else ())
+        laid_out = SimilarityStore(elements, keys, *columns)
+        contiguous = layout in ("contiguous", "big-endian")
+        assert laid_out.keys.flags.c_contiguous == laid_out.w_first.flags.c_contiguous == contiguous
+        assert (laid_out.w_second.dtype.byteorder == ">") == layout.endswith("big-endian")
+        assert laid_out.content_hash() == content_hash_reference(laid_out) == store.content_hash()
 
     def test_one_ulp_changes_it(self):
         ds = random_dataset(40, universe_size=12, seed=9)
