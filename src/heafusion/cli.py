@@ -58,7 +58,7 @@ from .evaluation import (
 )
 # estimate_reliability is unused here; it stays while the benchmark's tracer wraps heafusion.cli.estimate_reliability
 from .fusion import estimate_reliability, fuse, source_gammas, write_gammas  # noqa: F401
-from .inference import classify, predict_batch, usable_cpus
+from .inference import classify, predict_batch
 from .llm_evidence import (
     DEFAULT_DOMAINS,
     build_store,
@@ -109,8 +109,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--jobs", type=_positive_int, default=usable_cpus(),
-                     help="worker-pool cap for batch prediction, at least 1 (default: the CPUs this process may use)")
+    sub.add_argument("--jobs", type=_positive_int, default=1,
+                     help="accepted for scripts that pass it, at least 1; has no effect, every command runs in one process")
     sub.add_argument("--out-dir", default=".", help="directory for outputs and run metadata")
 
 
@@ -484,9 +484,7 @@ def _cmd_predict(args: argparse.Namespace) -> None:
             a for a in enumerate_combinations(training.universe, args.enumerate)
             if a.elements not in training_sets
         ]
-    predictions = predict_batch(
-        candidates, training, store, max_subst_size=args.max_subst_size, jobs=args.jobs
-    )
+    predictions = predict_batch(candidates, training, store, max_subst_size=args.max_subst_size)
     masses = from_weights(predictions.w_pos, predictions.w_neg)
     # the lines csv.writer writes: a composition joins element symbols with "-" and needs no quoting
     rows = zip(
@@ -512,7 +510,7 @@ def _cmd_eval_cv(args: argparse.Namespace) -> None:
         raise ConfigError(f"--fractions names a fraction twice: {args.fractions!r}")
     reports = run_cv_experiment(
         dataset, sources, fractions=fractions, seed=args.seed, repeats=args.repeats,
-        stratified=not args.unstratified, jobs=args.jobs,
+        stratified=not args.unstratified,
     )
     outputs = _write_reports(args, reports)
     _write_metadata(args, outputs, {"summary": summarize_reports(reports)})
@@ -526,7 +524,7 @@ def _cmd_eval_extrapolate(args: argparse.Namespace) -> None:
                     if any(e in a.elements for a in dataset.alloys)]
     else:
         elements = list(_element_list(args.elements))
-    reports = run_extrapolation_experiment(dataset, sources, elements, seed=args.seed, jobs=args.jobs)
+    reports = run_extrapolation_experiment(dataset, sources, elements, seed=args.seed)
     outputs = _write_reports(args, reports)
     _write_metadata(args, outputs, {"summary": summarize_reports(reports)})
 

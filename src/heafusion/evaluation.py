@@ -165,7 +165,6 @@ def _evaluate_split(
     test: Dataset,
     sources: SourcesConfig,
     seed: int,
-    jobs: int = 1,
 ) -> tuple[np.ndarray, dict[str, float], dict[str, str]]:
     """Run the full pipeline on one split: extract, weight, fuse, predict.
 
@@ -184,9 +183,7 @@ def _evaluate_split(
         folds=min(sources.gamma_folds, len(training)), seed=seed, max_subst_size=sources.max_subst_size,
     )
     fused = fusion.fuse(stores, gammas)
-    scores = inference.predict_batch(
-        test.alloys, training, fused, max_subst_size=sources.max_subst_size, jobs=jobs,
-    ).score
+    scores = inference.predict_batch(test.alloys, training, fused, max_subst_size=sources.max_subst_size).score
     hashes = {source_id: store.content_hash() for source_id, store in stores}
     hashes["fused"] = fused.content_hash()
     return scores, gammas, hashes
@@ -200,13 +197,12 @@ def _report(
     split: tuple[Dataset, Dataset],
     sources: SourcesConfig,
     seed: int,
-    jobs: int,
     params: dict,
 ) -> MetricsReport:
     """Evaluate one split of dataset; the report's config echo holds the
     sources, the seed, the split's params and the store hashes."""
     training, test = split
-    scores, gammas, hashes = _evaluate_split(training, test, sources, seed, jobs)
+    scores, gammas, hashes = _evaluate_split(training, test, sources, seed)
     labels = test.labels
     config = {
         "use_md": sources.use_md,
@@ -248,7 +244,6 @@ def run_cv_experiment(
     seed: int = 42,
     repeats: int = 1,
     stratified: bool = True,
-    jobs: int = 1,
 ) -> list[MetricsReport]:
     """Fraction-CV protocol: one report per (fraction, repeat).
 
@@ -262,7 +257,7 @@ def run_cv_experiment(
     splits = [(fraction, repeat, fraction_split(dataset, fraction, seed + repeat, stratified))
               for fraction in fractions for repeat in range(repeats)]
     return [
-        _report("cv", f"fraction={fraction}", repeat, dataset, split, sources, seed + repeat, jobs,
+        _report("cv", f"fraction={fraction}", repeat, dataset, split, sources, seed + repeat,
                 {"fraction": fraction, "stratified": stratified})
         for fraction, repeat, split in splits
     ]
@@ -277,18 +272,18 @@ def run_extrapolation_experiment(
 ) -> list[MetricsReport]:
     """Leave-element-out protocol: one report per held-out element. Every
     split is drawn before the first is evaluated, so an absent element
-    fails before any work."""
+    fails before any work. `jobs` is accepted for callers that pass it and
+    ignored: every fold runs in this process."""
     splits = [(element, element_split(dataset, element)) for element in elements]
     return [
-        _report("extrapolation", f"element={element}", 0, dataset, split, sources, seed, jobs,
-                {"element": element})
+        _report("extrapolation", f"element={element}", 0, dataset, split, sources, seed, {"element": element})
         for element, split in splits
     ]
 
 
 def summarize_reports(reports: Sequence[MetricsReport]) -> dict[str, dict[str, float]]:
     """Mean and population standard deviation of the scalar metrics across
-    jobs, in the shape used by the summary tables."""
+    reports, in the shape used by the summary tables."""
     if not reports:
         return {}
     out = {}

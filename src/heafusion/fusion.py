@@ -14,8 +14,9 @@ stores keyed by it are aligned without re-keying. `estimate_reliability`
 groups the stores by the size of their largest substitution side, since
 a store only meets analogies whose sides fit its own. Per group it holds
 every source's analogy weights in one key table, one column per source
-and 0 where a source lacks the key; a group of one store looks up that
-store's own cached column (`SimilarityStore.analogy_weights`). One
+and 0 where a source lacks the key; a group of one store looks up its
+own keys. The columns (`md_evidence.analogy_weight` of each store's
+weights) are computed for the estimate and freed with it. One
 upper-triangle pass of `md_evidence.informative_pairs` over all rows,
 skipping the pairs within a fold, serves every group: each unordered pair
 is looked up once per group its larger side fits and credited to both of
@@ -47,6 +48,7 @@ from .inference import columns_macro_f1, predict_batch  # noqa: F401
 from .md_evidence import (
     KeyTable,
     SimilarityStore,
+    analogy_weight,
     informative_pairs,
     largest_side,
     substitution_limit,
@@ -97,12 +99,12 @@ def estimate_reliability(
         members = [j for j, s in enumerate(sizes) if s == size]
         if len(members) == 1:  # a store's own keys are distinct and sorted: no union to build
             store = aligned[members[0]]
-            table = KeyTable(store.keys, store.analogy_weights[:, None])
+            table = KeyTable(store.keys, analogy_weight(store.w_first, store.w_second)[:, None])
         else:
             _, keys, positions = union_rows([aligned[j] for j in members])
             columns = np.zeros((len(keys), len(members)))
             for c, (j, rows) in enumerate(zip(members, positions)):
-                columns[rows, c] = aligned[j].analogy_weights
+                columns[rows, c] = analogy_weight(aligned[j].w_first, aligned[j].w_second)
             table = KeyTable(keys, columns)
         groups.append((size, members, table))
     w_pos, w_neg = _cross_fold_weights(dataset.words, labels, fold_of, groups, len(stores))

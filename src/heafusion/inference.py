@@ -39,8 +39,6 @@ The metrics count (label, prediction) outcomes with one `np.bincount`
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
@@ -62,7 +60,6 @@ __all__ = [
     "macro_f1",
     "predict_batch",
     "roc_auc",
-    "usable_cpus",
     "youden_threshold_stats",
 ]
 
@@ -177,33 +174,16 @@ def fold_macro_f1(
     return columns_macro_f1(test_labels, w_pos, w_neg)[0].tolist()
 
 
-# Candidates from which a process pool pays: on a 2-core Intel Xeon, 520 training
-# alloys and their fused store, two workers took 0.104-0.115 s against
-# 0.093-0.121 s in one process at 2,000 candidates (best of 5), lost at
-# 1,500 (0.139 against 0.089-0.095 s) and won from 2,500 on.
-_POOL_MIN_CANDIDATES = 2000
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    reports one, else every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def predict_batch(
     candidates: Sequence[Alloy],
     training: Dataset,
     store: SimilarityStore,
     max_subst_size: int | None = None,
-    jobs: int = 1,
 ) -> Predictions:
     """Predict many candidates against one training set and store: the
     columns of their analogy weights, analogy counts and scores.
 
-    Pure in its inputs; candidates are processed independently, so the
-    batch may be chunked across worker processes, one per usable CPU at most.
+    Pure in its inputs; one `analogy_weights` call in this process.
     """
     max_subst_size = substitution_limit(chain(training.alloys, candidates), max_subst_size)
     training_sets = {a.elements for a in training.alloys}
@@ -221,26 +201,7 @@ def predict_batch(
             raise CandidateInTraining(f"candidate {c} is in the training set")
     cand_words = element_words((c.elements for c in candidates), index, width)
 
-    jobs = min(max(1, jobs), usable_cpus())
-    if jobs == 1 or len(candidates) < _POOL_MIN_CANDIDATES:
-        w_pos, w_neg, n = analogy_weights(cand_words, host_words, training.labels, table, max_subst_size)
-    else:
-        lanes = [cand_words[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(
-                    analogy_weights,
-                    lanes,
-                    [host_words] * jobs,
-                    [training.labels] * jobs,
-                    [table] * jobs,
-                    [max_subst_size] * jobs,
-                )
-            )
-        w_pos, w_neg = np.empty(len(candidates)), np.empty(len(candidates))
-        n = np.empty(len(candidates), dtype=np.int64)
-        for lane, (lane_pos, lane_neg, lane_n) in enumerate(parts):
-            w_pos[lane::jobs], w_neg[lane::jobs], n[lane::jobs] = lane_pos, lane_neg, lane_n
+    w_pos, w_neg, n = analogy_weights(cand_words, host_words, training.labels, table, max_subst_size)
     return Predictions(tuple(candidates), w_pos, w_neg, n, pignistic(w_pos, w_neg))
 
 

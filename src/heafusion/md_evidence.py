@@ -63,10 +63,11 @@ key width and bit map (`_remap`): the kept bits move in groups of equal
 words per group. Only a map that is not increasing on the kept bits
 re-packs the rows, and only such a map or one that moves a bit to
 another word sorts them. A map that keeps every row in its place gives
-the rows as `slice(None)`, so the re-keyed store's weight columns, the
-key table's weights and the hash's canonical columns are views of the
-store's own. This module alone reads the key layout; other modules size
-keys with `largest_side`.
+the rows as `slice(None)`, so the re-keyed store's weight columns and
+the hash's canonical columns are views of the store's own, and
+`mask_view` computes its key table's weights from such views; no store
+keeps that column. This module alone reads the key layout; other modules
+size keys with `largest_side`.
 
 Store files are read and written a block of rows at a time, with no
 Python list per row. `read_store` takes blocks from `alloys.read_blocks`,
@@ -371,7 +372,8 @@ def _remap(keys: np.ndarray, bits: np.ndarray, width: int) -> tuple[np.ndarray, 
     """Key rows with bit i of both sides moved to bit bits[i], at `width`
     words per side, re-packed and sorted, with the source row of each:
     `slice(None)` when every row is kept in place, so that the caller's
-    gathers of its columns are views, not copies.
+    gathers of the store's weight columns are views, not copies (the
+    key table of `mask_view` holds a new column computed from them).
 
     Rows using an element with bits[i] < 0 are dropped. The kept bits are
     grouped by (source word, target word, shift); both halves of a key
@@ -462,12 +464,6 @@ class SimilarityStore:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def analogy_weights(self) -> np.ndarray:
-        """`analogy_weight` of each row, computed once per store: the
-        column that `mask_view` and the γ estimate look keys up in."""
-        return analogy_weight(self.w_first, self.w_second)
-
     def _named_sides(self) -> tuple[list[tuple[str, ...]], np.ndarray, np.ndarray]:
         """The distinct sides of the rows as sorted element tuples, in
         sorted order, and per row the positions of its first and second
@@ -507,15 +503,16 @@ class SimilarityStore:
         return SimilarityStore(elements, keys, self.w_first[rows], self.w_second[rows])
 
     def mask_view(self, index: Mapping[str, int]) -> KeyTable:
-        """`analogy_weight` of each entry in a key table whose bits follow
-        `index` (element -> bit), for hot-loop lookups.
+        """`analogy_weight` of each entry, computed over the kept rows on
+        each call, in a key table whose bits follow `index` (element ->
+        bit), for hot-loop lookups.
 
         Entries naming elements outside the index cannot be reached by any
         substitution within that universe and are skipped.
         """
         bits = np.array([index.get(e, -1) for e in self.elements], dtype=np.int64)
         keys, rows = _remap(self.keys, bits, key_width(max(index.values(), default=-1) + 1))
-        return KeyTable(keys, self.analogy_weights[rows])
+        return KeyTable(keys, analogy_weight(self.w_first[rows], self.w_second[rows]))
 
     def content_hash(self) -> str:
         """SHA-256 of the canonical form: the used element names sorted,

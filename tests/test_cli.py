@@ -4,7 +4,6 @@ import contextlib
 import csv
 import io
 import json
-import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heafusion import evaluation
-from heafusion.cli import build_parser, main
+from heafusion.cli import main
 from heafusion.md_evidence import read_store
 
 from conftest import as_dataset, mass_store, planted_group_dataset, random_dataset
@@ -647,6 +646,33 @@ class TestCountOptions:
         assert f"argument {argv[-2]}:" in err["message"]
         assert run(args[:-2] + ["--jobs", "1", "--out-dir", tmp_path / "run"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--dataset", "{data}"],
+        ["fuse", "--store", "md={store}", "--store", "llm={llm}", "--dataset", "{data}", "--folds", "3",
+         "--seed", "1"],
+        ["predict", "--store", "{store}", "--training", "{data}", "--enumerate", "4"],
+        ["tune-alpha", "--dataset", "{data}", "--grid", "0.02,0.1,0.3", "--folds", "3", "--repeats", "2",
+         "--seed", "1"],
+        ["eval-cv", "--dataset", "{data}", "--fractions", "0.3,0.5", "--sources", "md,llm",
+         "--responses", "{responses}", "--gamma-folds", "3", "--seed", "1"],
+        ["eval-extrapolate", "--dataset", "{data}", "--elements", "Fe,Cu", "--sources", "md,llm",
+         "--responses", "{responses}", "--gamma-folds", "3", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_jobs_leave_outputs_unchanged(self, tmp_path, planted_csv, responses_csv, argv):
+        """--jobs is accepted and has no effect: every output but the run
+        metadata, which echoes the option, is the same to the byte."""
+        inputs = tmp_path / "inputs"
+        assert run(["extract", "--dataset", planted_csv, "--out-dir", inputs]) == 0
+        assert run(["ingest", "--responses", responses_csv, "--out-dir", inputs]) == 0
+        (llm,) = inputs.glob("llm_*.csv")
+        paths = {"data": planted_csv, "store": inputs / "md_store.csv", "llm": llm, "responses": responses_csv}
+        outputs = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert run([a.format(**paths) for a in argv] + ["--jobs", jobs, "--out-dir", out]) == 0
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir() if f.name != "run_metadata.json"})
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 class TestClusterAndDistances:
     def test_cluster_outputs(self, tmp_path, planted_csv):
@@ -762,12 +788,6 @@ class TestConfigFile:
         assert run(["extract", "--config", config, "--dataset", dataset_csv, "--out-dir", tmp_path / "a"]) == 0
         assert run(["extract", "--dataset", dataset_csv, "--out-dir", tmp_path / "b"]) == 0
         assert (tmp_path / "a" / "md_store.csv").read_bytes() == (tmp_path / "b" / "md_store.csv").read_bytes()
-
-    def test_jobs_default_to_the_usable_cpus(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        parser = build_parser()
-        assert all(sub.get_default("jobs") == 1 for sub in parser.commands.values())
 
     def test_jobs_below_one_rejected_on_command_line(self, tmp_path, dataset_csv, capsys):
         assert run(["extract", "--dataset", dataset_csv, "--jobs", "0", "--out-dir", tmp_path]) == 2

@@ -581,7 +581,6 @@ def test_rekeys_keeping_every_row_in_place_share_the_weight_columns(kind):
     _assert_direct_build(got, entries, targets)
     assert np.shares_memory(got.w_first, source.w_first) == np.shares_memory(got.w_second, source.w_second) == shared
     table = source.mask_view({e: i for i, e in enumerate(targets)})
-    assert np.shares_memory(table.weights, source.analogy_weights) == shared
     assert table.keys.tobytes() == got.keys.tobytes()
     assert table.weights.tobytes() == md_evidence.analogy_weight(got.w_first, got.w_second).tobytes()
 

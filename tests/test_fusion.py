@@ -1,5 +1,7 @@
 """Reliability estimation and discount-then-combine fusion."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,30 @@ class TestEstimateReliability:
         a = estimate_reliability([store], dataset, folds=5, seed=11)[0]
         b = estimate_reliability([store], dataset, folds=5, seed=11)[0]
         assert a == b
+
+    def test_no_analogy_column_outlives_the_estimate(self):
+        # a store over the dataset's bits is used as it is, not re-keyed;
+        # the estimate's analogy weights, one float64 per row, must be
+        # freed when it returns, not kept on the caller's store
+        dataset = dense_noisy_dataset()
+        store = extract_all(dataset, ExtractionConfig(0.3))
+        assert store.elements == dataset.bit_names and len(store) > 10_000
+
+        def fresh():
+            return SimilarityStore(store.elements, store.keys, store.w_first, store.w_second)
+
+        estimate_reliability([fresh()], dataset, folds=5, seed=0)  # fills the dataset's own caches
+        measured = fresh()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_reliability([measured], dataset, folds=5, seed=0)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < len(measured) * 8
 
 
 class TestFuse:

@@ -1,9 +1,11 @@
 """Module hygiene: no module of the package imports another's private
 names, the package's modules import each other without a cycle, every
-import sits at module level, one module reads CSV and one module knows
-the key layout."""
+import sits at module level, one module reads CSV, one module knows the
+key layout and importing the CLI loads no process-pool machinery."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import heafusion
@@ -353,3 +355,17 @@ def test_pair_counts_sort_by_value():
     assert sorting == set()
     source = "def f(k):\n    return g(k) + k.h()\ndef g(k):\n    return np.argsort(k)\ndef h(k):\n    return lexsort(k)\n"
     assert permutation_sorts(ast.parse(source), "f") == ({"f", "g", "h"}, {"g", "h"})
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Every command runs in one process, so a fresh interpreter that
+    imports the CLI loads neither `multiprocessing` nor
+    `concurrent.futures`."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import heafusion.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"

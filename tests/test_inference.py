@@ -13,7 +13,7 @@ from heafusion.errors import CandidateInTraining, LengthMismatch, TotalConflict
 from heafusion.inference import classify, predict_batch
 from heafusion.md_evidence import CombinationPair, counts_to_store, read_store, write_store
 
-from conftest import as_dataset, mass_store as store_of, planted_group_store, random_dataset
+from conftest import as_dataset, mass_store as store_of, random_dataset
 from oracles import (
     Analogy,
     BinaryMass,
@@ -33,11 +33,6 @@ COLUMNS = ("w_pos", "w_neg", "n_analogies", "score")
 def la(elements, label=True):
     """One (alloy, label) row."""
     return Alloy(elements), label
-
-
-def same_predictions(a, b) -> bool:
-    """The same candidates and, bit for bit, the same columns."""
-    return a.candidates == b.candidates and all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
 
 
 class TestEnumerateAnalogies:
@@ -303,68 +298,3 @@ class TestInvariants:
         assert len(predictions) == 0 and list(predictions) == []
         for column in COLUMNS:
             assert getattr(predictions, column).shape == (0,)
-
-    def test_batch_jobs_consistent(self, monkeypatch):
-        # batch large enough to engage the process pool, its threshold
-        # lowered to fit the 330 quaternaries of the universe
-        monkeypatch.setattr(inference, "_POOL_MIN_CANDIDATES", 256)
-        ds = random_dataset(40, universe_size=11, seed=9)
-        store = planted_group_store(tuple(ds.universe[:5]), tuple(ds.universe[5:]), 0.7)
-        taken = {a.elements for a in ds.alloys}
-        from itertools import combinations
-
-        candidates = [
-            Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken
-        ][:280]
-        assert len(candidates) >= inference._POOL_MIN_CANDIDATES
-        serial = predict_batch(candidates, ds, store, jobs=1)
-        for jobs in (2, 3):
-            assert same_predictions(predict_batch(candidates, ds, store, jobs=jobs), serial), jobs
-
-    def test_pool_has_one_lane_per_core_at_most(self, monkeypatch):
-        # a fake pool records its size and maps in this process, so no
-        # worker process starts
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(inference, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(inference, "_POOL_MIN_CANDIDATES", 1)
-        ds = random_dataset(40, universe_size=11, seed=9)
-        store = planted_group_store(tuple(ds.universe[:5]), tuple(ds.universe[5:]), 0.7)
-        taken = {a.elements for a in ds.alloys}
-        from itertools import combinations
-
-        candidates = [Alloy(e) for e in combinations(ds.universe, 4) if Alloy(e).elements not in taken][:50]
-        serial = predict_batch(candidates, ds, store, jobs=1)
-        # a process pinned to one CPU of eight starts no pool
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {5}, raising=False)
-        assert same_predictions(predict_batch(candidates, ds, store, jobs=5000), serial)
-        assert sizes == []
-        monkeypatch.delattr(inference.os, "sched_getaffinity", raising=False)
-        for cores, jobs, pools in [(3, 5000, [3]), (4, 2, [2]), (1, 5000, []), (None, 5000, [])]:
-            sizes.clear()
-            monkeypatch.setattr(inference.os, "cpu_count", lambda: cores)
-            assert same_predictions(predict_batch(candidates, ds, store, jobs=jobs), serial), (cores, jobs)
-            assert sizes == pools, (cores, jobs)
-
-    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(inference.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
-        assert inference.usable_cpus() == 2
-        monkeypatch.delattr(inference.os, "sched_getaffinity")
-        assert inference.usable_cpus() == 8
-        monkeypatch.setattr(inference.os, "cpu_count", lambda: None)
-        assert inference.usable_cpus() == 1
